@@ -456,24 +456,44 @@ def _emit_human(report, indent=""):
             print(f"{indent}{key}: {value}")
 
 
+def _load_json(text, what):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValidationError(f"{what} is not valid JSON: {err}") from None
+
+
+def _read_json(path):
+    with open(path) as handle:
+        data = _load_json(handle.read(), path)
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path} must hold a JSON object")
+    return data
+
+
 def load_setup(args):
     if getattr(args, "setup", None):
-        with open(args.setup) as handle:
-            data = json.load(handle)
-        setup = Setup.from_dict(data)
-        if getattr(args, "truncation", None):
+        data = _read_json(args.setup)
+        if getattr(args, "truncation", None) is not None:
             data["truncation"] = args.truncation
-            setup = Setup.from_dict(data)
-        return setup
+        try:
+            return Setup.from_dict(data)
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValidationError(f"{args.setup}: bad setup ({err})") from None
     raise ValidationError("this command needs --setup <file.json>")
 
 
 def default_truncation(args, fallback=8):
-    if getattr(args, "truncation", None):
+    if getattr(args, "truncation", None) is not None:
         return args.truncation
     env = os.environ.get("CHOWLINE_TRUNCATION")
     if env:
-        return int(env)
+        try:
+            return _positive_int(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ValidationError(
+                f"CHOWLINE_TRUNCATION must be a positive integer, got {env!r}"
+            ) from None
     return fallback
 
 
@@ -497,8 +517,28 @@ def _parse_int_list(text):
     return [int(x) for x in str(text).split(",") if x != ""]
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _parse_rank_list(text):
+    return [_positive_int(x) for x in str(text).split(",") if x != ""]
+
+
+def _int_list(value, what):
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValidationError(f"{what} must be a list of integers, got {value!r}")
+    return value
+
+
 def verify_whitney(args, rng):
-    r1, r2 = (args.ranks if args.ranks else [2, 2])[:2]
+    ranks = args.ranks or [2, 2]
+    if len(ranks) != 2:
+        raise ValidationError(f"--ranks takes two ranks, got {len(ranks)}")
+    r1, r2 = ranks
     setup = Setup([("A", r1), ("B", r2)], 0, default_truncation(args))
     degrees = [args.degree] if args.degree is not None else range(r1 + r2 + 1)
     checks = []
@@ -678,10 +718,9 @@ def cmd_verify(args):
 def _parse_bundles(text, factors):
     if not text:
         raise ValidationError("--bundles is required")
-    data = json.loads(text)
     bundles = []
-    for entry in data:
-        entry = [int(x) for x in entry]
+    for entry in _load_json(text, "--bundles"):
+        entry = _int_list(entry, "each entry of --bundles")
         if len(entry) != factors + 1:
             raise ValidationError(
                 f"each bundle needs {factors} fiber degrees and one base twist")
@@ -707,7 +746,7 @@ def cmd_deligne(args):
 
 def cmd_grr(args):
     fam = dcoh.FamilyDescriptor(tuple(args.fiber or [1]), args.base)
-    entry = [int(x) for x in json.loads(args.bundle)]
+    entry = _int_list(_load_json(args.bundle, "--bundle"), "--bundle")
     if len(entry) != len(fam.fiber) + 1:
         raise ValidationError(
             f"the bundle needs {len(fam.fiber)} fiber degrees and one base twist")
@@ -725,24 +764,32 @@ def cmd_grr(args):
     return emit(report, args.json, out["equal"])
 
 
+def _load_skeleton(path):
+    data = _read_json(path)
+    try:
+        monoid = picard.MonoidPresentation(
+            int(data["monoid"]["generators"]),
+            [(list(u), list(v)) for u, v in data["monoid"].get("relations", [])])
+        chain = data["chain"]
+        groups = [picard.FGAbelianGroup(int(g["generators"]),
+                                        g.get("relations", []))
+                  for g in chain["groups"]]
+        return picard.GroupoidSkeleton(
+            monoid=monoid,
+            chain_start=list(chain["start"]),
+            chain_step=list(chain["step"]),
+            chain_groups=groups,
+            translations=[m for m in chain["translations"]],
+            symmetry=[list(s) for s in chain["symmetry"]],
+        )
+    except KeyError as err:
+        raise ValidationError(f"{path}: missing key {err}") from None
+    except (AttributeError, TypeError, ValueError) as err:
+        raise ValidationError(f"{path}: malformed skeleton ({err})") from None
+
+
 def cmd_picard(args):
-    with open(args.input) as handle:
-        data = json.load(handle)
-    monoid = picard.MonoidPresentation(
-        int(data["monoid"]["generators"]),
-        [(list(u), list(v)) for u, v in data["monoid"].get("relations", [])])
-    chain = data["chain"]
-    groups = [picard.FGAbelianGroup(int(g["generators"]),
-                                    g.get("relations", []))
-              for g in chain["groups"]]
-    skeleton = picard.GroupoidSkeleton(
-        monoid=monoid,
-        chain_start=list(chain["start"]),
-        chain_step=list(chain["step"]),
-        chain_groups=groups,
-        translations=[m for m in chain["translations"]],
-        symmetry=[list(s) for s in chain["symmetry"]],
-    )
+    skeleton = _load_skeleton(args.input)
     invariants = picard.picardify(skeleton)
     rational = picard.rationalize(invariants)
     report = {
@@ -777,7 +824,7 @@ def build_arg_parser():
     def common(p):
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report")
-        p.add_argument("--truncation", type=int, default=None,
+        p.add_argument("--truncation", type=_positive_int, default=None,
                        help="truncation degree (default from "
                             "CHOWLINE_TRUNCATION or 8)")
 
@@ -792,8 +839,10 @@ def build_arg_parser():
 
     p_verify = sub.add_parser("verify", help="verify a named identity")
     p_verify.add_argument("name")
-    p_verify.add_argument("--rank", type=int, default=None)
-    p_verify.add_argument("--ranks", type=_parse_int_list, default=None)
+    # Ranks are >= 1, so a verifier's ``args.rank or <default>`` only fills
+    # in a missing --rank.
+    p_verify.add_argument("--rank", type=_positive_int, default=None)
+    p_verify.add_argument("--ranks", type=_parse_rank_list, default=None)
     p_verify.add_argument("--degree", type=int, default=None)
     p_verify.add_argument("--count", type=int, default=25,
                           help="randomized instances for sampled suites")

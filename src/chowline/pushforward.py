@@ -7,11 +7,18 @@ bundle, the intersection ring is
 
     Q[xi_1, ..., xi_J] / ( prod_{l in lines_j} (xi_j + l) = 0 ),
 
-with the finite monomial basis xi_j^{a_j}, 0 <= a_j <= r_j - 1.  The
-pushforward along the top projection sends a reduced class to its
+with the finite monomial basis prod_j xi_j^{a_j}, 0 <= a_j <= r_j - 1.
+Every class is kept in this basis.  The relation of level j is stored as
+a table of the reduced forms of xi_j^e for r_j <= e <= bound, so reducing
+a polynomial is one substitution pass per level, top level first.  Rank-1
+levels (P(L), isomorphic to its base) need nothing special: their table
+rewrites xi_j as -l.
+
+The pushforward along the top projection sends a reduced class to its
 coefficient of xi_J^{r-1}; equivalently pi_*(xi^{r-1+k}) = s_k(E) with
 s = 1/c (the sign-free Segre convention, which is what makes the
-projection formula coefficient-free here).
+projection formula coefficient-free here).  Pushing to the point reads one
+coordinate: the coefficient of the top basis monomial prod_j xi_j^{r_j-1}.
 
 Splitting to sums of line classes loses no generality for identity
 checking (splitting principle) and keeps every ring finite-dimensional.
@@ -19,6 +26,7 @@ checking (splitting principle) and keeps every ring finite-dimensional.
 
 from __future__ import annotations
 
+from fractions import Fraction
 
 from .charclass import (
     VirtualBundle,
@@ -63,14 +71,21 @@ class Tower:
             [self._linear_form(coeffs) for coeffs in lines]
             for lines in self.line_coeffs
         ]
-        # c_i(E_j) reduced in the ring below level j+1, computed bottom-up.
-        self._level_chern = []
+        self._top_monomial = tuple(sorted(
+            (xi_name(j + 1), r - 1) for j, r in enumerate(self.ranks) if r > 1))
+        # _powers[j][e - r] is the reduced form of xi_{j+1}^e, built
+        # bottom-up: each table only uses the levels below it and its own
+        # first entry xi^r - prod_l (xi + l).
+        self._powers = []
         for j, lines in enumerate(self._line_polys):
-            cs = []
-            for i in range(len(lines) + 1):
-                raw = _elementary_of(lines, i, self.grades, self.bound)
-                cs.append(self._reduce_poly(raw, top=j))
-            self._level_chern.append(cs)
+            xi = Poly.var(xi_name(j + 1), self.grades, self.bound)
+            relation = Poly.const(1, self.grades, self.bound)
+            for line in lines:
+                relation = relation * (xi + line)
+            powers = [self._reduce_poly(xi ** len(lines) - relation)]
+            self._powers.append(powers)
+            for _ in range(len(lines), self.bound):
+                powers.append(self._reduce_poly(powers[-1] * xi))
 
     # -- construction helpers ------------------------------------------
 
@@ -108,7 +123,7 @@ class Tower:
         """The tautological class of the given level (1-based)."""
         if not 1 <= level <= len(self.ranks):
             raise ValueError(f"no level {level} in this tower")
-        return TowerClass(self, Poly.var(xi_name(level), self.grades, self.bound))
+        return self.from_poly(Poly.var(xi_name(level), self.grades, self.bound))
 
     def line_class(self, coeffs):
         """The class sum_i coeffs[i] * xi_{i+1}."""
@@ -116,7 +131,7 @@ class Tower:
         if len(coeffs) > len(self.ranks):
             raise ValueError("more coefficients than tower levels")
         coeffs = coeffs + [0] * (len(self.ranks) - len(coeffs))
-        return TowerClass(self, self._linear_form(coeffs))
+        return self.from_poly(self._linear_form(coeffs))
 
     def const(self, value):
         return TowerClass(self, Poly.const(value, self.grades, self.bound))
@@ -125,6 +140,8 @@ class Tower:
         return TowerClass(self, Poly.zero(self.grades, self.bound))
 
     def from_poly(self, poly):
+        if poly.bound > self.bound:  # the power tables stop at self.bound
+            poly = poly.truncate(self.bound)
         return TowerClass(self, self._reduce_poly(poly))
 
     def drop_top(self):
@@ -132,54 +149,31 @@ class Tower:
             raise ValueError("cannot remove a level from the point")
         return Tower(self.line_coeffs[:-1], bound=self.bound)
 
-    def level_chern(self, j, i):
-        """c_i of the level-j bundle (0-based level), reduced."""
-        cs = self._level_chern[j]
-        if i >= len(cs):
-            return Poly.zero(self.grades, self.bound)
-        return cs[i]
-
     # -- reduction ---------------------------------------------------------
 
-    def _reduce_poly(self, poly, top=None):
-        """Reduce modulo the Grothendieck relations of levels 1..top.
+    def _reduce_poly(self, poly):
+        """The normal form of a polynomial in the monomial basis.
 
-        Rewrites xi_j^{r_j} -> -sum_{i>=1} c_i(E_{j-1}) xi_j^{r_j - i}
-        until every exponent of xi_j is below r_j.  Each rewrite lowers the
-        exponent vector lexicographically (top level most significant), so
-        the loop terminates.
+        One pass per tabulated level, top level first: each monomial
+        rest * xi_j^e with e >= r_j becomes rest * (reduced xi_j^e).  The
+        table entry involves only xi_1..xi_j, so the pass leaves the
+        exponents of the levels above j alone and the passes below finish
+        the job.  Substitution keeps degrees, so nothing beyond the bound
+        appears.
         """
-        levels = len(self.ranks) if top is None else top
-        for j in range(levels, 0, -1):
-            name = xi_name(j)
-            r = self.ranks[j - 1]
-            cs = self._level_chern[j - 1]
-            while True:
-                excess = {}
-                for mono, coeff in poly.terms.items():
-                    exps = dict(mono)
-                    e = exps.get(name, 0)
-                    if e >= r:
-                        excess[mono] = (coeff, exps, e)
-                if not excess:
-                    break
-                replacement = Poly.zero(self.grades, self.bound)
-                keep = {m: c for m, c in poly.terms.items() if m not in excess}
-                poly = Poly(keep, self.grades, self.bound)
-                for mono, (coeff, exps, e) in excess.items():
-                    rest = dict(exps)
-                    rest.pop(name)
-                    base = Poly.make({tuple(sorted(rest.items())): coeff},
-                                     self.grades, self.bound)
-                    rewritten = Poly.zero(self.grades, self.bound)
-                    xi = Poly.var(name, self.grades, self.bound)
-                    for i in range(1, r + 1):
-                        c_i = cs[i] if i < len(cs) else Poly.zero(self.grades, self.bound)
-                        if c_i.is_zero():
-                            continue
-                        rewritten = rewritten - c_i * xi ** (r - i)
-                    replacement = replacement + base * rewritten * xi ** (e - r)
-                poly = poly + replacement
+        for j in range(len(self._powers), 0, -1):
+            name, r, powers = xi_name(j), self.ranks[j - 1], self._powers[j - 1]
+            keep, excess = {}, {}
+            for mono, coeff in poly.terms.items():
+                exps = dict(mono)
+                e = exps.pop(name, 0)
+                if e < r:
+                    keep[mono] = coeff
+                else:
+                    excess.setdefault(e, {})[tuple(sorted(exps.items()))] = coeff
+            poly = Poly(keep, self.grades, self.bound)
+            for e, rest in excess.items():
+                poly = poly + Poly(rest, self.grades, self.bound) * powers[e - r]
         return poly
 
 
@@ -215,10 +209,7 @@ class TowerClass:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        out = self.tower.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return self.tower.from_poly(self.poly ** n)
 
     def __eq__(self, other):
         return self.poly == self._coerce(other)
@@ -258,11 +249,9 @@ def push_level(tclass):
 
 
 def integrate(tclass):
-    """Push down to the point; zero unless the class has top degree."""
-    current = tclass
-    while current.tower.ranks:
-        current = push_level(current)
-    return current.poly.constant_term()
+    """Push down to the point: the coefficient of the top basis monomial
+    prod_j xi_j^{r_j-1}, zero unless the class has top degree."""
+    return tclass.poly.terms.get(tclass.tower._top_monomial, Fraction(0))
 
 
 def segre_pushforward(tower, exponent):
@@ -371,17 +360,3 @@ def grr_codim1_report(fam, bundle):
         raise AssertionError("determinant degree must be an integer")
     return {"lhs_degree": lhs, "rhs_degree": int(rhs), "equal": lhs == int(rhs)}
 
-
-def _elementary_of(elements, k, grades, bound):
-    """e_k of explicit ring elements, via the coefficient of t^k in
-    prod (1 + t x)."""
-    if k == 0:
-        return Poly.const(1, grades, bound)
-    if k > len(elements):
-        return Poly.zero(grades, bound)
-    layers = [Poly.const(1, grades, bound)] + [
-        Poly.zero(grades, bound) for _ in range(k)]
-    for x in elements:
-        for i in range(k, 0, -1):
-            layers[i] = layers[i] + layers[i - 1] * x
-    return layers[k]

@@ -279,6 +279,74 @@ def test_picard_failure_exits_nonzero(tmp_path, capsys):
     assert "invariant factors" in err
 
 
+# ------------------------------------------------------- usage errors
+# Out-of-range numbers and malformed inputs exit 2 with "error:" on
+# stderr: no traceback and no silent fallback to a default.
+
+def assert_usage_error(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exit_:  # argparse rejects the value itself
+        code = exit_.code
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_rank_zero_is_refused(capsys):
+    assert_usage_error(["verify", "dual", "--rank", "0", "--json"], capsys)
+
+
+def test_negative_rank_is_refused(capsys):
+    assert_usage_error(["verify", "tensor-line", "--rank", "-1", "--json"], capsys)
+
+
+def test_zero_in_rank_list_is_refused(capsys):
+    assert_usage_error(["verify", "whitney", "--ranks", "0,2", "--json"], capsys)
+
+
+def test_rank_list_of_one_is_refused(capsys):
+    assert_usage_error(["verify", "whitney", "--ranks", "3", "--json"], capsys)
+
+
+def test_truncation_zero_is_refused(capsys):
+    assert_usage_error(
+        ["verify", "segre", "--rank", "2", "--truncation", "0", "--json"], capsys)
+
+
+def test_malformed_bundles_json_is_refused(capsys):
+    assert_usage_error(["deligne", "--fiber", "1", "--bundles", "[[1,0],[0,1]",
+                        "--json"], capsys)
+
+
+def test_malformed_bundle_json_is_refused(capsys):
+    assert_usage_error(["grr", "--fiber", "1", "--bundle", "[2,", "--json"], capsys)
+
+
+def test_fractional_bundle_degree_is_refused(capsys):
+    # A fractional degree is refused, not rounded to an integer.
+    assert_usage_error(["grr", "--fiber", "1", "--bundle", "[2.7,-1]", "--json"],
+                       capsys)
+
+
+def test_non_integer_truncation_variable_is_refused(capsys, monkeypatch):
+    monkeypatch.setenv("CHOWLINE_TRUNCATION", "eight")
+    assert_usage_error(["verify", "dual", "--json"], capsys)
+
+
+def test_setup_file_with_negative_rank_is_refused(tmp_path, capsys):
+    path = tmp_path / "bad-setup.json"
+    path.write_text(json.dumps({"bundles": [{"name": "E", "rank": -1}]}))
+    assert_usage_error(["eval", "c(1,E)", "--setup", str(path)], capsys)
+
+
+def test_picard_file_missing_a_key_is_refused(tmp_path, capsys):
+    path = tmp_path / "no-chain.json"
+    path.write_text(json.dumps({"monoid": {"generators": 1, "relations": []}}))
+    assert_usage_error(["picard", str(path), "--json"], capsys)
+
+
 # ------------------------------------------------------------- entry point
 
 def test_console_entry_point_runs():

@@ -1,11 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowline.charclass import VirtualBundle
-from chowline.dcoh import FamilyDescriptor, MultidegreeLineBundle
+from chowline.dcoh import (
+    FamilyDescriptor,
+    MultidegreeLineBundle,
+    chi_projective_space,
+)
 from chowline.errors import UnequalBundles, UnsupportedFamily
+from chowline.poly import Poly
 from chowline.pushforward import (
     Tower,
     euler_characteristic,
@@ -258,7 +266,99 @@ def test_tower_dimension_and_basis_bounds():
         assert exps.get("xi2", 0) <= 1
 
 
+def test_from_poly_truncates_to_the_tower_bound():
+    t = Tower.projective_space(1)
+    finer = Poly.var("xi1", {"xi1": 1}, 5)
+    assert t.from_poly(finer ** 3).is_zero()
+    assert t.from_poly(finer) == t.xi(1)
+
+
 def test_tower_json_round_trip():
     t = Tower([[[], []], [[0], [2]]])
     t2 = Tower.from_dict(t.to_dict())
     assert t2.to_dict() == t.to_dict()
+
+
+# --------------------------------------------------------- rank-1 levels
+# P(L) is isomorphic to its base: xi = -c_1(L), so the class of a rank-1
+# level must be rewritten as soon as it is built.
+
+def rank_one_over_p1():
+    return Tower([[[], []], [[3]]])  # P(O(3)) over P^1, xi_2 = -3 xi_1
+
+
+def test_rank_one_level_integrates_its_tautological_class():
+    t = rank_one_over_p1()
+    assert integrate(t.xi(2)) == -3
+    assert integrate(t.xi(2) * 1) == -3
+
+
+def test_rank_one_level_class_equals_its_base_image():
+    t = rank_one_over_p1()
+    assert t.xi(2) == t.xi(1) * (-3)
+
+
+def test_rank_one_level_symmetry_sign():
+    t = rank_one_over_p1()
+    assert symmetry_sign(t, [[0, 1], [-3, 0]], 0, 1) == -1
+
+
+# ------------------------------------------------- normal form, properties
+
+@st.composite
+def split_towers(draw):
+    """Two- or three-level split towers, ranks 1-3, twists in [-2, 2]."""
+    levels = []
+    for j in range(draw(st.integers(2, 3))):
+        rank = draw(st.integers(1, 3))
+        levels.append([[draw(st.integers(-2, 2)) for _ in range(j)]
+                       for _ in range(rank)])
+    return Tower(levels)
+
+
+@st.composite
+def towers_with_products(draw):
+    t = draw(split_towers())
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(t.ranks),
+                      max_size=len(t.ranks))
+    factors = draw(st.lists(coeffs, max_size=t.dimension + 1))
+    product = t.const(1)
+    for c in factors:
+        product = product * t.line_class(c)
+    return t, product
+
+
+@settings(max_examples=40, deadline=None)
+@given(towers_with_products())
+def test_reduced_monomials_stay_in_the_basis(case):
+    t, product = case
+    for mono in product.poly.terms:
+        exps = dict(mono)
+        for j, r in enumerate(t.ranks):
+            assert exps.get(f"xi{j + 1}", 0) < r, (t.to_dict(), mono)
+
+
+@settings(max_examples=40, deadline=None)
+@given(towers_with_products())
+def test_integrate_matches_the_push_level_chain(case):
+    t, product = case
+    pushed = product
+    for _ in t.ranks:
+        pushed = push_level(pushed)
+    assert integrate(product) == pushed.poly.constant_term()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 2),
+       twists=st.lists(st.integers(-2, 2), min_size=1, max_size=3),
+       k=st.integers(0, 2), m=st.integers(-2, 2))
+def test_twisted_tower_chi_matches_symmetric_powers(n, twists, k, m):
+    # chi(P(+O(a_i)), O(k) (x) pi^*O(m)) = sum over monomials mu of degree
+    # k of chi(P^n, O(m - mu.a)): pi_* O(k) is Sym^k of the dual sum.
+    t = Tower([[[] for _ in range(n + 1)], [[a] for a in twists]])
+    line = VirtualBundle.line_class(t.line_class([m, k]).poly)
+    expected = sum(
+        chi_projective_space(n, m - sum(x * a for x, a in zip(mu, twists)))
+        for mu in itertools.product(range(k + 1), repeat=len(twists))
+        if sum(mu) == k)
+    assert euler_characteristic(t, line) == expected
