@@ -12,6 +12,12 @@ imposed relation.
 The Chern-monomial presentation (polynomials in symbols c_k(E)) is a
 display layer produced by ``to_chern_basis``; the root representation
 remains the canonical form.
+
+``RingClass`` is the one element type of every truncated graded ring in
+the package: a ring object and a polynomial representative in that ring's
+normal form.  It carries the arithmetic; ``ChernSeries`` (this module)
+adds the Chern-ring operations, and ``pushforward.TowerClass`` adds the
+reducing product of a tower's ring.
 """
 
 from __future__ import annotations
@@ -72,11 +78,6 @@ class Setup:
     def _root_name(bundle, index):
         return f"{bundle}.{index}"
 
-    def declare(self, name, rank):
-        """A copy of this setup with one more bundle."""
-        return Setup(list(self.bundles.values()) + [BundleDecl(name, rank)],
-                     self.relative_dimension, self.truncation)
-
     def rank(self, name):
         if name not in self.bundles:
             raise UnknownBundle(f"bundle {name!r} is not declared")
@@ -122,41 +123,48 @@ class Setup:
         }
 
 
-class ChernSeries:
-    """A truncated graded element of the formal intersection ring."""
+class RingClass:
+    """An element of a truncated graded ring, kept in the ring's normal form.
 
-    __slots__ = ("setup", "poly")
+    ``ring`` is the object that made the element (a ``Setup`` or a
+    ``Tower``) and ``poly`` its representative.  Arithmetic with an element
+    of the same class or with a rational number stays in the ring; an
+    element of another class is not unwrapped, so mixing rings raises
+    ``TypeError``.
+    """
 
-    def __init__(self, setup, poly):
-        self.setup = setup
+    __slots__ = ("ring", "poly")
+
+    def __init__(self, ring, poly):
+        self.ring = ring
         self.poly = poly
 
     def _coerce(self, other):
-        if isinstance(other, ChernSeries):
+        if isinstance(other, type(self)):
             return other.poly
         return other
 
     def __add__(self, other):
-        return ChernSeries(self.setup, self.poly + self._coerce(other))
+        return type(self)(self.ring, self.poly + self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return ChernSeries(self.setup, self.poly - self._coerce(other))
+        return type(self)(self.ring, self.poly - self._coerce(other))
 
     def __rsub__(self, other):
-        return ChernSeries(self.setup, self._coerce(other) - self.poly)
+        return type(self)(self.ring, self._coerce(other) - self.poly)
 
     def __mul__(self, other):
-        return ChernSeries(self.setup, self.poly * self._coerce(other))
+        return type(self)(self.ring, self.poly * self._coerce(other))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return ChernSeries(self.setup, self.poly ** n)
+        return type(self)(self.ring, self.poly ** n)
 
     def __neg__(self):
-        return ChernSeries(self.setup, -self.poly)
+        return type(self)(self.ring, -self.poly)
 
     def __eq__(self, other):
         return self.poly == self._coerce(other)
@@ -165,28 +173,42 @@ class ChernSeries:
         return self.poly.is_zero()
 
     def graded_part(self, k):
-        return ChernSeries(self.setup, self.poly.graded_part(k))
+        return type(self)(self.ring, self.poly.graded_part(k))
+
+    def __str__(self):
+        return str(self.poly)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class ChernSeries(RingClass):
+    """A truncated graded element of the formal intersection ring of a
+    ``Setup``."""
+
+    __slots__ = ()
+
+    @property
+    def setup(self):
+        return self.ring
 
     def alternate_signs(self):
-        return ChernSeries(self.setup, self.poly.alternate_signs())
+        return ChernSeries(self.ring, self.poly.alternate_signs())
 
     def inverse(self):
-        return ChernSeries(self.setup, series_invert(self.poly))
+        return ChernSeries(self.ring, series_invert(self.poly))
 
     def evaluate(self, values):
         return self.poly.evaluate(values)
 
     def chern_basis(self):
         """Presentation in the Chern-monomial symbols c_k(bundle)."""
-        blocks = [(name, self.setup.root_vars(name))
-                  for name in self.setup.bundles]
+        blocks = [(name, self.ring.root_vars(name))
+                  for name in self.ring.bundles]
         return to_chern_basis(self.poly, blocks)
 
     def __str__(self):
         return str(self.chern_basis())
-
-    def __repr__(self):
-        return f"ChernSeries({self})"
 
 
 # -- operations --------------------------------------------------------------

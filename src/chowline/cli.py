@@ -1,11 +1,12 @@
 """Command-line front end: expression language, verification suites and
 machine-readable reports.
 
-The expression grammar is ASCII-only.  ``*`` is context-resolved: between
-classes it is the ring product, between bundle terms it is the tensor
-product; ``tensor(A, B)`` is the explicit escape hatch.  Rationals are
-written ``p/q`` and are serialized as strings in JSON reports so that no
-downstream tool coerces them to floats.
+The expression grammar is ASCII-only: any other character, a digit of
+another script included, is a syntax error.  ``*`` is context-resolved:
+between classes it is the ring product, between bundle terms it is the
+tensor product; ``tensor(A, B)`` is the explicit escape hatch.  Rationals
+are written ``p/q`` (q > 0) and are serialized as strings in JSON reports
+so that no downstream tool coerces them to floats.
 
 Exit codes: 0 when every verdict is true, 1 when a verification fails
 (the residual is printed), 2 for usage and validation errors.
@@ -46,6 +47,14 @@ SYMBOLS = {
 }
 
 
+def _digit(ch):
+    return ch.isascii() and ch.isdigit()
+
+
+def _name_char(ch):
+    return ch.isascii() and (ch.isalnum() or ch == "_")
+
+
 class Token:
     __slots__ = ("kind", "value", "line", "column")
 
@@ -80,25 +89,28 @@ def tokenize(text):
             i += 1
             column += 1
             continue
-        if ch.isdigit():
+        if _digit(ch):
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and _digit(text[i]):
                 i += 1
             numerator = int(text[start:i])
-            if i + 1 < n and text[i] == "/" and text[i + 1].isdigit():
+            if i + 1 < n and text[i] == "/" and _digit(text[i + 1]):
                 i += 1
                 dstart = i
-                while i < n and text[i].isdigit():
+                while i < n and _digit(text[i]):
                     i += 1
-                value = Fraction(numerator, int(text[dstart:i]))
+                denominator = int(text[dstart:i])
+                if denominator == 0:
+                    raise ExprSyntaxError("division by zero", line, column)
+                value = Fraction(numerator, denominator)
             else:
                 value = Fraction(numerator)
             tokens.append(Token("NUMBER", value, line, column))
             column += i - start
             continue
-        if ch.isalpha() or ch == "_":
+        if _name_char(ch):  # digits were taken above
             start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and _name_char(text[i]):
                 i += 1
             tokens.append(Token("NAME", text[start:i], line, column))
             column += i - start
@@ -534,13 +546,21 @@ def _int_list(value, what):
     return value
 
 
+def _chern_degree(args):
+    """--degree where it names a Chern degree: absent or at least 0."""
+    if args.degree is not None and args.degree < 0:
+        raise ValidationError(f"--degree must be at least 0, got {args.degree}")
+    return args.degree
+
+
 def verify_whitney(args, rng):
     ranks = args.ranks or [2, 2]
     if len(ranks) != 2:
         raise ValidationError(f"--ranks takes two ranks, got {len(ranks)}")
     r1, r2 = ranks
     setup = Setup([("A", r1), ("B", r2)], 0, default_truncation(args))
-    degrees = [args.degree] if args.degree is not None else range(r1 + r2 + 1)
+    degree = _chern_degree(args)
+    degrees = [degree] if degree is not None else range(r1 + r2 + 1)
     checks = []
     ok = True
     for k in degrees:
@@ -566,7 +586,8 @@ def verify_dual(args, rng):
            for v in setup.root_vars("E")}
     checks = []
     ok = True
-    degrees = [args.degree] if args.degree is not None else range(r + 1)
+    degree = _chern_degree(args)
+    degrees = [degree] if degree is not None else range(r + 1)
     for k in degrees:
         lhs = chern_class(setup, "E", k).poly.substitute(sub)
         rhs = dual_class(setup, "E", k).poly
@@ -581,7 +602,8 @@ def verify_tensor_line(args, rng):
     setup = Setup([("E", r), ("L", 1)], 0, default_truncation(args))
     checks = []
     ok = True
-    degrees = [args.degree] if args.degree is not None else range(r + 2)
+    degree = _chern_degree(args)
+    degrees = [degree] if degree is not None else range(r + 2)
     for k in degrees:
         good = tensor_line(setup, "E", "L", k) == tensor_line_oracle(
             setup, "E", "L", k)
@@ -593,7 +615,8 @@ def verify_tensor_line(args, rng):
 def verify_segre(args, rng):
     r = args.rank or 3
     setup = Setup([("E", r)], 0, default_truncation(args))
-    top = args.degree if args.degree is not None else setup.truncation
+    degree = _chern_degree(args)
+    top = degree if degree is not None else setup.truncation
     checks = []
     ok = True
     for k in range(1, top + 1):
@@ -824,6 +847,8 @@ def build_arg_parser():
     def common(p):
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report")
+
+    def truncation(p):
         p.add_argument("--truncation", type=_positive_int, default=None,
                        help="truncation degree (default from "
                             "CHOWLINE_TRUNCATION or 8)")
@@ -835,6 +860,7 @@ def build_arg_parser():
     p_eval.add_argument("--fulton", action="store_true",
                         help="use the 1/c Segre convention for s(k, E)")
     common(p_eval)
+    truncation(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="verify a named identity")
@@ -844,13 +870,14 @@ def build_arg_parser():
     p_verify.add_argument("--rank", type=_positive_int, default=None)
     p_verify.add_argument("--ranks", type=_parse_rank_list, default=None)
     p_verify.add_argument("--degree", type=int, default=None)
-    p_verify.add_argument("--count", type=int, default=25,
+    p_verify.add_argument("--count", type=_positive_int, default=25,
                           help="randomized instances for sampled suites")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--fiber", type=_parse_int_list, default=None)
     p_verify.add_argument("--base", type=int, default=1)
     p_verify.add_argument("--bundles", default=None)
     common(p_verify)
+    truncation(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_deligne = sub.add_parser("deligne",

@@ -160,13 +160,10 @@ def deligne_pairing_degree(fam, bundles):
     return degree, rank_sum
 
 
-def pairing_tower(fam, bound=None):
+def pairing_tower(fam):
     """The total space of the family as a tower: base level first, then
     the fiber factors."""
-    dims = [fam.base] + list(fam.fiber)
-    if bound is None:
-        bound = sum(dims)
-    return Tower.product_of_projective_spaces(dims, bound=bound)
+    return Tower.product_of_projective_spaces([fam.base] + list(fam.fiber))
 
 
 def pairing_degree_by_pushforward(fam, bundles, tower=None):

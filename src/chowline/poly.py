@@ -112,12 +112,6 @@ class Poly:
                 seen.add(v)
         return seen
 
-    def total_degree(self):
-        """Largest weighted degree of a stored monomial (0 for the zero poly)."""
-        if not self.terms:
-            return 0
-        return max(weighted_degree(m, self.grades) for m in self.terms)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
@@ -131,7 +125,7 @@ class Poly:
                 terms[mono] = acc
             else:
                 terms.pop(mono, None)
-        if bound < self.bound:
+        if self.bound != other.bound:  # drop what exceeds the lower bound
             terms = {m: c for m, c in terms.items()
                      if weighted_degree(m, grades) <= bound}
         return Poly(terms, grades, bound)

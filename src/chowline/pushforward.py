@@ -8,11 +8,14 @@ bundle, the intersection ring is
     Q[xi_1, ..., xi_J] / ( prod_{l in lines_j} (xi_j + l) = 0 ),
 
 with the finite monomial basis prod_j xi_j^{a_j}, 0 <= a_j <= r_j - 1.
-Every class is kept in this basis.  The relation of level j is stored as
-a table of the reduced forms of xi_j^e for r_j <= e <= bound, so reducing
-a polynomial is one substitution pass per level, top level first.  Rank-1
+Every class is kept in this basis.  A tower is given by its levels alone:
+its truncation is its dimension, since every class of higher degree
+vanishes in the ring.  The relation of level j is stored as a table of
+the reduced forms of xi_j^e for r_j <= e <= dimension, so reducing a
+polynomial is one substitution pass per level, top level first.  Rank-1
 levels (P(L), isomorphic to its base) need nothing special: their table
-rewrites xi_j as -l.
+rewrites xi_j as -l.  Classes are ``TowerClass`` elements: the shared
+``RingClass`` arithmetic with a product that reduces.
 
 The pushforward along the top projection sends a reduced class to its
 coefficient of xi_J^{r-1}; equivalently pi_*(xi^{r-1+k}) = s_k(E) with
@@ -35,6 +38,7 @@ from .charclass import (
     todd_spec,
     todd_star_spec,
 )
+from .chern_ring import RingClass
 from .errors import UnequalBundles, UnsupportedFamily
 from .poly import Poly
 
@@ -49,10 +53,11 @@ class Tower:
     ``levels`` is a list; entry j (0-based) describes the bundle E_j on the
     part of the tower below it, as a list of line classes.  Each line class
     is a coefficient vector over (xi_1, ..., xi_j): level 0 lines have no
-    coefficients (lines on a point are trivial).
+    coefficients (lines on a point are trivial).  ``bound``, the
+    truncation of every class, equals ``dimension``.
     """
 
-    def __init__(self, levels, bound=None):
+    def __init__(self, levels):
         self.line_coeffs = []
         for j, lines in enumerate(levels):
             if not lines:
@@ -65,7 +70,8 @@ class Tower:
             self.line_coeffs.append([list(map(int, c)) for c in lines])
         self.ranks = [len(lines) for lines in self.line_coeffs]
         self.dimension = sum(r - 1 for r in self.ranks)
-        self.bound = self.dimension if bound is None else bound
+        self.bound = self.dimension
+        self._below = None
         self.grades = {xi_name(j + 1): 1 for j in range(len(self.ranks))}
         self._line_polys = [
             [self._linear_form(coeffs) for coeffs in lines]
@@ -90,21 +96,21 @@ class Tower:
     # -- construction helpers ------------------------------------------
 
     @classmethod
-    def projective_space(cls, n, bound=None):
+    def projective_space(cls, n):
         """P^n as the projectivization of the trivial rank-(n+1) bundle."""
-        return cls([[[] for _ in range(n + 1)]], bound=bound)
+        return cls([[[] for _ in range(n + 1)]])
 
     @classmethod
-    def product_of_projective_spaces(cls, dims, bound=None):
+    def product_of_projective_spaces(cls, dims):
         """P^{d_1} x P^{d_2} x ... as a tower of trivial projectivizations."""
         levels = []
         for j, d in enumerate(dims):
             levels.append([[0] * j for _ in range(d + 1)])
-        return cls(levels, bound=bound)
+        return cls(levels)
 
     @classmethod
-    def from_dict(cls, data, bound=None):
-        return cls([lvl["lines"] for lvl in data["levels"]], bound=bound)
+    def from_dict(cls, data):
+        return cls([lvl["lines"] for lvl in data["levels"]])
 
     def to_dict(self):
         return {"levels": [{"lines": [list(c) for c in lines]}
@@ -145,9 +151,12 @@ class Tower:
         return TowerClass(self, self._reduce_poly(poly))
 
     def drop_top(self):
+        """The tower below the top level, built on the first call."""
         if not self.line_coeffs:
             raise ValueError("cannot remove a level from the point")
-        return Tower(self.line_coeffs[:-1], bound=self.bound)
+        if self._below is None:
+            self._below = Tower(self.line_coeffs[:-1])
+        return self._below
 
     # -- reduction ---------------------------------------------------------
 
@@ -177,54 +186,23 @@ class Tower:
         return poly
 
 
-class TowerClass:
+class TowerClass(RingClass):
     """A class in a tower's intersection ring, kept in reduced form."""
 
-    __slots__ = ("tower", "poly")
+    __slots__ = ()
 
-    def __init__(self, tower, poly):
-        self.tower = tower
-        self.poly = poly
-
-    def _coerce(self, other):
-        if isinstance(other, TowerClass):
-            return other.poly
-        return other
-
-    def __add__(self, other):
-        return TowerClass(self.tower, self.poly + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return TowerClass(self.tower, self.poly - self._coerce(other))
-
-    def __neg__(self):
-        return TowerClass(self.tower, -self.poly)
+    @property
+    def tower(self):
+        return self.ring
 
     def __mul__(self, other):
         product = self.poly * self._coerce(other)
-        return TowerClass(self.tower, self.tower._reduce_poly(product))
+        return TowerClass(self.ring, self.ring._reduce_poly(product))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return self.tower.from_poly(self.poly ** n)
-
-    def __eq__(self, other):
-        return self.poly == self._coerce(other)
-
-    def is_zero(self):
-        return self.poly.is_zero()
-
-    def graded_part(self, k):
-        return TowerClass(self.tower, self.poly.graded_part(k))
-
-    def __str__(self):
-        return str(self.poly)
-
-    def __repr__(self):
-        return f"TowerClass({self.poly})"
+        return self.ring.from_poly(self.poly ** n)
 
 
 def push_level(tclass):
@@ -341,16 +319,14 @@ def grr_codim1_report(fam, bundle):
             "degree comparison needs a one-dimensional base")
     lhs = dcoh.det_Rf_degree(fam, bundle).degree
 
-    dims = [fam.base] + list(fam.fiber)
-    bound = sum(dims) + 1
-    tower = Tower.product_of_projective_spaces(dims, bound=bound)
+    tower = dcoh.pairing_tower(fam)
     coeffs = [bundle.base_twist] + list(bundle.fiber_degrees)
     line = VirtualBundle.line_class(tower.line_class(coeffs).poly)
 
     omega = relative_tangent(tower, base_levels=1).dual()
     integrand = (
-        evaluate_on_tower(chern_character_spec(bound), line, tower)
-        * evaluate_on_tower(todd_star_spec(bound), omega, tower))
+        evaluate_on_tower(chern_character_spec(tower.bound), line, tower)
+        * evaluate_on_tower(todd_star_spec(tower.bound), omega, tower))
 
     pushed = integrand
     for _ in range(len(fam.fiber)):

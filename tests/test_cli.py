@@ -347,6 +347,43 @@ def test_picard_file_missing_a_key_is_refused(tmp_path, capsys):
     assert_usage_error(["picard", str(path), "--json"], capsys)
 
 
+@pytest.mark.parametrize("name", ["whitney", "dual", "tensor-line", "segre"])
+def test_negative_chern_degree_is_refused(name, capsys):
+    assert_usage_error(["verify", name, "--degree", "-1", "--json"], capsys)
+
+
+def test_hrr_takes_a_negative_twist(capsys):
+    code = main(["verify", "hrr", "--rank", "2", "--degree", "-4", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["report"]["chi"] == "3"
+
+
+def test_count_below_one_is_refused(capsys):
+    assert_usage_error(["verify", "ch-mult", "--count", "-3", "--json"], capsys)
+
+
+@pytest.mark.parametrize("expression, column", [
+    ("c(\u00b2,E)", 3),   # superscript two
+    ("c(\u0661,E)", 3),   # Arabic-Indic digit one
+    ("c(1,E)+1/0", 8),
+])
+def test_non_ascii_digits_and_zero_denominators_are_syntax_errors(
+        expression, column, rank1_file, capsys):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(expression)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert_usage_error(["eval", expression, "--setup", rank1_file], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["deligne", "--bundles", "[[1,0],[0,1]]"],
+    ["grr", "--bundle", "[2,-1]"],
+    ["picard", "skeleton.json"],
+])
+def test_truncation_is_refused_where_it_is_unused(argv, capsys):
+    assert_usage_error(argv + ["--truncation", "3", "--json"], capsys)
+
+
 # ------------------------------------------------------------- entry point
 
 def test_console_entry_point_runs():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowline.errors import (
     ChainNotStabilized,
@@ -75,6 +77,35 @@ def test_snf_randomized_transform_identity():
                 seen_zero = True
             else:
                 assert not seen_zero
+
+
+@st.composite
+def integer_matrices(draw):
+    """m x n integer matrices, 1 <= m, n <= 4, often of lower rank: the
+    product of an m x k and a k x n matrix with k <= min(m, n)."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.integers(-6, 6)
+    if draw(st.booleans()):
+        return [[draw(entries) for _ in range(n)] for _ in range(m)]
+    k = draw(st.integers(0, min(m, n)))
+    A = [[draw(entries) for _ in range(k)] for _ in range(m)]
+    B = [[draw(entries) for _ in range(n)] for _ in range(k)]
+    return [[sum(A[i][l] * B[l][j] for l in range(k)) for j in range(n)]
+            for i in range(m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_matrices())
+def test_snf_properties(M):
+    diagonal, U, V = smith_normal_form(M)
+    m, n = len(M), len(M[0])
+    assert mat_mul(mat_mul(U, M), V) == [
+        [diagonal[i] if i == j else 0 for j in range(n)] for i in range(m)]
+    assert integer_determinant(U) in (1, -1)
+    assert integer_determinant(V) in (1, -1)
+    assert all(d >= 0 for d in diagonal)
+    for a, b in zip(diagonal, diagonal[1:]):
+        assert (b % a == 0) if a else b == 0
 
 
 def test_solve_integer_system():

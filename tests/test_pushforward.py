@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -7,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowline.charclass import VirtualBundle
+from chowline.chern_ring import ChernSeries, Setup
 from chowline.dcoh import (
     FamilyDescriptor,
     MultidegreeLineBundle,
     chi_projective_space,
+    pairing_tower,
 )
 from chowline.errors import UnequalBundles, UnsupportedFamily
 from chowline.poly import Poly
 from chowline.pushforward import (
     Tower,
+    TowerClass,
     euler_characteristic,
     grr_codim1_report,
     integrate,
@@ -277,6 +281,52 @@ def test_tower_json_round_trip():
     t = Tower([[[], []], [[0], [2]]])
     t2 = Tower.from_dict(t.to_dict())
     assert t2.to_dict() == t.to_dict()
+
+
+def test_truncation_is_the_dimension():
+    # No constructor takes a truncation: a low one gave wrong integrals
+    # (integrate(xi^2) was 0 on P^2 at truncation 1).
+    for make in (Tower, Tower.projective_space,
+                 Tower.product_of_projective_spaces, Tower.from_dict,
+                 pairing_tower):
+        assert "bound" not in inspect.signature(make).parameters
+    for t in (p2(), p1xp1(), Tower([[[], []], [[3]]]), Tower([[[]]])):
+        assert t.bound == t.dimension
+
+
+def test_push_level_reuses_the_tower_below():
+    t = p1xp1()
+    first = push_level(t.xi(2))
+    second = push_level(t.xi(1) * t.xi(2))
+    assert first.tower is second.tower is t.drop_top()
+    assert first == first.tower.const(1)
+    assert second == first.tower.xi(1)
+
+
+def test_number_minus_class():
+    h = p2().xi(1)
+    assert 1 - h == h.tower.const(1) - h
+    assert integrate((1 - h) ** 3) == 3
+
+
+def test_tower_and_chern_classes_do_not_mix():
+    h = p2().xi(1)
+    series = Setup([("E", 2)], 0, 2).const(1)
+    with pytest.raises(TypeError):
+        series + h
+    with pytest.raises(TypeError):
+        h * series
+
+
+def test_ring_classes_keep_only_their_own_operations():
+    def own(cls):
+        return {name for name, value in vars(cls).items()
+                if callable(value) or isinstance(value, property)}
+
+    assert own(TowerClass) == {"__mul__", "__rmul__", "__pow__", "tower"}
+    assert vars(TowerClass)["__mul__"] is vars(TowerClass)["__rmul__"]
+    assert own(ChernSeries) == {"setup", "alternate_signs", "inverse",
+                                "evaluate", "chern_basis", "__str__"}
 
 
 # --------------------------------------------------------- rank-1 levels

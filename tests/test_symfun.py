@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowline.errors import (
     ConstantTermNotOne,
@@ -11,6 +13,7 @@ from chowline.errors import (
 )
 from chowline.poly import Poly, PowerSeries
 from chowline.symfun import (
+    chern_var,
     elem_sym,
     exp_minus_one_series,
     exp_series,
@@ -142,6 +145,37 @@ def test_round_trip_two_blocks():
             "c1(B)": eb[1], "c2(B)": eb[2],
         })
         assert back == p
+
+
+@st.composite
+def chern_polynomials(draw):
+    """One or two blocks of 1-3 roots and a random polynomial in their
+    class symbols c_k(block), truncated at a bound of 1-5."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    blocks = [(f"B{i}", [f"b{i}.{j}" for j in range(1, n + 1)])
+              for i, n in enumerate(sizes)]
+    bound = draw(st.integers(1, 5))
+    grades = {v: 1 for _, roots in blocks for v in roots}
+    symbols = {chern_var(k, label): k
+               for label, roots in blocks for k in range(1, len(roots) + 1)}
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        mono = tuple(sorted((c, e) for c in symbols
+                            if (e := draw(st.integers(0, 2)))))
+        terms[mono] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+    q = Poly.make(terms, symbols, bound)
+    images = {chern_var(k, label): elem_sym(k, roots, grades, bound)
+              for label, roots in blocks for k in range(1, len(roots) + 1)}
+    return q, q.substitute(images), blocks
+
+
+@settings(max_examples=40, deadline=None)
+@given(chern_polynomials())
+def test_chern_basis_round_trip_property(case):
+    # The e_k of distinct blocks are algebraically independent, so the
+    # Chern-basis presentation of the expanded polynomial is the original.
+    q, roots_poly, blocks = case
+    assert to_chern_basis(roots_poly, blocks) == q
 
 
 # ------------------------------------------------------------------- Phi_k
