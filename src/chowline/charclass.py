@@ -12,8 +12,8 @@ Chern roots follows the splitting principle:
 
 An additive class phi acts by phi_0 * rank + sum over roots of the
 positive part; a multiplicative class psi (psi(0) = 1) acts by the product
-of psi(root), with virtual negatives handled by series inversion of the
-positive evaluation.
+of psi(root); a summand of negative multiplicity takes 1/psi, inverted
+once as a univariate series, at each of its roots.
 """
 
 from __future__ import annotations
@@ -29,12 +29,10 @@ from .errors import (
     TruncationTooLow,
 )
 from .poly import Poly, PowerSeries
-from .symfun import (
-    exp_series,
-    series_invert,
-    todd_series,
-    todd_star_series,
-)
+from .symfun import exp_series, todd_series, todd_star_series
+# Unused here since negative multiplicities invert per root, but still
+# bound in this module: perfbench/layers.py traces it at this binding.
+from .symfun import series_invert  # noqa: F401
 
 # An exterior power enumerates subsets of the parent's root multiset; this
 # cap keeps the combinatorial blowup within desk scale.
@@ -269,6 +267,13 @@ class CharClassSpec:
                 "multiplicative class series must have constant term 1")
 
 
+def _series_to_bound(series, bound):
+    """The series with coefficients 0..bound: the ones a degree-1 root can
+    reach, with any not given taken as 0, as ``apply_to`` takes them."""
+    coeffs = series.coeffs[:bound + 1]
+    return PowerSeries(coeffs + [Fraction(0)] * (bound + 1 - len(coeffs)))
+
+
 def evaluate_class(spec, virtual, setup):
     """Evaluate a characteristic class on a virtual bundle over a setup."""
     return evaluate_class_in_ring(
@@ -289,14 +294,18 @@ def evaluate_class_in_ring(spec, virtual, grades, bound, roots_of=None,
             for root in roots:
                 total = total + positive.apply_to(root) * m
     else:
+        inverse = None
         total = Poly.const(1, grades, bound)
         for m, roots in summands:
+            series = spec.series
+            if m < 0:
+                if inverse is None:
+                    inverse = _series_to_bound(series, bound).inverse()
+                series = inverse
+                m = -m
             factor = Poly.const(1, grades, bound)
             for root in roots:
-                factor = factor * spec.series.apply_to(root)
-            if m < 0:
-                factor = series_invert(factor)
-                m = -m
+                factor = factor * series.apply_to(root)
             total = total * factor ** m
     return wrap(total) if wrap is not None else total
 

@@ -286,6 +286,26 @@ def tensor_line_oracle(setup, name, line, k):
     return layers[k]
 
 
+def _segre_classes(setup, name, k, fulton):
+    """s_0..s_k of one bundle in one pass of the recurrence.
+
+    c_1..c_k are built once; c_j = 0 for j > rk E, so only the first
+    min(k, rk E) enter the sums.  The Fulton convention is s(E) = 1/c(E),
+    s_m = -sum_{j>=1} c_j s_{m-j}; the default one scales s_m by (-1)^m.
+    """
+    c = [chern_class(setup, name, j)
+         for j in range(1, min(k, setup.rank(name)) + 1)]
+    s = [setup.const(1)]
+    for m in range(1, k + 1):
+        acc = setup.zero()
+        for j in range(1, min(m, len(c)) + 1):
+            acc = acc - c[j - 1] * s[m - j]
+        s.append(acc)
+    if fulton:
+        return s
+    return [s_m if m % 2 == 0 else -s_m for m, s_m in enumerate(s)]
+
+
 def segre_class(setup, name, k, fulton=False):
     """Segre class s_k(E).
 
@@ -296,38 +316,31 @@ def segre_class(setup, name, k, fulton=False):
     """
     if k < 0:
         raise ValueError("Segre class degree must be >= 0")
-    if k == 0:
-        return setup.const(1)
-    s = [setup.const(1)]
-    for m in range(1, k + 1):
-        acc = setup.zero()
-        for j in range(1, m + 1):
-            acc = acc - chern_class(setup, name, j) * s[m - j]
-        s.append(acc)
-    if fulton:
-        return s[k]
-    return s[k] * (1 if k % 2 == 0 else -1)
+    return _segre_classes(setup, name, k, fulton)[k]
 
 
 def chern_from_segre(setup, name, k, fulton=False):
     """c_k recovered from Segre classes through the defining recurrence.
 
-    Default convention: c_k = sum_{i=1}^{k} (-1)^{i+1} s_i c_{k-i}; in the
-    1/c convention the signs disappear into the s_i themselves.  Equals
+    Default convention: c_m = sum_{i=1}^{m} (-1)^{i+1} s_i c_{m-i}; in the
+    1/c convention the signs disappear into the s_i themselves.  c_0..c_k
+    are built in one pass from s_0..s_k.  Equals
     chern_class(setup, name, k) identically.
     """
-    if k == 0:
-        return setup.const(1)
-    total = setup.zero()
-    for i in range(1, k + 1):
-        term = (segre_class(setup, name, i, fulton=fulton)
-                * chern_from_segre(setup, name, k - i, fulton=fulton))
-        if fulton:
-            sign = -1
-        else:
-            sign = 1 if i % 2 == 1 else -1
-        total = total + term * sign
-    return total
+    if k < 0:
+        raise ValueError("Chern class degree must be >= 0")
+    s = _segre_classes(setup, name, k, fulton)
+    c = [setup.const(1)]
+    for m in range(1, k + 1):
+        total = setup.zero()
+        for i in range(1, m + 1):
+            term = s[i] * c[m - i]
+            if fulton or i % 2 == 0:
+                total = total - term
+            else:
+                total = total + term
+        c.append(total)
+    return c[k]
 
 
 def first_chern_det(setup, virtual):

@@ -9,12 +9,14 @@ are written ``p/q`` (q > 0) and are serialized as strings in JSON reports
 so that no downstream tool coerces them to floats.
 
 Exit codes: 0 when every verdict is true, 1 when a verification fails
-(the residual is printed), 2 for usage and validation errors.
+(the residual is printed), 2 for usage and validation errors, a family
+the checks do not support included.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -32,7 +34,12 @@ from .chern_ring import (
     whitney_expand,
 )
 from .charclass import CharClassSpec, VirtualBundle, evaluate_class
-from .errors import ChowlineError, ExprSyntaxError, ValidationError
+from .errors import (
+    ChowlineError,
+    ExprSyntaxError,
+    UnsupportedFamily,
+    ValidationError,
+)
 from .poly import Poly, PowerSeries
 from .symfun import elem_sym
 
@@ -615,15 +622,20 @@ def verify_tensor_line(args, rng):
 def verify_segre(args, rng):
     r = args.rank or 3
     setup = Setup([("E", r)], 0, default_truncation(args))
-    degree = _chern_degree(args)
-    top = degree if degree is not None else setup.truncation
+    # The recurrence is checked in degrees 1..top; --degree 0 would check
+    # nothing and report success.
+    if args.degree is not None and args.degree < 1:
+        raise ValidationError(
+            f"--degree must be at least 1 for segre, got {args.degree}")
+    top = args.degree if args.degree is not None else setup.truncation
+    segre = [segre_class(setup, "E", i) for i in range(top + 1)]
+    chern = [chern_class(setup, "E", i) for i in range(top + 1)]
     checks = []
     ok = True
     for k in range(1, top + 1):
         acc = setup.zero()
         for i in range(k + 1):
-            term = segre_class(setup, "E", i) * chern_class(setup, "E", k - i)
-            acc = acc + term * ((-1) ** i)
+            acc = acc + segre[i] * chern[k - i] * ((-1) ** i)
         good = acc.is_zero()
         checks.append({"degree": k, "recurrence_zero": good})
         ok = ok and good
@@ -906,12 +918,18 @@ def build_arg_parser():
     return parser
 
 
+@functools.cache
+def _arg_parser():
+    """The parser of this process: building it costs more than most
+    requests, and ``parse_args`` returns a fresh namespace on every call."""
+    return build_arg_parser()
+
+
 def main(argv=None):
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ExprSyntaxError, ValidationError) as err:
+    except (ExprSyntaxError, ValidationError, UnsupportedFamily) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except FileNotFoundError as err:

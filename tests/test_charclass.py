@@ -19,7 +19,7 @@ from chowline.charclass import (
 from chowline.chern_ring import BundleDecl, Setup, chern_class
 from chowline.errors import MalformedVirtualBundle, TruncationTooLow
 from chowline.poly import PowerSeries
-from chowline.symfun import exp_series, series_invert
+from chowline.symfun import exp_series, series_invert, todd_series
 
 
 def make_setup(truncation=6, **ranks):
@@ -193,6 +193,27 @@ def test_multiplicative_classes_multiply_and_invert():
             evaluate_class(spec, v, s) * evaluate_class(spec, w, s))
         assert evaluate_class(spec, -v, s).poly == series_invert(
             evaluate_class(spec, v, s).poly)
+
+
+@pytest.mark.parametrize("series", [
+    todd_series(5),
+    PowerSeries([1, Fraction(1, 2), Fraction(1, 3), Fraction(-1, 5), 1]),
+    PowerSeries([1, 1]),  # shorter than the truncation: c(V)
+], ids=["td", "quartic", "total-chern"])
+def test_negative_multiplicities_invert_per_root(series):
+    # A summand of multiplicity -m evaluates to the m-th power of the
+    # multivariate inverse (series_invert) of its positive evaluation.
+    s = make_setup(truncation=5, E=2, F=2, L=1)
+    spec = CharClassSpec("multiplicative", series)
+    E, F, L = (VirtualBundle.bundle(n) for n in "EFL")
+
+    def inverted(v):
+        return series_invert(evaluate_class(spec, v, s).poly)
+
+    assert evaluate_class(spec, -E, s).poly == inverted(E)
+    assert evaluate_class(spec, -2 * E, s).poly == inverted(E) ** 2
+    assert evaluate_class(spec, (F - L.dual()) * E, s).poly == (
+        evaluate_class(spec, F * E, s).poly * inverted(L.dual() * E))
 
 
 def test_lambda_filtration_shadow():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -188,12 +189,30 @@ def test_tensor_line_printed_variant_fails_at_rank_two():
 
 # ------------------------------------------------------------------- Segre
 
+def complete_homogeneous(setup, name, k):
+    """h_k of E's roots: 1/prod_j (1 - x_j) in degree k."""
+    total = setup.zero()
+    for combo in combinations_with_replacement(setup.roots(name), k):
+        term = setup.const(1)
+        for root in combo:
+            term = term * setup.series(root)
+        total = total + term
+    return total
+
+
 def test_segre_low_degrees():
     s = make_setup(E=3)
     assert segre_class(s, "E", 0) == s.const(1)
     assert segre_class(s, "E", 1) == chern_class(s, "E", 1)
     c1, c2 = chern_class(s, "E", 1), chern_class(s, "E", 2)
     assert segre_class(s, "E", 2) == c1 * c1 - c2
+    # In every degree: s_k = h_k(roots), and s_k^F = (-1)^k h_k(roots).
+    for r in range(1, 6):
+        s = Setup([BundleDecl("E", r)], 0, 8)
+        for k in range(9):
+            h = complete_homogeneous(s, "E", k)
+            assert segre_class(s, "E", k) == h, (r, k)
+            assert segre_class(s, "E", k, fulton=True) == h * ((-1) ** k), (r, k)
 
 
 def test_segre_recurrence_all_ranks():
@@ -209,11 +228,24 @@ def test_segre_recurrence_all_ranks():
 
 
 def test_chern_recovered_from_segre():
+    for r in range(1, 6):
+        s = Setup([BundleDecl("E", r)], 0, 8)
+        for k in range(9):
+            for fulton in (False, True):
+                assert chern_from_segre(s, "E", k, fulton=fulton) == chern_class(
+                    s, "E", k), (r, k, fulton)
+
+
+def test_chern_from_segre_refuses_negative_degrees():
+    # As segre_class and chern_class do.
     s = make_setup(E=3)
-    for k in range(7):
-        for fulton in (False, True):
-            assert chern_from_segre(s, "E", k, fulton=fulton) == chern_class(
-                s, "E", k), (k, fulton)
+    with pytest.raises(ValueError):
+        chern_class(s, "E", -1)
+    for fulton in (False, True):
+        with pytest.raises(ValueError):
+            segre_class(s, "E", -1, fulton=fulton)
+        with pytest.raises(ValueError):
+            chern_from_segre(s, "E", -1, fulton=fulton)
 
 
 def test_identity_root_evaluation_oracle():

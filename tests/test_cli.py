@@ -384,6 +384,32 @@ def test_truncation_is_refused_where_it_is_unused(argv, capsys):
     assert_usage_error(argv + ["--truncation", "3", "--json"], capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["deligne", "--base", "0", "--bundles", "[[1,0],[0,1]]"],
+    ["deligne", "--fiber", "0", "--bundles", "[[1,0],[0,1]]"],
+    ["verify", "c1-pairing", "--fiber", "0", "--bundles", "[[1,0],[0,1]]"],
+    ["verify", "c1-pairing", "--base", "-1", "--bundles", "[[1,0],[0,1]]"],
+    ["grr", "--base", "2", "--bundle", "[2,-1]"],
+])
+def test_unsupported_families_are_usage_errors(argv, capsys):
+    assert_usage_error(argv + ["--json"], capsys)
+
+
+def test_segre_degree_zero_is_refused(capsys):
+    # Degree 0 would check no degree of the recurrence and report success.
+    assert_usage_error(["verify", "segre", "--degree", "0", "--json"], capsys)
+
+
+def test_consecutive_calls_do_not_share_arguments(capsys):
+    assert main(["verify", "segre", "--rank", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["rank"] == 2
+    assert main(["verify", "segre", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["rank"] == 3
+    assert_usage_error(["verify", "segre", "--rank", "0", "--json"], capsys)
+    assert main(["verify", "segre", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["rank"] == 3
+
+
 # ------------------------------------------------------------- entry point
 
 def test_console_entry_point_runs():
