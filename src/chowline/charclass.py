@@ -10,6 +10,12 @@ Chern roots follows the splitting principle:
 * roots of the dual are negated,
 * det contributes the single root c_1 = sum of all roots.
 
+Every class is evaluated in a ring, a ``Setup`` or a ``Tower``, by
+``evaluate_class_in_ring(spec, virtual, ring)``: a declared bundle's roots
+are ``ring.roots(name)``, the trivial line's root is the ring's zero
+polynomial, and the result is ``ring.from_poly`` of the evaluated
+polynomial.
+
 An additive class phi acts by phi_0 * rank + sum over roots of the
 positive part; a multiplicative class psi (psi(0) = 1) acts by the product
 of psi(root); a summand of negative multiplicity takes 1/psi, inverted
@@ -28,7 +34,7 @@ from .errors import (
     MalformedVirtualBundle,
     TruncationTooLow,
 )
-from .poly import Poly, PowerSeries
+from .poly import PowerSeries
 from .symfun import exp_series, todd_series, todd_star_series
 # Unused here since negative multiplicities invert per root, but still
 # bound in this module: perfbench/layers.py traces it at this binding.
@@ -139,60 +145,50 @@ class VirtualBundle:
             return comb(r, p)
         raise AssertionError(k)
 
-    def summands(self, roots_of=None):
-        """Reduce to a list of (multiplicity, roots) pairs.
+    def summands(self, ring):
+        """Reduce to a list of (multiplicity, roots) pairs in ``ring``.
 
-        ``roots_of`` maps a declared bundle name to its tuple of root
-        polynomials.  Multiplicities are nonzero integers; each roots entry
-        is a tuple of degree-1 polynomials, with None standing for the zero
-        root of the trivial line (resolved to an actual zero polynomial
-        once the ambient ring is known).
+        A declared bundle takes ``ring.roots(name)`` and the trivial line
+        the ring's zero.  Multiplicities are nonzero integers; each roots
+        entry is a tuple of polynomials of the ring, of degree 1 or zero.
         """
         k = self.kind
         if k == "bundle":
-            if roots_of is None:
-                raise MalformedVirtualBundle(
-                    f"cannot resolve roots of bundle {self.args[0]!r}")
-            return [(1, tuple(p.poly if isinstance(p, ChernSeries) else p
-                              for p in roots_of(self.args[0])))]
+            return [(1, ring.roots(self.args[0]))]
         if k == "zero":
             return []
         if k == "sum":
-            return (self.args[0].summands(roots_of)
-                    + self.args[1].summands(roots_of))
+            return self.args[0].summands(ring) + self.args[1].summands(ring)
         if k == "scale":
             n, child = self.args
             if n == 0:
                 return []
-            return [(n * m, roots) for m, roots in child.summands(roots_of)]
+            return [(n * m, roots) for m, roots in child.summands(ring)]
         if k == "dual":
-            return [(m, tuple(_root_neg(r) for r in roots))
-                    for m, roots in self.args[0].summands(roots_of)]
+            return [(m, tuple(-r for r in roots))
+                    for m, roots in self.args[0].summands(ring)]
         if k == "tensor":
-            left = self.args[0].summands(roots_of)
-            right = self.args[1].summands(roots_of)
+            left = self.args[0].summands(ring)
+            right = self.args[1].summands(ring)
             out = []
             for m1, roots1 in left:
                 for m2, roots2 in right:
                     out.append((m1 * m2,
-                                tuple(_root_add(a, b)
-                                      for a in roots1 for b in roots2)))
+                                tuple(a + b for a in roots1 for b in roots2)))
             return out
         if k == "trivial":
-            return [(1, (None,))]
+            return [(1, (ring.zero().poly,))]
         if k == "line_class":
             return [(1, (self.args[0],))]
         if k == "det":
-            total = None
-            for m, roots in self.args[0].summands(roots_of):
+            total = ring.zero().poly
+            for m, roots in self.args[0].summands(ring):
                 for r in roots:
-                    if r is not None:
-                        piece = r * m
-                        total = piece if total is None else total + piece
+                    total = total + r * m
             return [(1, (total,))]
         if k == "lam":
             p, child = self.args
-            flat = _positive_root_multiset(child.summands(roots_of))
+            flat = _positive_root_multiset(child.summands(ring))
             if len(flat) > LAMBDA_RANK_LIMIT:
                 raise MalformedVirtualBundle(
                     f"exterior powers are limited to rank {LAMBDA_RANK_LIMIT}")
@@ -200,27 +196,15 @@ class VirtualBundle:
                 return []
             sums = []
             for subset in combinations(range(len(flat)), p):
-                total = None
+                total = ring.zero().poly
                 for i in subset:
-                    total = _root_add(total, flat[i])
+                    total = total + flat[i]
                 sums.append(total)
             return [(1, tuple(sums))]
         raise AssertionError(k)
 
     def __repr__(self):
         return f"VirtualBundle<{self.kind}>"
-
-
-def _root_add(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a + b
-
-
-def _root_neg(a):
-    return None if a is None else -a
 
 
 def _as_vb(x):
@@ -240,16 +224,6 @@ def _positive_root_multiset(summands):
         for _ in range(m):
             flat.extend(roots)
     return flat
-
-
-def _resolve_roots(summands, grades, bound):
-    """Replace None placeholders (trivial-line roots) by the zero
-    polynomial of the ambient ring."""
-    zero = Poly.zero(grades, bound)
-    out = []
-    for m, roots in summands:
-        out.append((m, tuple(zero if r is None else r for r in roots)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -274,40 +248,42 @@ def _series_to_bound(series, bound):
     return PowerSeries(coeffs + [Fraction(0)] * (bound + 1 - len(coeffs)))
 
 
-def evaluate_class(spec, virtual, setup):
-    """Evaluate a characteristic class on a virtual bundle over a setup."""
-    return evaluate_class_in_ring(
-        spec, virtual, setup.grades, setup.truncation, setup.roots,
-        wrap=lambda p: ChernSeries(setup, p))
+def evaluate_class_in_ring(spec, virtual, ring):
+    """Evaluate a characteristic class on a virtual bundle in ``ring``, a
+    ``Setup`` or a ``Tower``: the result is an element of that ring.
 
-
-def evaluate_class_in_ring(spec, virtual, grades, bound, roots_of=None,
-                           wrap=None):
-    """Ring-level evaluation; ``wrap`` packages the resulting polynomial."""
-    summands = _resolve_roots(virtual.summands(roots_of), grades, bound)
+    Zero roots are skipped: psi(0) = 1, and the positive part of an
+    additive class vanishes at 0.
+    """
+    summands = virtual.summands(ring)
     if spec.kind == "additive":
         phi0 = spec.series.coeffs[0]
         positive = PowerSeries([Fraction(0)] + spec.series.coeffs[1:])
         rank = sum(m * len(roots) for m, roots in summands)
-        total = Poly.const(phi0 * rank, grades, bound)
+        total = ring.const(phi0 * rank).poly
         for m, roots in summands:
             for root in roots:
-                total = total + positive.apply_to(root) * m
+                if not root.is_zero():
+                    total = total + positive.apply_to(root) * m
     else:
         inverse = None
-        total = Poly.const(1, grades, bound)
+        total = ring.const(1).poly
         for m, roots in summands:
-            series = spec.series
-            if m < 0:
-                if inverse is None:
-                    inverse = _series_to_bound(series, bound).inverse()
-                series = inverse
-                m = -m
-            factor = Poly.const(1, grades, bound)
             for root in roots:
-                factor = factor * series.apply_to(root)
-            total = total * factor ** m
-    return wrap(total) if wrap is not None else total
+                if root.is_zero():
+                    continue
+                if m > 0:
+                    value = spec.series.apply_to(root)
+                else:
+                    if inverse is None:
+                        inverse = _series_to_bound(
+                            spec.series, total.bound).inverse()
+                    value = inverse.apply_to(root)
+                total = total * (value if abs(m) == 1 else value ** abs(m))
+    return ring.from_poly(total)
+
+
+evaluate_class = evaluate_class_in_ring
 
 
 def chern_character_spec(order):

@@ -97,7 +97,7 @@ class Setup:
     def const(self, value):
         return ChernSeries(self, Poly.const(value, self.grades, self.truncation))
 
-    def series(self, poly):
+    def from_poly(self, poly):
         return ChernSeries(self, poly)
 
     # -- serialization -----------------------------------------------------
@@ -350,9 +350,9 @@ def first_chern_det(setup, virtual):
     coefficient-weighted sum of all roots.
     """
     total = setup.zero()
-    for mult, roots in virtual.summands(setup.roots):
+    for mult, roots in virtual.summands(setup):
         for root in roots:
-            total = total + ChernSeries(setup, root) * mult
+            total = total + setup.from_poly(root) * mult
     return total
 
 

@@ -532,8 +532,17 @@ def cmd_eval(args):
     return emit(report, args.json, ok=True)
 
 
+def _list_items(text):
+    """The comma-separated entries of a list flag; an empty one is refused
+    rather than dropped."""
+    items = str(text).split(",")
+    if "" in items:
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+    return items
+
+
 def _parse_int_list(text):
-    return [int(x) for x in str(text).split(",") if x != ""]
+    return [int(x) for x in _list_items(text)]
 
 
 def _positive_int(text):
@@ -544,7 +553,7 @@ def _positive_int(text):
 
 
 def _parse_rank_list(text):
-    return [_positive_int(x) for x in str(text).split(",") if x != ""]
+    return [_positive_int(x) for x in _list_items(text)]
 
 
 def _int_list(value, what):
@@ -553,10 +562,14 @@ def _int_list(value, what):
     return value
 
 
-def _chern_degree(args):
-    """--degree where it names a Chern degree: absent or at least 0."""
-    if args.degree is not None and args.degree < 0:
-        raise ValidationError(f"--degree must be at least 0, got {args.degree}")
+def _chern_degree(args, setup, low=0):
+    """--degree where it names a Chern degree: absent, or at least ``low``
+    and at most the truncation, above which both sides truncate to 0."""
+    if args.degree is not None and args.degree < low:
+        raise ValidationError(f"--degree must be at least {low}, got {args.degree}")
+    if args.degree is not None and args.degree > setup.truncation:
+        raise ValidationError(
+            f"--degree {args.degree} exceeds the truncation {setup.truncation}")
     return args.degree
 
 
@@ -566,7 +579,7 @@ def verify_whitney(args, rng):
         raise ValidationError(f"--ranks takes two ranks, got {len(ranks)}")
     r1, r2 = ranks
     setup = Setup([("A", r1), ("B", r2)], 0, default_truncation(args))
-    degree = _chern_degree(args)
+    degree = _chern_degree(args, setup)
     degrees = [degree] if degree is not None else range(r1 + r2 + 1)
     checks = []
     ok = True
@@ -576,7 +589,7 @@ def verify_whitney(args, rng):
         rhs = whitney_expand(setup, "A", "B", k)
         exact = rhs.poly == combined
         samples = True
-        for _ in range(args.count):
+        for _ in range(args.count or 25):
             values = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                       for v in setup.grades}
             samples = samples and (combined.evaluate(values)
@@ -593,7 +606,7 @@ def verify_dual(args, rng):
            for v in setup.root_vars("E")}
     checks = []
     ok = True
-    degree = _chern_degree(args)
+    degree = _chern_degree(args, setup)
     degrees = [degree] if degree is not None else range(r + 1)
     for k in degrees:
         lhs = chern_class(setup, "E", k).poly.substitute(sub)
@@ -609,7 +622,7 @@ def verify_tensor_line(args, rng):
     setup = Setup([("E", r), ("L", 1)], 0, default_truncation(args))
     checks = []
     ok = True
-    degree = _chern_degree(args)
+    degree = _chern_degree(args, setup)
     degrees = [degree] if degree is not None else range(r + 2)
     for k in degrees:
         good = tensor_line(setup, "E", "L", k) == tensor_line_oracle(
@@ -624,10 +637,8 @@ def verify_segre(args, rng):
     setup = Setup([("E", r)], 0, default_truncation(args))
     # The recurrence is checked in degrees 1..top; --degree 0 would check
     # nothing and report success.
-    if args.degree is not None and args.degree < 1:
-        raise ValidationError(
-            f"--degree must be at least 1 for segre, got {args.degree}")
-    top = args.degree if args.degree is not None else setup.truncation
+    degree = _chern_degree(args, setup, low=1)
+    top = degree if degree is not None else setup.truncation
     segre = [segre_class(setup, "E", i) for i in range(top + 1)]
     chern = [chern_class(setup, "E", i) for i in range(top + 1)]
     checks = []
@@ -681,22 +692,24 @@ def verify_ch_mult_suite(args, rng):
     truncation = default_truncation(args, 6)
     setup = Setup([("A", 1), ("B", 2), ("C", 3)], 0, truncation)
     names = ["A", "B", "C"]
+    count = args.count or 25
     failures = 0
-    for _ in range(args.count):
+    for _ in range(count):
         v = _random_tree(rng, names, 2)
         w = _random_tree(rng, names, 2)
         if not charclass.ch_tensor_check(setup, v, w):
             failures += 1
     report = {
         "identity": "ch-mult",
-        "count": args.count,
+        "count": count,
         "failures": failures,
     }
     return report, failures == 0
 
 
 def verify_c1_pairing(args, rng):
-    fam = dcoh.FamilyDescriptor(tuple(args.fiber or [1]), args.base)
+    base = 1 if args.base is None else args.base
+    fam = dcoh.FamilyDescriptor(tuple(args.fiber or [1]), base)
     bundles = _parse_bundles(args.bundles, len(fam.fiber))
     out = dcoh.c1_pairing_check(fam, bundles)
     report = {
@@ -725,17 +738,20 @@ def verify_hrr(args, rng):
     return report, chi == expected
 
 
+# Each identity's verifier and the flags it reads (--seed and --json are
+# read by all); any other flag given is refused rather than ignored.
 VERIFIERS = {
-    "whitney": verify_whitney,
-    "dual": verify_dual,
-    "tensor-line": verify_tensor_line,
-    "segre": verify_segre,
-    "borel-serre": verify_borel_serre,
-    "restriction": verify_restriction,
-    "ch-mult": verify_ch_mult_suite,
-    "c1-pairing": verify_c1_pairing,
-    "hrr": verify_hrr,
+    "whitney": (verify_whitney, {"ranks", "degree", "count", "truncation"}),
+    "dual": (verify_dual, {"rank", "degree", "truncation"}),
+    "tensor-line": (verify_tensor_line, {"rank", "degree", "truncation"}),
+    "segre": (verify_segre, {"rank", "degree", "truncation"}),
+    "borel-serre": (verify_borel_serre, {"rank", "truncation"}),
+    "restriction": (verify_restriction, {"rank", "truncation"}),
+    "ch-mult": (verify_ch_mult_suite, {"count", "truncation"}),
+    "c1-pairing": (verify_c1_pairing, {"fiber", "base", "bundles"}),
+    "hrr": (verify_hrr, {"rank", "degree"}),
 }
+VERIFY_FLAGS = sorted(set().union(*(reads for _, reads in VERIFIERS.values())))
 
 
 def cmd_verify(args):
@@ -744,7 +760,13 @@ def cmd_verify(args):
         raise ValidationError(
             f"unknown identity {args.name!r}; choose from "
             + ", ".join(sorted(VERIFIERS)))
-    body, ok = VERIFIERS[args.name](args, rng)
+    verifier, reads = VERIFIERS[args.name]
+    ignored = [f"--{flag}" for flag in VERIFY_FLAGS
+               if flag not in reads and getattr(args, flag) is not None]
+    if ignored:
+        raise ValidationError(
+            f"verify {args.name} does not read {', '.join(ignored)}")
+    body, ok = verifier(args, rng)
     report = {"command": "verify", "name": args.name, "seed": args.seed,
               "report": body, "ok": ok}
     return emit(report, args.json, ok)
@@ -877,16 +899,20 @@ def build_arg_parser():
 
     p_verify = sub.add_parser("verify", help="verify a named identity")
     p_verify.add_argument("name")
-    # Ranks are >= 1, so a verifier's ``args.rank or <default>`` only fills
-    # in a missing --rank.
+    # Every flag but --seed defaults to None, so that cmd_verify can tell
+    # a given flag from a missing one.  Ranks and counts are >= 1 and lists
+    # are nonempty, so a verifier's ``args.rank or <default>`` only fills
+    # in a missing flag.
     p_verify.add_argument("--rank", type=_positive_int, default=None)
     p_verify.add_argument("--ranks", type=_parse_rank_list, default=None)
     p_verify.add_argument("--degree", type=int, default=None)
-    p_verify.add_argument("--count", type=_positive_int, default=25,
-                          help="randomized instances for sampled suites")
+    p_verify.add_argument("--count", type=_positive_int, default=None,
+                          help="randomized instances for sampled suites "
+                               "(default 25)")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--fiber", type=_parse_int_list, default=None)
-    p_verify.add_argument("--base", type=int, default=1)
+    p_verify.add_argument("--base", type=int, default=None,
+                          help="base dimension for c1-pairing (default 1)")
     p_verify.add_argument("--bundles", default=None)
     common(p_verify)
     truncation(p_verify)

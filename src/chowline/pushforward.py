@@ -39,7 +39,7 @@ from .charclass import (
     todd_star_spec,
 )
 from .chern_ring import RingClass
-from .errors import UnequalBundles, UnsupportedFamily
+from .errors import UnequalBundles, UnknownBundle, UnsupportedFamily
 from .poly import Poly
 
 
@@ -150,6 +150,11 @@ class Tower:
             poly = poly.truncate(self.bound)
         return TowerClass(self, self._reduce_poly(poly))
 
+    def roots(self, name):
+        """A tower declares no named bundles: its virtual bundles are built
+        from line classes and the trivial line."""
+        raise UnknownBundle(f"bundle {name!r} is not declared on a tower")
+
     def drop_top(self):
         """The tower below the top level, built on the first call."""
         if not self.line_coeffs:
@@ -245,13 +250,8 @@ def tangent_todd(tower):
     Each level contributes T_j = pi^* E_{j-1} (x) O_j(1) - O, whose roots
     are l + xi_j over the line classes l of that level.
     """
-    td_series_spec = todd_spec(tower.bound)
-    total = Poly.const(1, tower.grades, tower.bound)
-    for j, lines in enumerate(tower._line_polys):
-        xi = Poly.var(xi_name(j + 1), tower.grades, tower.bound)
-        for line in lines:
-            total = total * td_series_spec.series.apply_to(line + xi)
-    return tower.from_poly(total)
+    return evaluate_class_in_ring(
+        todd_spec(tower.bound), relative_tangent(tower, 0), tower)
 
 
 def relative_tangent(tower, base_levels):
@@ -266,16 +266,10 @@ def relative_tangent(tower, base_levels):
     return total
 
 
-def evaluate_on_tower(spec, virtual, tower):
-    """Evaluate a characteristic class of a virtual bundle whose leaves are
-    line classes on the tower."""
-    poly = evaluate_class_in_ring(spec, virtual, tower.grades, tower.bound)
-    return tower.from_poly(poly)
-
-
 def euler_characteristic(tower, virtual):
     """chi(X, V) = integral of ch(V) td(T_X), exact rational."""
-    chv = evaluate_on_tower(chern_character_spec(tower.bound), virtual, tower)
+    chv = evaluate_class_in_ring(
+        chern_character_spec(tower.bound), virtual, tower)
     return integrate(chv * tangent_todd(tower))
 
 
@@ -325,8 +319,8 @@ def grr_codim1_report(fam, bundle):
 
     omega = relative_tangent(tower, base_levels=1).dual()
     integrand = (
-        evaluate_on_tower(chern_character_spec(tower.bound), line, tower)
-        * evaluate_on_tower(todd_star_spec(tower.bound), omega, tower))
+        evaluate_class_in_ring(chern_character_spec(tower.bound), line, tower)
+        * evaluate_class_in_ring(todd_star_spec(tower.bound), omega, tower))
 
     pushed = integrand
     for _ in range(len(fam.fiber)):

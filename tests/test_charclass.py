@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from chowline.charclass import (
     ch_lambda_minus_one,
     ch_tensor_check,
     evaluate_class,
+    evaluate_class_in_ring,
     lambda_minus_one,
     restriction_normal_bundle_check,
     td,
@@ -27,6 +29,12 @@ def make_setup(truncation=6, **ranks):
 
 
 O = VirtualBundle.trivial()
+
+
+def test_one_evaluation_routine_for_every_ring():
+    assert evaluate_class is evaluate_class_in_ring
+    assert list(inspect.signature(evaluate_class_in_ring).parameters) == [
+        "spec", "virtual", "ring"]
 
 
 # -------------------------------------------------------------------- ch/td

@@ -195,7 +195,7 @@ def complete_homogeneous(setup, name, k):
     for combo in combinations_with_replacement(setup.roots(name), k):
         term = setup.const(1)
         for root in combo:
-            term = term * setup.series(root)
+            term = term * setup.from_poly(root)
         total = total + term
     return total
 
@@ -323,6 +323,14 @@ def test_first_chern_det_additive():
     c1E, c1F = chern_class(s, "E", 1), chern_class(s, "F", 1)
     assert first_chern_det(s, E + F) == c1E + c1F
     assert first_chern_det(s, E - F) == c1E - c1F
+
+
+def test_first_chern_det_counts_the_trivial_line_as_zero():
+    s = make_setup(E=2)
+    E, O = VirtualBundle.bundle("E"), VirtualBundle.trivial()
+    assert first_chern_det(s, E + O) == chern_class(s, "E", 1)
+    assert first_chern_det(s, O.det()).is_zero()
+    assert first_chern_det(s, (E + O).det()) == chern_class(s, "E", 1)
 
 
 def test_first_chern_det_rejects_malformed_input():

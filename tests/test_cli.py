@@ -400,6 +400,57 @@ def test_segre_degree_zero_is_refused(capsys):
     assert_usage_error(["verify", "segre", "--degree", "0", "--json"], capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "tensor-line", "--degree", "20", "--rank", "2", "--truncation", "3"],
+    ["verify", "segre", "--degree", "3", "--truncation", "2"],
+    ["verify", "whitney", "--degree", "4", "--truncation", "3"],
+    ["verify", "dual", "--degree", "3", "--truncation", "2"],
+])
+def test_degree_above_the_truncation_is_refused(argv, capsys):
+    # Above the truncation both sides are 0, so nothing would be checked.
+    assert_usage_error(argv + ["--json"], capsys)
+
+
+def test_degree_at_the_truncation_is_checked(capsys):
+    assert main(["verify", "dual", "--degree", "3", "--truncation", "3",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["checks"] == [
+        {"degree": 3, "exact": True}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "c1-pairing", "--fiber", "", "--bundles", "[[1,0],[0,1]]"],
+    ["verify", "c1-pairing", "--fiber", "1,,1", "--bundles", "[[1,0,0],[0,1,0]]"],
+    ["deligne", "--fiber", "1,", "--bundles", "[[1,0],[0,1]]"],
+    ["verify", "whitney", "--ranks", ","],
+])
+def test_empty_list_entries_are_refused(argv, capsys):
+    assert_usage_error(argv + ["--json"], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "whitney", "--rank", "5"],
+    ["verify", "hrr", "--fiber", "3"],
+    ["verify", "hrr", "--truncation", "3"],
+    ["verify", "c1-pairing", "--rank", "7", "--bundles", "[[1,0],[0,1]]"],
+    ["verify", "borel-serre", "--degree", "2"],
+    ["verify", "segre", "--count", "3"],
+    # Given with the value a verifier would fill in: still not read.
+    ["verify", "hrr", "--base", "1"],
+    ["verify", "dual", "--count", "25"],
+])
+def test_flags_the_identity_does_not_read_are_refused(argv, capsys):
+    assert_usage_error(argv + ["--json"], capsys)
+
+
+def test_count_and_base_fill_in_when_missing(capsys):
+    assert main(["verify", "ch-mult", "--truncation", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["count"] == 25
+    assert main(["verify", "c1-pairing", "--bundles", "[[1,0],[0,1]]",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
 def test_consecutive_calls_do_not_share_arguments(capsys):
     assert main(["verify", "segre", "--rank", "2", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["rank"] == 2

@@ -15,7 +15,7 @@ from chowline.dcoh import (
     chi_projective_space,
     pairing_tower,
 )
-from chowline.errors import UnequalBundles, UnsupportedFamily
+from chowline.errors import UnequalBundles, UnknownBundle, UnsupportedFamily
 from chowline.poly import Poly
 from chowline.pushforward import (
     Tower,
@@ -102,6 +102,37 @@ def test_integrate_tangent_degree_p1():
     assert integrate(c1_t) == 2
 
 
+def _tangent_todd_by_product(tower):
+    """prod over levels j and line classes l of td(l + xi_j), reduced once
+    at the end: the Euler-sequence product written out."""
+    from chowline.symfun import todd_series
+    series = todd_series(tower.bound)
+    total = Poly.const(1, tower.grades, tower.bound)
+    for j, lines in enumerate(tower._line_polys):
+        xi = tower.xi(j + 1).poly
+        for line in lines:
+            total = total * series.apply_to(line + xi)
+    return tower.from_poly(total)
+
+
+@pytest.mark.parametrize("tower", [
+    p1(), p2(), Tower.product_of_projective_spaces([1, 1]),
+    Tower([[[], []], [[0], [2]]]),
+    Tower([[[], [], []], [[1], [-1], [0]]]),
+], ids=["P1", "P2", "P1xP1", "F2", "P(O(1)+O(-1)+O)-over-P2"])
+def test_tangent_todd_is_the_euler_sequence_product(tower):
+    assert tangent_todd(tower).poly == _tangent_todd_by_product(tower).poly
+
+
+def test_tower_classes_take_no_named_bundle():
+    from chowline.charclass import evaluate_class_in_ring, todd_spec
+    t = p2()
+    with pytest.raises(UnknownBundle):
+        t.roots("E")
+    with pytest.raises(UnknownBundle):
+        evaluate_class_in_ring(todd_spec(t.bound), VirtualBundle.bundle("E"), t)
+
+
 def test_integrate_wrong_degree_vanishes():
     t = p2()
     assert integrate(t.xi(1)) == 0
@@ -152,13 +183,13 @@ def test_chi_structure_sheaf():
 def test_hirzebruch_surface_noether_numbers():
     # On P(O + O(d)) over P^1 the tangent bundle satisfies the Noether
     # relations: chi(O) = 1 and c_1(T)^2 = 8, independently of d.
-    from chowline.charclass import chern_character_spec
-    from chowline.pushforward import evaluate_on_tower, relative_tangent
+    from chowline.charclass import chern_character_spec, evaluate_class_in_ring
+    from chowline.pushforward import relative_tangent
     for d in range(0, 4):
         t = Tower([[[], []], [[0], [d]]])
         assert euler_characteristic(t, VirtualBundle.trivial()) == 1
         tangent = relative_tangent(t, base_levels=0)
-        c1 = evaluate_on_tower(
+        c1 = evaluate_class_in_ring(
             chern_character_spec(t.bound), tangent, t).graded_part(1)
         assert integrate(c1 * c1) == 8, d
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -176,6 +177,85 @@ def test_chern_basis_round_trip_property(case):
     # Chern-basis presentation of the expanded polynomial is the original.
     q, roots_poly, blocks = case
     assert to_chern_basis(roots_poly, blocks) == q
+
+
+def _monomial_symmetric(exponents, variables, grades, bound):
+    """m_lambda: the sum of the distinct monomials whose exponent vector is
+    a permutation of ``exponents`` (padded with zeros to the block)."""
+    exponents = list(exponents) + [0] * (len(variables) - len(exponents))
+    terms = {}
+    for perm in set(itertools.permutations(exponents)):
+        mono = tuple(sorted((v, e) for v, e in zip(variables, perm) if e))
+        terms[mono] = Fraction(1)
+    return Poly.make(terms, grades, bound)
+
+
+def _random_block_symmetric(rng, variables, grades, bound):
+    """A rational combination of monomial symmetric polynomials of degree
+    at most ``bound``, built without elementary symmetric polynomials."""
+    p = Poly.zero(grades, bound)
+    for _ in range(rng.randint(1, 4)):
+        degree = rng.randint(0, bound)
+        parts = []
+        while sum(parts) < degree and len(parts) < len(variables):
+            parts.append(rng.randint(1, degree - sum(parts)))
+        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        p = p + _monomial_symmetric(sorted(parts, reverse=True), variables,
+                                    grades, bound) * coeff
+    return p
+
+
+def _to_sympy(p, names=None):
+    """A Poly as a sympy expression; ``names`` renames variables."""
+    import sympy
+    names = names or {}
+    expr = sympy.Integer(0)
+    for mono, coeff in p.terms.items():
+        term = sympy.Rational(coeff.numerator, coeff.denominator)
+        for v, e in mono:
+            term *= sympy.Symbol(names.get(v, v)) ** e
+        expr += term
+    return expr
+
+
+def test_to_chern_basis_matches_sympy_symmetrize():
+    # One block: sympy's fundamental-theorem rewrite, with its s_i standing
+    # for our c_i, must agree and leave no remainder.
+    import sympy
+    from sympy.polys.polyfuncs import symmetrize
+    rng = random.Random(11)
+    for size in range(1, 5):
+        names = [f"x{i}" for i in range(1, size + 1)]
+        grades, bound = ring(*names, bound=5)
+        rename = {chern_var(i): f"s{i}" for i in range(1, size + 1)}
+        for _ in range(6):
+            p = _random_block_symmetric(rng, names, grades, bound)
+            ours = _to_sympy(to_chern_basis(p, [("", names)]), rename)
+            theirs, remainder, _ = symmetrize(
+                _to_sympy(p), *sympy.symbols(names), formal=True)
+            assert remainder == 0
+            assert sympy.expand(ours - theirs) == 0, p
+
+
+def test_to_chern_basis_two_blocks_expand_back_in_sympy():
+    # Two blocks: substituting each block's e_i for c_i(block) in sympy and
+    # expanding gives back the input.
+    import sympy
+    rng = random.Random(12)
+    blocks = [("A", ["a1", "a2", "a3"]), ("B", ["b1", "b2"])]
+    grades, bound = ring(*(v for _, vs in blocks for v in vs), bound=5)
+    images = {}
+    for label, variables in blocks:
+        roots = sympy.symbols(variables)
+        for i in range(1, len(variables) + 1):
+            images[sympy.Symbol(chern_var(i, label))] = sum(
+                sympy.Mul(*c) for c in itertools.combinations(roots, i))
+    for _ in range(12):
+        a = _random_block_symmetric(rng, blocks[0][1], grades, bound)
+        b = _random_block_symmetric(rng, blocks[1][1], grades, bound)
+        p = a * b + a + b
+        back = _to_sympy(to_chern_basis(p, blocks)).subs(images)
+        assert sympy.expand(back - _to_sympy(p)) == 0, p
 
 
 # ------------------------------------------------------------------- Phi_k
