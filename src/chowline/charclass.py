@@ -189,9 +189,6 @@ class VirtualBundle:
         if k == "lam":
             p, child = self.args
             flat = _positive_root_multiset(child.summands(ring))
-            if len(flat) > LAMBDA_RANK_LIMIT:
-                raise MalformedVirtualBundle(
-                    f"exterior powers are limited to rank {LAMBDA_RANK_LIMIT}")
             if p > len(flat):
                 return []
             sums = []
@@ -215,15 +212,15 @@ def _as_vb(x):
 
 def _positive_root_multiset(summands):
     """Flatten summands into one root multiset; only defined when every
-    multiplicity is positive."""
-    flat = []
-    for m, roots in summands:
-        if m < 0:
-            raise MalformedVirtualBundle(
-                "exterior power of a genuinely virtual bundle is undefined")
-        for _ in range(m):
-            flat.extend(roots)
-    return flat
+    multiplicity is positive, and for at most ``LAMBDA_RANK_LIMIT`` roots,
+    which is checked before the multiset is built."""
+    if any(m < 0 for m, _ in summands):
+        raise MalformedVirtualBundle(
+            "exterior power of a genuinely virtual bundle is undefined")
+    if sum(m * len(roots) for m, roots in summands) > LAMBDA_RANK_LIMIT:
+        raise MalformedVirtualBundle(
+            f"exterior powers are limited to rank {LAMBDA_RANK_LIMIT}")
+    return [root for m, roots in summands for _ in range(m) for root in roots]
 
 
 @dataclass(frozen=True)

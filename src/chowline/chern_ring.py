@@ -104,11 +104,20 @@ class Setup:
 
     @classmethod
     def from_dict(cls, data):
-        bundles = [BundleDecl(b["name"], int(b["rank"]))
+        """The setup ``to_dict`` describes.  Ranks, the relative dimension
+        and the truncation must be integers: 2.7 or ``true`` is refused
+        with ``ValueError``, not read as 2 or 1."""
+        def integer(key, value):
+            if type(value) is not int:
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            return value
+
+        bundles = [BundleDecl(b["name"], integer("rank", b["rank"]))
                    for b in data.get("bundles", [])]
         return cls(bundles,
-                   relative_dimension=int(data.get("relative_dimension", 0)),
-                   truncation=int(data.get("truncation", 8)))
+                   relative_dimension=integer(
+                       "relative_dimension", data.get("relative_dimension", 0)),
+                   truncation=integer("truncation", data.get("truncation", 8)))
 
     @classmethod
     def from_json(cls, text):

@@ -9,8 +9,8 @@ are written ``p/q`` (q > 0) and are serialized as strings in JSON reports
 so that no downstream tool coerces them to floats.
 
 Exit codes: 0 when every verdict is true, 1 when a verification fails
-(the residual is printed), 2 for usage and validation errors, a family
-the checks do not support included.
+(the residual is printed), 2 when the request is refused: a usage or
+validation error, or any other error the library raises on its input.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import json
 import os
 import random
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from . import charclass, dcoh, picard, pushforward
@@ -37,7 +38,6 @@ from .charclass import CharClassSpec, VirtualBundle, evaluate_class
 from .errors import (
     ChowlineError,
     ExprSyntaxError,
-    UnsupportedFamily,
     ValidationError,
 )
 from .poly import Poly, PowerSeries
@@ -62,17 +62,7 @@ def _name_char(ch):
     return ch.isascii() and (ch.isalnum() or ch == "_")
 
 
-class Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.value!r})"
+Token = namedtuple("Token", "kind value line column")
 
 
 def tokenize(text):
@@ -132,10 +122,6 @@ def tokenize(text):
 # unary := '-' unary | power; power := atom ('^' INT)*
 # ---------------------------------------------------------------------------
 
-CALL_FUNCS = {"c", "s", "ch", "td", "tdstar", "rk", "class",
-              "dual", "det", "lam", "tensor"}
-
-
 class Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -181,7 +167,7 @@ class Parser:
 
     def unary(self):
         if self.peek().kind == "MINUS":
-            tok = self.next()
+            self.next()
             inner = self.unary()
             if inner[0] == "num":
                 return ("num", -inner[1])
@@ -311,7 +297,7 @@ class Evaluator:
         if kind == "neg":
             return -self.class_value(tree[1])
         if kind == "call":
-            return self._class_call(tree[1], tree[2])
+            return self.call(tree[1], tree[2], "class")
         if kind == "name":
             raise ValidationError(
                 f"bare bundle name {tree[1]!r} in class position; "
@@ -337,51 +323,30 @@ class Evaluator:
             raise ValidationError(f"unknown bundle {name!r}")
         return name
 
-    def _class_call(self, func, args):
-        if func == "c":
-            if len(args) != 2:
-                raise ValidationError("c(k, E) takes two arguments")
-            k = self._degree_arg(args[0], "c")
-            name = self._bundle_name_arg(args[1], "c")
-            return chern_class(self.setup, name, k)
-        if func == "s":
-            if len(args) != 2:
-                raise ValidationError("s(k, E) takes two arguments")
-            k = self._degree_arg(args[0], "s")
-            name = self._bundle_name_arg(args[1], "s")
-            return segre_class(self.setup, name, k, fulton=self.fulton)
-        if func == "ch":
-            if len(args) != 1:
-                raise ValidationError("ch(V) takes one argument")
-            return charclass.ch(self.bundle_value(args[0]), self.setup)
-        if func == "td":
-            if len(args) != 1:
-                raise ValidationError("td(V) takes one argument")
-            return charclass.td(self.bundle_value(args[0]), self.setup)
-        if func == "tdstar":
-            if len(args) != 1:
-                raise ValidationError("tdstar(V) takes one argument")
-            return charclass.td_star(self.bundle_value(args[0]), self.setup)
-        if func == "rk":
-            if len(args) != 1:
-                raise ValidationError("rk(V) takes one argument")
-            rank = self.bundle_value(args[0]).rank(self.setup.rank)
-            return self.setup.const(rank)
-        if func == "class":
-            if len(args) != 3:
-                raise ValidationError(
-                    "class(phi|psi, [coefficients], V) takes three arguments")
-            if args[0][0] != "name" or args[0][1] not in ("phi", "psi"):
-                raise ValidationError("first argument must be phi or psi")
-            if args[1][0] != "series":
-                raise ValidationError(
-                    "second argument must be a [c0,c1,...] series literal")
-            coeffs = list(args[1][1])
-            coeffs += [Fraction(0)] * (self.setup.truncation + 1 - len(coeffs))
-            spec_kind = "additive" if args[0][1] == "phi" else "multiplicative"
-            spec = CharClassSpec(spec_kind, PowerSeries(coeffs))
-            return evaluate_class(spec, self.bundle_value(args[2]), self.setup)
-        raise ValidationError(f"unknown function {func!r} in class position")
+    def call(self, func, args, position):
+        """``func(args)`` in class or bundle position, by ``FUNCTIONS``."""
+        entry = FUNCTIONS.get(func)
+        if entry is None or entry[0] != position:
+            raise ValidationError(
+                f"unknown function {func!r} in {position} position")
+        _, usage, kinds, build = entry
+        if len(args) != len(kinds):
+            raise ValidationError(usage)
+        return build(self, *[ARGUMENT_KINDS[kind](self, tree, func)
+                             for kind, tree in zip(kinds, args)])
+
+    def characteristic_class(self, which, series, bundle):
+        """class(phi|psi, [c0,c1,...], V), from the three argument trees."""
+        if which[0] != "name" or which[1] not in ("phi", "psi"):
+            raise ValidationError("first argument must be phi or psi")
+        if series[0] != "series":
+            raise ValidationError(
+                "second argument must be a [c0,c1,...] series literal")
+        coeffs = list(series[1])
+        coeffs += [Fraction(0)] * (self.setup.truncation + 1 - len(coeffs))
+        spec_kind = "additive" if which[1] == "phi" else "multiplicative"
+        spec = CharClassSpec(spec_kind, PowerSeries(coeffs))
+        return evaluate_class(spec, self.bundle_value(bundle), self.setup)
 
     # -- bundle context -------------------------------------------------
 
@@ -390,9 +355,7 @@ class Evaluator:
         if kind == "name":
             if tree[1] == "O":
                 return VirtualBundle.trivial()
-            if tree[1] not in self.setup.bundles:
-                raise ValidationError(f"unknown bundle {tree[1]!r}")
-            return VirtualBundle.bundle(tree[1])
+            return VirtualBundle.bundle(self._bundle_name_arg(tree, "bundle"))
         if kind == "add":
             return self.bundle_value(tree[1]) + self.bundle_value(tree[2])
         if kind == "sub":
@@ -407,26 +370,7 @@ class Evaluator:
                 return self._integer_arg(right) * self.bundle_value(left)
             return self.bundle_value(left) * self.bundle_value(right)
         if kind == "call":
-            func, args = tree[1], tree[2]
-            if func == "dual":
-                if len(args) != 1:
-                    raise ValidationError("dual(V) takes one argument")
-                return self.bundle_value(args[0]).dual()
-            if func == "det":
-                if len(args) != 1:
-                    raise ValidationError("det(V) takes one argument")
-                return self.bundle_value(args[0]).det()
-            if func == "lam":
-                if len(args) != 2:
-                    raise ValidationError("lam(p, V) takes two arguments")
-                p = self._degree_arg(args[0], "lam")
-                return self.bundle_value(args[1]).lam(p)
-            if func == "tensor":
-                if len(args) != 2:
-                    raise ValidationError("tensor(A, B) takes two arguments")
-                return self.bundle_value(args[0]) * self.bundle_value(args[1])
-            raise ValidationError(
-                f"unknown function {func!r} in bundle position")
+            return self.call(tree[1], tree[2], "bundle")
         if kind == "num":
             raise ValidationError(
                 "a bare number is not a bundle; use n*V for multiples")
@@ -439,6 +383,44 @@ class Evaluator:
         if tree[1].denominator != 1:
             raise ValidationError("bundle multiples must be integers")
         return int(tree[1])
+
+
+# Argument kind -> its reader (evaluator, tree, function name): an integer
+# literal >= 0, a declared bundle name, a bundle expression, the tree itself.
+ARGUMENT_KINDS = {
+    "degree": Evaluator._degree_arg,
+    "name": Evaluator._bundle_name_arg,
+    "bundle": lambda ev, tree, func: ev.bundle_value(tree),
+    "tree": lambda ev, tree, func: tree,
+}
+
+# Expression functions: name -> (position, usage, argument kinds, builder).
+# Builders name library functions as module globals, read at call time, so
+# that rebinding a module attribute reaches every call.
+FUNCTIONS = {
+    "c": ("class", "c(k, E) takes two arguments", ("degree", "name"),
+          lambda ev, k, name: chern_class(ev.setup, name, k)),
+    "s": ("class", "s(k, E) takes two arguments", ("degree", "name"),
+          lambda ev, k, name: segre_class(ev.setup, name, k, fulton=ev.fulton)),
+    "ch": ("class", "ch(V) takes one argument", ("bundle",),
+           lambda ev, v: charclass.ch(v, ev.setup)),
+    "td": ("class", "td(V) takes one argument", ("bundle",),
+           lambda ev, v: charclass.td(v, ev.setup)),
+    "tdstar": ("class", "tdstar(V) takes one argument", ("bundle",),
+               lambda ev, v: charclass.td_star(v, ev.setup)),
+    "rk": ("class", "rk(V) takes one argument", ("bundle",),
+           lambda ev, v: ev.setup.const(v.rank(ev.setup.rank))),
+    "class": ("class", "class(phi|psi, [coefficients], V) takes three arguments",
+              ("tree", "tree", "tree"), Evaluator.characteristic_class),
+    "dual": ("bundle", "dual(V) takes one argument", ("bundle",),
+             lambda ev, v: v.dual()),
+    "det": ("bundle", "det(V) takes one argument", ("bundle",),
+            lambda ev, v: v.det()),
+    "lam": ("bundle", "lam(p, V) takes two arguments", ("degree", "bundle"),
+            lambda ev, p, v: v.lam(p)),
+    "tensor": ("bundle", "tensor(A, B) takes two arguments", ("bundle", "bundle"),
+               lambda ev, a, b: a * b),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -483,27 +465,32 @@ def _load_json(text, what):
 
 
 def _read_json(path):
-    with open(path) as handle:
-        data = _load_json(handle.read(), path)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ValidationError(f"cannot read {path}: {err}") from None
+    data = _load_json(text, path)
     if not isinstance(data, dict):
         raise ValidationError(f"{path} must hold a JSON object")
     return data
 
 
 def load_setup(args):
-    if getattr(args, "setup", None):
-        data = _read_json(args.setup)
-        if getattr(args, "truncation", None) is not None:
-            data["truncation"] = args.truncation
-        try:
-            return Setup.from_dict(data)
-        except (KeyError, TypeError, ValueError) as err:
-            raise ValidationError(f"{args.setup}: bad setup ({err})") from None
-    raise ValidationError("this command needs --setup <file.json>")
+    data = _read_json(args.setup)
+    if args.truncation is not None:
+        data["truncation"] = args.truncation
+    try:
+        setup = Setup.from_dict(data)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValidationError(f"{args.setup}: bad setup ({err})") from None
+    if "O" in setup.bundles:
+        raise ValidationError(f"{args.setup}: 'O' names the trivial line")
+    return setup
 
 
 def default_truncation(args, fallback=8):
-    if getattr(args, "truncation", None) is not None:
+    if args.truncation is not None:
         return args.truncation
     env = os.environ.get("CHOWLINE_TRUNCATION")
     if env:
@@ -556,21 +543,18 @@ def _parse_rank_list(text):
     return [_positive_int(x) for x in _list_items(text)]
 
 
-def _int_list(value, what):
-    if not isinstance(value, list) or any(type(x) is not int for x in value):
-        raise ValidationError(f"{what} must be a list of integers, got {value!r}")
-    return value
-
-
-def _chern_degree(args, setup, low=0):
-    """--degree where it names a Chern degree: absent, or at least ``low``
-    and at most the truncation, above which both sides truncate to 0."""
-    if args.degree is not None and args.degree < low:
+def _chern_degrees(args, setup, default, low=0):
+    """The Chern degrees a verifier checks: ``default`` without --degree,
+    else [--degree], which must be at least ``low`` and at most the
+    truncation, above which both sides truncate to 0."""
+    if args.degree is None:
+        return default
+    if args.degree < low:
         raise ValidationError(f"--degree must be at least {low}, got {args.degree}")
-    if args.degree is not None and args.degree > setup.truncation:
+    if args.degree > setup.truncation:
         raise ValidationError(
             f"--degree {args.degree} exceeds the truncation {setup.truncation}")
-    return args.degree
+    return [args.degree]
 
 
 def verify_whitney(args, rng):
@@ -579,23 +563,18 @@ def verify_whitney(args, rng):
         raise ValidationError(f"--ranks takes two ranks, got {len(ranks)}")
     r1, r2 = ranks
     setup = Setup([("A", r1), ("B", r2)], 0, default_truncation(args))
-    degree = _chern_degree(args, setup)
-    degrees = [degree] if degree is not None else range(r1 + r2 + 1)
     checks = []
-    ok = True
-    for k in degrees:
+    for k in _chern_degrees(args, setup, range(r1 + r2 + 1)):
         combined = elem_sym(k, setup.root_vars("A") + setup.root_vars("B"),
                             setup.grades, setup.truncation)
         rhs = whitney_expand(setup, "A", "B", k)
         exact = rhs.poly == combined
-        samples = True
-        for _ in range(args.count or 25):
-            values = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                      for v in setup.grades}
-            samples = samples and (combined.evaluate(values)
-                                   == rhs.poly.evaluate(values))
+        points = [{v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                   for v in setup.grades} for _ in range(args.count or 25)]
+        samples = all(combined.evaluate(point) == rhs.poly.evaluate(point)
+                      for point in points)
         checks.append({"degree": k, "exact": exact, "samples": samples})
-        ok = ok and exact and samples
+    ok = all(check["exact"] and check["samples"] for check in checks)
     return {"identity": "whitney", "ranks": [r1, r2], "checks": checks}, ok
 
 
@@ -604,31 +583,20 @@ def verify_dual(args, rng):
     setup = Setup([("E", r)], 0, default_truncation(args))
     sub = {v: -Poly.var(v, setup.grades, setup.truncation)
            for v in setup.root_vars("E")}
-    checks = []
-    ok = True
-    degree = _chern_degree(args, setup)
-    degrees = [degree] if degree is not None else range(r + 1)
-    for k in degrees:
-        lhs = chern_class(setup, "E", k).poly.substitute(sub)
-        rhs = dual_class(setup, "E", k).poly
-        good = lhs == rhs
-        checks.append({"degree": k, "exact": good})
-        ok = ok and good
+    checks = [{"degree": k, "exact": dual_class(setup, "E", k).poly
+               == chern_class(setup, "E", k).poly.substitute(sub)}
+              for k in _chern_degrees(args, setup, range(r + 1))]
+    ok = all(check["exact"] for check in checks)
     return {"identity": "dual", "rank": r, "checks": checks}, ok
 
 
 def verify_tensor_line(args, rng):
     r = args.rank or 2
     setup = Setup([("E", r), ("L", 1)], 0, default_truncation(args))
-    checks = []
-    ok = True
-    degree = _chern_degree(args, setup)
-    degrees = [degree] if degree is not None else range(r + 2)
-    for k in degrees:
-        good = tensor_line(setup, "E", "L", k) == tensor_line_oracle(
-            setup, "E", "L", k)
-        checks.append({"degree": k, "exact": good})
-        ok = ok and good
+    checks = [{"degree": k, "exact": tensor_line(setup, "E", "L", k)
+               == tensor_line_oracle(setup, "E", "L", k)}
+              for k in _chern_degrees(args, setup, range(r + 2))]
+    ok = all(check["exact"] for check in checks)
     return {"identity": "tensor-line", "rank": r, "checks": checks}, ok
 
 
@@ -637,19 +605,16 @@ def verify_segre(args, rng):
     setup = Setup([("E", r)], 0, default_truncation(args))
     # The recurrence is checked in degrees 1..top; --degree 0 would check
     # nothing and report success.
-    degree = _chern_degree(args, setup, low=1)
-    top = degree if degree is not None else setup.truncation
+    [top] = _chern_degrees(args, setup, [setup.truncation], low=1)
     segre = [segre_class(setup, "E", i) for i in range(top + 1)]
     chern = [chern_class(setup, "E", i) for i in range(top + 1)]
     checks = []
-    ok = True
     for k in range(1, top + 1):
         acc = setup.zero()
         for i in range(k + 1):
             acc = acc + segre[i] * chern[k - i] * ((-1) ** i)
-        good = acc.is_zero()
-        checks.append({"degree": k, "recurrence_zero": good})
-        ok = ok and good
+        checks.append({"degree": k, "recurrence_zero": acc.is_zero()})
+    ok = all(check["recurrence_zero"] for check in checks)
     return {"identity": "segre", "rank": r, "checks": checks}, ok
 
 
@@ -689,16 +654,12 @@ def _random_tree(rng, names, depth):
 
 
 def verify_ch_mult_suite(args, rng):
-    truncation = default_truncation(args, 6)
-    setup = Setup([("A", 1), ("B", 2), ("C", 3)], 0, truncation)
+    setup = Setup([("A", 1), ("B", 2), ("C", 3)], 0, default_truncation(args, 6))
     names = ["A", "B", "C"]
     count = args.count or 25
-    failures = 0
-    for _ in range(count):
-        v = _random_tree(rng, names, 2)
-        w = _random_tree(rng, names, 2)
-        if not charclass.ch_tensor_check(setup, v, w):
-            failures += 1
+    pairs = [(_random_tree(rng, names, 2), _random_tree(rng, names, 2))
+             for _ in range(count)]
+    failures = sum(not charclass.ch_tensor_check(setup, v, w) for v, w in pairs)
     report = {
         "identity": "ch-mult",
         "count": count,
@@ -708,10 +669,7 @@ def verify_ch_mult_suite(args, rng):
 
 
 def verify_c1_pairing(args, rng):
-    base = 1 if args.base is None else args.base
-    fam = dcoh.FamilyDescriptor(tuple(args.fiber or [1]), base)
-    bundles = _parse_bundles(args.bundles, len(fam.fiber))
-    out = dcoh.c1_pairing_check(fam, bundles)
+    _, out = _c1_pairing(args)
     report = {
         "identity": "c1-pairing",
         "degree": out["degree"],
@@ -772,24 +730,39 @@ def cmd_verify(args):
     return emit(report, args.json, ok)
 
 
-def _parse_bundles(text, factors):
-    if not text:
+def _family(args):
+    """The product family of --fiber and --base, P^1 over P^1 by default."""
+    return dcoh.FamilyDescriptor(tuple(args.fiber or [1]),
+                                 1 if args.base is None else args.base)
+
+
+def _line_bundle(value, factors, what):
+    """O(d_1, ..., d_t; e) from the JSON list [d_1, ..., d_t, e]; ``what``
+    names the flag that held it."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValidationError(f"{what} must be a list of integers, got {value!r}")
+    if len(value) != factors + 1:
+        raise ValidationError(
+            f"{what} needs {factors} fiber degrees and one base twist")
+    return dcoh.MultidegreeLineBundle(tuple(value[:-1]), value[-1])
+
+
+def _c1_pairing(args):
+    """The family of ``deligne`` and ``verify c1-pairing`` and
+    ``dcoh.c1_pairing_check`` on their --bundles."""
+    fam = _family(args)
+    if args.bundles is None:
         raise ValidationError("--bundles is required")
-    bundles = []
-    for entry in _load_json(text, "--bundles"):
-        entry = _int_list(entry, "each entry of --bundles")
-        if len(entry) != factors + 1:
-            raise ValidationError(
-                f"each bundle needs {factors} fiber degrees and one base twist")
-        bundles.append(dcoh.MultidegreeLineBundle(
-            tuple(entry[:factors]), entry[factors]))
-    return bundles
+    entries = _load_json(args.bundles, "--bundles")
+    if not isinstance(entries, list):
+        raise ValidationError(f"--bundles must be a JSON list, got {entries!r}")
+    bundles = [_line_bundle(entry, len(fam.fiber), "each entry of --bundles")
+               for entry in entries]
+    return fam, dcoh.c1_pairing_check(fam, bundles)
 
 
 def cmd_deligne(args):
-    fam = dcoh.FamilyDescriptor(tuple(args.fiber or [1]), args.base)
-    bundles = _parse_bundles(args.bundles, len(fam.fiber))
-    out = dcoh.c1_pairing_check(fam, bundles)
+    fam, out = _c1_pairing(args)
     report = {
         "command": "deligne",
         "fiber": list(fam.fiber),
@@ -802,12 +775,9 @@ def cmd_deligne(args):
 
 
 def cmd_grr(args):
-    fam = dcoh.FamilyDescriptor(tuple(args.fiber or [1]), args.base)
-    entry = _int_list(_load_json(args.bundle, "--bundle"), "--bundle")
-    if len(entry) != len(fam.fiber) + 1:
-        raise ValidationError(
-            f"the bundle needs {len(fam.fiber)} fiber degrees and one base twist")
-    bundle = dcoh.MultidegreeLineBundle(tuple(entry[:-1]), entry[-1])
+    fam = _family(args)
+    entry = _load_json(args.bundle, "--bundle")
+    bundle = _line_bundle(entry, len(fam.fiber), "--bundle")
     out = pushforward.grr_codim1_report(fam, bundle)
     report = {
         "command": "grr",
@@ -845,6 +815,10 @@ def _load_skeleton(path):
         raise ValidationError(f"{path}: malformed skeleton ({err})") from None
 
 
+def _group_invariants(group):
+    return {"free_rank": group.free_rank, "torsion": list(group.torsion)}
+
+
 def cmd_picard(args):
     skeleton = _load_skeleton(args.input)
     invariants = picard.picardify(skeleton)
@@ -852,15 +826,9 @@ def cmd_picard(args):
     report = {
         "command": "picard",
         "pi0": str(invariants.pi0),
-        "pi0_invariants": {
-            "free_rank": invariants.pi0.free_rank,
-            "torsion": list(invariants.pi0.torsion),
-        },
+        "pi0_invariants": _group_invariants(invariants.pi0),
         "pi1": str(invariants.pi1),
-        "pi1_invariants": {
-            "free_rank": invariants.pi1.free_rank,
-            "torsion": list(invariants.pi1.torsion),
-        },
+        "pi1_invariants": _group_invariants(invariants.pi1),
         "eps": [[int(x) for x in row] for row in invariants.eps],
         "eps_zero": invariants.eps_is_zero(),
         "rationalized": rational.describe(),
@@ -872,7 +840,10 @@ def cmd_picard(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_arg_parser():
+    """The parser of this process: building it costs more than most
+    requests, and ``parse_args`` returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="chowline",
         description="Exact intersection-theory calculator")
@@ -886,6 +857,15 @@ def build_arg_parser():
         p.add_argument("--truncation", type=_positive_int, default=None,
                        help="truncation degree (default from "
                             "CHOWLINE_TRUNCATION or 8)")
+
+    def family(p, base=1, bundle="--bundles", required=True):
+        p.add_argument("--fiber", type=_parse_int_list, default=None,
+                       help="fiber dimensions, comma-separated (default 1)")
+        p.add_argument("--base", type=int, default=base,
+                       help="base dimension (default 1)")
+        p.add_argument(bundle, required=required,
+                       help='JSON [fiber degrees..., base twist], e.g. "[2,-1]"; '
+                            'a list of them for --bundles')
 
     p_eval = sub.add_parser("eval", help="evaluate a class expression")
     p_eval.add_argument("expression")
@@ -910,28 +890,20 @@ def build_arg_parser():
                           help="randomized instances for sampled suites "
                                "(default 25)")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--fiber", type=_parse_int_list, default=None)
-    p_verify.add_argument("--base", type=int, default=None,
-                          help="base dimension for c1-pairing (default 1)")
-    p_verify.add_argument("--bundles", default=None)
+    family(p_verify, base=None, required=False)
     common(p_verify)
     truncation(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_deligne = sub.add_parser("deligne",
                                help="pairing degree via the cohomological oracle")
-    p_deligne.add_argument("--fiber", type=_parse_int_list, default=None)
-    p_deligne.add_argument("--base", type=int, default=1)
-    p_deligne.add_argument("--bundles", required=True,
-                           help='JSON, e.g. "[[1,0],[0,1]]"')
+    family(p_deligne)
     common(p_deligne)
     p_deligne.set_defaults(func=cmd_deligne)
 
     p_grr = sub.add_parser("grr",
                            help="codimension-one Riemann-Roch degree check")
-    p_grr.add_argument("--fiber", type=_parse_int_list, default=None)
-    p_grr.add_argument("--base", type=int, default=1)
-    p_grr.add_argument("--bundle", required=True, help='JSON, e.g. "[2,-1]"')
+    family(p_grr, bundle="--bundle")
     common(p_grr)
     p_grr.set_defaults(func=cmd_grr)
 
@@ -944,26 +916,13 @@ def build_arg_parser():
     return parser
 
 
-@functools.cache
-def _arg_parser():
-    """The parser of this process: building it costs more than most
-    requests, and ``parse_args`` returns a fresh namespace on every call."""
-    return build_arg_parser()
-
-
 def main(argv=None):
-    args = _arg_parser().parse_args(argv)
+    args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ExprSyntaxError, ValidationError, UnsupportedFamily) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ChowlineError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

@@ -502,6 +502,17 @@ class GroupoidSkeleton:
             raise ValueError("need one translation per consecutive pair")
         if len(self.symmetry) != len(self.chain_groups):
             raise ValueError("need one symmetry element per chain sample")
+        last = self.chain_groups[-1].generators
+        if any(len(s) != last for s in self.symmetry):
+            raise ValueError(
+                "symmetry elements must be written in the last chain group")
+        for k, matrix in enumerate(self.translations):
+            source, target = self.chain_groups[k], self.chain_groups[k + 1]
+            if (len(matrix) != target.generators
+                    or any(len(row) != source.generators for row in matrix)):
+                raise ValueError(
+                    f"translation {k} must be a {target.generators} x "
+                    f"{source.generators} matrix")
 
 
 @dataclass
@@ -579,11 +590,7 @@ def _solve_sign_homomorphism(skeleton, pi0, pi1):
     for k in range(len(skeleton.chain_groups)):
         vec = [a + k * b for a, b in zip(skeleton.chain_start,
                                          skeleton.chain_step)]
-        value = list(map(int, skeleton.symmetry[k]))
-        if len(value) != p:
-            raise ValueError(
-                "symmetry elements must be written in the last chain group")
-        samples.append((vec, value))
+        samples.append((vec, list(map(int, skeleton.symmetry[k]))))
 
     # Determinacy: two candidate signs differ by a homomorphism that kills
     # every sample class and is itself of order 2, i.e. an element of

@@ -1,5 +1,6 @@
 import inspect
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,20 @@ def test_lambda_rank_limit():
     E = VirtualBundle.bundle("E")
     with pytest.raises(MalformedVirtualBundle):
         ch((E + E).lam(2), s)
+
+
+def test_lambda_rank_limit_is_checked_before_the_roots_are_listed():
+    # At multiplicity 10**6 a listed root multiset alone would take 16 MB.
+    s = make_setup(truncation=4, E=2)
+    huge = (10**6 * VirtualBundle.bundle("E")).lam(2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedVirtualBundle, match="limited to rank"):
+            ch(huge, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_det_of_virtual_sum():

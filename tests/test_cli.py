@@ -238,18 +238,20 @@ def test_grr_subcommand(capsys):
 
 # ------------------------------------------------------------------ picard
 
+PICARD_PAYLOAD = {
+    "monoid": {"generators": 1, "relations": []},
+    "chain": {
+        "start": [2], "step": [1],
+        "groups": [{"generators": 1, "relations": [[2]]}] * 4,
+        "translations": [[[1]], [[1]], [[1]]],
+        "symmetry": [[0], [1], [0], [1]],
+    },
+}
+
+
 def test_picard_subcommand(tmp_path, capsys):
-    payload = {
-        "monoid": {"generators": 1, "relations": []},
-        "chain": {
-            "start": [2], "step": [1],
-            "groups": [{"generators": 1, "relations": [[2]]}] * 4,
-            "translations": [[[1]], [[1]], [[1]]],
-            "symmetry": [[0], [1], [0], [1]],
-        },
-    }
     path = tmp_path / "picard.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(PICARD_PAYLOAD))
     code = main(["picard", str(path), "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -260,7 +262,8 @@ def test_picard_subcommand(tmp_path, capsys):
 
 
 def test_picard_failure_exits_nonzero(tmp_path, capsys):
-    # A chain whose samples change invariants is refused: exit code 1.
+    # A chain whose samples change invariants is refused: exit code 2, as
+    # for every input the library refuses (1 is for a false verdict).
     payload = {
         "monoid": {"generators": 1, "relations": []},
         "chain": {
@@ -275,7 +278,7 @@ def test_picard_failure_exits_nonzero(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code = main(["picard", str(path), "--json"])
     err = capsys.readouterr().err
-    assert code == 1
+    assert code == 2
     assert "invariant factors" in err
 
 
@@ -341,6 +344,49 @@ def test_setup_file_with_negative_rank_is_refused(tmp_path, capsys):
     assert_usage_error(["eval", "c(1,E)", "--setup", str(path)], capsys)
 
 
+@pytest.mark.parametrize("content", [
+    b'{"bundles": [{"name": "E", "rank": 2}], "truncation": 4}\xff',
+    b'{"bundles": [{"name": "E", "rank": 2.7}]}',
+    b'{"bundles": [{"name": "E", "rank": 2}], "truncation": true}',
+    b'{"bundles": [{"name": "E", "rank": 2}], "relative_dimension": 2.5}',
+    b'{"bundles": [{"name": "O", "rank": 1}, {"name": "E", "rank": 2}]}',
+], ids=["not-utf8", "fractional-rank", "boolean-truncation",
+        "fractional-relative-dimension", "bundle-named-O"])
+def test_bad_setup_files_are_refused(content, tmp_path, capsys):
+    # Not UTF-8, a non-integer read strictly (2.7 was read as 2, true as 1)
+    # and a bundle named like the trivial line.
+    path = tmp_path / "setup.json"
+    path.write_bytes(content)
+    assert_usage_error(["eval", "c(2,E)", "--setup", str(path)], capsys)
+
+
+def test_setup_that_is_a_directory_is_refused(tmp_path, capsys):
+    assert_usage_error(["eval", "c(1,E)", "--setup", str(tmp_path)], capsys)
+
+
+@pytest.mark.parametrize("expression", [
+    "ch(lam(2, E - O))",        # exterior power of a virtual bundle
+    "ch(lam(2, 1000000*E))",    # above LAMBDA_RANK_LIMIT
+    "class(psi, [2,1], E)",     # multiplicative series starting at 2
+])
+def test_expressions_the_library_refuses_are_usage_errors(
+        expression, setup_file, capsys):
+    assert_usage_error(["eval", expression, "--setup", setup_file], capsys)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("symmetry", [[0], [1, 0], [0], [1]]),
+    ("translations", [[[1]], [[1, 0]], [[1]]]),
+    ("translations", [[[1]], [[1], [0]], [[1]]]),
+])
+def test_skeletons_of_the_wrong_shape_are_refused(key, value, tmp_path, capsys):
+    payload = json.loads(json.dumps(PICARD_PAYLOAD))
+    payload["chain"][key] = value
+    path = tmp_path / "skeleton.json"
+    path.write_text(json.dumps(payload))
+    assert_usage_error(["picard", str(path), "--json"], capsys)
+
+
 def test_picard_file_missing_a_key_is_refused(tmp_path, capsys):
     path = tmp_path / "no-chain.json"
     path.write_text(json.dumps({"monoid": {"generators": 1, "relations": []}}))
@@ -390,6 +436,10 @@ def test_truncation_is_refused_where_it_is_unused(argv, capsys):
     ["verify", "c1-pairing", "--fiber", "0", "--bundles", "[[1,0],[0,1]]"],
     ["verify", "c1-pairing", "--base", "-1", "--bundles", "[[1,0],[0,1]]"],
     ["grr", "--base", "2", "--bundle", "[2,-1]"],
+    # A pairing over a fiber of dimension 1 takes two bundles, as a list.
+    ["deligne", "--fiber", "1", "--bundles", "[[1,0]]"],
+    ["verify", "c1-pairing", "--fiber", "1", "--bundles", "[[1,0]]"],
+    ["deligne", "--bundles", "5"],
 ])
 def test_unsupported_families_are_usage_errors(argv, capsys):
     assert_usage_error(argv + ["--json"], capsys)
