@@ -44,6 +44,12 @@ from .symfun import series_invert  # noqa: F401
 # cap keeps the combinatorial blowup within desk scale.
 LAMBDA_RANK_LIMIT = 8
 
+# A tensor product lists one root per pair of factor roots, so the count
+# multiplies with every factor (2^k roots for the k-th tensor power of a
+# rank-2 bundle).  A product with more roots than this is refused before
+# its roots are listed.
+TENSOR_ROOT_LIMIT = 256
+
 
 class VirtualBundle:
     """Expression tree for a virtual vector bundle.
@@ -170,6 +176,12 @@ class VirtualBundle:
         if k == "tensor":
             left = self.args[0].summands(ring)
             right = self.args[1].summands(ring)
+            count = (sum(len(roots) for _, roots in left)
+                     * sum(len(roots) for _, roots in right))
+            if count > TENSOR_ROOT_LIMIT:
+                raise MalformedVirtualBundle(
+                    f"a tensor product with {count} roots exceeds the limit "
+                    f"of {TENSOR_ROOT_LIMIT}")
             out = []
             for m1, roots1 in left:
                 for m2, roots2 in right:

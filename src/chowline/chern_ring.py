@@ -139,7 +139,8 @@ class RingClass:
     ``Tower``) and ``poly`` its representative.  Arithmetic with an element
     of the same class or with a rational number stays in the ring; an
     element of another class is not unwrapped, so mixing rings raises
-    ``TypeError``.
+    ``TypeError``.  Elements of two different ring objects are never
+    equal; within one ring, equality is that of the representatives.
     """
 
     __slots__ = ("ring", "poly")
@@ -176,6 +177,8 @@ class RingClass:
         return type(self)(self.ring, -self.poly)
 
     def __eq__(self, other):
+        if isinstance(other, RingClass) and other.ring is not self.ring:
+            return False
         return self.poly == self._coerce(other)
 
     def is_zero(self):

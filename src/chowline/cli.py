@@ -791,23 +791,36 @@ def cmd_grr(args):
     return emit(report, args.json, out["equal"])
 
 
+def _integers(value, depth):
+    """``value`` checked to be JSON integers (not booleans) nested in
+    ``depth`` levels of lists: 0 for one integer, 1 for a vector, 2 for a
+    matrix."""
+    if depth == 0:
+        if type(value) is not int:
+            raise TypeError(f"expected an integer, got {json.dumps(value)}")
+        return value
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {json.dumps(value)}")
+    return [_integers(x, depth - 1) for x in value]
+
+
 def _load_skeleton(path):
     data = _read_json(path)
     try:
         monoid = picard.MonoidPresentation(
-            int(data["monoid"]["generators"]),
-            [(list(u), list(v)) for u, v in data["monoid"].get("relations", [])])
+            _integers(data["monoid"]["generators"], 0),
+            _integers(data["monoid"].get("relations", []), 3))
         chain = data["chain"]
-        groups = [picard.FGAbelianGroup(int(g["generators"]),
-                                        g.get("relations", []))
+        groups = [picard.FGAbelianGroup(_integers(g["generators"], 0),
+                                        _integers(g.get("relations", []), 2))
                   for g in chain["groups"]]
         return picard.GroupoidSkeleton(
             monoid=monoid,
-            chain_start=list(chain["start"]),
-            chain_step=list(chain["step"]),
+            chain_start=_integers(chain["start"], 1),
+            chain_step=_integers(chain["step"], 1),
             chain_groups=groups,
-            translations=[m for m in chain["translations"]],
-            symmetry=[list(s) for s in chain["symmetry"]],
+            translations=_integers(chain["translations"], 3),
+            symmetry=_integers(chain["symmetry"], 2),
         )
     except KeyError as err:
         raise ValidationError(f"{path}: missing key {err}") from None

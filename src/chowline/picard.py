@@ -21,6 +21,7 @@ form, which is implemented here with full transformation matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 
 from .errors import (
     ChainNotStabilized,
@@ -305,8 +306,9 @@ class FGAbelianGroup:
     """
 
     def __init__(self, generators, relations=()):
-        self.generators = int(generators)
-        self.relations = [list(map(int, r)) for r in relations]
+        # index() refuses what int() would truncate or parse: 1.9, "2".
+        self.generators = index(generators)
+        self.relations = [list(map(index, r)) for r in relations]
         for r in self.relations:
             if len(r) != self.generators:
                 raise ValueError("relation length must equal generator count")
@@ -590,7 +592,7 @@ def _solve_sign_homomorphism(skeleton, pi0, pi1):
     for k in range(len(skeleton.chain_groups)):
         vec = [a + k * b for a, b in zip(skeleton.chain_start,
                                          skeleton.chain_step)]
-        samples.append((vec, list(map(int, skeleton.symmetry[k]))))
+        samples.append((vec, list(map(index, skeleton.symmetry[k]))))
 
     # Determinacy: two candidate signs differ by a homomorphism that kills
     # every sample class and is itself of order 2, i.e. an element of

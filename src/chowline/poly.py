@@ -4,17 +4,30 @@ Every variable carries a positive integer grade (Chern roots have grade 1,
 a formal class symbol ``c3(E)`` has grade 3).  A polynomial lives in a
 truncated graded ring: monomials whose total weighted degree exceeds the
 bound are discarded on construction, so all arithmetic is exact modulo
-terms of degree > bound.  Coefficients are ``fractions.Fraction``
-throughout; no floating point is used anywhere.
+terms of degree > bound.  No floating point is used anywhere.
+
+Coefficients are exact rationals, stored fraction-free: a polynomial holds
+integer numerators over one positive common denominator, in lowest terms
+(the gcd of the denominator and every numerator is 1, and the zero
+polynomial has denominator 1).  Sums, products and scalings therefore do
+integer arithmetic only, plus one gcd reduction per result.  No other
+module of the package reads that form: ``Poly.terms`` presents each
+coefficient as an ``int`` when it is integral and a ``Fraction`` otherwise,
+and ``PowerSeries`` keeps ``Fraction`` coefficients, since inversion
+divides.
 
 Monomials are stored sparsely as tuples of (variable, exponent) pairs
-sorted by variable name, which gives a canonical form: two polynomials are
-equal iff their term dictionaries are equal.
+sorted by variable name.  With the reduced denominator this gives a
+canonical form: two polynomials are equal iff their denominators and
+numerator dictionaries are equal.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd
+from types import MappingProxyType
 
 Monomial = tuple  # tuple[tuple[str, int], ...], sorted by variable name
 
@@ -29,19 +42,48 @@ def _as_fraction(x):
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
 
 
+def _num_den(x):
+    """(numerator, denominator) of an integer or Fraction, in lowest terms."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
+
+
+def _exact(n, den):
+    """The rational n/den as an int when it is integral, else a Fraction."""
+    q, r = divmod(n, den)
+    return Fraction(n, den) if r else q
+
+
+def _lowest(nums, den, grades, bound):
+    """The polynomial sum nums[m] * m / den, reduced to lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums.values())  # den itself when nums is empty
+        if g != 1:
+            nums = {m: n // g for m, n in nums.items()}
+            den //= g
+    return Poly(nums, den, grades, bound)
+
+
 class Poly:
     """A sparse polynomial with exact rational coefficients.
 
     ``grades`` maps each variable to its weight; ``bound`` is the truncation
-    degree.  Instances are treated as immutable: all operations return new
-    polynomials.
+    degree.  ``nums`` maps each monomial to its integer numerator and
+    ``den`` is the common denominator, in lowest terms.  Instances are
+    treated as immutable: all operations return new polynomials.
+
+    Equality compares values only: two polynomials with the same terms are
+    equal whatever their ``bound`` and ``grades``.
     """
 
-    __slots__ = ("terms", "grades", "bound")
+    __slots__ = ("nums", "den", "grades", "bound")
 
-    def __init__(self, terms, grades, bound):
-        # Internal constructor: assumes terms already normalized.
-        self.terms = terms
+    def __init__(self, nums, den, grades, bound):
+        # Internal constructor: assumes nums and den already in lowest
+        # terms, without zero numerators or monomials beyond the bound.
+        self.nums = nums
+        self.den = den
         self.grades = grades
         self.bound = bound
 
@@ -49,37 +91,38 @@ class Poly:
 
     @classmethod
     def make(cls, terms, grades, bound):
-        """Build a polynomial, dropping zero coefficients and monomials
-        beyond the truncation bound."""
+        """Build a polynomial from a mapping monomial -> int or Fraction,
+        dropping zero coefficients and monomials beyond the truncation
+        bound."""
         clean = {}
+        den = 1
         for mono, coeff in terms.items():
-            coeff = _as_fraction(coeff)
-            if coeff == 0:
+            n, d = _num_den(coeff)
+            if n == 0 or weighted_degree(mono, grades) > bound:
                 continue
-            if weighted_degree(mono, grades) > bound:
-                continue
-            clean[mono] = coeff
-        return cls(clean, grades, bound)
+            clean[mono] = n, d
+            den = den // gcd(den, d) * d
+        nums = {m: n * (den // d) for m, (n, d) in clean.items()}
+        return _lowest(nums, den, grades, bound)
 
     @classmethod
     def zero(cls, grades, bound):
-        return cls({}, grades, bound)
+        return cls({}, 1, grades, bound)
 
     @classmethod
     def const(cls, value, grades, bound):
-        value = _as_fraction(value)
-        if value == 0:
-            return cls({}, grades, bound)
-        return cls({ONE_MONO: value}, grades, bound)
+        n, d = _num_den(value)
+        if n == 0:
+            return cls({}, 1, grades, bound)
+        return cls({ONE_MONO: n}, d, grades, bound)
 
     @classmethod
     def var(cls, name, grades, bound):
         if name not in grades:
             raise KeyError(f"variable {name!r} has no declared grade")
-        mono = ((name, 1),)
         if grades[name] > bound:
-            return cls({}, grades, bound)
-        return cls({mono: Fraction(1)}, grades, bound)
+            return cls({}, 1, grades, bound)
+        return cls({((name, 1),): 1}, 1, grades, bound)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -99,15 +142,30 @@ class Poly:
                     raise ValueError(f"conflicting grades for variable {v!r}")
         return grades, min(self.bound, other.bound)
 
+    @property
+    def terms(self):
+        """Read-only mapping monomial -> exact coefficient."""
+        if self.den == 1:  # the numerators are the coefficients: a
+            # view without a Python-level len() or lookup
+            return MappingProxyType(self.nums)
+        return _Terms(self)
+
     def is_zero(self):
-        return not self.terms
+        return not self.nums
+
+    def coefficient(self, mono):
+        """The exact coefficient of a monomial (0 when absent)."""
+        return _exact(self.nums.get(mono, 0), self.den)
 
     def constant_term(self):
-        return self.terms.get(ONE_MONO, Fraction(0))
+        return self.coefficient(ONE_MONO)
+
+    def monomials(self):
+        return self.nums.keys()
 
     def variables(self):
         seen = set()
-        for mono in self.terms:
+        for mono in self.nums:
             for v, _ in mono:
                 seen.add(v)
         return seen
@@ -118,22 +176,31 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(other, self.grades, self.bound)
         grades, bound = self._merged(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono, 0) + coeff
+        # Bring both sides over the least common denominator.
+        d1, d2 = self.den, other.den
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        if s1 == 1:
+            nums = dict(self.nums)
+        else:
+            nums = {m: n * s1 for m, n in self.nums.items()}
+        get = nums.get
+        for mono, n in other.nums.items():
+            acc = get(mono, 0) + n * s2
             if acc:
-                terms[mono] = acc
+                nums[mono] = acc
             else:
-                terms.pop(mono, None)
+                nums.pop(mono, None)
         if self.bound != other.bound:  # drop what exceeds the lower bound
-            terms = {m: c for m, c in terms.items()
-                     if weighted_degree(m, grades) <= bound}
-        return Poly(terms, grades, bound)
+            nums = {m: n for m, n in nums.items()
+                    if weighted_degree(m, grades) <= bound}
+        return _lowest(nums, d1 * s1, grades, bound)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()}, self.grades, self.bound)
+        return Poly({m: -n for m, n in self.nums.items()}, self.den,
+                    self.grades, self.bound)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -145,21 +212,21 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            scalar = _as_fraction(other)
-            if scalar == 0:
-                return Poly({}, self.grades, self.bound)
-            return Poly({m: c * scalar for m, c in self.terms.items()},
-                        self.grades, self.bound)
+            p, q = _num_den(other)
+            if p == 0:
+                return Poly({}, 1, self.grades, self.bound)
+            return _lowest({m: n * p for m, n in self.nums.items()},
+                           self.den * q, self.grades, self.bound)
         grades, bound = self._merged(other)
         # The right operand's terms grouped by degree, lowest first: each
         # left term stops at the first group that would exceed the bound.
         buckets = {}
-        for m2, c2 in other.terms.items():
+        for m2, c2 in other.nums.items():
             buckets.setdefault(weighted_degree(m2, grades), []).append((m2, c2))
         groups = sorted(buckets.items())
-        terms = {}
-        get = terms.get
-        for m1, c1 in self.terms.items():
+        nums = {}
+        get = nums.get
+        for m1, c1 in self.nums.items():
             room = bound - weighted_degree(m1, grades)
             for d2, group in groups:
                 if d2 > room:
@@ -168,10 +235,10 @@ class Poly:
                     mono = mono_mul(m1, m2)
                     acc = get(mono, 0) + c1 * c2
                     if acc:
-                        terms[mono] = acc
+                        nums[mono] = acc
                     else:
-                        terms.pop(mono, None)
-        return Poly(terms, grades, bound)
+                        nums.pop(mono, None)
+        return _lowest(nums, self.den * other.den, grades, bound)
 
     __rmul__ = __mul__
 
@@ -190,12 +257,12 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.terms == other.terms
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
-            if other == 0:
-                return not self.terms
-            return self.terms == {ONE_MONO: other}
+            n, d = _num_den(other)
+            if n == 0:
+                return not self.nums
+            return self.den == d and self.nums == {ONE_MONO: n}
         return NotImplemented
 
     def __ne__(self, other):
@@ -208,24 +275,24 @@ class Poly:
 
     def graded_part(self, k):
         """The homogeneous component of weighted degree k."""
-        terms = {m: c for m, c in self.terms.items()
-                 if weighted_degree(m, self.grades) == k}
-        return Poly(terms, self.grades, self.bound)
+        nums = {m: n for m, n in self.nums.items()
+                if weighted_degree(m, self.grades) == k}
+        return _lowest(nums, self.den, self.grades, self.bound)
 
     def graded_parts(self):
         """All nonzero homogeneous components, as a dict degree -> Poly."""
         buckets = {}
-        for m, c in self.terms.items():
-            buckets.setdefault(weighted_degree(m, self.grades), {})[m] = c
-        return {k: Poly(t, self.grades, self.bound)
+        for m, n in self.nums.items():
+            buckets.setdefault(weighted_degree(m, self.grades), {})[m] = n
+        return {k: _lowest(t, self.den, self.grades, self.bound)
                 for k, t in sorted(buckets.items())}
 
     def truncate(self, bound):
         if bound >= self.bound:
-            return Poly(dict(self.terms), self.grades, bound)
-        terms = {m: c for m, c in self.terms.items()
-                 if weighted_degree(m, self.grades) <= bound}
-        return Poly(terms, self.grades, bound)
+            return Poly(dict(self.nums), self.den, self.grades, bound)
+        nums = {m: n for m, n in self.nums.items()
+                if weighted_degree(m, self.grades) <= bound}
+        return _lowest(nums, self.den, self.grades, bound)
 
     def alternate_signs(self):
         """Scale each degree-k component by (-1)^k.
@@ -233,9 +300,41 @@ class Poly:
         This is the ring automorphism induced by negating every grade-1
         generator, hence it commutes with products.
         """
-        terms = {m: (c if weighted_degree(m, self.grades) % 2 == 0 else -c)
-                 for m, c in self.terms.items()}
-        return Poly(terms, self.grades, self.bound)
+        nums = {m: (n if weighted_degree(m, self.grades) % 2 == 0 else -n)
+                for m, n in self.nums.items()}
+        return Poly(nums, self.den, self.grades, self.bound)
+
+    def split_powers(self, name, r, grades, bound):
+        """Split the terms by their exponent e of the variable ``name``.
+
+        Returns ``(low, high)``: ``low`` holds the terms with e < r as they
+        are, and ``high`` maps each e >= r to the polynomial of the
+        cofactors of name^e (the terms with ``name`` removed).  Both parts
+        take ``grades`` and ``bound``; the caller vouches that the terms
+        fit that bound.
+        """
+        low, high = {}, {}
+        for mono, n in self.nums.items():
+            i = 0
+            for v, e in mono:
+                if v == name:
+                    break
+                i += 1
+            else:  # no factor of name: e = 0
+                e = 0
+            if e < r:
+                low[mono] = n
+            else:
+                rest = mono[:i] + mono[i + 1:] if e else mono
+                if e in high:
+                    high[e][rest] = n
+                else:
+                    high[e] = {rest: n}
+        if not high and grades is self.grades and bound == self.bound:
+            return self, high
+        return (_lowest(low, self.den, grades, bound),
+                {e: _lowest(nums, self.den, grades, bound)
+                 for e, nums in high.items()})
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -253,8 +352,8 @@ class Poly:
                 if grades.setdefault(v, g) != g:
                     raise ValueError(f"conflicting grades for variable {v!r}")
         out = Poly.zero(grades, self.bound)
-        for mono, coeff in self.terms.items():
-            term = Poly.const(coeff, grades, self.bound)
+        for mono, n in self.nums.items():
+            term = Poly.const(_exact(n, self.den), grades, self.bound)
             for v, e in mono:
                 if v in mapping:
                     term = term * (mapping[v] ** e)
@@ -266,31 +365,33 @@ class Poly:
     def evaluate(self, values):
         """Evaluate at rational points; every variable must be assigned."""
         total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            acc = coeff
+        for mono, n in self.nums.items():
+            acc = n
             for v, e in mono:
                 acc *= _as_fraction(values[v]) ** e
             total += acc
-        return total
+        return total / self.den
 
     def rename(self, mapping):
         """Rename variables (grades follow the old names)."""
         grades = {mapping.get(v, v): g for v, g in self.grades.items()}
-        terms = {}
-        for mono, coeff in self.terms.items():
+        nums = {}
+        for mono, n in self.nums.items():
             new = tuple(sorted((mapping.get(v, v), e) for v, e in mono))
-            terms[new] = coeff
-        return Poly(terms, grades, self.bound)
+            nums[new] = n
+        return Poly(nums, self.den, grades, self.bound)
 
     # -- display -----------------------------------------------------------
 
     def sorted_terms(self):
-        """Terms in graded-lexicographic order (degree, then variable word)."""
-        return sorted(self.terms.items(),
-                      key=lambda item: (weighted_degree(item[0], self.grades), item[0]))
+        """(monomial, exact coefficient) pairs in graded-lexicographic
+        order (degree, then variable word)."""
+        return [(m, _exact(self.nums[m], self.den))
+                for m in sorted(self.nums,
+                                key=lambda m: (weighted_degree(m, self.grades), m))]
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         pieces = []
         for mono, coeff in self.sorted_terms():
@@ -314,6 +415,28 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+class _Terms(Mapping):
+    """The terms of a Poly as a read-only mapping monomial -> coefficient,
+    an int when integral and a Fraction otherwise."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly):
+        self._poly = poly
+
+    def __getitem__(self, mono):
+        return _exact(self._poly.nums[mono], self._poly.den)
+
+    def __iter__(self):
+        return iter(self._poly.nums)
+
+    def __len__(self):
+        return len(self._poly.nums)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 def weighted_degree(mono, grades):

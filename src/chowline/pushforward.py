@@ -29,8 +29,6 @@ checking (splitting principle) and keeps every ring finite-dimensional.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .charclass import (
     VirtualBundle,
     chern_character_spec,
@@ -176,18 +174,11 @@ class Tower:
         appears.
         """
         for j in range(len(self._powers), 0, -1):
-            name, r, powers = xi_name(j), self.ranks[j - 1], self._powers[j - 1]
-            keep, excess = {}, {}
-            for mono, coeff in poly.terms.items():
-                exps = dict(mono)
-                e = exps.pop(name, 0)
-                if e < r:
-                    keep[mono] = coeff
-                else:
-                    excess.setdefault(e, {})[tuple(sorted(exps.items()))] = coeff
-            poly = Poly(keep, self.grades, self.bound)
+            r, powers = self.ranks[j - 1], self._powers[j - 1]
+            poly, excess = poly.split_powers(
+                xi_name(j), r, self.grades, self.bound)
             for e, rest in excess.items():
-                poly = poly + Poly(rest, self.grades, self.bound) * powers[e - r]
+                poly = poly + rest * powers[e - r]
         return poly
 
 
@@ -221,20 +212,19 @@ def push_level(tclass):
     if not tower.ranks:
         raise ValueError("cannot push forward from the point")
     below = tower.drop_top()
-    name = xi_name(len(tower.ranks))
     r = tower.ranks[-1]
-    kept = {}
-    for mono, coeff in tclass.poly.terms.items():
-        exps = dict(mono)
-        if exps.pop(name, 0) == r - 1:
-            kept[tuple(sorted(exps.items()))] = coeff
-    return TowerClass(below, Poly.make(kept, below.grades, below.bound))
+    # The class has degree at most the tower's dimension, so each cofactor
+    # of xi^{r-1} fits the bound of the tower below.
+    _, high = tclass.poly.split_powers(
+        xi_name(len(tower.ranks)), r - 1, below.grades, below.bound)
+    pushed = high.get(r - 1) or Poly.zero(below.grades, below.bound)
+    return TowerClass(below, pushed)
 
 
 def integrate(tclass):
     """Push down to the point: the coefficient of the top basis monomial
     prod_j xi_j^{r_j-1}, zero unless the class has top degree."""
-    return tclass.poly.terms.get(tclass.tower._top_monomial, Fraction(0))
+    return tclass.poly.coefficient(tclass.tower._top_monomial)
 
 
 def segre_pushforward(tower, exponent):

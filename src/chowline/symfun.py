@@ -26,7 +26,7 @@ from .errors import (
     NotSymmetric,
     UnitPartNotOne,
 )
-from .poly import Poly, PowerSeries, weighted_degree
+from .poly import Poly, PowerSeries
 
 
 def elem_sym(k, variables, grades, bound):
@@ -40,12 +40,9 @@ def elem_sym(k, variables, grades, bound):
         return Poly.const(1, grades, bound)
     if k > len(variables):
         return Poly.zero(grades, bound)
-    terms = {}
-    for subset in combinations(sorted(variables), k):
-        mono = tuple((v, 1) for v in subset)
-        if weighted_degree(mono, grades) <= bound:
-            terms[mono] = Fraction(1)
-    return Poly(terms, grades, bound)
+    return Poly.make({tuple((v, 1) for v in subset): 1
+                      for subset in combinations(sorted(variables), k)},
+                     grades, bound)
 
 
 def chern_var(index, label=""):
@@ -114,8 +111,8 @@ def to_chern_basis(p, blocks):
     result = Poly.zero(out_grades, p.bound)
     work = p
     while not work.is_zero():
-        lead_mono, lead_coeff = max(work.terms.items(),
-                                    key=lambda item: lex_key(item[0]))
+        lead_mono = max(work.monomials(), key=lex_key)
+        lead_coeff = work.coefficient(lead_mono)
         exps = dict(lead_mono)
         expansion = Poly.const(lead_coeff, p.grades, p.bound)
         image_mono = {}

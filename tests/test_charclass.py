@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from chowline import charclass
 from chowline.charclass import (
     CharClassSpec,
     VirtualBundle,
@@ -272,6 +273,30 @@ def test_lambda_rank_limit_is_checked_before_the_roots_are_listed():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_tensor_root_limit_is_checked_at_each_product(monkeypatch):
+    # Probed at a cap of 6: a rank-2 by rank-3 product lists 6 roots, and
+    # one more factor would list 12.
+    monkeypatch.setattr(charclass, "TENSOR_ROOT_LIMIT", 6)
+    s = make_setup(truncation=3, E=2, F=3)
+    E, F = VirtualBundle.bundle("E"), VirtualBundle.bundle("F")
+    assert ch(E * F, s) == ch(E, s) * ch(F, s)
+    assert ch(E * E.dual(), s).graded_part(0) == 4
+    for too_many in (E * F * E, E * (F + F), (E + F) * (E + F)):
+        with pytest.raises(MalformedVirtualBundle, match="exceeds the limit"):
+            ch(too_many, s)
+
+
+def test_tensor_root_limit_is_above_what_rank_two_powers_of_eight_need():
+    s = make_setup(truncation=2, E=2)
+    E = VirtualBundle.bundle("E")
+    power = E
+    for _ in range(7):
+        power = power * E
+    assert ch(power, s).graded_part(0) == 2 ** 8
+    with pytest.raises(MalformedVirtualBundle, match="exceeds the limit"):
+        ch(power * E, s)
 
 
 def test_det_of_virtual_sum():

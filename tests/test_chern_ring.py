@@ -377,3 +377,17 @@ def test_setup_json_round_trip():
 def test_setup_requires_headroom_over_relative_dimension():
     with pytest.raises(ValueError):
         Setup([BundleDecl("E", 2)], relative_dimension=3, truncation=3)
+
+
+# ------------------------------------------------------------ equality
+
+def test_classes_of_different_rings_are_never_equal():
+    from chowline.pushforward import Tower
+
+    s, twin = make_setup(E=2), make_setup(E=2)
+    assert chern_class(s, "E", 1) == chern_class(s, "E", 1)
+    assert chern_class(s, "E", 1) != chern_class(twin, "E", 1)
+    assert s.const(1) != twin.const(1)
+    assert s.const(1) == 1 and twin.const(1) == 1
+    assert s.const(1) != Tower.projective_space(2).const(1)
+    assert Tower.projective_space(2).const(1) != s.const(1)

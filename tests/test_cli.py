@@ -368,6 +368,7 @@ def test_setup_that_is_a_directory_is_refused(tmp_path, capsys):
     "ch(lam(2, E - O))",        # exterior power of a virtual bundle
     "ch(lam(2, 1000000*E))",    # above LAMBDA_RANK_LIMIT
     "class(psi, [2,1], E)",     # multiplicative series starting at 2
+    "ch(E*E*E*E*E*E*E*E*E)",    # 512 roots, above TENSOR_ROOT_LIMIT
 ])
 def test_expressions_the_library_refuses_are_usage_errors(
         expression, setup_file, capsys):
@@ -382,6 +383,27 @@ def test_expressions_the_library_refuses_are_usage_errors(
 def test_skeletons_of_the_wrong_shape_are_refused(key, value, tmp_path, capsys):
     payload = json.loads(json.dumps(PICARD_PAYLOAD))
     payload["chain"][key] = value
+    path = tmp_path / "skeleton.json"
+    path.write_text(json.dumps(payload))
+    assert_usage_error(["picard", str(path), "--json"], capsys)
+
+
+@pytest.mark.parametrize("edit", [
+    # A float group was read as Z/2 and exited 0.
+    lambda chain, monoid: chain.update(
+        groups=[{"generators": 1.9, "relations": [[2.5]]}] * 4),
+    # A string in a translation ended in a TypeError traceback.
+    lambda chain, monoid: chain.update(translations=[[["a"]]] * 3),
+    lambda chain, monoid: chain.update(symmetry=[[False], [True], [0], [1]]),
+    lambda chain, monoid: chain.update(start=["2"]),
+    lambda chain, monoid: chain.update(step=[1.0]),
+    lambda chain, monoid: monoid.update(generators=True),
+    lambda chain, monoid: monoid.update(relations=[[[1], [0.5]]]),
+], ids=["float-group", "string-translation", "bool-symmetry", "string-start",
+        "float-step", "bool-monoid", "float-monoid-relation"])
+def test_skeleton_numbers_must_be_json_integers(edit, tmp_path, capsys):
+    payload = json.loads(json.dumps(PICARD_PAYLOAD))
+    edit(payload["chain"], payload["monoid"])
     path = tmp_path / "skeleton.json"
     path.write_text(json.dumps(payload))
     assert_usage_error(["picard", str(path), "--json"], capsys)

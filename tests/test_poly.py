@@ -1,10 +1,12 @@
-"""The polynomial kernel: truncation across bounds, ring axioms and a
-differential check of products against sympy."""
+"""The polynomial kernel: truncation across bounds, ring axioms, a
+differential check of products against sympy, and the canonical
+fraction-free form (integer numerators over one reduced denominator)."""
 
 from fractions import Fraction
+from math import factorial, gcd
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chowline.poly import Poly, weighted_degree
@@ -84,3 +86,159 @@ def test_products_match_sympy(a, b):
 def test_powers_match_sympy(a, n):
     expected = from_sympy(sympy.expand(to_sympy(a) ** n), a.bound)
     assert (a ** n).terms == expected
+
+
+# -- the stored form -------------------------------------------------------
+
+# Coefficients whose denominators cancel in sums (k/6), the Taylor
+# coefficients of exp up to 1/10!, small fractions and integers.
+COEFFS = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+    st.builds(lambda k: Fraction(k, 6), st.integers(-12, 12)),
+    st.builds(lambda n, s: Fraction(s, factorial(n)),
+              st.integers(0, 10), st.sampled_from([1, -1])),
+    st.integers(-5, 5))
+
+
+@st.composite
+def rich_polys(draw, bound=None):
+    """Up to six terms with coefficients from COEFFS."""
+    if bound is None:
+        bound = draw(st.integers(0, 5))
+    exponents = st.tuples(*[st.integers(0, 3)] * len(VARS))
+    raw = draw(st.dictionaries(exponents, COEFFS, max_size=6))
+    terms = {tuple((v, e) for v, e in zip(VARS, exps) if e): c
+             for exps, c in raw.items()}
+    return Poly.make(terms, GRADES, bound)
+
+
+@st.composite
+def same_bound_pairs(draw):
+    """Two polynomials of one bound; the second is often the first plus a
+    polynomial whose coefficients may cancel it."""
+    bound = draw(st.integers(0, 5))
+    a = draw(rich_polys(bound))
+    b = draw(st.one_of(rich_polys(bound),
+                       st.builds(lambda c: a + c, rich_polys(bound)),
+                       st.just(Poly.make(dict(a.terms), GRADES, bound))))
+    return a, b
+
+
+def assert_canonical(p):
+    assert isinstance(p.den, int) and p.den > 0
+    assert all(isinstance(n, int) and n != 0 for n in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+    if not p.nums:
+        assert p.den == 1
+    assert all(weighted_degree(m, p.grades) <= p.bound for m in p.nums)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rich_polys(), rich_polys(), COEFFS, st.integers(0, 6))
+def test_every_operation_returns_the_canonical_form(a, b, scalar, k):
+    low, high = a.split_powers("x", 2, GRADES, a.bound)
+    results = [a, a + b, a - b, -a, a * b, a * scalar, scalar * a, a + scalar,
+               a * 0, a ** 2, a.graded_part(k), a.truncate(k),
+               a.alternate_signs(), a.rename({"x": "w"}), low, *high.values(),
+               *a.graded_parts().values()]
+    for p in results:
+        assert_canonical(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rich_polys(), st.integers(0, 3))
+def test_split_powers_reassembles_the_polynomial(a, r):
+    low, high = a.split_powers("x", r, GRADES, a.bound)
+    assert all(dict(m).get("x", 0) < r for m in low.monomials())
+    total = low
+    for e, rest in high.items():
+        assert e >= r and "x" not in rest.variables()
+        total = total + rest * Poly.var("x", GRADES, a.bound) ** e
+    assert same(total, a)
+
+
+def test_denominators_that_cancel_leave_an_integral_polynomial():
+    x = Poly.var("x", GRADES, 3)
+    total = Poly.zero(GRADES, 3)
+    for k in (1, 5, 2, 4, 3, 3):  # sixths summing to 3
+        total = total + x * Fraction(k, 6)
+        assert_canonical(total)
+    assert total == x * 3 and total.den == 1
+    sixth = Poly.make({(("x", 1),): Fraction(1, 6), (("y", 1),): Fraction(5, 6)},
+                      GRADES, 3)
+    assert sixth.den == 6
+    assert (sixth + sixth + sixth).den == 2
+    assert (sixth * 6).den == 1
+
+
+def test_exponential_coefficients_up_to_ten_factorial():
+    def exp(sign):
+        return Poly.make({(("x", n),) if n else (): Fraction(sign ** n, factorial(n))
+                          for n in range(11)}, {"x": 1}, 10)
+
+    assert_canonical(exp(1))
+    assert exp(1).den == factorial(10)
+    assert exp(1).coefficient((("x", 10),)) == Fraction(1, factorial(10))
+    assert exp(1).coefficient((("x", 1),)) == 1
+    product = exp(1) * exp(-1)
+    assert_canonical(product)
+    assert product == 1 and product.den == 1
+
+
+def test_terms_show_integral_coefficients_as_integers():
+    p = Poly.make({(("x", 1),): Fraction(4, 2), (("y", 1),): Fraction(1, 2)},
+                  GRADES, 3)
+    assert p.den == 2
+    assert dict(p.terms) == {(("x", 1),): 2, (("y", 1),): Fraction(1, 2)}
+    assert type(p.terms[(("x", 1),)]) is int
+    assert type(p.coefficient(())) is int and p.constant_term() == 0
+    assert len(p.terms) == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(same_bound_pairs())
+def test_equality_is_a_zero_difference(pair):
+    a, b = pair
+    assert (a == b) == (a - b).is_zero()
+    assert (a != b) == (not (a - b).is_zero())
+
+
+def test_equality_ignores_bound_and_grades():
+    narrow = Poly.var("x", {"x": 1}, 2)
+    wide = Poly.var("x", {"x": 1, "y": 1}, 7)
+    assert narrow == wide and narrow.bound != wide.bound
+    assert Poly.zero({"x": 1}, 1) == Poly.zero({"z": 2}, 9) == 0
+    assert Poly.const(Fraction(3, 2), {}, 0) == Fraction(3, 2)
+    assert narrow != Poly.var("x", {"x": 1}, 2) * 2
+
+
+def reference_str(p):
+    """The rendering of ``Poly.__str__``, rebuilt from Fraction
+    coefficients: terms by degree then monomial, signs between terms."""
+    items = sorted(((m, Fraction(c)) for m, c in p.terms.items()),
+                   key=lambda t: (weighted_degree(t[0], p.grades), t[0]))
+    if not items:
+        return "0"
+    out = []
+    for i, (mono, c) in enumerate(items):
+        body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
+        size = abs(c)
+        text = str(size) if not body else body if size == 1 else f"{size}*{body}"
+        if i == 0:
+            out.append(text if c > 0 else f"-{text}")
+        else:
+            out.append(f" {'+' if c > 0 else '-'} {text}")
+    return "".join(out)
+
+
+UNIT_SIGNS = Poly.make({(): -1, (("x", 1),): 1, (("y", 1),): -1,
+                        (("x", 2),): Fraction(-3, 2), (("z", 1),): 4}, GRADES, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rich_polys(), rich_polys())
+@example(UNIT_SIGNS, -UNIT_SIGNS)
+@example(Poly.zero(GRADES, 2), Poly.const(Fraction(-1, 6), GRADES, 2))
+def test_printing_matches_a_fraction_reference(a, b):
+    for p in (a, a * b, a - b):
+        assert str(p) == reference_str(p)
