@@ -137,10 +137,11 @@ class RingClass:
 
     ``ring`` is the object that made the element (a ``Setup`` or a
     ``Tower``) and ``poly`` its representative.  Arithmetic with an element
-    of the same class or with a rational number stays in the ring; an
-    element of another class is not unwrapped, so mixing rings raises
-    ``TypeError``.  Elements of two different ring objects are never
-    equal; within one ring, equality is that of the representatives.
+    of the same ring object or with a rational number stays in the ring;
+    an element of any other ring object, even one of the same class and
+    declarations, is refused with ``TypeError``.  Elements of two different
+    ring objects are never equal; within one ring, equality is that of the
+    representatives.
     """
 
     __slots__ = ("ring", "poly")
@@ -150,7 +151,10 @@ class RingClass:
         self.poly = poly
 
     def _coerce(self, other):
-        if isinstance(other, type(self)):
+        if isinstance(other, RingClass):
+            if other.ring is not self.ring:
+                raise TypeError(
+                    "cannot combine elements of two different rings")
             return other.poly
         return other
 

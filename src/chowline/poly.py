@@ -10,11 +10,13 @@ Coefficients are exact rationals, stored fraction-free: a polynomial holds
 integer numerators over one positive common denominator, in lowest terms
 (the gcd of the denominator and every numerator is 1, and the zero
 polynomial has denominator 1).  Sums, products and scalings therefore do
-integer arithmetic only, plus one gcd reduction per result.  No other
-module of the package reads that form: ``Poly.terms`` presents each
-coefficient as an ``int`` when it is integral and a ``Fraction`` otherwise,
-and ``PowerSeries`` keeps ``Fraction`` coefficients, since inversion
-divides.
+integer arithmetic only, plus one gcd reduction per result, and
+``evaluate`` divides once.  Outside this module only
+``symfun.to_chern_basis`` reads that form, to reduce integer numerators
+over ``den``; everything else sees ``Poly.terms``, which presents each
+coefficient as an ``int`` when it is integral and a ``Fraction``
+otherwise.  ``PowerSeries`` keeps ``Fraction`` coefficients, since
+inversion divides.
 
 Monomials are stored sparsely as tuples of (variable, exponent) pairs
 sorted by variable name.  With the reduced denominator this gives a
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 Monomial = tuple  # tuple[tuple[str, int], ...], sorted by variable name
@@ -363,14 +365,26 @@ class Poly:
         return out
 
     def evaluate(self, values):
-        """Evaluate at rational points; every variable must be assigned."""
-        total = Fraction(0)
+        """Evaluate at rational points; every variable must be assigned.
+
+        Fraction-free: with the values written a_v / q over their common
+        denominator q, a term of total exponent t is n * prod a_v^e over
+        q^t.  The integer sums of the terms of each t are brought over
+        q^top, for the largest t, and divided once.
+        """
+        point = {v: _num_den(values[v]) for v in self.variables()}
+        q = lcm(*(d for _, d in point.values()))
+        scaled = {v: n * (q // d) for v, (n, d) in point.items()}
+        sums = {}
         for mono, n in self.nums.items():
-            acc = n
+            t = 0
             for v, e in mono:
-                acc *= _as_fraction(values[v]) ** e
-            total += acc
-        return total / self.den
+                n *= scaled[v] ** e
+                t += e
+            sums[t] = sums.get(t, 0) + n
+        top = max(sums, default=0)
+        total = sum(s * q ** (top - t) for t, s in sums.items())
+        return Fraction(total, self.den * q ** top)
 
     def rename(self, mapping):
         """Rename variables (grades follow the old names)."""

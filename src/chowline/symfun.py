@@ -4,7 +4,13 @@ The two workhorses are:
 
 * ``to_chern_basis`` -- the fundamental theorem of symmetric polynomials,
   per root block: a polynomial symmetric in each block is rewritten
-  uniquely in the elementary symmetric polynomials of the blocks.
+  uniquely in the elementary symmetric polynomials of the blocks.  The
+  lexicographic reduction runs in partition space (Macdonald, *Symmetric
+  Functions and Hall Polynomials*, I.2): only the dominant terms, whose
+  exponents weakly decrease along each block, are kept, with integer
+  coefficients, and the dominant parts of the products of the e_i are
+  built once per block, one factor at a time.  No polynomial product is
+  formed.
 
 * ``phi_components`` / ``psi_components`` -- the universal polynomials
   expressing sum_j phi(T_j) (additive case) and prod_j psi(T_j)
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import (
     ConstantTermNotOne,
@@ -65,73 +71,135 @@ def check_block_symmetry(p, blocks):
                     f"not invariant under swapping {a!r} and {b!r}")
 
 
+def _dominant_key(mono, where, shapes):
+    """The monomial's exponents as one tuple per block, in block order, or
+    None unless they weakly decrease along every block."""
+    exps = [[0] * r for r in shapes]
+    for v, e in mono:
+        block, i = where[v]
+        exps[block][i] = e
+    for lam in exps:
+        for a, b in zip(lam, lam[1:]):
+            if a < b:
+                return None
+    return tuple(map(tuple, exps))
+
+
+def _times_e(f, i, r):
+    """The dominant part of f * e_i over r roots, for f symmetric and given
+    by its dominant part (partition -> coefficient).
+
+    coef_mu(f e_i) is the sum of coef_{mu - 1_S}(f) over the i-subsets S of
+    the support of mu; f is symmetric, so each of those is read at the
+    sorted exponent tuple.  Every mu with a nonzero coefficient is a sorted
+    nu + 1_T with nu a partition of f."""
+    subsets = list(combinations(range(r), i))
+    out = {}
+    for nu in f:
+        for t in subsets:
+            mu = list(nu)
+            for j in t:
+                mu[j] += 1
+            mu = tuple(sorted(mu, reverse=True))
+            if mu in out:
+                continue
+            total = 0
+            for s in combinations(range(r - mu.count(0)), i):
+                lower = list(mu)
+                for j in s:
+                    lower[j] -= 1
+                total += f.get(tuple(sorted(lower, reverse=True)), 0)
+            out[mu] = total
+    return {mu: c for mu, c in out.items() if c}
+
+
+def _e_product(table, k):
+    """The dominant part of e_1^k_1 ... e_r^k_r of one block, memoized in
+    ``table``: built from the product with one fewer factor."""
+    chain = []
+    while k not in table:
+        i = next(j for j, kj in enumerate(k) if kj)
+        chain.append((k, i))
+        k = k[:i] + (k[i] - 1,) + k[i + 1:]
+    f = table[k]
+    for key, i in reversed(chain):
+        f = table[key] = _times_e(f, i + 1, len(key))
+    return f
+
+
 def to_chern_basis(p, blocks):
     """Rewrite a block-symmetric polynomial in elementary symmetric classes.
 
     ``blocks`` is a list of (label, variables) pairs; every variable of p
-    must belong to exactly one block.  The image lives in variables
-    ``c1(label), c2(label), ...`` of grades 1, 2, ... (label omitted when
-    empty).  Substituting e_i(block) back for each class symbol recovers p
-    exactly.
+    must belong to exactly one block and have grade 1.  The image lives in
+    variables ``c1(label), c2(label), ...`` of grades 1, 2, ... (label
+    omitted when empty); those grades are right only because the roots
+    have grade 1, so a block variable of another grade raises
+    ``ValueError``.  Substituting e_i(block) back for each class symbol
+    recovers p exactly.
 
-    The rewriting is the classical lexicographic reduction: the leading
-    monomial of a symmetric polynomial has weakly decreasing exponents
-    along each block, and subtracting the matching product of elementary
-    symmetric polynomials strictly lowers the lead.
+    The rewriting is the classical lexicographic reduction, run in
+    partition space.  A polynomial symmetric within each block is
+    determined by its dominant terms, those whose exponents weakly
+    decrease along every block; the leading term is one of them.  So only
+    the dominant terms are kept, keyed by one partition per block, and
+    subtracting the product e_1^{l_1 - l_2} ... e_r^{l_r} matching the
+    lead l strictly lowers it.  The dominant part of each such product is
+    built once per block and call, from the product with one fewer factor
+    (``_times_e``), and across blocks the products are outer products.
     """
-    block_vars = []
-    seen = {}
-    for label, variables in blocks:
-        for v in variables:
-            if v in seen:
+    where = {}
+    shapes = []
+    for b, (label, variables) in enumerate(blocks):
+        for i, v in enumerate(variables):
+            if v in where:
                 raise ValueError(f"variable {v!r} appears in two blocks")
-            seen[v] = label
-        block_vars.extend(variables)
-    stray = p.variables() - seen.keys()
+            if p.grades.get(v, 1) != 1:
+                raise ValueError(
+                    f"block variable {v!r} has grade {p.grades[v]}, not 1")
+            where[v] = b, i
+        shapes.append(len(variables))
+    stray = p.variables() - where.keys()
     if stray:
         raise ValueError(f"variables {sorted(stray)} belong to no block")
 
     check_block_symmetry(p, blocks)
 
     out_grades = {}
+    symbols = []
     for label, variables in blocks:
-        for i in range(1, len(variables) + 1):
-            out_grades[chern_var(i, label)] = i
+        names = [chern_var(i, label) for i in range(1, len(variables) + 1)]
+        out_grades.update(zip(names, range(1, len(names) + 1)))
+        symbols.append(names)
 
-    # Position of each variable in the global lex order.
-    position = {v: i for i, v in enumerate(block_vars)}
-    nvars = len(block_vars)
-
-    def lex_key(mono):
-        exps = [0] * nvars
-        for v, e in mono:
-            exps[position[v]] = e
-        return tuple(exps)
-
-    result = Poly.zero(out_grades, p.bound)
-    work = p
-    while not work.is_zero():
-        lead_mono = max(work.monomials(), key=lex_key)
-        lead_coeff = work.coefficient(lead_mono)
-        exps = dict(lead_mono)
-        expansion = Poly.const(lead_coeff, p.grades, p.bound)
-        image_mono = {}
-        for label, variables in blocks:
-            lam = [exps.get(v, 0) for v in variables]
-            if any(a < b for a, b in zip(lam, lam[1:])):
-                raise NotSymmetric(
-                    "leading exponents not weakly decreasing within a block")
-            lam.append(0)
-            for i in range(1, len(variables) + 1):
-                power = lam[i - 1] - lam[i]
-                if power:
-                    expansion = expansion * (
-                        elem_sym(i, variables, p.grades, p.bound) ** power)
-                    image_mono[chern_var(i, label)] = power
-        work = work - expansion
-        key = tuple(sorted(image_mono.items()))
-        result = result + Poly.make({key: lead_coeff}, out_grades, p.bound)
-    return result
+    rem = {}
+    for mono, n in p.nums.items():
+        key = _dominant_key(mono, where, shapes)
+        if key is not None:
+            rem[key] = n
+    tables = [{(0,) * r: {(0,) * r: 1}} for r in shapes]
+    image = {}
+    while rem:
+        lead = max(rem)
+        c = rem[lead]
+        factors = []
+        mono = []
+        for lam, table, names in zip(lead, tables, symbols):
+            k = tuple(a - b for a, b in zip(lam, lam[1:] + (0,)))
+            factors.append(_e_product(table, k).items())
+            mono.extend((s, e) for s, e in zip(names, k) if e)
+        for combo in product(*factors):
+            key = tuple(mu for mu, _ in combo)
+            d = c
+            for _, coeff in combo:
+                d *= coeff
+            left = rem.get(key, 0) - d
+            if left:
+                rem[key] = left
+            else:
+                del rem[key]
+        image[tuple(sorted(mono))] = Fraction(c, p.den)
+    return Poly.make(image, out_grades, p.bound)
 
 
 def _internal_roots(r, bound):

@@ -391,3 +391,12 @@ def test_classes_of_different_rings_are_never_equal():
     assert s.const(1) == 1 and twin.const(1) == 1
     assert s.const(1) != Tower.projective_space(2).const(1)
     assert Tower.projective_space(2).const(1) != s.const(1)
+
+
+def test_arithmetic_refuses_classes_of_another_setup():
+    s, twin = make_setup(E=2), make_setup(E=2)
+    a, b = chern_class(s, "E", 1), chern_class(twin, "E", 1)
+    for mix in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b + a):
+        with pytest.raises(TypeError):
+            mix()
+    assert (a + chern_class(s, "E", 1)).setup is s

@@ -5,6 +5,7 @@ fraction-free form (integer numerators over one reduced denominator)."""
 from fractions import Fraction
 from math import factorial, gcd
 
+import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -242,3 +243,43 @@ UNIT_SIGNS = Poly.make({(): -1, (("x", 1),): 1, (("y", 1),): -1,
 def test_printing_matches_a_fraction_reference(a, b):
     for p in (a, a * b, a - b):
         assert str(p) == reference_str(p)
+
+
+# -- evaluation -------------------------------------------------------------
+
+# Values at a point: zero, negative and integral values, over unequal
+# denominators.
+VALUES = st.one_of(st.integers(-4, 4),
+                   st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
+
+
+def reference_value(p, values):
+    """p at the point, term by term in Fraction arithmetic."""
+    total = Fraction(0)
+    for mono, coeff in p.terms.items():
+        term = Fraction(coeff)
+        for v, e in mono:
+            term *= Fraction(values[v]) ** e
+        total += term
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(rich_polys(), st.fixed_dictionaries({v: VALUES for v in VARS}))
+@example(Poly.zero(GRADES, 3), {"x": Fraction(1, 2), "y": 0, "z": -3})
+@example(Poly.const(Fraction(-7, 6), GRADES, 3), {"x": 5, "y": 0, "z": 0})
+@example(UNIT_SIGNS, {"x": Fraction(-2, 3), "y": 0, "z": Fraction(5, 4)})
+@example(UNIT_SIGNS, {"x": Fraction(1, 6), "y": Fraction(-3, 4), "z": 2})
+def test_evaluation_matches_fraction_arithmetic(p, values):
+    value = p.evaluate(values)
+    assert type(value) is Fraction
+    assert value == reference_value(p, values)
+
+
+def test_evaluation_needs_every_variable_of_the_polynomial():
+    p = Poly.var("x", GRADES, 3) * Poly.var("y", GRADES, 3) + 1
+    assert p.evaluate({"x": 2, "y": Fraction(1, 2)}) == 2
+    with pytest.raises(KeyError):
+        p.evaluate({"x": 2})
+    with pytest.raises(TypeError):
+        p.evaluate({"x": 2, "y": 0.5})

@@ -349,6 +349,18 @@ def test_tower_and_chern_classes_do_not_mix():
         h * series
 
 
+def test_classes_of_two_towers_do_not_mix():
+    # Unwrapping the other tower's class would truncate the product to
+    # P^1's bound and integrate xi^2 over P^2 to 0.
+    a, b = Tower.projective_space(2), Tower.projective_space(1)
+    twin = Tower.projective_space(2)
+    for mix in (lambda: a.xi(1) * b.xi(1), lambda: a.xi(1) + b.xi(1),
+                lambda: b.xi(1) - a.xi(1), lambda: a.xi(1) * twin.xi(1)):
+        with pytest.raises(TypeError):
+            mix()
+    assert integrate(a.xi(1) * a.xi(1)) == 1
+
+
 def test_ring_classes_keep_only_their_own_operations():
     def own(cls):
         return {name for name, value in vars(cls).items()

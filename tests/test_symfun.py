@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chowline.errors import (
@@ -105,6 +105,25 @@ def test_not_symmetric_in_one_of_two_blocks():
         to_chern_basis(p, [("1", ["x", "y"]), ("2", ["z", "w"])])
 
 
+def test_not_symmetric_in_a_non_dominant_term_only():
+    # The dominant terms x^2 + x*y alone read as c1^2 - c2; only the
+    # non-dominant terms (2*y^2, and x*y^2 without x^2*y) break symmetry.
+    grades, bound = ring("x", "y")
+    x, y = var("x", grades), var("y", grades)
+    with pytest.raises(NotSymmetric):
+        to_chern_basis(x * x + 2 * (y * y) + x * y, [("", ["x", "y"])])
+    with pytest.raises(NotSymmetric):
+        to_chern_basis(x * x + y * y + x * (y * y), [("", ["x", "y"])])
+
+
+def test_block_variables_must_have_grade_one():
+    # c_i(block) gets grade i, the degree of e_i in grade-1 roots.
+    grades = {"x": 1, "y": 2}
+    p = Poly.var("x", grades, 4) + Poly.var("y", grades, 4)
+    with pytest.raises(ValueError, match="grade"):
+        to_chern_basis(p, [("", ["x", "y"])])
+
+
 def test_round_trip_random_symmetric_inputs():
     # Random polynomials in e_1..e_r expand to symmetric polynomials in the
     # roots; converting back must reproduce them exactly.
@@ -148,30 +167,61 @@ def test_round_trip_two_blocks():
         assert back == p
 
 
-@st.composite
-def chern_polynomials(draw):
-    """One or two blocks of 1-3 roots and a random polynomial in their
-    class symbols c_k(block), truncated at a bound of 1-5."""
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
-    blocks = [(f"B{i}", [f"b{i}.{j}" for j in range(1, n + 1)])
-              for i, n in enumerate(sizes)]
-    bound = draw(st.integers(1, 5))
+def _blocks(sizes):
+    return [(f"B{i}", [f"b{i}.{j}" for j in range(1, n + 1)])
+            for i, n in enumerate(sizes)]
+
+
+def _chern_case(blocks, terms, bound):
+    """(q, q with e_k(block) substituted for c_k(block), blocks) for the
+    polynomial q with the given terms in the class symbols."""
     grades = {v: 1 for _, roots in blocks for v in roots}
     symbols = {chern_var(k, label): k
                for label, roots in blocks for k in range(1, len(roots) + 1)}
-    terms = {}
-    for _ in range(draw(st.integers(0, 4))):
-        mono = tuple(sorted((c, e) for c in symbols
-                            if (e := draw(st.integers(0, 2)))))
-        terms[mono] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
     q = Poly.make(terms, symbols, bound)
     images = {chern_var(k, label): elem_sym(k, roots, grades, bound)
               for label, roots in blocks for k in range(1, len(roots) + 1)}
     return q, q.substitute(images), blocks
 
 
-@settings(max_examples=40, deadline=None)
+@st.composite
+def chern_polynomials(draw):
+    """One to three blocks of 1-4 roots and a random polynomial in their
+    class symbols c_k(block), truncated at a bound of 1-8: the shapes of
+    the benchmarked rank-4 classes at truncation 8."""
+    blocks = _blocks(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    grade = {chern_var(k, label): k
+             for label, roots in blocks for k in range(1, len(roots) + 1)}
+    bound = draw(st.integers(1, 8))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        # A product of up to five symbols, skipping any that would take
+        # it beyond the bound, with a nonzero coefficient.
+        exps, degree = {}, 0
+        for c in draw(st.lists(st.sampled_from(sorted(grade)),
+                               min_size=1, max_size=5)):
+            if degree + grade[c] <= bound:
+                exps[c] = exps.get(c, 0) + 1
+                degree += grade[c]
+        terms[tuple(sorted(exps.items()))] = Fraction(
+            draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1])),
+            draw(st.integers(1, 4)))
+    return _chern_case(blocks, terms, bound)
+
+
+# Three rank-4 blocks at truncation 8, every term of degree 8 or less.
+RANK4_CASE = _chern_case(_blocks([4, 4, 4]), {
+    (("c1(B0)", 4), ("c2(B1)", 1), ("c2(B2)", 1)): Fraction(-1, 720),
+    (("c1(B0)", 1), ("c1(B1)", 1), ("c3(B2)", 2)): 3,
+    (("c2(B0)", 2), ("c4(B1)", 1)): Fraction(1, 240),
+    (("c4(B0)", 1), ("c4(B2)", 1)): Fraction(5, 2),
+    (("c1(B1)", 3), ("c3(B1)", 1)): -7,
+    (): 1}, 8)
+
+
+@settings(max_examples=100, deadline=None)
 @given(chern_polynomials())
+@example(RANK4_CASE)
 def test_chern_basis_round_trip_property(case):
     # The e_k of distinct blocks are algebraically independent, so the
     # Chern-basis presentation of the expanded polynomial is the original.
