@@ -23,7 +23,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .errors import UnsupportedFamily, WrongBundleCount
+from .chern_ring import TRUNCATION_LIMIT
+from .errors import TruncationTooHigh, UnsupportedFamily, WrongBundleCount
 from .pushforward import Tower, integrate
 
 
@@ -37,6 +38,11 @@ class FamilyDescriptor:
         object.__setattr__(self, "fiber", tuple(int(n) for n in self.fiber))
         if any(n < 1 for n in self.fiber) or self.base < 1:
             raise UnsupportedFamily("all projective-space factors need dimension >= 1")
+        if self.fiber_dimension + self.base > TRUNCATION_LIMIT:
+            raise TruncationTooHigh(
+                f"the family's total space has dimension "
+                f"{self.fiber_dimension + self.base}, above the limit of "
+                f"{TRUNCATION_LIMIT}")
 
     @property
     def fiber_dimension(self):

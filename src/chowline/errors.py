@@ -42,6 +42,11 @@ class TruncationTooLow(ChowlineError):
     """The truncation bound is too small for the requested verification."""
 
 
+class TruncationTooHigh(ChowlineError):
+    """The truncation bound, or a tower's dimension, exceeds
+    ``chern_ring.TRUNCATION_LIMIT``."""
+
+
 # --- towers and families ---
 
 class UnequalBundles(ChowlineError):

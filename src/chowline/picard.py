@@ -30,7 +30,6 @@ from .errors import (
     NotAHomomorphism,
     UnderdeterminedSign,
 )
-from .poly import Poly
 
 
 # ---------------------------------------------------------------------------
@@ -667,18 +666,6 @@ def nat_transform_torsor(source, target):
 # Grayson-Quillen pair product
 # ---------------------------------------------------------------------------
 
-_FORMAL_BOUND = 64
-
-
-def formal_object(name):
-    """A formal object class: a monomial generator of the object semiring."""
-    return Poly.var(name, {name: 1}, _FORMAL_BOUND)
-
-
-def formal_zero():
-    return Poly.zero({}, _FORMAL_BOUND)
-
-
 def gq_pair_product(pair_a, pair_b):
     """Product of difference pairs in the completed object ring.
 
@@ -688,9 +675,3 @@ def gq_pair_product(pair_a, pair_b):
     a, a2 = pair_a
     b, b2 = pair_b
     return (a * b2 + a2 * b, a * b + a2 * b2)
-
-
-def pair_class(pair):
-    """The class second - first of a difference pair."""
-    first, second = pair
-    return second - first

@@ -12,28 +12,165 @@ integer numerators over one positive common denominator, in lowest terms
 polynomial has denominator 1).  Sums, products and scalings therefore do
 integer arithmetic only, plus one gcd reduction per result, and
 ``evaluate`` divides once.  Outside this module only
-``symfun.to_chern_basis`` reads that form, to reduce integer numerators
-over ``den``; everything else sees ``Poly.terms``, which presents each
-coefficient as an ``int`` when it is integral and a ``Fraction``
-otherwise.  ``PowerSeries`` keeps ``Fraction`` coefficients, since
-inversion divides.
+``symfun.to_chern_basis`` and ``symfun.check_block_symmetry`` read that
+form, to reduce integer numerators over ``den`` and to read exponents
+with the table's shifts and mask; everything else sees ``Poly.terms``,
+which presents each coefficient as an ``int`` when it is integral and a
+``Fraction`` otherwise.  ``PowerSeries`` keeps ``Fraction``
+coefficients, since inversion divides.
 
-Monomials are stored sparsely as tuples of (variable, exponent) pairs
-sorted by variable name.  With the reduced denominator this gives a
-canonical form: two polynomials are equal iff their denominators and
-numerator dictionaries are equal.
+Monomials are packed exponent vectors (Monagan and Pearce, *Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors*, CASC
+2007).  Each ring has one ``VarTable``: its variables and their grades,
+and a bit field per variable in which a monomial keeps that exponent,
+with the weighted degree in a field above them all.  A monomial is one
+``int``, so a product of monomials is one addition and a degree one
+shift.  A field holds any exponent up to the bound, and the kernel forms
+no product beyond the bound, so fields never overflow.  The elements of
+one ring share one table object; combining elements of two tables
+re-encodes both into their union.  Outside the kernel, monomials are
+tuples of (variable, exponent) pairs sorted by variable name, as
+``terms``, ``coefficient`` and ``sorted_terms`` present them.  With the
+reduced denominator the stored form is canonical: two polynomials of one
+table are equal iff their denominators and numerator dictionaries are
+equal.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
-from types import MappingProxyType
 
-Monomial = tuple  # tuple[tuple[str, int], ...], sorted by variable name
+# Every field is at least this many bits wide, so that all rings of bound
+# below 2**5 (every ring within chern_ring.TRUNCATION_LIMIT) share one
+# width: the rings of one tower line up field for field, and a cofactor
+# moves to the tower below with a shift (``split_powers``).
+MIN_FIELD_BITS = 5
 
-ONE_MONO: Monomial = ()
+
+class VarTable(Mapping):
+    """The variables of one ring: a read-only mapping name -> grade, and
+    the layout of the ring's packed monomials.
+
+    Each variable owns a field of ``width`` bits, the first variable the
+    highest, the last the lowest (at bit 0); the weighted degree sits
+    above them all, at ``dshift``.  ``unit[v]`` is the packed monomial v.
+    The fields hold exponents up to ``mask``, which is at least the bound
+    the table was made for; a polynomial's bound never exceeds its
+    table's ``mask``.
+    """
+
+    __slots__ = ("_grades", "_items", "width", "mask", "dshift", "shift",
+                 "unit", "_fields")
+
+    def __init__(self, grades, bound):
+        self._grades = dict(grades)
+        for v, g in self._grades.items():
+            if not isinstance(g, int) or g < 1:
+                raise ValueError(f"variable {v!r} needs a positive integer "
+                                 f"grade, got {g!r}")
+        self._items = tuple(self._grades.items())
+        n = len(self._items)
+        self.width = max(bound.bit_length(), MIN_FIELD_BITS)
+        self.mask = (1 << self.width) - 1
+        self.dshift = n * self.width
+        self.shift = {v: (n - 1 - i) * self.width
+                      for i, (v, _) in enumerate(self._items)}
+        self.unit = {v: (1 << self.shift[v]) + (g << self.dshift)
+                     for v, g in self._items}
+        self._fields = sorted(self.shift.items())  # name order, for decoding
+
+    def __getitem__(self, name):
+        return self._grades[name]
+
+    def __iter__(self):
+        return iter(self._grades)
+
+    def __len__(self):
+        return len(self._items)
+
+    def __contains__(self, name):
+        return name in self._grades
+
+    def get(self, name, default=None):
+        return self._grades.get(name, default)
+
+    def items(self):
+        return self._grades.items()
+
+    def __repr__(self):
+        return f"VarTable({self._grades!r}, width={self.width})"
+
+    def encode(self, mono):
+        """The packed form of a tuple monomial; KeyError for a variable
+        the table does not hold.  An exponent above ``mask`` carries into
+        the fields above it, but only in a monomial of degree above every
+        bound the table serves."""
+        m = 0
+        for v, e in mono:
+            if e < 0:
+                raise ValueError(f"negative exponent {e} of {v!r}")
+            m += e * self.unit[v]
+        return m
+
+    def decode(self, m):
+        """The tuple monomial of a packed one, sorted by variable name."""
+        mask = self.mask
+        return tuple((v, e) for v, s in self._fields if (e := m >> s & mask))
+
+
+@lru_cache(maxsize=256)
+def _shared_table(items, width):
+    return VarTable(dict(items), (1 << width) - 1)
+
+
+def var_table(grades, bound):
+    """The table of a ring of the given grades and bound: ``grades``
+    itself when it is a table wide enough for the bound, else one table
+    object per content and width, so that polynomials built from equal
+    grade dictionaries share it."""
+    # type(), not isinstance(): a Mapping subclass answers isinstance()
+    # through the ABC machinery, several times slower.
+    if type(grades) is VarTable and bound <= grades.mask:
+        return grades
+    width = max(bound.bit_length(), MIN_FIELD_BITS)
+    return _shared_table(tuple(grades.items()), width)
+
+
+def _union(t1, t2):
+    """One table holding the variables of both; a variable declared in
+    both must have the same grade."""
+    if t1 is t2:
+        return t1
+    grades = dict(t1.items())
+    for v, g in t2.items():
+        if grades.setdefault(v, g) != g:
+            raise ValueError(f"conflicting grades for variable {v!r}")
+    return _shared_table(tuple(grades.items()), max(t1.width, t2.width))
+
+
+def _recode(nums, src, dst, bound):
+    """Numerators keyed in ``src`` re-keyed in ``dst``, dropping monomials
+    of degree above ``bound``; KeyError when a monomial kept has a
+    variable ``dst`` lacks."""
+    if src is dst:
+        return nums
+    mask, dshift = src.mask, src.dshift
+    moves = [(v, s, dst.unit.get(v)) for v, s in src.shift.items()]
+    out = {}
+    for m, n in nums.items():
+        if m >> dshift <= bound:
+            new = 0
+            for v, s, unit in moves:
+                e = m >> s & mask
+                if e:
+                    if unit is None:
+                        raise KeyError(f"variable {v!r} has no declared grade")
+                    new += e * unit
+            out[new] = n
+    return out
 
 
 def _as_fraction(x):
@@ -70,10 +207,12 @@ def _lowest(nums, den, grades, bound):
 class Poly:
     """A sparse polynomial with exact rational coefficients.
 
-    ``grades`` maps each variable to its weight; ``bound`` is the truncation
-    degree.  ``nums`` maps each monomial to its integer numerator and
-    ``den`` is the common denominator, in lowest terms.  Instances are
-    treated as immutable: all operations return new polynomials.
+    ``grades`` is the ring's ``VarTable`` (a read-only mapping from each
+    variable to its weight); ``bound`` is the truncation degree.  ``nums``
+    maps each packed monomial to its integer numerator and ``den`` is the
+    common denominator, in lowest terms.  Instances are treated as
+    immutable: all operations return new polynomials.  Constructors also
+    take a plain grade dictionary.
 
     Equality compares values only: two polynomials with the same terms are
     equal whatever their ``bound`` and ``grades``.
@@ -83,7 +222,8 @@ class Poly:
 
     def __init__(self, nums, den, grades, bound):
         # Internal constructor: assumes nums and den already in lowest
-        # terms, without zero numerators or monomials beyond the bound.
+        # terms, without zero numerators or monomials beyond the bound,
+        # keyed in the table ``grades``, whose mask is at least ``bound``.
         self.nums = nums
         self.den = den
         self.grades = grades
@@ -93,110 +233,127 @@ class Poly:
 
     @classmethod
     def make(cls, terms, grades, bound):
-        """Build a polynomial from a mapping monomial -> int or Fraction,
-        dropping zero coefficients and monomials beyond the truncation
-        bound."""
+        """Build a polynomial from a mapping tuple monomial -> int or
+        Fraction, dropping zero coefficients and monomials beyond the
+        truncation bound."""
+        table = var_table(grades, bound)
+        dshift = table.dshift
         clean = {}
         den = 1
         for mono, coeff in terms.items():
             n, d = _num_den(coeff)
-            if n == 0 or weighted_degree(mono, grades) > bound:
+            if n == 0:
                 continue
-            clean[mono] = n, d
-            den = den // gcd(den, d) * d
-        nums = {m: n * (den // d) for m, (n, d) in clean.items()}
-        return _lowest(nums, den, grades, bound)
+            m = table.encode(mono)
+            if m >> dshift > bound:
+                continue
+            if m in clean:  # a second spelling of one monomial
+                n0, d0 = clean[m]
+                n, d = n0 * d + n * d0, d0 * d
+            clean[m] = n, d
+            den = lcm(den, d)
+        nums = {m: n * (den // d) for m, (n, d) in clean.items() if n}
+        return _lowest(nums, den, table, bound)
 
     @classmethod
     def zero(cls, grades, bound):
-        return cls({}, 1, grades, bound)
+        return cls({}, 1, var_table(grades, bound), bound)
 
     @classmethod
     def const(cls, value, grades, bound):
         n, d = _num_den(value)
+        table = var_table(grades, bound)
         if n == 0:
-            return cls({}, 1, grades, bound)
-        return cls({ONE_MONO: n}, d, grades, bound)
+            return cls({}, 1, table, bound)
+        return cls({0: n}, d, table, bound)
 
     @classmethod
     def var(cls, name, grades, bound):
-        if name not in grades:
+        table = var_table(grades, bound)
+        if name not in table:
             raise KeyError(f"variable {name!r} has no declared grade")
-        if grades[name] > bound:
-            return cls({}, 1, grades, bound)
-        return cls({((name, 1),): 1}, 1, grades, bound)
+        if table[name] > bound:
+            return cls({}, 1, table, bound)
+        return cls({table.unit[name]: 1}, 1, table, bound)
 
     # -- bookkeeping -------------------------------------------------------
 
     def _merged(self, other):
-        """Common (grades, bound) for a binary operation.
+        """Common table and bound for a binary operation, and both
+        operands' numerators keyed in that table.
 
-        Grade dictionaries are merged; a variable declared on both sides
-        must have the same grade.  The bound is the minimum of the two:
-        precision cannot be gained by combining truncated elements.
+        Elements of one table combine as they are; otherwise both are
+        re-encoded into the union of the tables, in which a variable
+        declared on both sides must have the same grade.  The bound is
+        the minimum of the two: precision cannot be gained by combining
+        truncated elements.
         """
-        if self.grades is other.grades:
-            grades = self.grades
-        else:
-            grades = dict(self.grades)
-            for v, g in other.grades.items():
-                if grades.setdefault(v, g) != g:
-                    raise ValueError(f"conflicting grades for variable {v!r}")
-        return grades, min(self.bound, other.bound)
+        bound = min(self.bound, other.bound)
+        t1, t2 = self.grades, other.grades
+        if t1 is t2:
+            return t1, bound, self.nums, other.nums
+        table = _union(t1, t2)
+        return (table, bound, _recode(self.nums, t1, table, bound),
+                _recode(other.nums, t2, table, bound))
 
     @property
     def terms(self):
-        """Read-only mapping monomial -> exact coefficient."""
-        if self.den == 1:  # the numerators are the coefficients: a
-            # view without a Python-level len() or lookup
-            return MappingProxyType(self.nums)
+        """Read-only mapping tuple monomial -> exact coefficient."""
         return _Terms(self)
 
     def is_zero(self):
         return not self.nums
 
     def coefficient(self, mono):
-        """The exact coefficient of a monomial (0 when absent)."""
-        return _exact(self.nums.get(mono, 0), self.den)
+        """The exact coefficient of a tuple monomial (0 when absent)."""
+        table = self.grades
+        try:
+            m = table.encode(mono)
+        except KeyError:  # a variable the ring does not hold
+            return 0
+        if m >> table.dshift > self.bound:
+            return 0
+        return _exact(self.nums.get(m, 0), self.den)
 
     def constant_term(self):
-        return self.coefficient(ONE_MONO)
+        return _exact(self.nums.get(0, 0), self.den)
 
     def monomials(self):
-        return self.nums.keys()
+        """The tuple monomials, as a view whose ``len`` decodes nothing."""
+        return self.terms.keys()
 
     def variables(self):
-        seen = set()
-        for mono in self.nums:
-            for v, _ in mono:
-                seen.add(v)
-        return seen
+        seen = 0
+        for m in self.nums:
+            seen |= m
+        table = self.grades
+        return {v for v, s in table.shift.items() if seen >> s & table.mask}
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(other, self.grades, self.bound)
-        grades, bound = self._merged(other)
+        table, bound, left, right = self._merged(other)
         # Bring both sides over the least common denominator.
         d1, d2 = self.den, other.den
         g = gcd(d1, d2)
         s1, s2 = d2 // g, d1 // g
         if s1 == 1:
-            nums = dict(self.nums)
+            nums = dict(left)
         else:
-            nums = {m: n * s1 for m, n in self.nums.items()}
+            nums = {m: n * s1 for m, n in left.items()}
         get = nums.get
-        for mono, n in other.nums.items():
+        for mono, n in right.items():
             acc = get(mono, 0) + n * s2
             if acc:
                 nums[mono] = acc
             else:
                 nums.pop(mono, None)
         if self.bound != other.bound:  # drop what exceeds the lower bound
-            nums = {m: n for m, n in nums.items()
-                    if weighted_degree(m, grades) <= bound}
-        return _lowest(nums, d1 * s1, grades, bound)
+            dshift = table.dshift
+            nums = {m: n for m, n in nums.items() if m >> dshift <= bound}
+        return _lowest(nums, d1 * s1, table, bound)
 
     __radd__ = __add__
 
@@ -219,28 +376,30 @@ class Poly:
                 return Poly({}, 1, self.grades, self.bound)
             return _lowest({m: n * p for m, n in self.nums.items()},
                            self.den * q, self.grades, self.bound)
-        grades, bound = self._merged(other)
+        table, bound, left, right = self._merged(other)
+        dshift = table.dshift
         # The right operand's terms grouped by degree, lowest first: each
-        # left term stops at the first group that would exceed the bound.
+        # left term stops at the first group that would exceed the bound,
+        # so no exponent of a product exceeds the bound.
         buckets = {}
-        for m2, c2 in other.nums.items():
-            buckets.setdefault(weighted_degree(m2, grades), []).append((m2, c2))
+        for m2, c2 in right.items():
+            buckets.setdefault(m2 >> dshift, []).append((m2, c2))
         groups = sorted(buckets.items())
         nums = {}
         get = nums.get
-        for m1, c1 in self.nums.items():
-            room = bound - weighted_degree(m1, grades)
+        for m1, c1 in left.items():
+            room = bound - (m1 >> dshift)
             for d2, group in groups:
                 if d2 > room:
                     break
                 for m2, c2 in group:
-                    mono = mono_mul(m1, m2)
+                    mono = m1 + m2
                     acc = get(mono, 0) + c1 * c2
                     if acc:
                         nums[mono] = acc
                     else:
                         nums.pop(mono, None)
-        return _lowest(nums, self.den * other.den, grades, bound)
+        return _lowest(nums, self.den * other.den, table, bound)
 
     __rmul__ = __mul__
 
@@ -259,12 +418,16 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.den == other.den and self.nums == other.nums
+            if self.den != other.den:
+                return False
+            if self.grades is other.grades:
+                return self.nums == other.nums
+            return self._by_tuple() == other._by_tuple()
         if isinstance(other, (int, Fraction)):
             n, d = _num_den(other)
             if n == 0:
                 return not self.nums
-            return self.den == d and self.nums == {ONE_MONO: n}
+            return self.den == d and self.nums == {0: n}
         return NotImplemented
 
     def __ne__(self, other):
@@ -273,27 +436,34 @@ class Poly:
             return result
         return not result
 
+    def _by_tuple(self):
+        decode = self.grades.decode
+        return {decode(m): n for m, n in self.nums.items()}
+
     # -- graded structure --------------------------------------------------
 
     def graded_part(self, k):
         """The homogeneous component of weighted degree k."""
-        nums = {m: n for m, n in self.nums.items()
-                if weighted_degree(m, self.grades) == k}
+        dshift = self.grades.dshift
+        nums = {m: n for m, n in self.nums.items() if m >> dshift == k}
         return _lowest(nums, self.den, self.grades, self.bound)
 
     def graded_parts(self):
         """All nonzero homogeneous components, as a dict degree -> Poly."""
+        dshift = self.grades.dshift
         buckets = {}
         for m, n in self.nums.items():
-            buckets.setdefault(weighted_degree(m, self.grades), {})[m] = n
+            buckets.setdefault(m >> dshift, {})[m] = n
         return {k: _lowest(t, self.den, self.grades, self.bound)
                 for k, t in sorted(buckets.items())}
 
     def truncate(self, bound):
         if bound >= self.bound:
-            return Poly(dict(self.nums), self.den, self.grades, bound)
-        nums = {m: n for m, n in self.nums.items()
-                if weighted_degree(m, self.grades) <= bound}
+            table = var_table(self.grades, bound)
+            nums = _recode(self.nums, self.grades, table, bound)
+            return Poly(dict(nums), self.den, table, bound)
+        dshift = self.grades.dshift
+        nums = {m: n for m, n in self.nums.items() if m >> dshift <= bound}
         return _lowest(nums, self.den, self.grades, bound)
 
     def alternate_signs(self):
@@ -302,40 +472,49 @@ class Poly:
         This is the ring automorphism induced by negating every grade-1
         generator, hence it commutes with products.
         """
-        nums = {m: (n if weighted_degree(m, self.grades) % 2 == 0 else -n)
-                for m, n in self.nums.items()}
+        dshift = self.grades.dshift
+        nums = {m: (-n if m >> dshift & 1 else n) for m, n in self.nums.items()}
         return Poly(nums, self.den, self.grades, self.bound)
 
     def split_powers(self, name, r, grades, bound):
         """Split the terms by their exponent e of the variable ``name``.
 
         Returns ``(low, high)``: ``low`` holds the terms with e < r as they
-        are, and ``high`` maps each e >= r to the polynomial of the
-        cofactors of name^e (the terms with ``name`` removed).  Both parts
-        take ``grades`` and ``bound``; the caller vouches that the terms
-        fit that bound.
+        are, in this polynomial's table, and ``high`` maps each e >= r to
+        the polynomial of the cofactors of name^e (the terms with ``name``
+        removed), in the table of ``grades``.  Both parts take ``bound``;
+        the caller vouches that the terms fit it.  When ``grades`` is the
+        table of this one without its last variable ``name`` (the tower
+        below a tower), a cofactor moves there with a shift.
         """
+        src = self.grades
+        if name in src:
+            s, mask, unit = src.shift[name], src.mask, src.unit[name]
+        else:  # no factor of name: e = 0
+            s, mask, unit = 0, 0, 0
         low, high = {}, {}
-        for mono, n in self.nums.items():
-            i = 0
-            for v, e in mono:
-                if v == name:
-                    break
-                i += 1
-            else:  # no factor of name: e = 0
-                e = 0
+        for m, n in self.nums.items():
+            e = m >> s & mask
             if e < r:
-                low[mono] = n
+                low[m] = n
+            elif e in high:
+                high[e][m - e * unit] = n
             else:
-                rest = mono[:i] + mono[i + 1:] if e else mono
-                if e in high:
-                    high[e][rest] = n
-                else:
-                    high[e] = {rest: n}
-        if not high and grades is self.grades and bound == self.bound:
+                high[e] = {m - e * unit: n}
+        if not high and bound == self.bound:
             return self, high
-        return (_lowest(low, self.den, grades, bound),
-                {e: _lowest(nums, self.den, grades, bound)
+        dst = var_table(grades, bound)
+        if high and dst is not src:
+            if (name in src and src._items[-1][0] == name
+                    and dst.width == src.width and dst._items == src._items[:-1]):
+                width = src.width
+                high = {e: {m >> width: n for m, n in nums.items()}
+                        for e, nums in high.items()}
+            else:
+                high = {e: _recode(nums, src, dst, bound)
+                        for e, nums in high.items()}
+        return (_lowest(low, self.den, src, bound),
+                {e: _lowest(nums, self.den, dst, bound)
                  for e, nums in high.items()})
 
     # -- substitution and evaluation ----------------------------------------
@@ -348,19 +527,17 @@ class Poly:
         the bound in an uncontrolled way: images are truncated like any
         other product.
         """
-        grades = dict(self.grades)
+        table = self.grades
         for img in mapping.values():
-            for v, g in img.grades.items():
-                if grades.setdefault(v, g) != g:
-                    raise ValueError(f"conflicting grades for variable {v!r}")
-        out = Poly.zero(grades, self.bound)
-        for mono, n in self.nums.items():
-            term = Poly.const(_exact(n, self.den), grades, self.bound)
+            table = _union(table, img.grades)
+        out = Poly.zero(table, self.bound)
+        for mono, coeff in self.terms.items():
+            term = Poly.const(coeff, table, self.bound)
             for v, e in mono:
                 if v in mapping:
                     term = term * (mapping[v] ** e)
                 else:
-                    term = term * (Poly.var(v, grades, self.bound) ** e)
+                    term = term * (Poly.var(v, table, self.bound) ** e)
             out = out + term
         return out
 
@@ -372,15 +549,19 @@ class Poly:
         q^t.  The integer sums of the terms of each t are brought over
         q^top, for the largest t, and divided once.
         """
+        table = self.grades
         point = {v: _num_den(values[v]) for v in self.variables()}
         q = lcm(*(d for _, d in point.values()))
-        scaled = {v: n * (q // d) for v, (n, d) in point.items()}
+        fields = [(n * (q // d), table.shift[v]) for v, (n, d) in point.items()]
+        mask = table.mask
         sums = {}
-        for mono, n in self.nums.items():
+        for m, n in self.nums.items():
             t = 0
-            for v, e in mono:
-                n *= scaled[v] ** e
-                t += e
+            for a, s in fields:
+                e = m >> s & mask
+                if e:
+                    n *= a ** e
+                    t += e
             sums[t] = sums.get(t, 0) + n
         top = max(sums, default=0)
         total = sum(s * q ** (top - t) for t, s in sums.items())
@@ -388,21 +569,23 @@ class Poly:
 
     def rename(self, mapping):
         """Rename variables (grades follow the old names)."""
-        grades = {mapping.get(v, v): g for v, g in self.grades.items()}
+        table = var_table({mapping.get(v, v): g for v, g in self.grades.items()},
+                          self.bound)
+        decode = self.grades.decode
         nums = {}
-        for mono, n in self.nums.items():
-            new = tuple(sorted((mapping.get(v, v), e) for v, e in mono))
-            nums[new] = n
-        return Poly(nums, self.den, grades, self.bound)
+        for m, n in self.nums.items():
+            nums[table.encode((mapping.get(v, v), e) for v, e in decode(m))] = n
+        return Poly(nums, self.den, table, self.bound)
 
     # -- display -----------------------------------------------------------
 
     def sorted_terms(self):
-        """(monomial, exact coefficient) pairs in graded-lexicographic
+        """(tuple monomial, exact coefficient) pairs in graded-lexicographic
         order (degree, then variable word)."""
-        return [(m, _exact(self.nums[m], self.den))
-                for m in sorted(self.nums,
-                                key=lambda m: (weighted_degree(m, self.grades), m))]
+        table = self.grades
+        dshift, decode = table.dshift, table.decode
+        items = sorted((m >> dshift, decode(m), n) for m, n in self.nums.items())
+        return [(mono, _exact(n, self.den)) for _, mono, n in items]
 
     def __str__(self):
         if not self.nums:
@@ -432,25 +615,37 @@ class Poly:
 
 
 class _Terms(Mapping):
-    """The terms of a Poly as a read-only mapping monomial -> coefficient,
-    an int when integral and a Fraction otherwise."""
+    """The terms of a Poly as a read-only mapping tuple monomial ->
+    coefficient, an int when integral and a Fraction otherwise.  ``len``
+    reads the stored form; anything else decodes it once."""
 
-    __slots__ = ("_poly",)
+    __slots__ = ("_poly", "_decoded")
 
     def __init__(self, poly):
         self._poly = poly
+        self._decoded = None
+
+    def _dict(self):
+        if self._decoded is None:
+            p = self._poly
+            decode, den = p.grades.decode, p.den
+            self._decoded = {decode(m): _exact(n, den) for m, n in p.nums.items()}
+        return self._decoded
 
     def __getitem__(self, mono):
-        return _exact(self._poly.nums[mono], self._poly.den)
+        return self._dict()[mono]
 
     def __iter__(self):
-        return iter(self._poly.nums)
+        return iter(self._dict())
 
     def __len__(self):
         return len(self._poly.nums)
 
+    def items(self):
+        return self._dict().items()
+
     def __repr__(self):
-        return repr(dict(self.items()))
+        return repr(self._dict())
 
 
 def weighted_degree(mono, grades):
@@ -460,17 +655,6 @@ def weighted_degree(mono, grades):
     for v, e in mono:
         degree += grades[v] * e
     return degree
-
-
-def mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
 
 
 class PowerSeries:

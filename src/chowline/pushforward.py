@@ -36,9 +36,14 @@ from .charclass import (
     todd_spec,
     todd_star_spec,
 )
-from .chern_ring import RingClass
-from .errors import UnequalBundles, UnknownBundle, UnsupportedFamily
-from .poly import Poly
+from .chern_ring import TRUNCATION_LIMIT, RingClass
+from .errors import (
+    TruncationTooHigh,
+    UnequalBundles,
+    UnknownBundle,
+    UnsupportedFamily,
+)
+from .poly import Poly, VarTable
 
 
 def xi_name(level):
@@ -68,9 +73,16 @@ class Tower:
             self.line_coeffs.append([list(map(int, c)) for c in lines])
         self.ranks = [len(lines) for lines in self.line_coeffs]
         self.dimension = sum(r - 1 for r in self.ranks)
+        if self.dimension > TRUNCATION_LIMIT:
+            raise TruncationTooHigh(
+                f"tower dimension {self.dimension} exceeds the limit of "
+                f"{TRUNCATION_LIMIT}")
         self.bound = self.dimension
         self._below = None
-        self.grades = {xi_name(j + 1): 1 for j in range(len(self.ranks))}
+        # The levels in order: the top level's field is the lowest, so
+        # push_level moves a cofactor to the tower below with a shift.
+        self.grades = VarTable(
+            {xi_name(j + 1): 1 for j in range(len(self.ranks))}, self.bound)
         self._line_polys = [
             [self._linear_form(coeffs) for coeffs in lines]
             for lines in self.line_coeffs

@@ -32,7 +32,7 @@ from .errors import (
     NotSymmetric,
     UnitPartNotOne,
 )
-from .poly import Poly, PowerSeries
+from .poly import Poly, PowerSeries, VarTable
 
 
 def elem_sym(k, variables, grades, bound):
@@ -56,33 +56,60 @@ def chern_var(index, label=""):
     return f"c{index}({label})" if label else f"c{index}"
 
 
-def _swap_adjacent(p, a, b):
-    return p.rename({a: b, b: a})
+def _block_fields(p, blocks):
+    """For each block, the bit positions of its variables' exponent fields
+    in p's packed monomials.  A variable missing from p's table gets a
+    position above the degree field, where every monomial reads 0."""
+    table = p.grades
+    nowhere = table.dshift + table.width
+    return [[table.shift.get(v, nowhere) for v in variables]
+            for _, variables in blocks]
+
+
+def _orbit_size(key):
+    """The number of monomials in the orbit of one exponent tuple per
+    block under the permutations within each block."""
+    size = 1
+    for lam in key:
+        size *= math.factorial(len(lam))
+        for e in set(lam):
+            size //= math.factorial(lam.count(e))
+    return size
+
+
+def _orbits(p, blocks):
+    """The terms of p grouped by orbit: one exponent tuple per block,
+    sorted decreasingly (the orbit's dominant monomial) -> the orbit's
+    common numerator.  Raises NotSymmetric unless every orbit met holds
+    all its monomials with one coefficient, which is invariance under the
+    permutations within each block."""
+    fields = _block_fields(p, blocks)
+    mask = p.grades.mask
+    orbits = {}
+    for m, n in p.nums.items():
+        key = tuple(tuple(sorted((m >> s & mask for s in shifts), reverse=True))
+                    for shifts in fields)
+        seen = orbits.get(key)
+        if seen is None:
+            orbits[key] = [n, 1]
+        elif seen[0] != n:
+            raise NotSymmetric(
+                f"unequal coefficients on the orbit of exponents {key}")
+        else:
+            seen[1] += 1
+    for key, (_, count) in orbits.items():
+        if count != _orbit_size(key):
+            raise NotSymmetric(
+                f"the orbit of exponents {key} has {count} of its "
+                f"{_orbit_size(key)} monomials")
+    return {key: n for key, (n, _) in orbits.items()}
 
 
 def check_block_symmetry(p, blocks):
     """Raise NotSymmetric unless p is invariant under permutations within
-    each block.  Invariance under adjacent transpositions generates the
-    full symmetric group, so checking those suffices."""
-    for _, variables in blocks:
-        for a, b in zip(variables, variables[1:]):
-            if _swap_adjacent(p, a, b) != p:
-                raise NotSymmetric(
-                    f"not invariant under swapping {a!r} and {b!r}")
-
-
-def _dominant_key(mono, where, shapes):
-    """The monomial's exponents as one tuple per block, in block order, or
-    None unless they weakly decrease along every block."""
-    exps = [[0] * r for r in shapes]
-    for v, e in mono:
-        block, i = where[v]
-        exps[block][i] = e
-    for lam in exps:
-        for a, b in zip(lam, lam[1:]):
-            if a < b:
-                return None
-    return tuple(map(tuple, exps))
+    each block.  One pass over the terms: each is filed under its orbit,
+    and every orbit must be whole, with one coefficient."""
+    _orbits(p, blocks)
 
 
 def _times_e(f, i, r):
@@ -141,29 +168,26 @@ def to_chern_basis(p, blocks):
     The rewriting is the classical lexicographic reduction, run in
     partition space.  A polynomial symmetric within each block is
     determined by its dominant terms, those whose exponents weakly
-    decrease along every block; the leading term is one of them.  So only
-    the dominant terms are kept, keyed by one partition per block, and
-    subtracting the product e_1^{l_1 - l_2} ... e_r^{l_r} matching the
+    decrease along every block; the leading term is one of them.  So the
+    terms are grouped by orbit in one pass, which also checks the
+    symmetry, and only each orbit's dominant term is kept, keyed by one
+    partition per block; subtracting the product e_1^{l_1 - l_2} ... e_r^{l_r} matching the
     lead l strictly lowers it.  The dominant part of each such product is
     built once per block and call, from the product with one fewer factor
     (``_times_e``), and across blocks the products are outer products.
     """
-    where = {}
-    shapes = []
-    for b, (label, variables) in enumerate(blocks):
-        for i, v in enumerate(variables):
-            if v in where:
+    seen = set()
+    for _, variables in blocks:
+        for v in variables:
+            if v in seen:
                 raise ValueError(f"variable {v!r} appears in two blocks")
             if p.grades.get(v, 1) != 1:
                 raise ValueError(
                     f"block variable {v!r} has grade {p.grades[v]}, not 1")
-            where[v] = b, i
-        shapes.append(len(variables))
-    stray = p.variables() - where.keys()
+            seen.add(v)
+    stray = p.variables() - seen
     if stray:
         raise ValueError(f"variables {sorted(stray)} belong to no block")
-
-    check_block_symmetry(p, blocks)
 
     out_grades = {}
     symbols = []
@@ -172,12 +196,9 @@ def to_chern_basis(p, blocks):
         out_grades.update(zip(names, range(1, len(names) + 1)))
         symbols.append(names)
 
-    rem = {}
-    for mono, n in p.nums.items():
-        key = _dominant_key(mono, where, shapes)
-        if key is not None:
-            rem[key] = n
-    tables = [{(0,) * r: {(0,) * r: 1}} for r in shapes]
+    # Each orbit's common coefficient, keyed by its dominant monomial.
+    rem = _orbits(p, blocks)
+    tables = [{(0,) * len(vs): {(0,) * len(vs): 1}} for _, vs in blocks]
     image = {}
     while rem:
         lead = max(rem)
@@ -203,7 +224,7 @@ def to_chern_basis(p, blocks):
 
 
 def _internal_roots(r, bound):
-    grades = {f"t{j}": 1 for j in range(1, r + 1)}
+    grades = VarTable({f"t{j}": 1 for j in range(1, r + 1)}, bound)
     return [Poly.var(f"t{j}", grades, bound) for j in range(1, r + 1)], grades
 
 

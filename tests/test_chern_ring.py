@@ -7,6 +7,7 @@ import pytest
 
 from chowline.charclass import VirtualBundle
 from chowline.chern_ring import (
+    TRUNCATION_LIMIT,
     BundleDecl,
     Setup,
     chern_class,
@@ -20,8 +21,8 @@ from chowline.chern_ring import (
     total_chern_class,
     whitney_expand,
 )
-from chowline.errors import Truncated, UnknownBundle
-from chowline.poly import Poly
+from chowline.errors import Truncated, TruncationTooHigh, UnknownBundle
+from chowline.poly import MIN_FIELD_BITS, Poly
 
 
 def make_setup(**ranks):
@@ -377,6 +378,25 @@ def test_setup_json_round_trip():
 def test_setup_requires_headroom_over_relative_dimension():
     with pytest.raises(ValueError):
         Setup([BundleDecl("E", 2)], relative_dimension=3, truncation=3)
+
+
+def test_setup_truncation_is_capped():
+    # Refused before any class is built; the limit itself is accepted.
+    with pytest.raises(TruncationTooHigh):
+        Setup([BundleDecl("E", 2)], truncation=TRUNCATION_LIMIT + 1)
+    s = Setup([BundleDecl("E", 2)], truncation=TRUNCATION_LIMIT)
+    assert s.truncation == TRUNCATION_LIMIT
+    # Every ring within the limit has fields of one width.
+    assert TRUNCATION_LIMIT < 1 << MIN_FIELD_BITS
+    assert s.grades.width == MIN_FIELD_BITS
+
+
+def test_classes_of_a_setup_share_its_table():
+    s = make_setup(E=2, L=1)
+    c = chern_class(s, "E", 2) * chern_class(s, "L", 1) + s.const(3)
+    assert c.poly.grades is s.grades
+    assert dict(s.grades) == {"E.1": 1, "E.2": 1, "L.1": 1}
+    assert list(s.grades) == s.root_vars("E") + s.root_vars("L")
 
 
 # ------------------------------------------------------------ equality

@@ -333,6 +333,51 @@ def test_fractional_bundle_degree_is_refused(capsys):
                        capsys)
 
 
+@pytest.fixture()
+def truncation_limit_3(monkeypatch):
+    """TRUNCATION_LIMIT lowered to 3 wherever it is read, so that requests
+    above it stay small if the cap were not enforced."""
+    from chowline import chern_ring, dcoh, pushforward
+    for module in (chern_ring, pushforward, dcoh):
+        monkeypatch.setattr(module, "TRUNCATION_LIMIT", 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "segre", "--truncation", "4"],
+    ["verify", "borel-serre", "--rank", "4"],
+    ["verify", "hrr", "--rank", "4"],
+    ["deligne", "--fiber", "3", "--bundles", "[[1,0],[0,1],[1,1],[2,0]]"],
+    ["grr", "--fiber", "1,2", "--bundle", "[1,1,0]"],
+    ["verify", "c1-pairing", "--fiber", "2", "--base", "2",
+     "--bundles", "[[1,0],[0,1],[1,1]]"],
+])
+def test_requests_above_the_truncation_limit_are_refused(
+        argv, truncation_limit_3, capsys):
+    assert_usage_error(argv + ["--json"], capsys)
+
+
+def test_truncation_variable_above_the_limit_is_refused(
+        truncation_limit_3, capsys, monkeypatch):
+    monkeypatch.setenv("CHOWLINE_TRUNCATION", "4")
+    assert_usage_error(["verify", "dual", "--json"], capsys)
+
+
+def test_setup_file_truncation_above_the_limit_is_refused(
+        truncation_limit_3, tmp_path, capsys):
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps({"bundles": [{"name": "E", "rank": 2}],
+                                "truncation": 4}))
+    assert_usage_error(["eval", "c(1,E)", "--setup", str(path)], capsys)
+    assert main(["eval", "c(1,E)", "--setup", str(path), "--truncation", "3",
+                 "--json"]) == 0
+
+
+def test_requests_at_the_truncation_limit_run(truncation_limit_3, capsys):
+    assert main(["verify", "segre", "--truncation", "3", "--json"]) == 0
+    assert main(["deligne", "--fiber", "2", "--bundles",
+                 "[[1,0],[0,1],[1,1]]", "--json"]) == 0
+
+
 def test_non_integer_truncation_variable_is_refused(capsys, monkeypatch):
     monkeypatch.setenv("CHOWLINE_TRUNCATION", "eight")
     assert_usage_error(["verify", "dual", "--json"], capsys)

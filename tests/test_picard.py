@@ -17,8 +17,6 @@ from chowline.picard import (
     MonoidPresentation,
     PicardInvariants,
     equivalence_check,
-    formal_object,
-    formal_zero,
     gq_pair_product,
     grothendieck_group,
     homomorphism_is_isomorphism,
@@ -26,12 +24,12 @@ from chowline.picard import (
     lattice_contains,
     mat_mul,
     nat_transform_torsor,
-    pair_class,
     picardify,
     rationalize,
     smith_normal_form,
     solve_integer_system,
 )
+from chowline.poly import Poly
 
 
 # --------------------------------------------------------------------- SNF
@@ -402,6 +400,25 @@ def test_equivalence_rejects_non_homomorphism():
 
 
 # ------------------------------------------------------------ pair product
+
+# Formal object classes: monomial generators of the object semiring, in a
+# truncation high enough for every product below.
+_FORMAL_BOUND = 64
+
+
+def formal_object(name):
+    return Poly.var(name, {name: 1}, _FORMAL_BOUND)
+
+
+def formal_zero():
+    return Poly.zero({}, _FORMAL_BOUND)
+
+
+def pair_class(pair):
+    """The class second - first of a difference pair."""
+    first, second = pair
+    return second - first
+
 
 def test_pair_product_positive_times_positive():
     A, B = formal_object("A"), formal_object("B")

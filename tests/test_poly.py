@@ -10,7 +10,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chowline.poly import Poly, weighted_degree
+from chowline.poly import Poly, VarTable, weighted_degree
 
 VARS = ("x", "y", "z")
 GRADES = {"x": 1, "y": 1, "z": 2}
@@ -131,7 +131,14 @@ def assert_canonical(p):
     assert gcd(p.den, *p.nums.values()) == 1
     if not p.nums:
         assert p.den == 1
-    assert all(weighted_degree(m, p.grades) <= p.bound for m in p.nums)
+    # Each key is the packed form of its monomial, whose weighted degree,
+    # read from the top field, is within the bound the table can hold.
+    table = p.grades
+    assert isinstance(table, VarTable) and p.bound <= table.mask
+    for m in p.nums:
+        mono = table.decode(m)
+        assert table.encode(mono) == m
+        assert weighted_degree(mono, table) == m >> table.dshift <= p.bound
 
 
 @settings(max_examples=80, deadline=None)
@@ -283,3 +290,172 @@ def test_evaluation_needs_every_variable_of_the_polynomial():
         p.evaluate({"x": 2})
     with pytest.raises(TypeError):
         p.evaluate({"x": 2, "y": 0.5})
+
+
+# -- the packed kernel against tuple monomials --------------------------------
+
+# Two tables of grades 1-3 that share u and w, in different orders; the
+# last variable of A is w, so splitting off w moves cofactors by a shift.
+TABLE_A = {"u": 1, "v": 2, "w": 3}
+TABLE_B = {"s": 1, "w": 3, "u": 1}
+# Bounds on both sides of every field width: 2**k - 1 fills a field of k
+# bits, 2**k needs one more.
+EDGE_BOUNDS = (0, 1, 2, 3, 5, 8, 15, 16, 31, 32, 63, 64)
+
+
+def ref_canonical(pairs):
+    exps = {}
+    for v, e in pairs:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def ref_terms(terms, grades, bound):
+    """Tuple terms with nonzero Fraction coefficients, within the bound."""
+    return {m: Fraction(c) for m, c in terms.items()
+            if c and weighted_degree(m, grades) <= bound}
+
+
+def ref_mul(a, b, grades, bound):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = ref_canonical(m1 + m2)
+            if weighted_degree(m, grades) <= bound:
+                out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_add(a, b, grades, bound):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return ref_terms(out, grades, bound)
+
+
+@st.composite
+def table_terms(draw, grades, bound, edge):
+    """Up to five terms of a few variables of ``grades`` with exponents up
+    to the bound (some land beyond it), plus ``edge``, one variable's
+    power, with coefficient 1."""
+    names = sorted(grades)
+    factor = st.tuples(st.sampled_from(names), st.integers(1, max(bound, 1) + 1))
+    monos = st.lists(factor, max_size=3).map(ref_canonical)
+    coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    terms = draw(st.dictionaries(monos, coeffs, max_size=5))
+    terms[edge] = Fraction(1)
+    return terms
+
+
+@st.composite
+def packed_cases(draw):
+    """Two operands whose product has a term exactly at the bound in which
+    one variable, u or w, carries the whole degree: u^k times
+    u^(bound - k), or the same in w when 3 divides the bound.  The second
+    operand is in the first one's table, in another table object of the
+    same grades, or in table B; its bound is the same or higher."""
+    bound = draw(st.sampled_from(EDGE_BOUNDS))
+    name, grade = draw(st.sampled_from(
+        [("u", 1)] + ([("w", 3)] if bound % 3 == 0 else [])))
+    k = draw(st.integers(0, bound // grade))
+    a_edge = ((name, k),) if k else ()
+    b_edge = ((name, bound // grade - k),) if bound // grade - k else ()
+    b_bound = draw(st.sampled_from([bound, bound + 1, 2 * bound + 1]))
+    which = draw(st.sampled_from(["same", "twin", "other"]))
+    b_grades = TABLE_B if which == "other" else TABLE_A
+    ta = draw(table_terms(TABLE_A, bound, a_edge))
+    tb = draw(table_terms(b_grades, b_bound, b_edge))
+    a = Poly.make(ta, TABLE_A, bound)
+    b_table = VarTable(TABLE_A, b_bound) if which == "twin" else b_grades
+    b = Poly.make(tb, b_table, b_bound)
+    return a, ref_terms(ta, TABLE_A, bound), b, ref_terms(tb, b_grades, b_bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_cases(), st.sampled_from(sorted(TABLE_A)), st.integers(0, 3),
+       st.fixed_dictionaries({v: VALUES for v in ("s", "u", "v", "w")}))
+def test_packed_kernel_matches_tuple_reference(case, name, r, point):
+    a, ra, b, rb = case
+    both = {**TABLE_A, **TABLE_B}
+    bound = min(a.bound, b.bound)
+    assert dict(a.terms) == ra and dict(b.terms) == rb
+
+    product = ref_mul(ra, rb, both, bound)
+    assert dict((a * b).terms) == product and (a * b).bound == bound
+    assert dict((a + b).terms) == ref_add(ra, rb, both, bound)
+    assert dict((b - a).terms) == ref_add(rb, {m: -c for m, c in ra.items()},
+                                          both, bound)
+    for p in (a * b, a + b):
+        assert_canonical(p)
+        if a.grades is b.grades:  # one table: no re-encoding
+            assert p.grades is a.grades
+
+    parts = (a * b).graded_parts()
+    assert {k: dict(p.terms) for k, p in parts.items()} == {
+        k: {m: c for m, c in product.items() if weighted_degree(m, both) == k}
+        for k in {weighted_degree(m, both) for m in product}}
+    for k in range(bound + 2):
+        assert (a * b).graded_part(k) == parts.get(k, 0)
+
+    # Split a by its exponent of one variable, with the cofactors in A's
+    # table without that variable: a shift for w, a re-encoding otherwise.
+    rest = {v: g for v, g in TABLE_A.items() if v != name}
+    low, high = a.split_powers(name, r, rest, a.bound)
+    assert dict(low.terms) == {m: c for m, c in ra.items()
+                               if dict(m).get(name, 0) < r}
+    expected = {}
+    for m, c in ra.items():
+        e = dict(m).get(name, 0)
+        if e >= r:
+            expected.setdefault(e, {})[tuple(p for p in m if p[0] != name)] = c
+    assert {e: dict(h.terms) for e, h in high.items()} == expected
+    assert all(name not in h.grades and h.bound == a.bound
+               for h in high.values())
+
+    assert (a * b).evaluate(point) == sum(
+        (c * reference_value(Poly.make({m: 1}, both, bound), point)
+         for m, c in product.items()), Fraction(0))
+
+
+def test_grades_are_a_shared_read_only_table():
+    x = Poly.var("x", GRADES, 4)
+    y = Poly.var("y", dict(GRADES), 4)
+    assert x.grades is y.grades  # equal grade dicts share one table
+    assert (x * y).grades is x.grades and (x + y).grades is x.grades
+    table = x.grades
+    assert table["z"] == 2 and table.get("w") is None and "y" in table
+    assert dict(table.items()) == GRADES and list(table) == list(GRADES)
+    with pytest.raises(TypeError):
+        table["x"] = 5
+    # A table too narrow for a bound is replaced by a wider one.
+    assert Poly.var("x", table, 1 << 8).grades is not table
+
+
+def test_two_tables_combine_in_their_union():
+    x = Poly.var("x", {"x": 1, "y": 1}, 4)
+    t = Poly.var("t", {"t": 3, "x": 1}, 6)
+    total = x * t + x
+    assert dict(total.grades) == {"x": 1, "y": 1, "t": 3}
+    assert dict(total.terms) == {(("t", 1), ("x", 1)): 1, (("x", 1),): 1}
+    assert total.bound == 4
+    with pytest.raises(ValueError):
+        x + Poly.var("x", {"x": 2}, 4)
+
+
+def test_term_count_decodes_nothing(monkeypatch):
+    p = Poly.make({(("x", 1),): Fraction(1, 3), (("y", 2),): 1}, GRADES, 4)
+
+    def refuse(self, m):
+        raise AssertionError("decoded")
+
+    monkeypatch.setattr(VarTable, "decode", refuse)
+    assert len(p.terms) == 2 and len(p.monomials()) == 2
+
+
+def test_tuple_spellings_of_one_monomial_add_up():
+    # Unsorted and zero-exponent spellings pack to the same monomial.
+    p = Poly.make({(("y", 1), ("x", 1)): 1, (("x", 1), ("y", 1)): 2,
+                   (("x", 0),): 5, (): Fraction(1, 2)}, GRADES, 4)
+    assert dict(p.terms) == {(("x", 1), ("y", 1)): 3, (): Fraction(11, 2)}
+    assert p.coefficient((("y", 1), ("x", 1))) == 3
+    assert p.coefficient((("q", 1),)) == 0 and p.coefficient((("x", 9),)) == 0

@@ -8,14 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowline.charclass import VirtualBundle
-from chowline.chern_ring import ChernSeries, Setup
+from chowline.chern_ring import TRUNCATION_LIMIT, ChernSeries, Setup
 from chowline.dcoh import (
     FamilyDescriptor,
     MultidegreeLineBundle,
     chi_projective_space,
     pairing_tower,
 )
-from chowline.errors import UnequalBundles, UnknownBundle, UnsupportedFamily
+from chowline.errors import (
+    TruncationTooHigh,
+    UnequalBundles,
+    UnknownBundle,
+    UnsupportedFamily,
+)
 from chowline.poly import Poly
 from chowline.pushforward import (
     Tower,
@@ -332,6 +337,20 @@ def test_push_level_reuses_the_tower_below():
     assert first.tower is second.tower is t.drop_top()
     assert first == first.tower.const(1)
     assert second == first.tower.xi(1)
+    # The cofactors are keyed in the table of the tower below.
+    assert first.poly.grades is second.poly.grades is t.drop_top().grades
+
+
+def test_tower_dimension_is_capped():
+    # Refused before any power table is built.
+    with pytest.raises(TruncationTooHigh):
+        Tower.projective_space(TRUNCATION_LIMIT + 1)
+    with pytest.raises(TruncationTooHigh):
+        Tower.product_of_projective_spaces([1, TRUNCATION_LIMIT])
+    # A family is refused before its cohomology is summed.
+    with pytest.raises(TruncationTooHigh):
+        FamilyDescriptor((TRUNCATION_LIMIT - 2, 2), 1)
+    assert Tower.projective_space(TRUNCATION_LIMIT).dimension == TRUNCATION_LIMIT
 
 
 def test_number_minus_class():

@@ -14,6 +14,7 @@ from chowline.errors import (
 )
 from chowline.poly import Poly, PowerSeries
 from chowline.symfun import (
+    check_block_symmetry,
     chern_var,
     elem_sym,
     exp_minus_one_series,
@@ -253,6 +254,46 @@ def _random_block_symmetric(rng, variables, grades, bound):
         p = p + _monomial_symmetric(sorted(parts, reverse=True), variables,
                                     grades, bound) * coeff
     return p
+
+
+def _swap_invariant(p, blocks):
+    """Invariance under each adjacent transposition within a block, which
+    generate the permutations of the block."""
+    return all(p.rename({a: b, b: a}) == p
+               for _, variables in blocks
+               for a, b in zip(variables, variables[1:]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(["symmetric", "term", "random"]))
+def test_block_symmetry_check_matches_adjacent_swaps(seed, kind):
+    # Symmetric products, the same plus one term (symmetric again only
+    # when the term is alone in its orbit), and unstructured polynomials.
+    rng = random.Random(seed)
+    blocks = [("A", ["a1", "a2", "a3"]), ("B", ["b1", "b2"])]
+    names = [v for _, vs in blocks for v in vs]
+    grades, bound = ring(*names, bound=5)
+
+    def term():
+        mono = tuple(sorted((v, rng.randint(1, 2))
+                            for v in rng.sample(names, rng.randint(0, 3))))
+        return Poly.make({mono: rng.randint(-3, 3)}, grades, bound)
+
+    if kind == "random":
+        p = Poly.zero(grades, bound)
+        for _ in range(rng.randint(0, 6)):
+            p = p + term()
+    else:
+        p = (_random_block_symmetric(rng, blocks[0][1], grades, bound)
+             * _random_block_symmetric(rng, blocks[1][1], grades, bound))
+        if kind == "term":
+            p = p + term()
+    try:
+        check_block_symmetry(p, blocks)
+    except NotSymmetric:
+        assert not _swap_invariant(p, blocks)
+    else:
+        assert _swap_invariant(p, blocks)
 
 
 def _to_sympy(p, names=None):
