@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .chern_ring import TRUNCATION_LIMIT
@@ -110,8 +109,12 @@ def chi_projective_space(n, d):
 
 def fiber_cohomology_dims(fam, bundle):
     """Graded dimensions of H^*(fiber, O(d)) by the Kunneth formula."""
+    return _kunneth_dims(fam.fiber, bundle.fiber_degrees)
+
+
+def _kunneth_dims(fiber, degrees):
     total = [1]
-    for n, d in zip(fam.fiber, bundle.fiber_degrees):
+    for n, d in zip(fiber, degrees):
         factor = cohomology_dims(n, d)
         merged = [0] * (len(total) + len(factor) - 1)
         for i, a in enumerate(total):
@@ -121,6 +124,12 @@ def fiber_cohomology_dims(fam, bundle):
                 merged[i + j] += a * b
         total = merged
     return total
+
+
+def _fiber_chi(fiber, degrees):
+    """chi(fiber, O(d)): the alternating sum of the Kunneth dimensions."""
+    dims = _kunneth_dims(fiber, degrees)
+    return sum((-1) ** k * h for k, h in enumerate(dims))
 
 
 def det_Rf_degree(fam, bundle):
@@ -133,8 +142,7 @@ def det_Rf_degree(fam, bundle):
     if len(bundle.fiber_degrees) != len(fam.fiber):
         raise UnsupportedFamily(
             "bundle multidegree does not match the number of fiber factors")
-    dims = fiber_cohomology_dims(fam, bundle)
-    chi = sum((-1) ** k * h for k, h in enumerate(dims))
+    chi = _fiber_chi(fam.fiber, bundle.fiber_degrees)
     return GradedLineDegree(rank=chi, degree=bundle.base_twist * chi)
 
 
@@ -145,6 +153,10 @@ def deligne_pairing_degree(fam, bundles):
     {0..n} of det Rf_*(tensor of the L_i, i in I), with exponent
     (-1)^{n+1-|I|}.  Returns (degree, alternating_rank_sum); the rank sum
     must vanish, the pairing being an honest ungraded line bundle.
+
+    The multidegrees of all 2^(n+1) subsets are built as integer tuples,
+    one doubling step per bundle: entry ``mask | 1 << i`` is entry
+    ``mask`` plus L_i, and its sign the opposite of entry ``mask``'s.
     """
     n = fam.fiber_dimension
     if len(bundles) != n + 1:
@@ -152,17 +164,20 @@ def deligne_pairing_degree(fam, bundles):
             f"a fiber of dimension {n} pairs exactly {n + 1} line bundles, "
             f"got {len(bundles)}")
     t = len(fam.fiber)
+    sums = [(0,) * (t + 1)]
+    signs = [(-1) ** (n + 1)]
+    for bundle in bundles:
+        if len(bundle.fiber_degrees) != t:
+            raise ValueError("multidegree length mismatch")
+        v = bundle.fiber_degrees + (bundle.base_twist,)
+        sums += [tuple(a + b for a, b in zip(s, v)) for s in sums]
+        signs += [-sign for sign in signs]
     degree = 0
     rank_sum = 0
-    for size in range(n + 2):
-        sign = (-1) ** (n + 1 - size)
-        for subset in combinations(range(n + 1), size):
-            total = MultidegreeLineBundle.zero(t)
-            for i in subset:
-                total = total + bundles[i]
-            data = det_Rf_degree(fam, total)
-            degree += sign * data.degree
-            rank_sum += sign * data.rank
+    for s, sign in zip(sums, signs):
+        chi = sign * _fiber_chi(fam.fiber, s[:t])
+        degree += chi * s[t]
+        rank_sum += chi
     return degree, rank_sum
 
 

@@ -12,12 +12,12 @@ integer numerators over one positive common denominator, in lowest terms
 polynomial has denominator 1).  Sums, products and scalings therefore do
 integer arithmetic only, plus one gcd reduction per result, and
 ``evaluate`` divides once.  Outside this module only
-``symfun.to_chern_basis`` and ``symfun.check_block_symmetry`` read that
-form, to reduce integer numerators over ``den`` and to read exponents
-with the table's shifts and mask; everything else sees ``Poly.terms``,
-which presents each coefficient as an ``int`` when it is integral and a
-``Fraction`` otherwise.  ``PowerSeries`` keeps ``Fraction``
-coefficients, since inversion divides.
+``symfun.to_chern_basis``, ``symfun.check_block_symmetry`` and the tower
+kernel of ``pushforward`` read that form, to reduce integer numerators
+over ``den`` and to read or add packed monomials; everything else sees
+``Poly.terms``, which presents each coefficient as an ``int`` when it is
+integral and a ``Fraction`` otherwise.  ``PowerSeries`` keeps
+``Fraction`` coefficients, since inversion divides.
 
 Monomials are packed exponent vectors (Monagan and Pearce, *Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors*, CASC

@@ -153,6 +153,50 @@ def test_untwisted_trivial_entry():
     assert degree == 0 and rank_sum == 0
 
 
+def _pairing_by_subsets(fam, bundles):
+    """The pairing degree as the oracle first computed it: one
+    ``combinations`` loop per subset size, summing the bundles of each
+    subset with ``MultidegreeLineBundle.__add__``."""
+    import itertools
+    n = fam.fiber_dimension
+    degree = rank_sum = 0
+    for size in range(n + 2):
+        sign = (-1) ** (n + 1 - size)
+        for subset in itertools.combinations(range(n + 1), size):
+            total = MultidegreeLineBundle.zero(len(fam.fiber))
+            for i in subset:
+                total = total + bundles[i]
+            data = det_Rf_degree(fam, total)
+            degree += sign * data.degree
+            rank_sum += sign * data.rank
+    return degree, rank_sum
+
+
+# The eight family shapes of the benchmark's towers-pairing workload.
+FAMILY_SHAPES = [((1,), 1), ((2,), 1), ((1, 1), 1), ((3,), 1),
+                 ((1,), 2), ((2,), 2), ((1, 1), 2), ((3,), 2)]
+
+
+@pytest.mark.parametrize("fiber,base", FAMILY_SHAPES)
+def test_pairing_degree_matches_the_subset_loop(fiber, base):
+    import random
+    rng = random.Random(str((fiber, base)))
+    fam = FamilyDescriptor(fiber, base)
+    for _ in range(25):
+        bundles = [L(*(rng.randint(-4, 4) for _ in range(len(fiber) + 1)))
+                   for _ in range(fam.fiber_dimension + 1)]
+        assert (deligne_pairing_degree(fam, bundles)
+                == _pairing_by_subsets(fam, bundles))
+
+
+def test_pairing_degree_refuses_a_multidegree_of_the_wrong_length():
+    fam = FamilyDescriptor((1, 1), 1)
+    with pytest.raises(ValueError):
+        deligne_pairing_degree(fam, [L(1, 0, 1), L(0, 1, 0), L(2, 1)])
+    with pytest.raises(ValueError):
+        deligne_pairing_degree(fam, [L(1, 1), L(0, 1), L(2, 1)])
+
+
 # --------------------------------------------------------- c1_pairing_check
 
 def test_c1_pairing_unit_example():

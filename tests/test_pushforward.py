@@ -342,7 +342,7 @@ def test_push_level_reuses_the_tower_below():
 
 
 def test_tower_dimension_is_capped():
-    # Refused before any power table is built.
+    # Refused before the levels' relations are built.
     with pytest.raises(TruncationTooHigh):
         Tower.projective_space(TRUNCATION_LIMIT + 1)
     with pytest.raises(TruncationTooHigh):
