@@ -20,6 +20,13 @@ An additive class phi acts by phi_0 * rank + sum over roots of the
 positive part; a multiplicative class psi (psi(0) = 1) acts by the product
 of psi(root); a summand of negative multiplicity takes 1/psi, inverted
 once as a univariate series, at each of its roots.
+
+Every series is a ``PowerSeries``, integer numerators over one
+denominator, and every application to a root goes through
+``PowerSeries.apply_to``, which needs no polynomial product for a
+one-term root (a declared root, its negation, ``xi_j``).  The series of
+``ch``, ``td`` and ``td*`` come from ``symfun``, which builds each once
+per order and shares it; a series is immutable, so sharing is safe.
 """
 
 from __future__ import annotations

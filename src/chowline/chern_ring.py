@@ -26,17 +26,36 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from .errors import Truncated, TruncationTooHigh, UnknownBundle
+from .errors import SetupTooLarge, Truncated, TruncationTooHigh, UnknownBundle
 from .poly import Poly, VarTable
 from .symfun import elem_sym, series_invert, to_chern_basis
 
 
 # The work of a class grows steeply with the truncation: the rank-4
-# Borel-Serre check takes about 0.02 s at truncation 8, 0.16 s at 12 and
-# 0.8 s at 16 (one call in process, 2-vCPU VM).  Every shipped workload
+# Borel-Serre check takes about 0.007 s at truncation 8, 0.07 s at 12 and
+# 0.43 s at 16 (one call in process, 2-vCPU VM).  Every shipped workload
 # uses 4 to 8.  A setup of higher truncation, and a tower or family of
 # higher dimension, is refused.
 TRUNCATION_LIMIT = 16
+
+# Within that truncation the rank is bounded too: a setup whose Chern roots
+# have more monomials of degree at most the truncation than this,
+# comb(roots + truncation, truncation), is refused before any work, for
+# that count bounds the terms of every element of its ring.  ``eval
+# "td(E)"`` and ``eval "td(E)*ch(E)"`` on one bundle at truncation 8, time
+# and peak RSS of one process each (2-vCPU VM):
+#
+#   rank  monomials  td(E)            td(E)*ch(E)
+#     8      12,870  0.02 s   19 MB   0.04 s   21 MB
+#    10      43,758  0.06 s   25 MB   0.15 s   29 MB
+#    12     125,970  0.20 s   38 MB   0.48 s   55 MB
+#    14     319,770  0.63 s   85 MB   1.4 s   109 MB
+#    16     735,471  1.7 s   170 MB   4.0 s   279 MB
+#
+# and ``td(E)`` at rank 24 runs out of memory under a 1 GB ``ulimit -v``.
+# The largest setup of the tests and the benchmark catalogue has 10 roots
+# at truncation 8.
+ROOT_MONOMIAL_LIMIT = 65_536
 
 
 @dataclass(frozen=True)
@@ -78,6 +97,13 @@ class Setup:
             raise TruncationTooHigh(
                 f"truncation {truncation} exceeds the limit of "
                 f"{TRUNCATION_LIMIT}")
+        roots = sum(b.rank for b in decls)
+        monomials = comb(roots + truncation, truncation)
+        if monomials > ROOT_MONOMIAL_LIMIT:
+            raise SetupTooLarge(
+                f"{roots} Chern roots at truncation {truncation} span "
+                f"{monomials} monomials, above the limit of "
+                f"{ROOT_MONOMIAL_LIMIT}")
         self.bundles = {b.name: b for b in decls}
         self.relative_dimension = relative_dimension
         self.truncation = truncation
@@ -251,13 +277,6 @@ def chern_class(setup, name, k):
     vars_ = setup.root_vars(name)
     return ChernSeries(
         setup, elem_sym(k, vars_, setup.grades, setup.truncation))
-
-
-def total_chern_class(setup, name):
-    total = setup.const(1)
-    for k in range(1, setup.rank(name) + 1):
-        total = total + chern_class(setup, name, k)
-    return total
 
 
 def whitney_expand(setup, first, second, k):

@@ -544,11 +544,12 @@ def _parse_rank_list(text):
 
 
 def _chern_degrees(args, setup, default, low=0):
-    """The Chern degrees a verifier checks: ``default`` without --degree,
-    else [--degree], which must be at least ``low`` and at most the
-    truncation, above which both sides truncate to 0."""
+    """The Chern degrees a verifier checks: those of ``default`` up to the
+    truncation without --degree, else [--degree], which must be at least
+    ``low`` and at most the truncation.  Above the truncation both sides
+    truncate to 0, so such a degree would check nothing."""
     if args.degree is None:
-        return default
+        return [k for k in default if k <= setup.truncation]
     if args.degree < low:
         raise ValidationError(f"--degree must be at least {low}, got {args.degree}")
     if args.degree > setup.truncation:

@@ -107,11 +107,6 @@ def chi_projective_space(n, d):
     return int(chi)
 
 
-def fiber_cohomology_dims(fam, bundle):
-    """Graded dimensions of H^*(fiber, O(d)) by the Kunneth formula."""
-    return _kunneth_dims(fam.fiber, bundle.fiber_degrees)
-
-
 def _kunneth_dims(fiber, degrees):
     total = [1]
     for n, d in zip(fiber, degrees):

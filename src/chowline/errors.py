@@ -47,6 +47,11 @@ class TruncationTooHigh(ChowlineError):
     ``chern_ring.TRUNCATION_LIMIT``."""
 
 
+class SetupTooLarge(ChowlineError):
+    """A setup's root monomials up to its truncation outnumber
+    ``chern_ring.ROOT_MONOMIAL_LIMIT``."""
+
+
 # --- towers and families ---
 
 class UnequalBundles(ChowlineError):

@@ -16,8 +16,10 @@ integer arithmetic only, plus one gcd reduction per result, and
 kernel of ``pushforward`` read that form, to reduce integer numerators
 over ``den`` and to read or add packed monomials; everything else sees
 ``Poly.terms``, which presents each coefficient as an ``int`` when it is
-integral and a ``Fraction`` otherwise.  ``PowerSeries`` keeps
-``Fraction`` coefficients, since inversion divides.
+integral and a ``Fraction`` otherwise.  ``PowerSeries`` is held the same
+way, integer numerators over one denominator, and is immutable; its
+``apply_to`` substitutes a polynomial into it with integer arithmetic
+only.
 
 Monomials are packed exponent vectors (Monagan and Pearce, *Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors*, CASC
@@ -171,14 +173,6 @@ def _recode(nums, src, dst, bound):
                     new += e * unit
             out[new] = n
     return out
-
-
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
 
 
 def _num_den(x):
@@ -648,92 +642,166 @@ class _Terms(Mapping):
         return repr(self._dict())
 
 
-def weighted_degree(mono, grades):
-    # A plain loop: on the one- to three-variable monomials of this
-    # package it runs about three times faster than sum() of a generator.
-    degree = 0
-    for v, e in mono:
-        degree += grades[v] * e
-    return degree
-
-
 class PowerSeries:
-    """A univariate power series truncated at order D, held as a coefficient
-    list of length D+1 (index = exponent)."""
+    """A univariate power series truncated at order D, held fraction-free
+    like ``Poly``: ``nums`` is the tuple of the D+1 integer numerators
+    (index = exponent) and ``den`` their positive common denominator, in
+    lowest terms.  Instances are immutable, so one series can be shared by
+    every caller (``symfun`` builds each standard series once per order).
+    ``coeffs`` presents the coefficients as a new list of Fractions on
+    each access."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs):
-        self.coeffs = [_as_fraction(c) for c in coeffs]
-        if not self.coeffs:
+        pairs = [_num_den(c) for c in coeffs]
+        if not pairs:
             raise ValueError("a power series needs at least its constant term")
+        # The lcm of reduced denominators leaves the numerators over it in
+        # lowest terms.
+        den = lcm(*(d for _, d in pairs))
+        object.__setattr__(self, "nums", tuple(n * (den // d) for n, d in pairs))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _reduced(cls, nums, den):
+        """The series nums[k] / den, for a positive den, in lowest terms."""
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(n // g for n in nums)
+            den //= g
+        series = object.__new__(cls)
+        object.__setattr__(series, "nums", nums)
+        object.__setattr__(series, "den", den)
+        return series
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PowerSeries is immutable")
 
     @property
     def order(self):
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self):
+        return [Fraction(n, self.den) for n in self.nums]
 
     @classmethod
     def from_function(cls, coefficient_at, order):
         return cls([coefficient_at(n) for n in range(order + 1)])
 
     def __eq__(self, other):
-        return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
+        return (isinstance(other, PowerSeries) and self.den == other.den
+                and self.nums == other.nums)
 
     def __add__(self, other):
-        n = max(self.order, other.order)
-        a = self.coeffs + [Fraction(0)] * (n - self.order)
-        b = other.coeffs + [Fraction(0)] * (n - other.order)
-        return PowerSeries([x + y for x, y in zip(a, b)])
+        n = max(len(self.nums), len(other.nums))
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        a = self.nums + (0,) * (n - len(self.nums))
+        b = other.nums + (0,) * (n - len(other.nums))
+        return PowerSeries._reduced(
+            tuple(x * s + y * t for x, y in zip(a, b)), den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return PowerSeries([c * other for c in self.coeffs])
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                out[i + j] += a * b
-        return PowerSeries(out)
+            p, q = _num_den(other)
+            return PowerSeries._reduced(tuple(n * p for n in self.nums),
+                                        self.den * q)
+        n = min(len(self.nums), len(other.nums))
+        b = other.nums
+        out = [0] * n
+        for i, a in enumerate(self.nums[:n]):
+            if a:
+                for j in range(n - i):
+                    out[i + j] += a * b[j]
+        return PowerSeries._reduced(tuple(out), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse; requires a unit constant term."""
-        if self.coeffs[0] == 0:
+        """Multiplicative inverse; requires a unit constant term.
+
+        Fraction-free: for the series A_k / D the inverse is
+        D C_k / A_0^(k+1), with C_0 = 1 and
+        C_k = -sum_{j=1..k} A_j A_0^(j-1) C_(k-j), all integers.
+        """
+        a = self.nums
+        if a[0] == 0:
             raise ZeroDivisionError("series with zero constant term is not invertible")
-        n = self.order
-        inv = [Fraction(0)] * (n + 1)
-        inv[0] = 1 / self.coeffs[0]
+        n = len(a) - 1
+        a0_pow = [1]
+        for _ in range(n):
+            a0_pow.append(a0_pow[-1] * a[0])
+        c = [1]
         for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                if j <= n:
-                    acc += self.coeffs[j] * inv[k - j]
-            inv[k] = -acc / self.coeffs[0]
-        return PowerSeries(inv)
+            c.append(-sum(a[j] * a0_pow[j - 1] * c[k - j]
+                          for j in range(1, k + 1)))
+        den = a0_pow[n] * a[0]
+        sign = -1 if den < 0 else 1
+        return PowerSeries._reduced(
+            tuple(sign * self.den * c[k] * a0_pow[n - k] for k in range(n + 1)),
+            sign * den)
 
     def alternate(self):
         """The series f(-T)."""
-        return PowerSeries([c if i % 2 == 0 else -c
-                            for i, c in enumerate(self.coeffs)])
+        return PowerSeries._reduced(
+            tuple(-n if k & 1 else n for k, n in enumerate(self.nums)),
+            self.den)
 
     def apply_to(self, root):
-        """Substitute a polynomial of positive degree for the series variable.
+        """Substitute a polynomial for the series variable, in the root's
+        ring.
 
-        Truncation of the ambient ring makes the sum finite: powers of the
-        root vanish once their degree exceeds the bound.
+        Truncation of the ring makes the sum finite: powers of a root of
+        positive degree vanish once their degree exceeds the bound.  The
+        sum is formed fraction-free, over one denominator, and reduced
+        once.  A one-term root (n/d) m, m a monomial of degree g > 0,
+        needs no product: with the series A_k / den, the result is
+        sum_k A_k n^k d^(K-k) (k m) over den d^K, for k g <= bound.  Any
+        other root (several terms, a constant or zero) is raised to its
+        powers by ``Poly`` products.  Trailing zero coefficients of the
+        series are skipped.
         """
-        out = Poly.const(self.coeffs[0], root.grades, root.bound)
-        power = Poly.const(1, root.grades, root.bound)
-        for c in self.coeffs[1:]:
+        table, bound = root.grades, root.bound
+        a = self.nums
+        top = len(a) - 1
+        while top and not a[top]:
+            top -= 1
+        if len(root.nums) == 1:
+            [(m, n)] = root.nums.items()
+            g = m >> table.dshift
+            if g:
+                top = min(top, bound // g)
+                d = root.den
+                nums = {}
+                n_k, d_rest = 1, d ** top  # n^k and d^(top-k)
+                for k in range(top + 1):
+                    if a[k]:
+                        nums[k * m] = a[k] * n_k * d_rest
+                    n_k *= n
+                    d_rest //= d
+                return _lowest(nums, self.den * d ** top, table, bound)
+        powers = []
+        power = Poly.const(1, table, bound)
+        for k in range(1, top + 1):
             power = power * root
             if power.is_zero():
                 break
-            if c:
-                out = out + power * c
-        return out
+            if a[k]:
+                powers.append((a[k], power))
+        e = lcm(*(p.den for _, p in powers))
+        nums = {0: a[0] * e} if a[0] else {}
+        get = nums.get
+        for a_k, p in powers:
+            scale = a_k * (e // p.den)
+            for mono, c in p.nums.items():
+                acc = get(mono, 0) + scale * c
+                if acc:
+                    nums[mono] = acc
+                else:
+                    nums.pop(mono, None)
+        return _lowest(nums, self.den * e, table, bound)
 
     def __repr__(self):
         return f"PowerSeries({[str(c) for c in self.coeffs]})"

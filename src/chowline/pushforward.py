@@ -338,13 +338,6 @@ def integrate(tclass):
     return tclass.poly.coefficient(tclass.tower._top_monomial)
 
 
-def segre_pushforward(tower, exponent):
-    """pi_*(xi^{r-1+k}) computed through the reduction: the Segre class
-    s_k(E) of the top bundle in the 1/c convention."""
-    top = len(tower.ranks)
-    return push_level(tower.xi(top) ** exponent)
-
-
 def tangent_todd(tower):
     """td of the tower's tangent bundle, from the relative Euler sequences.
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import (
@@ -294,19 +295,20 @@ def series_invert(s: Poly, bound=None):
 
 
 # -- standard series -------------------------------------------------------
+#
+# Each is built once per order and shared, which is safe because a
+# PowerSeries is immutable.  The orders asked for are truncations, at most
+# chern_ring.TRUNCATION_LIMIT, so the caches stay small; they fill on
+# first use, never at import.
 
+@lru_cache(maxsize=32)
 def exp_series(order):
     """exp(T) = sum T^n / n!."""
     return PowerSeries.from_function(
         lambda n: Fraction(1, math.factorial(n)), order)
 
 
-def exp_minus_one_series(order):
-    """exp(T) - 1, the additive series of the Chern character's positive part."""
-    s = exp_series(order)
-    return PowerSeries([Fraction(0)] + s.coeffs[1:])
-
-
+@lru_cache(maxsize=32)
 def todd_series(order):
     """T / (1 - e^{-T}) = 1 + T/2 + T^2/12 - T^4/720 + ...
 
@@ -317,16 +319,8 @@ def todd_series(order):
     return denom.inverse()
 
 
+@lru_cache(maxsize=32)
 def todd_star_series(order):
     """The Todd series with its degree-k coefficient scaled by (-1)^k,
     i.e. T/(e^T - 1)."""
     return todd_series(order).alternate()
-
-
-def one_plus_t_series(order):
-    """1 + T: the multiplicative series of the total Chern class."""
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
-    if order >= 1:
-        coeffs[1] = Fraction(1)
-    return PowerSeries(coeffs)

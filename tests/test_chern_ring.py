@@ -7,6 +7,7 @@ import pytest
 
 from chowline.charclass import VirtualBundle
 from chowline.chern_ring import (
+    ROOT_MONOMIAL_LIMIT,
     TRUNCATION_LIMIT,
     BundleDecl,
     Setup,
@@ -18,11 +19,22 @@ from chowline.chern_ring import (
     segre_class,
     tensor_line,
     tensor_line_oracle,
-    total_chern_class,
     whitney_expand,
 )
-from chowline.errors import Truncated, TruncationTooHigh, UnknownBundle
+from chowline.errors import (
+    SetupTooLarge,
+    Truncated,
+    TruncationTooHigh,
+    UnknownBundle,
+)
 from chowline.poly import MIN_FIELD_BITS, Poly
+
+
+def total_chern_class(setup, name):
+    total = setup.const(1)
+    for k in range(1, setup.rank(name) + 1):
+        total = total + chern_class(setup, name, k)
+    return total
 
 
 def make_setup(**ranks):
@@ -389,6 +401,23 @@ def test_setup_truncation_is_capped():
     # Every ring within the limit has fields of one width.
     assert TRUNCATION_LIMIT < 1 << MIN_FIELD_BITS
     assert s.grades.width == MIN_FIELD_BITS
+
+
+def test_setup_root_monomials_are_capped(monkeypatch):
+    # 5 roots at truncation 4 have comb(9, 4) = 126 monomials of degree
+    # <= 4; with the cap lowered to that count they are accepted, and one
+    # more root, or one more degree, is refused before any class is built.
+    from chowline import chern_ring
+    monkeypatch.setattr(chern_ring, "ROOT_MONOMIAL_LIMIT", comb(9, 4))
+    Setup([BundleDecl("E", 3), BundleDecl("F", 2)], truncation=4)
+    with pytest.raises(SetupTooLarge):
+        Setup([BundleDecl("E", 3), BundleDecl("F", 3)], truncation=4)
+    with pytest.raises(SetupTooLarge):
+        Setup([BundleDecl("E", 5)], truncation=5)
+
+
+def test_setup_root_monomial_cap_admits_the_largest_shipped_setup():
+    assert comb(10 + 8, 8) <= ROOT_MONOMIAL_LIMIT < comb(16 + 8, 8)
 
 
 def test_classes_of_a_setup_share_its_table():

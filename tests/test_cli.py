@@ -372,6 +372,31 @@ def test_setup_file_truncation_above_the_limit_is_refused(
                  "--json"]) == 0
 
 
+@pytest.fixture()
+def root_monomial_limit_35(monkeypatch):
+    """ROOT_MONOMIAL_LIMIT lowered to comb(3 + 4, 4) = 35: three roots at
+    truncation 4, so that requests above it stay small if the cap were not
+    enforced."""
+    from chowline import chern_ring
+    monkeypatch.setattr(chern_ring, "ROOT_MONOMIAL_LIMIT", 35)
+
+
+def test_setups_above_the_root_monomial_limit_are_refused(
+        root_monomial_limit_35, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps({"bundles": [{"name": "E", "rank": 4}],
+                                "truncation": 4}))
+    assert_usage_error(["eval", "c(1,E)", "--setup", str(path)], capsys)
+    assert main(["eval", "c(1,E)", "--setup", str(path), "--truncation", "3",
+                 "--json"]) == 0
+    assert_usage_error(["verify", "restriction", "--rank", "4",
+                        "--truncation", "4", "--json"], capsys)
+    assert main(["verify", "restriction", "--rank", "3", "--truncation", "4",
+                 "--json"]) == 0
+    monkeypatch.setenv("CHOWLINE_TRUNCATION", "5")
+    assert_usage_error(["verify", "dual", "--rank", "3", "--json"], capsys)
+
+
 def test_requests_at_the_truncation_limit_run(truncation_limit_3, capsys):
     assert main(["verify", "segre", "--truncation", "3", "--json"]) == 0
     assert main(["deligne", "--fiber", "2", "--bundles",
@@ -526,6 +551,19 @@ def test_segre_degree_zero_is_refused(capsys):
 def test_degree_above_the_truncation_is_refused(argv, capsys):
     # Above the truncation both sides are 0, so nothing would be checked.
     assert_usage_error(argv + ["--json"], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "whitney", "--ranks", "3,3", "--count", "1"],
+    ["verify", "dual", "--rank", "4"],
+    ["verify", "tensor-line", "--rank", "3"],
+])
+def test_default_degrees_stop_at_the_truncation(argv, capsys):
+    # Without --degree each identity checks every Chern degree of its
+    # bundles, but only up to the truncation: above it both sides are 0.
+    assert main(argv + ["--truncation", "2", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["report"]["checks"]
+    assert [check["degree"] for check in checks] == [0, 1, 2]
 
 
 def test_degree_at_the_truncation_is_checked(capsys):

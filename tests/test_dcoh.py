@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from chowline.dcoh import (
+    _kunneth_dims,
     FamilyDescriptor,
     MultidegreeLineBundle,
     c1_pairing_check,
@@ -10,10 +11,14 @@ from chowline.dcoh import (
     cohomology_dims,
     deligne_pairing_degree,
     det_Rf_degree,
-    fiber_cohomology_dims,
     pairing_tower,
 )
 from chowline.errors import UnsupportedFamily, WrongBundleCount
+
+
+def fiber_cohomology_dims(fam, bundle):
+    """Graded dimensions of H^*(fiber, O(d)) by the Kunneth formula."""
+    return _kunneth_dims(fam.fiber, bundle.fiber_degrees)
 
 
 def L(*args):

@@ -20,9 +20,7 @@ from chowline.picard import (
     gq_pair_product,
     grothendieck_group,
     homomorphism_is_isomorphism,
-    integer_determinant,
     lattice_contains,
-    mat_mul,
     nat_transform_torsor,
     picardify,
     rationalize,
@@ -30,6 +28,35 @@ from chowline.picard import (
     solve_integer_system,
 )
 from chowline.poly import Poly
+
+
+def mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+def integer_determinant(matrix):
+    """Fraction-free determinant (Bareiss)."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    M = [list(map(int, row)) for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k] != 0:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1]
 
 
 # --------------------------------------------------------------------- SNF

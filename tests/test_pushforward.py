@@ -29,10 +29,15 @@ from chowline.pushforward import (
     grr_codim1_report,
     integrate,
     push_level,
-    segre_pushforward,
     symmetry_sign,
     tangent_todd,
 )
+
+
+def segre_pushforward(tower, exponent):
+    """pi_*(xi^{r-1+k}) computed through the reduction: the Segre class
+    s_k(E) of the top bundle in the 1/c convention."""
+    return push_level(tower.xi(len(tower.ranks)) ** exponent)
 
 
 def p1():

@@ -17,9 +17,7 @@ from chowline.symfun import (
     check_block_symmetry,
     chern_var,
     elem_sym,
-    exp_minus_one_series,
     exp_series,
-    one_plus_t_series,
     phi_components,
     psi_components,
     series_invert,
@@ -27,6 +25,16 @@ from chowline.symfun import (
     todd_series,
     todd_star_series,
 )
+
+
+def exp_minus_one_series(order):
+    """exp(T) - 1, the additive series of the Chern character's positive part."""
+    return PowerSeries([0] + exp_series(order).coeffs[1:])
+
+
+def one_plus_t_series(order):
+    """1 + T: the multiplicative series of the total Chern class."""
+    return PowerSeries([1, 1][:order + 1] + [0] * (order - 1))
 
 
 def ring(*names, bound=8):
