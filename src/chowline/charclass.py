@@ -252,7 +252,8 @@ class CharClassSpec:
     def __post_init__(self):
         if self.kind not in ("additive", "multiplicative"):
             raise ValueError("kind must be 'additive' or 'multiplicative'")
-        if self.kind == "multiplicative" and self.series.coeffs[0] != 1:
+        if (self.kind == "multiplicative"
+                and self.series.nums[0] != self.series.den):
             raise ConstantTermNotOne(
                 "multiplicative class series must have constant term 1")
 
@@ -260,8 +261,9 @@ class CharClassSpec:
 def _series_to_bound(series, bound):
     """The series with coefficients 0..bound: the ones a degree-1 root can
     reach, with any not given taken as 0, as ``apply_to`` takes them."""
-    coeffs = series.coeffs[:bound + 1]
-    return PowerSeries(coeffs + [Fraction(0)] * (bound + 1 - len(coeffs)))
+    nums = series.nums[:bound + 1]
+    return PowerSeries._reduced(nums + (0,) * (bound + 1 - len(nums)),
+                                series.den)
 
 
 def evaluate_class_in_ring(spec, virtual, ring):
@@ -273,8 +275,9 @@ def evaluate_class_in_ring(spec, virtual, ring):
     """
     summands = virtual.summands(ring)
     if spec.kind == "additive":
-        phi0 = spec.series.coeffs[0]
-        positive = PowerSeries([Fraction(0)] + spec.series.coeffs[1:])
+        nums, den = spec.series.nums, spec.series.den
+        phi0 = Fraction(nums[0], den)
+        positive = PowerSeries._reduced((0,) + nums[1:], den)
         rank = sum(m * len(roots) for m, roots in summands)
         total = ring.const(phi0 * rank).poly
         for m, roots in summands:

@@ -7,7 +7,9 @@ block.  This makes the splitting principle a tautology: the Whitney
 formula, duality, twisting by a line bundle and the Segre recurrence all
 become literal polynomial identities, checkable by exact equality, and
 rank triviality (c_k(E) = 0 for k > rk E) is structural rather than an
-imposed relation.
+imposed relation.  Segre classes s = 1/c, the Chern classes recovered
+from them, and ``ChernSeries.inverse`` all invert a graded unit, and all
+go through the one degree-by-degree recurrence of ``symfun``.
 
 The Chern-monomial presentation (polynomials in symbols c_k(E)) is a
 display layer produced by ``to_chern_basis``; the root representation
@@ -28,7 +30,12 @@ from math import comb
 
 from .errors import SetupTooLarge, Truncated, TruncationTooHigh, UnknownBundle
 from .poly import Poly, VarTable
-from .symfun import elem_sym, series_invert, to_chern_basis
+from .symfun import (
+    _inverse_components,
+    elem_sym,
+    series_invert,
+    to_chern_basis,
+)
 
 
 # The work of a class grows steeply with the truncation: the rank-4
@@ -332,61 +339,49 @@ def tensor_line_oracle(setup, name, line, k):
     return layers[k]
 
 
-def _segre_classes(setup, name, k, fulton):
-    """s_0..s_k of one bundle in one pass of the recurrence.
-
-    c_1..c_k are built once; c_j = 0 for j > rk E, so only the first
-    min(k, rk E) enter the sums.  The Fulton convention is s(E) = 1/c(E),
-    s_m = -sum_{j>=1} c_j s_{m-j}; the default one scales s_m by (-1)^m.
-    """
-    c = [chern_class(setup, name, j)
-         for j in range(1, min(k, setup.rank(name)) + 1)]
-    s = [setup.const(1)]
-    for m in range(1, k + 1):
-        acc = setup.zero()
-        for j in range(1, min(m, len(c)) + 1):
-            acc = acc - c[j - 1] * s[m - j]
-        s.append(acc)
-    if fulton:
-        return s
-    return [s_m if m % 2 == 0 else -s_m for m, s_m in enumerate(s)]
+def _chern_parts(setup, name, top):
+    """{j: c_j(E)} for 1 <= j <= min(top, rk E), as polynomials: the
+    homogeneous parts of c(E) up to degree top."""
+    return {j: chern_class(setup, name, j).poly
+            for j in range(1, min(top, setup.rank(name)) + 1)}
 
 
 def segre_class(setup, name, k, fulton=False):
     """Segre class s_k(E).
 
-    In the Fulton convention s(E) = 1/c(E), computed degree by degree from
-    s_k = -sum_{j>=1} c_j s_{k-j}.  The default convention carries an extra
-    (-1)^k per degree, so that the recurrence
+    In the Fulton convention s(E) = 1/c(E): s_k is component k of the
+    inverse of c(E), s_k = -sum_{j>=1} c_j s_{k-j}.  The default convention
+    carries an extra (-1)^k per degree, so that the recurrence
     sum_{i=0}^k (-1)^i s_i c_{k-i} = 0 holds for k >= 1 and c_1 = s_1.
+    Beyond the truncation s_k is 0.
     """
     if k < 0:
         raise ValueError("Segre class degree must be >= 0")
-    return _segre_classes(setup, name, k, fulton)[k]
+    parts = _chern_parts(setup, name, min(k, setup.truncation))
+    if k > setup.truncation:
+        return setup.zero()
+    s_k = _inverse_components(parts, setup.const(1).poly, k)[k]
+    return ChernSeries(setup, s_k if fulton or k % 2 == 0 else -s_k)
 
 
 def chern_from_segre(setup, name, k, fulton=False):
-    """c_k recovered from Segre classes through the defining recurrence.
+    """c_k recovered from the Segre classes: component k of the inverse
+    of s(E) = 1/c(E), c_k = -sum_{i>=1} s_i c_{k-i} with the Fulton s_i.
 
-    Default convention: c_m = sum_{i=1}^{m} (-1)^{i+1} s_i c_{m-i}; in the
-    1/c convention the signs disappear into the s_i themselves.  c_0..c_k
-    are built in one pass from s_0..s_k.  Equals
+    In the default convention the recurrence reads
+    c_k = sum_{i=1}^{k} (-1)^{i+1} s_i c_{k-i}, and its signs cancel those
+    of the s_i, so both values of ``fulton`` give the same class.  Equals
     chern_class(setup, name, k) identically.
     """
     if k < 0:
         raise ValueError("Chern class degree must be >= 0")
-    s = _segre_classes(setup, name, k, fulton)
-    c = [setup.const(1)]
-    for m in range(1, k + 1):
-        total = setup.zero()
-        for i in range(1, m + 1):
-            term = s[i] * c[m - i]
-            if fulton or i % 2 == 0:
-                total = total - term
-            else:
-                total = total + term
-        c.append(total)
-    return c[k]
+    parts = _chern_parts(setup, name, min(k, setup.truncation))
+    if k > setup.truncation:
+        return setup.zero()
+    one = setup.const(1).poly
+    segre = _inverse_components(parts, one, k)
+    return ChernSeries(
+        setup, _inverse_components(dict(enumerate(segre[1:], 1)), one, k)[k])
 
 
 def first_chern_det(setup, virtual):

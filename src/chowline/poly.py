@@ -12,14 +12,14 @@ integer numerators over one positive common denominator, in lowest terms
 polynomial has denominator 1).  Sums, products and scalings therefore do
 integer arithmetic only, plus one gcd reduction per result, and
 ``evaluate`` divides once.  Outside this module only
-``symfun.to_chern_basis``, ``symfun.check_block_symmetry`` and the tower
-kernel of ``pushforward`` read that form, to reduce integer numerators
-over ``den`` and to read or add packed monomials; everything else sees
-``Poly.terms``, which presents each coefficient as an ``int`` when it is
-integral and a ``Fraction`` otherwise.  ``PowerSeries`` is held the same
-way, integer numerators over one denominator, and is immutable; its
-``apply_to`` substitutes a polynomial into it with integer arithmetic
-only.
+``symfun.to_chern_basis``, ``symfun.check_block_symmetry``, and the tower
+kernel and ``push_level`` of ``pushforward`` read that form, to reduce
+integer numerators over ``den`` and to read, add or shift packed
+monomials; everything else sees ``Poly.terms``, which presents each
+coefficient as an ``int`` when it is integral and a ``Fraction``
+otherwise.  ``PowerSeries`` is held the same way, integer numerators over
+one denominator, and is immutable; its ``apply_to`` substitutes a
+polynomial into it with integer arithmetic only.
 
 Monomials are packed exponent vectors (Monagan and Pearce, *Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors*, CASC
@@ -30,12 +30,13 @@ with the weighted degree in a field above them all.  A monomial is one
 shift.  A field holds any exponent up to the bound, and the kernel forms
 no product beyond the bound, so fields never overflow.  The elements of
 one ring share one table object; combining elements of two tables
-re-encodes both into their union.  Outside the kernel, monomials are
-tuples of (variable, exponent) pairs sorted by variable name, as
-``terms``, ``coefficient`` and ``sorted_terms`` present them.  With the
-reduced denominator the stored form is canonical: two polynomials of one
-table are equal iff their denominators and numerator dictionaries are
-equal.
+re-encodes both into their union.  The rings of one tower have one field
+width, so a term moves to the tower below with one shift.  Outside the
+kernel, monomials are tuples of (variable, exponent) pairs sorted by
+variable name, as ``terms``, ``coefficient`` and ``sorted_terms`` present
+them.  With the reduced denominator the stored form is canonical: two
+polynomials of one table are equal iff their denominators and numerator
+dictionaries are equal.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ from math import gcd, lcm
 
 # Every field is at least this many bits wide, so that all rings of bound
 # below 2**5 (every ring within chern_ring.TRUNCATION_LIMIT) share one
-# width: the rings of one tower line up field for field, and a cofactor
-# moves to the tower below with a shift (``split_powers``).
+# width: the rings of one tower line up field for field, and
+# ``pushforward.push_level`` moves a cofactor to the tower below with a
+# shift by that width, which it relies on.
 MIN_FIELD_BITS = 5
 
 
@@ -469,47 +471,6 @@ class Poly:
         dshift = self.grades.dshift
         nums = {m: (-n if m >> dshift & 1 else n) for m, n in self.nums.items()}
         return Poly(nums, self.den, self.grades, self.bound)
-
-    def split_powers(self, name, r, grades, bound):
-        """Split the terms by their exponent e of the variable ``name``.
-
-        Returns ``(low, high)``: ``low`` holds the terms with e < r as they
-        are, in this polynomial's table, and ``high`` maps each e >= r to
-        the polynomial of the cofactors of name^e (the terms with ``name``
-        removed), in the table of ``grades``.  Both parts take ``bound``;
-        the caller vouches that the terms fit it.  When ``grades`` is the
-        table of this one without its last variable ``name`` (the tower
-        below a tower), a cofactor moves there with a shift.
-        """
-        src = self.grades
-        if name in src:
-            s, mask, unit = src.shift[name], src.mask, src.unit[name]
-        else:  # no factor of name: e = 0
-            s, mask, unit = 0, 0, 0
-        low, high = {}, {}
-        for m, n in self.nums.items():
-            e = m >> s & mask
-            if e < r:
-                low[m] = n
-            elif e in high:
-                high[e][m - e * unit] = n
-            else:
-                high[e] = {m - e * unit: n}
-        if not high and bound == self.bound:
-            return self, high
-        dst = var_table(grades, bound)
-        if high and dst is not src:
-            if (name in src and src._items[-1][0] == name
-                    and dst.width == src.width and dst._items == src._items[:-1]):
-                width = src.width
-                high = {e: {m >> width: n for m, n in nums.items()}
-                        for e, nums in high.items()}
-            else:
-                high = {e: _recode(nums, src, dst, bound)
-                        for e, nums in high.items()}
-        return (_lowest(low, self.den, src, bound),
-                {e: _lowest(nums, self.den, dst, bound)
-                 for e, nums in high.items()})
 
     # -- substitution and evaluation ----------------------------------------
 

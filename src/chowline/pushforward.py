@@ -324,12 +324,17 @@ def push_level(tclass):
         raise ValueError("cannot push forward from the point")
     below = tower.drop_top()
     r = tower.ranks[-1]
-    # The class has degree at most the tower's dimension, so each cofactor
-    # of xi^{r-1} fits the bound of the tower below.
-    _, high = tclass.poly.split_powers(
-        xi_name(len(tower.ranks)), r - 1, below.grades, below.bound)
-    pushed = high.get(r - 1) or Poly.zero(below.grades, below.bound)
-    return TowerClass(below, pushed)
+    # The top level's field is the lowest, at bit 0, and the tower below
+    # has the same fields without it (``poly.MIN_FIELD_BITS``): removing
+    # xi^{r-1} and shifting by one field width moves a term there.  The
+    # class has degree at most the tower's dimension, so each cofactor
+    # fits the bound of the tower below.
+    table, poly = tower.grades, tclass.poly
+    top = (r - 1) * table.unit[xi_name(len(tower.ranks))]
+    width, mask = table.width, table.mask
+    nums = {(m - top) >> width: n for m, n in poly.nums.items()
+            if m & mask == r - 1}
+    return TowerClass(below, _lowest(nums, poly.den, below.grades, below.bound))
 
 
 def integrate(tclass):

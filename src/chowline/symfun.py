@@ -18,6 +18,11 @@ The two workhorses are:
   The degree-k component is computed with exactly k internal roots, the
   minimum valid count; independence of the root count is a theorem and is
   asserted by the test suite rather than re-derived here.
+
+Graded units are inverted by one degree-by-degree recurrence,
+``_inverse_components``: ``series_invert`` sums its components, and
+``chern_ring`` reads single components of it for Segre classes
+(s = 1/c) and for the Chern classes recovered from them (c = 1/s).
 """
 
 from __future__ import annotations
@@ -239,7 +244,7 @@ def phi_components(phi: PowerSeries, k, roots=None):
     """
     if k < 1:
         raise ValueError("component degree must be >= 1")
-    if phi.coeffs[0] != 0:
+    if phi.nums[0]:
         raise NonzeroConstantTerm("additive series must satisfy phi(0) = 0")
     r = roots if roots is not None else k
     if r < k:
@@ -257,7 +262,7 @@ def psi_components(psi: PowerSeries, k, roots=None):
     """Degree-k part of the multiplicative class prod_j psi(T_j), in c_1..c_k."""
     if k < 0:
         raise ValueError("component degree must be >= 0")
-    if psi.coeffs[0] != 1:
+    if psi.nums[0] != psi.den:
         raise ConstantTermNotOne("multiplicative series must satisfy psi(0) = 1")
     r = roots if roots is not None else max(k, 1)
     if k and r < k:
@@ -271,27 +276,43 @@ def psi_components(psi: PowerSeries, k, roots=None):
     return rewritten.graded_part(k)
 
 
+def _inverse_components(parts, one, top):
+    """The components t_0..t_top of the inverse of a graded unit.
+
+    ``parts`` maps j >= 1 to the homogeneous part s_j of the unit
+    1 + sum_j s_j, and ``one`` is the unit of their ring.  Then t_0 = 1
+    and t_m = sum_{1 <= j <= m} (-s_j) t_{m-j}: degree m of the identity
+    (1 + sum_j s_j)(sum_m t_m) = 1.  Each s_j is negated once, and every
+    product is one of two homogeneous parts.
+    """
+    neg = [(j, -s_j) for j, s_j in sorted(parts.items()) if j <= top]
+    zero = Poly.zero(one.grades, one.bound)
+    t = [one]
+    for m in range(1, top + 1):
+        acc = zero
+        for j, s_j in neg:
+            if j > m:
+                break
+            acc = acc + (s_j if j == m else s_j * t[m - j])
+        t.append(acc)
+    return t
+
+
 def series_invert(s: Poly, bound=None):
     """Inverse of a graded element with degree-0 part 1.
 
-    Writing s = 1 - u with u of positive degree, the inverse is the
-    geometric sum 1 + u + u^2 + ..., which terminates at the truncation
-    bound.
+    Its homogeneous parts run through the degree-by-degree recurrence of
+    ``_inverse_components``, up to the truncation bound.
     """
     if bound is None:
         bound = s.bound
     s = s.truncate(bound)
-    if s.graded_part(0) != 1:
+    parts = s.graded_parts()
+    if parts.pop(0, None) != 1:
         raise UnitPartNotOne("graded element must have degree-0 part equal to 1")
-    u = Poly.const(1, s.grades, bound) - s
-    out = Poly.const(1, s.grades, bound)
-    power = Poly.const(1, s.grades, bound)
-    while True:
-        power = power * u
-        if power.is_zero():
-            break
-        out = out + power
-    return out
+    one, *rest = _inverse_components(parts, Poly.const(1, s.grades, bound),
+                                     bound)
+    return sum(rest, one)
 
 
 # -- standard series -------------------------------------------------------

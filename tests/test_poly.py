@@ -148,25 +148,12 @@ def assert_canonical(p):
 @settings(max_examples=80, deadline=None)
 @given(rich_polys(), rich_polys(), COEFFS, st.integers(0, 6))
 def test_every_operation_returns_the_canonical_form(a, b, scalar, k):
-    low, high = a.split_powers("x", 2, GRADES, a.bound)
     results = [a, a + b, a - b, -a, a * b, a * scalar, scalar * a, a + scalar,
                a * 0, a ** 2, a.graded_part(k), a.truncate(k),
-               a.alternate_signs(), a.rename({"x": "w"}), low, *high.values(),
+               a.alternate_signs(), a.rename({"x": "w"}),
                *a.graded_parts().values()]
     for p in results:
         assert_canonical(p)
-
-
-@settings(max_examples=60, deadline=None)
-@given(rich_polys(), st.integers(0, 3))
-def test_split_powers_reassembles_the_polynomial(a, r):
-    low, high = a.split_powers("x", r, GRADES, a.bound)
-    assert all(dict(m).get("x", 0) < r for m in low.monomials())
-    total = low
-    for e, rest in high.items():
-        assert e >= r and "x" not in rest.variables()
-        total = total + rest * Poly.var("x", GRADES, a.bound) ** e
-    assert same(total, a)
 
 
 def test_denominators_that_cancel_leave_an_integral_polynomial():
@@ -298,8 +285,7 @@ def test_evaluation_needs_every_variable_of_the_polynomial():
 
 # -- the packed kernel against tuple monomials --------------------------------
 
-# Two tables of grades 1-3 that share u and w, in different orders; the
-# last variable of A is w, so splitting off w moves cofactors by a shift.
+# Two tables of grades 1-3 that share u and w, in different orders.
 TABLE_A = {"u": 1, "v": 2, "w": 3}
 TABLE_B = {"s": 1, "w": 3, "u": 1}
 # Bounds on both sides of every field width: 2**k - 1 fills a field of k
@@ -376,9 +362,9 @@ def packed_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(packed_cases(), st.sampled_from(sorted(TABLE_A)), st.integers(0, 3),
+@given(packed_cases(),
        st.fixed_dictionaries({v: VALUES for v in ("s", "u", "v", "w")}))
-def test_packed_kernel_matches_tuple_reference(case, name, r, point):
+def test_packed_kernel_matches_tuple_reference(case, point):
     a, ra, b, rb = case
     both = {**TABLE_A, **TABLE_B}
     bound = min(a.bound, b.bound)
@@ -400,21 +386,6 @@ def test_packed_kernel_matches_tuple_reference(case, name, r, point):
         for k in {weighted_degree(m, both) for m in product}}
     for k in range(bound + 2):
         assert (a * b).graded_part(k) == parts.get(k, 0)
-
-    # Split a by its exponent of one variable, with the cofactors in A's
-    # table without that variable: a shift for w, a re-encoding otherwise.
-    rest = {v: g for v, g in TABLE_A.items() if v != name}
-    low, high = a.split_powers(name, r, rest, a.bound)
-    assert dict(low.terms) == {m: c for m, c in ra.items()
-                               if dict(m).get(name, 0) < r}
-    expected = {}
-    for m, c in ra.items():
-        e = dict(m).get(name, 0)
-        if e >= r:
-            expected.setdefault(e, {})[tuple(p for p in m if p[0] != name)] = c
-    assert {e: dict(h.terms) for e, h in high.items()} == expected
-    assert all(name not in h.grades and h.bound == a.bound
-               for h in high.values())
 
     assert (a * b).evaluate(point) == sum(
         (c * reference_value(Poly.make({m: 1}, both, bound), point)

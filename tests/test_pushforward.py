@@ -465,6 +465,29 @@ def test_integrate_matches_the_push_level_chain(case):
     assert integrate(product) == pushed.poly.constant_term()
 
 
+@settings(max_examples=60, deadline=None)
+@given(towers_with_products(),
+       st.fractions(min_value=-3, max_value=3, max_denominator=6))
+def test_push_level_reads_the_top_cofactor(case, scale):
+    # Tuple reference: the terms whose top exponent is r - 1, with the top
+    # variable removed, in the tower below.
+    t, product = case
+    x = product * scale
+    top = f"xi{len(t.ranks)}"
+    expected = {}
+    for mono, c in x.poly.terms.items():
+        exps = dict(mono)
+        if exps.get(top, 0) == t.ranks[-1] - 1:
+            expected[tuple(p for p in mono if p[0] != top)] = c
+    pushed = push_level(x)
+    assert dict(pushed.poly.terms) == expected
+    assert pushed.tower is t.drop_top()
+    assert pushed.poly.grades is t.drop_top().grades
+    assert pushed.poly.bound == t.drop_top().bound
+    assert pushed.poly == Poly.make(expected, t.drop_top().grades,
+                                    t.drop_top().bound)
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 2),
        twists=st.lists(st.integers(-2, 2), min_size=1, max_size=3),
