@@ -11,6 +11,12 @@ imposed relation.  Segre classes s = 1/c, the Chern classes recovered
 from them, and ``ChernSeries.inverse`` all invert a graded unit, and all
 go through the one degree-by-degree recurrence of ``symfun``.
 
+A setup is fixed once built, so its Chern classes, its Segre classes and
+the Chern classes recovered from those are ring constants: each is
+computed once per setup and bundle, on first use, into a table that the
+recurrence extends only as far as the degree asked.  Every call still
+returns a new ``ChernSeries`` over the shared, immutable polynomial.
+
 The Chern-monomial presentation (polynomials in symbols c_k(E)) is a
 display layer produced by ``to_chern_basis``; the root representation
 remains the canonical form.
@@ -83,6 +89,15 @@ class Setup:
 
     The truncation bound D must be at least n+1 so that the degree used for
     pairing computations is representable.
+
+    A setup is not modified after construction, so its classes are ring
+    constants: each bundle's Chern classes c_0..c_r, its Fulton Segre
+    classes and the Chern classes recovered from those are kept in three
+    tables, empty at first and filled on first use.  The last two are
+    extended only up to the degree asked, never past the truncation, so a
+    bundle holds at most (r + 1) + 2 (truncation + 1) polynomials.  A table
+    is replaced, never edited in place, by a longer list of the same
+    values.
     """
 
     def __init__(self, bundles, relative_dimension=0, truncation=8):
@@ -117,6 +132,9 @@ class Setup:
         self.grades = VarTable({self._root_name(b.name, i): 1
                                 for b in decls for i in range(1, b.rank + 1)},
                                truncation)
+        self._chern = {}      # name -> [c_0, ..., c_r]
+        self._segre = {}      # name -> [s_0, ..., s_m], s = 1/c
+        self._recovered = {}  # name -> [c_0, ..., c_m], from 1/s
 
     @staticmethod
     def _root_name(bundle, index):
@@ -137,6 +155,39 @@ class Setup:
 
     def zero(self):
         return ChernSeries(self, Poly.zero(self.grades, self.truncation))
+
+    # -- class tables ------------------------------------------------------
+
+    def _chern_classes(self, name):
+        """[c_0, ..., c_r] of a declared bundle, as polynomials."""
+        table = self._chern.get(name)
+        if table is None:
+            vars_ = self.root_vars(name)
+            table = self._chern[name] = [
+                elem_sym(k, vars_, self.grades, self.truncation)
+                for k in range(len(vars_) + 1)]
+        return table
+
+    def _inverted(self, tables, name, unit, top):
+        """Components 0..top (top <= truncation) of the inverse of the
+        unit whose homogeneous parts are ``unit``, kept in
+        ``tables[name]``; only the components it lacks are computed."""
+        table = tables.get(name) or [
+            Poly.const(1, self.grades, self.truncation)]
+        if len(table) <= top:
+            parts = dict(enumerate(unit[1:top + 1], 1))
+            table = tables[name] = _inverse_components(parts, table, top)
+        return table
+
+    def _segre_classes(self, name, top):
+        """[s_0, ..., s_m], m >= top, the Fulton Segre classes s = 1/c."""
+        return self._inverted(self._segre, name, self._chern_classes(name),
+                              top)
+
+    def _recovered_classes(self, name, top):
+        """[c_0, ..., c_m], m >= top, the inverse of the Segre series."""
+        return self._inverted(self._recovered, name,
+                              self._segre_classes(name, top), top)
 
     def const(self, value):
         return ChernSeries(self, Poly.const(value, self.grades, self.truncation))
@@ -281,9 +332,8 @@ def chern_class(setup, name, k):
     """
     if k < 0:
         raise ValueError("Chern class degree must be >= 0")
-    vars_ = setup.root_vars(name)
-    return ChernSeries(
-        setup, elem_sym(k, vars_, setup.grades, setup.truncation))
+    table = setup._chern_classes(name)
+    return setup.zero() if k >= len(table) else ChernSeries(setup, table[k])
 
 
 def whitney_expand(setup, first, second, k):
@@ -339,13 +389,6 @@ def tensor_line_oracle(setup, name, line, k):
     return layers[k]
 
 
-def _chern_parts(setup, name, top):
-    """{j: c_j(E)} for 1 <= j <= min(top, rk E), as polynomials: the
-    homogeneous parts of c(E) up to degree top."""
-    return {j: chern_class(setup, name, j).poly
-            for j in range(1, min(top, setup.rank(name)) + 1)}
-
-
 def segre_class(setup, name, k, fulton=False):
     """Segre class s_k(E).
 
@@ -357,10 +400,10 @@ def segre_class(setup, name, k, fulton=False):
     """
     if k < 0:
         raise ValueError("Segre class degree must be >= 0")
-    parts = _chern_parts(setup, name, min(k, setup.truncation))
+    setup.rank(name)  # UnknownBundle at every degree
     if k > setup.truncation:
         return setup.zero()
-    s_k = _inverse_components(parts, setup.const(1).poly, k)[k]
+    s_k = setup._segre_classes(name, k)[k]
     return ChernSeries(setup, s_k if fulton or k % 2 == 0 else -s_k)
 
 
@@ -371,17 +414,15 @@ def chern_from_segre(setup, name, k, fulton=False):
     In the default convention the recurrence reads
     c_k = sum_{i=1}^{k} (-1)^{i+1} s_i c_{k-i}, and its signs cancel those
     of the s_i, so both values of ``fulton`` give the same class.  Equals
-    chern_class(setup, name, k) identically.
+    chern_class(setup, name, k) identically, but is computed from the
+    Segre classes alone, never read from the Chern classes.
     """
     if k < 0:
         raise ValueError("Chern class degree must be >= 0")
-    parts = _chern_parts(setup, name, min(k, setup.truncation))
+    setup.rank(name)  # UnknownBundle at every degree
     if k > setup.truncation:
         return setup.zero()
-    one = setup.const(1).poly
-    segre = _inverse_components(parts, one, k)
-    return ChernSeries(
-        setup, _inverse_components(dict(enumerate(segre[1:], 1)), one, k)[k])
+    return ChernSeries(setup, setup._recovered_classes(name, k)[k])
 
 
 def first_chern_det(setup, virtual):

@@ -58,17 +58,6 @@ class MultidegreeLineBundle:
         object.__setattr__(
             self, "fiber_degrees", tuple(int(d) for d in self.fiber_degrees))
 
-    def __add__(self, other):
-        if len(self.fiber_degrees) != len(other.fiber_degrees):
-            raise ValueError("multidegree length mismatch")
-        return MultidegreeLineBundle(
-            tuple(a + b for a, b in zip(self.fiber_degrees, other.fiber_degrees)),
-            self.base_twist + other.base_twist)
-
-    @classmethod
-    def zero(cls, factors):
-        return cls((0,) * factors, 0)
-
 
 @dataclass(frozen=True)
 class GradedLineDegree:

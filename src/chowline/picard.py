@@ -319,9 +319,6 @@ class FGAbelianGroup:
             raise ValueError("element length must equal generator count")
         return lattice_contains(self.relations, list(vector))
 
-    def elements_equal(self, a, b):
-        return self.element_is_zero([x - y for x, y in zip(a, b)])
-
     def hom(self, other):
         """Hom(self, other) as an abstract f.g. abelian group.
 

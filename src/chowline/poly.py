@@ -522,16 +522,6 @@ class Poly:
         total = sum(s * q ** (top - t) for t, s in sums.items())
         return Fraction(total, self.den * q ** top)
 
-    def rename(self, mapping):
-        """Rename variables (grades follow the old names)."""
-        table = var_table({mapping.get(v, v): g for v, g in self.grades.items()},
-                          self.bound)
-        decode = self.grades.decode
-        nums = {}
-        for m, n in self.nums.items():
-            nums[table.encode((mapping.get(v, v), e) for v, e in decode(m))] = n
-        return Poly(nums, self.den, table, self.bound)
-
     # -- display -----------------------------------------------------------
 
     def sorted_terms(self):

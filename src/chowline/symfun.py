@@ -20,9 +20,10 @@ The two workhorses are:
   asserted by the test suite rather than re-derived here.
 
 Graded units are inverted by one degree-by-degree recurrence,
-``_inverse_components``: ``series_invert`` sums its components, and
-``chern_ring`` reads single components of it for Segre classes
-(s = 1/c) and for the Chern classes recovered from them (c = 1/s).
+``_inverse_components``, which continues from any prefix of components it
+is given: ``series_invert`` sums its components, and ``chern_ring``
+extends with it the per-setup tables of Segre classes (s = 1/c) and of
+the Chern classes recovered from them (c = 1/s).
 """
 
 from __future__ import annotations
@@ -276,19 +277,22 @@ def psi_components(psi: PowerSeries, k, roots=None):
     return rewritten.graded_part(k)
 
 
-def _inverse_components(parts, one, top):
-    """The components t_0..t_top of the inverse of a graded unit.
+def _inverse_components(parts, head, top):
+    """The components t_0..t_top of the inverse of a graded unit,
+    continued from the known components ``head`` = [t_0, ..., t_{n-1}].
 
     ``parts`` maps j >= 1 to the homogeneous part s_j of the unit
-    1 + sum_j s_j, and ``one`` is the unit of their ring.  Then t_0 = 1
-    and t_m = sum_{1 <= j <= m} (-s_j) t_{m-j}: degree m of the identity
-    (1 + sum_j s_j)(sum_m t_m) = 1.  Each s_j is negated once, and every
-    product is one of two homogeneous parts.
+    1 + sum_j s_j, and ``head`` holds at least t_0 = 1, the unit of their
+    ring.  Then t_m = sum_{1 <= j <= m} (-s_j) t_{m-j}: degree m of the
+    identity (1 + sum_j s_j)(sum_m t_m) = 1.  Only t_n..t_top are
+    computed, each s_j up to t_top negated once, and every product is one
+    of two homogeneous parts.  Returns a new list; ``head`` is left as it
+    was.
     """
+    t = list(head)
     neg = [(j, -s_j) for j, s_j in sorted(parts.items()) if j <= top]
-    zero = Poly.zero(one.grades, one.bound)
-    t = [one]
-    for m in range(1, top + 1):
+    zero = Poly.zero(t[0].grades, t[0].bound)
+    for m in range(len(t), top + 1):
         acc = zero
         for j, s_j in neg:
             if j > m:
@@ -310,8 +314,8 @@ def series_invert(s: Poly, bound=None):
     parts = s.graded_parts()
     if parts.pop(0, None) != 1:
         raise UnitPartNotOne("graded element must have degree-0 part equal to 1")
-    one, *rest = _inverse_components(parts, Poly.const(1, s.grades, bound),
-                                     bound)
+    one, *rest = _inverse_components(
+        parts, [Poly.const(1, s.grades, bound)], bound)
     return sum(rest, one)
 
 

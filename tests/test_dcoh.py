@@ -161,16 +161,19 @@ def test_untwisted_trivial_entry():
 def _pairing_by_subsets(fam, bundles):
     """The pairing degree as the oracle first computed it: one
     ``combinations`` loop per subset size, summing the bundles of each
-    subset with ``MultidegreeLineBundle.__add__``."""
+    subset one bundle at a time."""
     import itertools
     n = fam.fiber_dimension
     degree = rank_sum = 0
     for size in range(n + 2):
         sign = (-1) ** (n + 1 - size)
         for subset in itertools.combinations(range(n + 1), size):
-            total = MultidegreeLineBundle.zero(len(fam.fiber))
+            total = MultidegreeLineBundle((0,) * len(fam.fiber), 0)
             for i in subset:
-                total = total + bundles[i]
+                total = MultidegreeLineBundle(
+                    tuple(a + b for a, b in zip(total.fiber_degrees,
+                                                bundles[i].fiber_degrees)),
+                    total.base_twist + bundles[i].base_twist)
             data = det_Rf_degree(fam, total)
             degree += sign * data.degree
             rank_sum += sign * data.rank

@@ -7,6 +7,8 @@ Chern-from-Segre recurrences of ``chern_ring``, with their own sign
 bookkeeping.
 """
 
+import sys
+import threading
 from math import comb
 
 import pytest
@@ -21,7 +23,7 @@ from chowline.chern_ring import (
     chern_from_segre,
     segre_class,
 )
-from chowline.errors import UnitPartNotOne
+from chowline.errors import UnitPartNotOne, UnknownBundle
 from chowline.poly import Poly
 from chowline.symfun import series_invert
 
@@ -163,12 +165,18 @@ def test_segre_and_chern_from_segre_match_the_old_recurrences(case):
 
 
 def test_all_three_go_through_one_recurrence(monkeypatch):
-    calls = []
+    """Each recurrence call extends a table past what it holds: a repeated
+    query, or one of lower degree, is a table read."""
+    calls, heads = [], []
     real = symfun._inverse_components
 
-    def counting(parts, one, top):
+    def counting(parts, head, top):
         calls.append(top)
-        return real(parts, one, top)
+        heads.append(len(head))
+        before = list(head)
+        out = real(parts, head, top)
+        assert head == before, "a table was edited in place"
+        return out
 
     monkeypatch.setattr(symfun, "_inverse_components", counting)
     monkeypatch.setattr(chern_ring, "_inverse_components", counting)
@@ -178,4 +186,111 @@ def test_all_three_go_through_one_recurrence(monkeypatch):
     segre_class(setup, "E", 4)
     assert calls == [5, 4]
     chern_from_segre(setup, "E", 3, fulton=True)
-    assert calls == [5, 4, 3, 3]
+    assert calls == [5, 4, 3]
+    for fulton in (False, True):
+        for k in range(5):
+            segre_class(setup, "E", k, fulton=fulton)
+        for k in range(4):
+            chern_from_segre(setup, "E", k, fulton=fulton)
+    assert calls == [5, 4, 3]
+    segre_class(setup, "E", 5)
+    assert calls == [5, 4, 3, 5]
+    # Components 0..4 were handed over, so only component 5 was formed.
+    assert heads == [1, 1, 1, 5]
+
+
+# -- the per-setup tables -------------------------------------------------------
+
+QUERIES = {
+    "chern_class": lambda setup, name, k, fulton: chern_class(setup, name, k),
+    "segre_class": segre_class,
+    "chern_from_segre": chern_from_segre,
+}
+
+
+@st.composite
+def query_sequences(draw):
+    """A setup of one to three bundles of ranks 1-4 at truncation 1-10,
+    within the setup size limit, and a sequence of class queries on it:
+    a kind, a declared name or the undeclared ``F``, a degree in
+    -1..truncation+2 and a Segre convention."""
+    setup, _ = draw(bundles_in_setups())
+    query = st.tuples(st.sampled_from(sorted(QUERIES)),
+                      st.sampled_from(sorted(setup.bundles) + ["F"]),
+                      st.integers(-1, setup.truncation + 2),
+                      st.booleans())
+    return setup, draw(st.lists(query, min_size=1, max_size=25))
+
+
+def answer(setup, query):
+    """The polynomial a query returns, or the type of what it raises."""
+    kind, name, k, fulton = query
+    try:
+        value = QUERIES[kind](setup, name, k, fulton)
+    except Exception as exc:  # noqa: BLE001 - the type is the answer
+        return type(exc), None
+    assert value.ring is setup
+    return None, value
+
+
+@settings(max_examples=60, deadline=None)
+@given(query_sequences())
+@example((Setup([("E0", 4)], truncation=8),
+          [("segre_class", "E0", 4, False), ("chern_from_segre", "E0", 8, True),
+           ("segre_class", "E0", 9, True), ("chern_class", "F", 10, False),
+           ("segre_class", "E0", 2, True), ("chern_from_segre", "E0", 3, False)]))
+def test_tables_answer_as_a_fresh_setup_does(case):
+    setup, queries = case
+    for query in queries:
+        error, value = answer(setup, query)
+        fresh_error, fresh = answer(Setup.from_dict(setup.to_dict()), query)
+        _, name, k, _ = query
+        assert error is fresh_error is (
+            ValueError if k < 0 else
+            UnknownBundle if name not in setup.bundles else None), query
+        if error is not None:
+            continue
+        assert value.poly == fresh.poly, query
+        assert value.poly.bound == setup.truncation
+        # Arithmetic on an answer, and rebinding its representative, must
+        # not reach the tables behind later answers.
+        value.poly = (value * value + value - 1).poly
+
+
+def test_threads_sharing_a_setup_read_the_values_of_a_fresh_one():
+    """Threads extending one setup's tables at once, one degree at a time
+    and with a short switch interval, each read what a fresh setup gives,
+    and so does every read after they are done."""
+    shape = [("E", 3), ("L", 1)]
+    fresh = Setup(shape, truncation=8)
+    sweep = [(kind, k) for k in range(10) for kind in sorted(QUERIES)]
+    expected = {(kind, k): QUERIES[kind](fresh, "E", k, True).poly
+                for kind, k in sweep}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            shared = Setup(shape, truncation=8)
+            start = threading.Barrier(6)
+            wrong = []
+
+            def work():
+                for kind, k in sweep:
+                    value = QUERIES[kind](shared, "E", k, True).poly
+                    if value != expected[kind, k]:
+                        wrong.append((kind, k))
+
+            def run():
+                start.wait(timeout=60)
+                work()
+
+            threads = [threading.Thread(target=run) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            work()
+            assert wrong == []
+    finally:
+        sys.setswitchinterval(interval)

@@ -179,9 +179,12 @@ def test_hom_groups():
 
 
 def test_element_equality():
+    def elements_equal(group, a, b):
+        return group.element_is_zero([x - y for x, y in zip(a, b)])
+
     group = FGAbelianGroup(1, [[2]])
-    assert group.elements_equal([3], [1])
-    assert not group.elements_equal([1], [0])
+    assert elements_equal(group, [3], [1])
+    assert not elements_equal(group, [1], [0])
 
 
 # -------------------------------------------------------------- picardify
