@@ -91,13 +91,13 @@ class Setup:
     pairing computations is representable.
 
     A setup is not modified after construction, so its classes are ring
-    constants: each bundle's Chern classes c_0..c_r, its Fulton Segre
-    classes and the Chern classes recovered from those are kept in three
-    tables, empty at first and filled on first use.  The last two are
-    extended only up to the degree asked, never past the truncation, so a
-    bundle holds at most (r + 1) + 2 (truncation + 1) polynomials.  A table
-    is replaced, never edited in place, by a longer list of the same
-    values.
+    constants: each bundle's Chern classes, its Fulton Segre classes and
+    the Chern classes recovered from those are kept in three tables, empty
+    at first and filled on first use.  None goes past the truncation: the
+    Chern table holds c_0..c_m, m = min(r, truncation), and the other two
+    are extended only up to the degree asked, so a bundle holds at most
+    3 (truncation + 1) polynomials.  A table is replaced, never edited in
+    place, by a longer list of the same values.
     """
 
     def __init__(self, bundles, relative_dimension=0, truncation=8):
@@ -132,7 +132,7 @@ class Setup:
         self.grades = VarTable({self._root_name(b.name, i): 1
                                 for b in decls for i in range(1, b.rank + 1)},
                                truncation)
-        self._chern = {}      # name -> [c_0, ..., c_r]
+        self._chern = {}      # name -> [c_0, ..., c_m], m = min(r, truncation)
         self._segre = {}      # name -> [s_0, ..., s_m], s = 1/c
         self._recovered = {}  # name -> [c_0, ..., c_m], from 1/s
 
@@ -159,13 +159,14 @@ class Setup:
     # -- class tables ------------------------------------------------------
 
     def _chern_classes(self, name):
-        """[c_0, ..., c_r] of a declared bundle, as polynomials."""
+        """[c_0, ..., c_m] of a declared bundle, as polynomials, with
+        m = min(rank, truncation): every higher class is 0 here."""
         table = self._chern.get(name)
         if table is None:
             vars_ = self.root_vars(name)
             table = self._chern[name] = [
                 elem_sym(k, vars_, self.grades, self.truncation)
-                for k in range(len(vars_) + 1)]
+                for k in range(min(len(vars_), self.truncation) + 1)]
         return table
 
     def _inverted(self, tables, name, unit, top):

@@ -199,6 +199,32 @@ def test_all_three_go_through_one_recurrence(monkeypatch):
     assert heads == [1, 1, 1, 5]
 
 
+def test_chern_table_stops_at_the_truncation(monkeypatch):
+    """A bundle of high rank at a low truncation builds only the classes
+    c_0..c_truncation, not the 2^rank subsets of e_0..e_rank."""
+    degrees = []
+    real = symfun.elem_sym
+
+    def counting(k, variables, grades, bound):
+        degrees.append(k)
+        # e_k of 40 roots above degree 2 would enumerate comb(40, k) subsets
+        assert k <= bound, f"e_{k} built at truncation {bound}"
+        return real(k, variables, grades, bound)
+
+    monkeypatch.setattr(chern_ring, "elem_sym", counting)
+    rank, top = 40, 2
+    setup = Setup([("E", rank)], truncation=top)
+    roots = setup.roots("E")
+    assert chern_class(setup, "E", 1).poly == sum(roots[1:], roots[0])
+    h2 = sum((x * y for i, x in enumerate(roots) for y in roots[i:]),
+             Poly.zero(setup.grades, top))
+    assert segre_class(setup, "E", 2).poly == h2
+    assert chern_from_segre(setup, "E", 2).poly == chern_class(setup, "E", 2).poly
+    for k in (top + 1, rank, rank + 1):
+        assert chern_class(setup, "E", k).is_zero()
+    assert degrees == list(range(top + 1))
+
+
 # -- the per-setup tables -------------------------------------------------------
 
 QUERIES = {

@@ -12,20 +12,14 @@ from hypothesis import strategies as st
 
 from chowline.poly import Poly, VarTable
 
+from poly_helpers import rename
+
 VARS = ("x", "y", "z")
 GRADES = {"x": 1, "y": 1, "z": 2}
 
 
 def weighted_degree(mono, grades):
     return sum(grades[v] * e for v, e in mono)
-
-
-def rename(p, mapping):
-    """p with its variables renamed; grades follow the old names."""
-    return Poly.make({tuple((mapping.get(v, v), e) for v, e in mono): c
-                      for mono, c in p.terms.items()},
-                     {mapping.get(v, v): g for v, g in p.grades.items()},
-                     p.bound)
 
 
 @st.composite

@@ -26,6 +26,8 @@ from chowline.symfun import (
     todd_star_series,
 )
 
+from poly_helpers import rename
+
 
 def exp_minus_one_series(order):
     """exp(T) - 1, the additive series of the Chern character's positive part."""
@@ -262,14 +264,6 @@ def _random_block_symmetric(rng, variables, grades, bound):
         p = p + _monomial_symmetric(sorted(parts, reverse=True), variables,
                                     grades, bound) * coeff
     return p
-
-
-def rename(p, mapping):
-    """p with its variables renamed; grades follow the old names."""
-    return Poly.make({tuple((mapping.get(v, v), e) for v, e in mono): c
-                      for mono, c in p.terms.items()},
-                     {mapping.get(v, v): g for v, g in p.grades.items()},
-                     p.bound)
 
 
 def _swap_invariant(p, blocks):
