@@ -19,8 +19,7 @@ direct image of the product of first Chern classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 from .chern_ring import TRUNCATION_LIMIT
 from .errors import TruncationTooHigh, UnsupportedFamily, WrongBundleCount
@@ -85,15 +84,10 @@ def cohomology_dims(n, d):
 
 
 def chi_projective_space(n, d):
-    """chi(P^n, O(d)) = C(n+d, n) as a polynomial in d (may be negative)."""
-    num = 1
-    for i in range(1, n + 1):
-        num *= d + i
-    chi = Fraction(num, 1)
-    for i in range(1, n + 1):
-        chi /= i
-    assert chi.denominator == 1
-    return int(chi)
+    """chi(P^n, O(d)) = C(n+d, n) as a polynomial in d (may be negative):
+    (d+1)...(d+n) / n!, exact since n! divides any product of n
+    consecutive integers."""
+    return prod(range(d + 1, d + n + 1)) // factorial(n)
 
 
 def _kunneth_dims(fiber, degrees):
@@ -183,7 +177,8 @@ def pairing_degree_by_pushforward(fam, bundles, tower=None):
         product = product * tower.line_class(coeffs)
     product = product * tower.xi(1) ** (fam.base - 1)
     value = integrate(product)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise AssertionError("pairing degree must be an integer")
     return int(value)
 
 

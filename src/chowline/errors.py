@@ -66,6 +66,11 @@ class WrongBundleCount(ChowlineError):
     """A pairing over a fiber of dimension n takes exactly n+1 line bundles."""
 
 
+class TowerTooLarge(ChowlineError):
+    """A tower's table of monomial normal forms would pass
+    ``pushforward.TOWER_TABLE_LIMIT`` entries."""
+
+
 # --- Picard invariants ---
 
 class ChainNotStabilized(ChowlineError):

@@ -52,11 +52,48 @@ def xgcd(a, b):
 
 
 def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
+
+
+def _step(a, b):
+    """The unimodular 2x2 move (p, q, r, s) with r*a + s*b == 0, a != 0."""
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    x, y, g = xgcd(a, b)
+    return x, y, -(b // g), a // g
+
+
+def _rows(A, i, j, a, b, c, d):
+    """Set rows i, j of A to a*A_i + b*A_j and c*A_i + d*A_j, in place."""
+    if (a, b, c, d) == (0, 1, 1, 0):
+        A[i], A[j] = A[j], A[i]
+    elif (a, b, d) == (1, 0, 1):
+        Aj = A[j]
+        for k, s in enumerate(A[i]):
+            if s:
+                Aj[k] += c * s
+    else:
+        Ai, Aj = A[i], A[j]
+        for k, (s, t) in enumerate(zip(Ai, Aj)):
+            if s or t:
+                Ai[k], Aj[k] = a * s + b * t, c * s + d * t
+
+
+def _cols(A, i, j, a, b, c, d):
+    """The column twin of ``_rows``: columns i, j of A, row by row."""
+    if (a, b, d) == (1, 0, 1):
+        for row in A:
+            if row[i]:
+                row[j] += c * row[i]
+    else:
+        for row in A:
+            s, t = row[i], row[j]
+            if s or t:
+                row[i], row[j] = a * s + b * t, c * s + d * t
 
 
 def smith_normal_form(matrix):
@@ -70,133 +107,41 @@ def smith_normal_form(matrix):
     M = [list(map(int, row)) for row in matrix]
     m = len(M)
     n = len(M[0]) if M else 0
-    U = identity_matrix(m)
-    V = identity_matrix(n)
-
-    def row_combine(i1, i2, j):
-        # Zero out M[i2][j] against pivot M[i1][j] by unimodular row ops.
-        a, b = M[i1][j], M[i2][j]
-        if b == 0:
-            return
-        if a == 0:
-            M[i1], M[i2] = M[i2], M[i1]
-            U[i1], U[i2] = U[i2], U[i1]
-            return
-        if b % a == 0:
-            q = b // a
-            for jj in range(n):
-                M[i2][jj] -= q * M[i1][jj]
-            for jj in range(m):
-                U[i2][jj] -= q * U[i1][jj]
-            return
-        x, y, g = xgcd(a, b)
-        ag, bg = a // g, b // g
-        for jj in range(n):
-            s, t = M[i1][jj], M[i2][jj]
-            M[i1][jj] = x * s + y * t
-            M[i2][jj] = -bg * s + ag * t
-        for jj in range(m):
-            s, t = U[i1][jj], U[i2][jj]
-            U[i1][jj] = x * s + y * t
-            U[i2][jj] = -bg * s + ag * t
-
-    def col_combine(j1, j2, i):
-        a, b = M[i][j1], M[i][j2]
-        if b == 0:
-            return
-        if a == 0:
-            for row in M:
-                row[j1], row[j2] = row[j2], row[j1]
-            for row in V:
-                row[j1], row[j2] = row[j2], row[j1]
-            return
-        if b % a == 0:
-            q = b // a
-            for row in M:
-                row[j2] -= q * row[j1]
-            for row in V:
-                row[j2] -= q * row[j1]
-            return
-        x, y, g = xgcd(a, b)
-        ag, bg = a // g, b // g
-        for row in M:
-            s, t = row[j1], row[j2]
-            row[j1] = x * s + y * t
-            row[j2] = -bg * s + ag * t
-        for row in V:
-            s, t = row[j1], row[j2]
-            row[j1] = x * s + y * t
-            row[j2] = -bg * s + ag * t
-
+    # Moves on rows and columns of T = [[M, I_m], [I_n]] act on M and U or
+    # on M and V at once, so the top-left block stays U @ M @ V.
+    T = [row + e for row, e in zip(M, identity_matrix(m))] + identity_matrix(n)
     rank_bound = min(m, n)
     for k in range(rank_bound):
-        # Bring a nonzero entry of the trailing submatrix to (k, k).
-        pivot = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if M[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
+        if not T[k][k]:
+            pivot = next(((i, j) for i in range(k, m) for j in range(k, n) if T[i][j]), None)
+            if pivot is None:
                 break
-        if pivot is None:
-            break
-        i, j = pivot
-        if i != k:
-            M[k], M[i] = M[i], M[k]
-            U[k], U[i] = U[i], U[k]
-        if j != k:
-            for row in M:
-                row[k], row[j] = row[j], row[k]
-            for row in V:
-                row[k], row[j] = row[j], row[k]
+            _rows(T, k, pivot[0], 0, 1, 1, 0)
+            _cols(T, k, pivot[1], 0, 1, 1, 0)
+        # Clear column k below the pivot and row k right of it.
         while True:
             for i in range(k + 1, m):
-                row_combine(k, i, k)
-            if all(M[k][j] == 0 for j in range(k + 1, n)):
+                if T[i][k]:
+                    _rows(T, k, i, *_step(T[k][k], T[i][k]))
+            if not any(T[k][k + 1:n]):
                 break
             for j in range(k + 1, n):
-                col_combine(k, j, k)
-            if all(M[i][k] == 0 for i in range(k + 1, m)):
-                break
-
-    # Divisibility: fix diagonal pairs by explicit 2x2 transformations.
-    diag_len = rank_bound
-    for i in range(diag_len):
-        for j in range(i + 1, diag_len):
-            a, b = M[i][i], M[j][j]
-            if a == 0 and b != 0:
-                M[i][i], M[j][j] = b, 0
-                U[i], U[j] = U[j], U[i]
-                for row in V:
-                    row[i], row[j] = row[j], row[i]
-                continue
-            if b == 0 or a == 0 or b % a == 0:
-                continue
-            x, y, g = xgcd(a, b)
-            l = a * b // g
-            # [[x, y], [-b/g, a/g]] @ diag(a, b) @ [[1, -y*b/g], [1, x*a/g]]
-            # equals diag(g, l); both factors are unimodular.
-            bg, ag = b // g, a // g
-            for jj in range(m):
-                s, t = U[i][jj], U[j][jj]
-                U[i][jj] = x * s + y * t
-                U[j][jj] = -bg * s + ag * t
-            for row in V:
-                s, t = row[i], row[j]
-                row[i] = s + t
-                row[j] = -y * bg * s + x * ag * t
-            M[i][i], M[j][j] = g, l
-
-    diagonal = []
-    for i in range(diag_len):
-        d = M[i][i]
-        if d < 0:
-            d = -d
-            for jj in range(m):
-                U[i][jj] = -U[i][jj]
-        diagonal.append(d)
-    return diagonal, U, V
+                if T[k][j]:
+                    _cols(T, k, j, *_step(T[k][k], T[k][j]))
+    # Divisibility: fix diagonal pairs (a, b) by moves on both sides.
+    for i in range(rank_bound):
+        for j in range(i + 1, rank_bound):
+            a, b = T[i][i], T[j][j]
+            if b and b % a:  # zeros trail: b != 0 implies a != 0
+                # [[x, y], [-b/g, a/g]] @ diag(a, b) @ [[1, -y*b/g], [1, x*a/g]]
+                # equals diag(g, a*b/g); both factors are unimodular.
+                x, y, r, s = _step(a, b)
+                _rows(T, i, j, x, y, r, s)
+                _cols(T, i, j, 1, 1, y * r, x * s)
+    for i in range(rank_bound):
+        if T[i][i] < 0:
+            _rows(T, i, i, -1, 0, 0, -1)  # i == j: negate row i
+    return [T[i][i] for i in range(rank_bound)], [row[n:] for row in T[:m]], T[m:]
 
 
 def solve_integer_system(matrix, rhs):

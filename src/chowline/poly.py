@@ -426,12 +426,6 @@ class Poly:
             return self.den == d and self.nums == {0: n}
         return NotImplemented
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def _by_tuple(self):
         decode = self.grades.decode
         return {decode(m): n for m, n in self.nums.items()}

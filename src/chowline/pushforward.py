@@ -54,12 +54,33 @@ from .charclass import (
 )
 from .chern_ring import TRUNCATION_LIMIT, RingClass
 from .errors import (
+    TowerTooLarge,
     TruncationTooHigh,
     UnequalBundles,
     UnknownBundle,
     UnsupportedFamily,
 )
 from .poly import Poly, VarTable, _lowest, _recode
+
+
+# A tower memoizes the normal form of every monomial its products meet,
+# and in a deep twisted tower that table grows about threefold per level.
+# Entries, time and peak RSS of ``xi(J)**J + line_class([1..J])**J`` on
+# the J-level rank-2 tower whose level j has the lines
+# [(-1)^i (i % 3) for i < j] and [1 + i % 2 for i < j], and of
+# ``deligne --fiber 1,...,1 --base 1`` (15 ones, 16 levels) with the 16
+# bundles [((i + j) % 3) - 1 for j < 16] (one process each, 2-vCPU VM):
+#
+#   tower                entries     time    peak RSS
+#   twisted, J = 10       50,371    0.7 s      30 MB
+#   twisted, J = 11      153,781    2.2 s      57 MB
+#   twisted, J = 12      470,938    8.4 s     173 MB
+#   twisted, J = 13    1,000,000     21 s     448 MB, refused here
+#   product, 16 levels   364,272    3.4 s      73 MB
+#
+# Unbounded, J = 13 fills 1.44M entries (633 MB) and J = 14 4.4M (1.9 GB).
+# A table about to pass this many entries is refused.
+TOWER_TABLE_LIMIT = 1_000_000
 
 
 def xi_name(level):
@@ -206,7 +227,8 @@ class Tower:
         rest * t is looked up in turn.  A work list stands in for
         recursion: a monomial is resolved once all of its rewrites are,
         so the depth of the rewriting never reaches the interpreter's
-        stack.
+        stack.  A table that would pass ``TOWER_TABLE_LIMIT`` entries
+        raises ``TowerTooLarge``.
         """
         table, mask, rules = self._normal, self.grades.mask, self._rules
         todo = [mono]
@@ -215,6 +237,10 @@ class Tower:
             if m in table:
                 todo.pop()
                 continue
+            if len(table) >= TOWER_TABLE_LIMIT:
+                raise TowerTooLarge(
+                    f"the tower's normal-form table reached the limit of "
+                    f"{TOWER_TABLE_LIMIT} entries")
             for s, r, power, relation in rules:
                 if m >> s & mask >= r:
                     rest = m - power

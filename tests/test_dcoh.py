@@ -1,7 +1,12 @@
+import ast
+from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import chowline
+from chowline import dcoh
 from chowline.dcoh import (
     _kunneth_dims,
     FamilyDescriptor,
@@ -11,6 +16,7 @@ from chowline.dcoh import (
     cohomology_dims,
     deligne_pairing_degree,
     det_Rf_degree,
+    pairing_degree_by_pushforward,
     pairing_tower,
 )
 from chowline.errors import UnsupportedFamily, WrongBundleCount
@@ -42,11 +48,13 @@ def test_serre_dual_on_p2():
 
 
 def test_chi_consistency_with_binomial():
-    for n in range(1, 5):
+    for n in range(1, 9):
         for d in range(-12, 13):
             dims = cohomology_dims(n, d)
             chi = sum((-1) ** k * h for k, h in enumerate(dims))
             assert chi == chi_projective_space(n, d)
+            assert type(chi_projective_space(n, d)) is int
+    assert all(chi_projective_space(0, d) == 1 for d in range(-12, 13))
 
 
 # ---------------------------------------------------------- det_Rf_degree
@@ -251,3 +259,21 @@ def test_family_validation():
     fam = FamilyDescriptor((1,), 1)
     with pytest.raises(UnsupportedFamily):
         det_Rf_degree(fam, L(1, 2, 3))
+
+
+def test_a_non_integral_pairing_degree_raises(monkeypatch):
+    # The integrality check is an explicit raise, so it holds under -O.
+    monkeypatch.setattr(dcoh, "integrate", lambda product: Fraction(1, 2))
+    with pytest.raises(AssertionError, match="integer"):
+        pairing_degree_by_pushforward(FamilyDescriptor((1,), 1), [L(1, 0), L(0, 1)])
+
+
+def test_package_has_no_assert_statements():
+    # ``python -O`` strips assert statements, so no check of the package
+    # may be one.
+    package = Path(chowline.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from chowline.errors import (
     ChainNotStabilized,
@@ -131,6 +133,43 @@ def test_snf_properties(M):
     assert all(d >= 0 for d in diagonal)
     for a, b in zip(diagonal, diagonal[1:]):
         assert (b % a == 0) if a else b == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_matrices())
+def test_snf_diagonal_matches_sympy(M):
+    diagonal, _, _ = smith_normal_form(M)
+    assert diagonal == [int(d) for d in invariant_factors(Matrix(M), domain=ZZ)]
+
+
+# (diagonal, U, V) exactly: ``solve_integer_system`` returns V @ y, and
+# ``chowline picard`` prints that solution as the raw eps, so a different
+# but valid U or V changes the report.  One matrix per branch.
+PINNED_SNF = [
+    # zero pivot: a row swap and a column swap bring the first nonzero
+    # entry in row order, 4, to (0, 0)
+    ([[0, 0, 0], [0, 0, 4], [0, 6, 0]],
+     ([2, 12, 0], [[0, -1, 1], [0, -3, 2], [1, 0, 0]],
+      [[0, 0, 1], [1, -2, 0], [1, -3, 0]])),
+    # the pivot divides: subtract a multiple
+    ([[2, 4], [6, 8]], ([2, 4], [[1, 0], [3, -1]], [[1, -2], [0, 1]])),
+    # a negative pivot that divides: still a subtraction
+    ([[-2, 4], [6, 8]], ([2, 20], [[-1, 0], [3, 1]], [[1, 2], [0, 1]])),
+    # the pivot does not divide: an xgcd step
+    ([[3, 5], [7, 2]], ([1, 29], [[-2, 1], [7, -3]], [[1, 8], [0, 1]])),
+    # the divisibility fix: diag(2, 3) -> (1, 6)
+    ([[2, 0], [0, 3]], ([1, 6], [[-1, 1], [-3, 2]], [[1, -3], [1, -2]])),
+    # negative diagonal entries: the sign goes into U
+    ([[-2, 0], [0, -4]], ([2, 4], [[-1, 0], [0, -1]], [[1, 0], [0, 1]])),
+    # more rows than columns
+    ([[2, 4], [6, 9], [10, 15]],
+     ([1, 2], [[1, -2, 1], [1, -4, 2], [0, 5, -3]], [[-1, -1], [1, 0]])),
+]
+
+
+@pytest.mark.parametrize("M, expected", PINNED_SNF)
+def test_snf_transforms_are_pinned(M, expected):
+    assert smith_normal_form(M) == expected
 
 
 def test_solve_integer_system():

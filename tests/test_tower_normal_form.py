@@ -12,7 +12,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chowline import cli, pushforward
 from chowline.chern_ring import TRUNCATION_LIMIT
+from chowline.errors import TowerTooLarge
 from chowline.poly import Poly
 from chowline.pushforward import Tower, integrate, xi_name
 
@@ -170,3 +172,30 @@ def test_deep_rewriting_needs_no_interpreter_stack():
         sys.setrecursionlimit(limit)
     assert integrate(reduced) == 1
     assert len(t._normal) > 3 * headroom
+
+
+def test_a_table_past_the_limit_is_refused(monkeypatch):
+    levels = [[[0] * j, [1] * j] for j in range(4)]
+    full = Tower(levels)
+    expected = integrate(full.xi(4) ** 4)
+    needed = len(full._normal)
+    assert needed > 10
+
+    # A table may reach the limit but never pass it.
+    monkeypatch.setattr(pushforward, "TOWER_TABLE_LIMIT", needed)
+    at_limit = Tower(levels)
+    assert integrate(at_limit.xi(4) ** 4) == expected
+    assert len(at_limit._normal) == needed
+
+    monkeypatch.setattr(pushforward, "TOWER_TABLE_LIMIT", needed - 1)
+    below = Tower(levels)
+    with pytest.raises(TowerTooLarge):
+        below.xi(4) ** 4
+    assert len(below._normal) == needed - 1
+
+    monkeypatch.setattr(pushforward, "TOWER_TABLE_LIMIT", 10)
+    argv = ["deligne", "--fiber", "1,1", "--base", "1",
+            "--bundles", "[[1,0,1],[0,1,1],[1,1,0]]"]
+    assert cli.main(argv) == 2
+    monkeypatch.undo()
+    assert cli.main(argv) == 0
