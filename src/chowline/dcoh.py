@@ -90,24 +90,16 @@ def chi_projective_space(n, d):
     return prod(range(d + 1, d + n + 1)) // factorial(n)
 
 
-def _kunneth_dims(fiber, degrees):
-    total = [1]
-    for n, d in zip(fiber, degrees):
-        factor = cohomology_dims(n, d)
-        merged = [0] * (len(total) + len(factor) - 1)
-        for i, a in enumerate(total):
-            if a == 0:
-                continue
-            for j, b in enumerate(factor):
-                merged[i + j] += a * b
-        total = merged
-    return total
-
-
 def _fiber_chi(fiber, degrees):
-    """chi(fiber, O(d)): the alternating sum of the Kunneth dimensions."""
-    dims = _kunneth_dims(fiber, degrees)
-    return sum((-1) ** k * h for k, h in enumerate(dims))
+    """chi(fiber, O(d)) = prod_i chi(P^{n_i}, O(d_i)), the Euler
+    characteristic being multiplicative over Kunneth factors.  Each factor
+    is h^0 + (-1)^n h^n of ``cohomology_dims``, its only nonzero entries;
+    a multidegree of the wrong length raises ``ValueError``."""
+    chi = 1
+    for n, d in zip(fiber, degrees, strict=True):
+        dims = cohomology_dims(n, d)
+        chi *= dims[0] + (-1) ** n * dims[n]
+    return chi
 
 
 def det_Rf_degree(fam, bundle):
@@ -124,6 +116,18 @@ def det_Rf_degree(fam, bundle):
     return GradedLineDegree(rank=chi, degree=bundle.base_twist * chi)
 
 
+def _check_bundles(fam, bundles):
+    """Refuse anything but n+1 bundles, n the fiber dimension, each with
+    one degree per fiber factor."""
+    n = fam.fiber_dimension
+    if len(bundles) != n + 1:
+        raise WrongBundleCount(
+            f"a fiber of dimension {n} pairs exactly {n + 1} line bundles, "
+            f"got {len(bundles)}")
+    if any(len(b.fiber_degrees) != len(fam.fiber) for b in bundles):
+        raise ValueError("multidegree length mismatch")
+
+
 def deligne_pairing_degree(fam, bundles):
     """Degree of the pairing of n+1 line bundles, with its rank check.
 
@@ -136,17 +140,11 @@ def deligne_pairing_degree(fam, bundles):
     one doubling step per bundle: entry ``mask | 1 << i`` is entry
     ``mask`` plus L_i, and its sign the opposite of entry ``mask``'s.
     """
-    n = fam.fiber_dimension
-    if len(bundles) != n + 1:
-        raise WrongBundleCount(
-            f"a fiber of dimension {n} pairs exactly {n + 1} line bundles, "
-            f"got {len(bundles)}")
-    t = len(fam.fiber)
+    _check_bundles(fam, bundles)
+    n, t = fam.fiber_dimension, len(fam.fiber)
     sums = [(0,) * (t + 1)]
     signs = [(-1) ** (n + 1)]
     for bundle in bundles:
-        if len(bundle.fiber_degrees) != t:
-            raise ValueError("multidegree length mismatch")
         v = bundle.fiber_degrees + (bundle.base_twist,)
         sums += [tuple(a + b for a, b in zip(s, v)) for s in sums]
         signs += [-sign for sign in signs]
@@ -168,14 +166,22 @@ def pairing_tower(fam):
 def pairing_degree_by_pushforward(fam, bundles, tower=None):
     """The direct-image degree: integral over the total space of the
     product of the first Chern classes, against the base hyperplane power
-    that reads off a divisor's degree."""
+    that reads off a divisor's degree.
+
+    The product starts from 1 and multiplies in the unreduced linear
+    forms: xi_1 (the base hyperplane) base - 1 times, then each bundle's
+    first Chern class.  The reduced product normalizes every monomial
+    product as it forms, and NF(a b) = NF(NF(a) b).  The bundles are
+    checked as ``deligne_pairing_degree`` checks them.
+    """
+    _check_bundles(fam, bundles)
     if tower is None:
         tower = pairing_tower(fam)
+    forms = [(1,)] * (fam.base - 1) + [
+        (bundle.base_twist,) + bundle.fiber_degrees for bundle in bundles]
     product = tower.const(1)
-    for bundle in bundles:
-        coeffs = [bundle.base_twist] + list(bundle.fiber_degrees)
-        product = product * tower.line_class(coeffs)
-    product = product * tower.xi(1) ** (fam.base - 1)
+    for coeffs in forms:
+        product = product * tower.linear_form(coeffs)
     value = integrate(product)
     if value.denominator != 1:
         raise AssertionError("pairing degree must be an integer")

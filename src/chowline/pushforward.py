@@ -94,7 +94,9 @@ class Tower:
     part of the tower below it, as a list of line classes.  Each line class
     is a coefficient vector over (xi_1, ..., xi_j): level 0 lines have no
     coefficients (lines on a point are trivial).  ``bound``, the
-    truncation of every class, equals ``dimension``.
+    truncation of every class, equals ``dimension``.  The levels are fixed
+    once built, so the tower below (``drop_top``) and the Todd class of
+    the tangent bundle (``tangent_todd``) are built on first use and kept.
     """
 
     def __init__(self, levels):
@@ -116,12 +118,13 @@ class Tower:
                 f"{TRUNCATION_LIMIT}")
         self.bound = self.dimension
         self._below = None
+        self._todd = None
         # The levels in order: the top level's field is the lowest, so
         # push_level moves a cofactor to the tower below with a shift.
         self.grades = VarTable(
             {xi_name(j + 1): 1 for j in range(len(self.ranks))}, self.bound)
         self._line_polys = [
-            [self._linear_form(coeffs) for coeffs in lines]
+            [self.linear_form(coeffs) for coeffs in lines]
             for lines in self.line_coeffs
         ]
         self._top_monomial = tuple(sorted(
@@ -169,9 +172,13 @@ class Tower:
 
     # -- ring elements ---------------------------------------------------
 
-    def _linear_form(self, coeffs):
-        """sum_i coeffs[i] * xi_{i+1} for integer coefficients; zero on
-        the point, whose bound leaves no room for degree 1."""
+    def linear_form(self, coeffs):
+        """sum_i coeffs[i] * xi_{i+1} for integer coefficients, as an
+        unreduced polynomial that a ``TowerClass`` product reduces; zero
+        on the point, whose bound leaves no room for degree 1."""
+        coeffs = list(coeffs)
+        if len(coeffs) > len(self.ranks):
+            raise ValueError("more coefficients than tower levels")
         unit = self.grades.unit
         nums = {unit[xi_name(i + 1)]: c
                 for i, c in enumerate(map(index, coeffs)) if c}
@@ -185,10 +192,7 @@ class Tower:
 
     def line_class(self, coeffs):
         """The class sum_i coeffs[i] * xi_{i+1}, for integer coefficients."""
-        coeffs = list(coeffs)
-        if len(coeffs) > len(self.ranks):
-            raise ValueError("more coefficients than tower levels")
-        return self.from_poly(self._linear_form(coeffs))
+        return self.from_poly(self.linear_form(coeffs))
 
     def const(self, value):
         return TowerClass(self, Poly.const(value, self.grades, self.bound))
@@ -373,10 +377,14 @@ def tangent_todd(tower):
     """td of the tower's tangent bundle, from the relative Euler sequences.
 
     Each level contributes T_j = pi^* E_{j-1} (x) O_j(1) - O, whose roots
-    are l + xi_j over the line classes l of that level.
+    are l + xi_j over the line classes l of that level.  Built on the
+    first call and kept on the tower; ring operations return new classes,
+    so callers share it safely.
     """
-    return evaluate_class_in_ring(
-        todd_spec(tower.bound), relative_tangent(tower, 0), tower)
+    if tower._todd is None:
+        tower._todd = evaluate_class_in_ring(
+            todd_spec(tower.bound), relative_tangent(tower, 0), tower)
+    return tower._todd
 
 
 def relative_tangent(tower, base_levels):

@@ -4,11 +4,13 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chowline
 from chowline import dcoh
 from chowline.dcoh import (
-    _kunneth_dims,
+    _fiber_chi,
     FamilyDescriptor,
     MultidegreeLineBundle,
     c1_pairing_check,
@@ -20,6 +22,20 @@ from chowline.dcoh import (
     pairing_tower,
 )
 from chowline.errors import UnsupportedFamily, WrongBundleCount
+
+
+def _kunneth_dims(fiber, degrees):
+    """[h^0, ..., h^n] of O(d) on the fiber: the convolution of the
+    per-factor ``cohomology_dims`` (the Kunneth formula)."""
+    total = [1]
+    for n, d in zip(fiber, degrees, strict=True):
+        factor = cohomology_dims(n, d)
+        merged = [0] * (len(total) + len(factor) - 1)
+        for i, a in enumerate(total):
+            for j, b in enumerate(factor):
+                merged[i + j] += a * b
+        total = merged
+    return total
 
 
 def fiber_cohomology_dims(fam, bundle):
@@ -94,6 +110,33 @@ def test_kunneth_dims():
     assert fiber_cohomology_dims(fam, L(1, 1, 0)) == [4, 0, 0]
     assert fiber_cohomology_dims(fam, L(-2, -2, 0)) == [0, 0, 1]
     assert fiber_cohomology_dims(fam, L(1, -2, 0)) == [0, 2, 0]
+
+
+@st.composite
+def fibers_and_degrees(draw):
+    """One to four factors of dimension 1-4, degrees in [-8, 8] (so every
+    factor's vanishing window -n..-1 is reached)."""
+    fiber = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    degrees = [draw(st.integers(-8, 8)) for _ in fiber]
+    return tuple(fiber), tuple(degrees)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fibers_and_degrees())
+@example(((2, 3), (3, -2)))  # inside the vanishing window of P^3
+@example(((1, 1, 4, 2), (-2, 5, -5, -1)))
+def test_fiber_chi_is_the_alternating_sum_of_the_kunneth_dims(case):
+    fiber, degrees = case
+    dims = _kunneth_dims(fiber, degrees)
+    assert _fiber_chi(fiber, degrees) == sum(
+        (-1) ** k * h for k, h in enumerate(dims))
+
+
+def test_fiber_chi_refuses_a_multidegree_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        _fiber_chi((1, 1), (2,))
+    with pytest.raises(ValueError):
+        _fiber_chi((1,), (2, 3))
 
 
 def test_kunneth_rank_is_product_of_chis():
@@ -211,6 +254,51 @@ def test_pairing_degree_refuses_a_multidegree_of_the_wrong_length():
         deligne_pairing_degree(fam, [L(1, 0, 1), L(0, 1, 0), L(2, 1)])
     with pytest.raises(ValueError):
         deligne_pairing_degree(fam, [L(1, 1), L(0, 1), L(2, 1)])
+
+
+def _pushforward_by_reduced_lines(fam, bundles):
+    """The pushforward degree as it was first computed: each first Chern
+    class reduced through ``line_class`` before it multiplies, and the
+    base hyperplane power multiplied in last."""
+    tower = pairing_tower(fam)
+    product = tower.const(1)
+    for bundle in bundles:
+        coeffs = [bundle.base_twist] + list(bundle.fiber_degrees)
+        product = product * tower.line_class(coeffs)
+    product = product * tower.xi(1) ** (fam.base - 1)
+    return int(dcoh.integrate(product))
+
+
+@pytest.mark.parametrize("fiber,base", FAMILY_SHAPES)
+def test_pushforward_degree_matches_the_reduced_line_loop(fiber, base):
+    import random
+    rng = random.Random(str(("pushforward", fiber, base)))
+    fam = FamilyDescriptor(fiber, base)
+    tower = pairing_tower(fam)
+    for _ in range(25):
+        bundles = [L(*(rng.randint(-4, 4) for _ in range(len(fiber) + 1)))
+                   for _ in range(fam.fiber_dimension + 1)]
+        expected = _pushforward_by_reduced_lines(fam, bundles)
+        assert pairing_degree_by_pushforward(fam, bundles, tower) == expected
+        assert pairing_degree_by_pushforward(fam, bundles) == expected
+
+
+def test_pushforward_degree_refuses_a_wrong_bundle_count():
+    fam = FamilyDescriptor((1,), 1)
+    for bundles in ([L(1, 0)], [L(1, 0), L(0, 1), L(2, 2)]):
+        with pytest.raises(WrongBundleCount):
+            pairing_degree_by_pushforward(fam, bundles)
+
+
+def test_pushforward_degree_refuses_a_multidegree_of_the_wrong_length():
+    fam = FamilyDescriptor((1, 1), 1)
+    with pytest.raises(ValueError):
+        pairing_degree_by_pushforward(fam, [L(1, 0, 1), L(0, 1, 0), L(2, 1)])
+    with pytest.raises(ValueError):
+        pairing_degree_by_pushforward(fam, [L(1, 1), L(0, 1), L(2, 1)])
+    with pytest.raises(ValueError):
+        pairing_degree_by_pushforward(
+            fam, [L(1, 0, 1), L(0, 1, 0), L(2, 1, 1, 1)])
 
 
 # --------------------------------------------------------- c1_pairing_check

@@ -125,13 +125,45 @@ def _tangent_todd_by_product(tower):
     return tower.from_poly(total)
 
 
-@pytest.mark.parametrize("tower", [
-    p1(), p2(), Tower.product_of_projective_spaces([1, 1]),
-    Tower([[[], []], [[0], [2]]]),
-    Tower([[[], [], []], [[1], [-1], [0]]]),
+TODD_TOWERS = pytest.mark.parametrize("levels", [
+    [[[], []]], [[[], [], []]], [[[], []], [[0], [0]]],
+    [[[], []], [[0], [2]]],
+    [[[], [], []], [[1], [-1], [0]]],
 ], ids=["P1", "P2", "P1xP1", "F2", "P(O(1)+O(-1)+O)-over-P2"])
-def test_tangent_todd_is_the_euler_sequence_product(tower):
+
+
+@TODD_TOWERS
+def test_tangent_todd_is_the_euler_sequence_product(levels):
+    tower = Tower(levels)
     assert tangent_todd(tower).poly == _tangent_todd_by_product(tower).poly
+
+
+@TODD_TOWERS
+def test_tangent_todd_is_built_once_per_tower(levels):
+    t = Tower(levels)
+    td = tangent_todd(t)
+    poly = td.poly
+    nums, den = dict(poly.nums), poly.den
+    td * t.xi(1) + td
+    lines = [VirtualBundle.line_class(
+                 t.line_class([d] + [1] * (len(levels) - 1)).poly)
+             for d in range(-3, 4)]
+    first = [euler_characteristic(t, v) for v in lines]
+    assert [euler_characteristic(t, v) for v in lines] == first
+    # The kept class is shared, and arithmetic with it leaves it as built.
+    assert tangent_todd(t) is td and td.poly is poly
+    assert (dict(poly.nums), poly.den) == (nums, den)
+    assert poly == _tangent_todd_by_product(t).poly
+    assert tangent_todd(Tower(levels)) is not td
+
+
+def test_a_linear_form_takes_at_most_one_coefficient_per_level():
+    t = p1xp1()
+    assert t.linear_form([2]) == (t.xi(1) * 2).poly
+    assert t.line_class((2, -1)).poly == t.linear_form([2, -1])
+    for build in (t.linear_form, t.line_class):
+        with pytest.raises(ValueError, match="more coefficients"):
+            build([1, 2, 3])
 
 
 def test_tower_classes_take_no_named_bundle():

@@ -110,6 +110,18 @@ def test_reduced_product_equals_reducing_the_product(data):
     assert (a * raw).poly == tower.from_poly(a.poly * raw).poly
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_raw_linear_form_multiplies_as_its_reduced_class(data):
+    # NF(a v) = NF(a NF(v)): the pairing route multiplies by unreduced
+    # linear forms.
+    tower = Tower(data.draw(tower_levels()))
+    a = tower.from_poly(data.draw(polys_on(tower)))
+    v = data.draw(st.lists(st.integers(-3, 3), min_size=len(tower.ranks),
+                           max_size=len(tower.ranks)))
+    assert (a * tower.linear_form(v)).poly == (a * tower.line_class(v)).poly
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_powers_equal_repeated_products(data):
