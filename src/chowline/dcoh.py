@@ -18,11 +18,18 @@ direct image of the product of first Chern classes.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from math import comb, factorial, prod
 
+from . import pushforward
 from .chern_ring import TRUNCATION_LIMIT
-from .errors import TruncationTooHigh, UnsupportedFamily, WrongBundleCount
+from .errors import (
+    TowerTooLarge,
+    TruncationTooHigh,
+    UnsupportedFamily,
+    WrongBundleCount,
+)
 from .pushforward import Tower, integrate
 
 
@@ -90,16 +97,18 @@ def chi_projective_space(n, d):
     return prod(range(d + 1, d + n + 1)) // factorial(n)
 
 
+def _chi(n, d):
+    """chi(P^n, O(d)) as h^0 + (-1)^n h^n of ``cohomology_dims``, its only
+    nonzero entries."""
+    dims = cohomology_dims(n, d)
+    return dims[0] + (-1) ** n * dims[n]
+
+
 def _fiber_chi(fiber, degrees):
     """chi(fiber, O(d)) = prod_i chi(P^{n_i}, O(d_i)), the Euler
-    characteristic being multiplicative over Kunneth factors.  Each factor
-    is h^0 + (-1)^n h^n of ``cohomology_dims``, its only nonzero entries;
-    a multidegree of the wrong length raises ``ValueError``."""
-    chi = 1
-    for n, d in zip(fiber, degrees, strict=True):
-        dims = cohomology_dims(n, d)
-        chi *= dims[0] + (-1) ** n * dims[n]
-    return chi
+    characteristic being multiplicative over Kunneth factors; a
+    multidegree of the wrong length raises ``ValueError``."""
+    return prod(_chi(n, d) for n, d in zip(fiber, degrees, strict=True))
 
 
 def det_Rf_degree(fam, bundle):
@@ -136,31 +145,92 @@ def deligne_pairing_degree(fam, bundles):
     (-1)^{n+1-|I|}.  Returns (degree, alternating_rank_sum); the rank sum
     must vanish, the pairing being an honest ungraded line bundle.
 
-    The multidegrees of all 2^(n+1) subsets are built as integer tuples,
-    one doubling step per bundle: entry ``mask | 1 << i`` is entry
-    ``mask`` plus L_i, and its sign the opposite of entry ``mask``'s.
+    The subsets are kept as columns, one per fiber factor plus one of
+    base twists and one of signs, each listing its value on all 2^(n+1)
+    subsets.  One doubling step per bundle builds them: entry
+    ``mask | 1 << i`` is entry ``mask`` plus L_i's degree, and its sign
+    the opposite of entry ``mask``'s.  The fiber Euler characteristic of
+    a subset is then the product of its factors' chi(P^{n_i}, O(d)),
+    each read from a table over the distinct degrees of factor i's
+    column.
     """
     _check_bundles(fam, bundles)
-    n, t = fam.fiber_dimension, len(fam.fiber)
-    sums = [(0,) * (t + 1)]
-    signs = [(-1) ** (n + 1)]
+    columns = [[0] for _ in range(len(fam.fiber) + 1)]
+    chis = [(-1) ** (fam.fiber_dimension + 1)]
     for bundle in bundles:
-        v = bundle.fiber_degrees + (bundle.base_twist,)
-        sums += [tuple(a + b for a, b in zip(s, v)) for s in sums]
-        signs += [-sign for sign in signs]
-    degree = 0
-    rank_sum = 0
-    for s, sign in zip(sums, signs):
-        chi = sign * _fiber_chi(fam.fiber, s[:t])
-        degree += chi * s[t]
-        rank_sum += chi
-    return degree, rank_sum
+        degrees = bundle.fiber_degrees + (bundle.base_twist,)
+        for column, d in zip(columns, degrees):
+            column += [s + d for s in column]
+        chis += [-sign for sign in chis]
+    *fiber_columns, twists = columns
+    for n, column in zip(fam.fiber, fiber_columns):
+        table = {d: _chi(n, d) for d in set(column)}
+        chis = [chi * table[d] for chi, d in zip(chis, column)]
+    degree = sum(chi * e for chi, e in zip(chis, twists))
+    return degree, sum(chis)
+
+
+# The product families' towers, least recently used first, and the lock
+# under which they are swapped.
+_towers = {}
+_lock = threading.Lock()
+
+
+def _entries(tower):
+    """Normal-form entries held by a tower and the towers kept below it."""
+    below = tower._below
+    return len(tower._normal) + (_entries(below) if below else 0)
+
+
+def _trim():
+    """Drop the least recently used towers until the kept tables hold at
+    most ``TOWER_TABLE_LIMIT`` entries together."""
+    with _lock:
+        while (sum(map(_entries, _towers.values()))
+               > pushforward.TOWER_TABLE_LIMIT):
+            del _towers[next(iter(_towers))]
 
 
 def pairing_tower(fam):
     """The total space of the family as a tower: base level first, then
-    the fiber factors."""
-    return Tower.product_of_projective_spaces([fam.base] + list(fam.fiber))
+    the fiber factors.
+
+    One tower is kept per family, so its normal-form table, the towers
+    below it and its Todd classes serve every later call.  The kept
+    tables hold at most ``TOWER_TABLE_LIMIT`` entries together, counted
+    at each call; the least recently used tower is dropped first.  A kept
+    table already past the current limit is replaced by a fresh tower, so
+    that a lowered limit refuses as it would on a fresh tower.
+    """
+    with _lock:
+        tower = _towers.pop(fam, None)
+        if tower is None or _entries(tower) > pushforward.TOWER_TABLE_LIMIT:
+            tower = Tower.product_of_projective_spaces(
+                [fam.base] + list(fam.fiber))
+        _towers[fam] = tower
+    _trim()
+    return tower
+
+
+def with_pairing_tower(fam, compute):
+    """``compute(tower)`` on the family's kept tower.
+
+    A kept table holds entries of earlier calls, so it can reach
+    ``TOWER_TABLE_LIMIT`` where a fresh table would not: on
+    ``TowerTooLarge`` the tower is dropped, and ``compute`` runs once
+    more on a fresh tower unless the refused one was fresh already.
+    """
+    while True:
+        tower = pairing_tower(fam)
+        warm = bool(tower._normal)
+        try:
+            return compute(tower)
+        except TowerTooLarge:
+            _towers.pop(fam, None)
+            if not warm:
+                raise
+        finally:
+            _trim()
 
 
 def pairing_degree_by_pushforward(fam, bundles, tower=None):
@@ -172,17 +242,23 @@ def pairing_degree_by_pushforward(fam, bundles, tower=None):
     forms: xi_1 (the base hyperplane) base - 1 times, then each bundle's
     first Chern class.  The reduced product normalizes every monomial
     product as it forms, and NF(a b) = NF(NF(a) b).  The bundles are
-    checked as ``deligne_pairing_degree`` checks them.
+    checked as ``deligne_pairing_degree`` checks them.  Without a
+    ``tower`` the family's kept tower serves (``with_pairing_tower``).
     """
     _check_bundles(fam, bundles)
-    if tower is None:
-        tower = pairing_tower(fam)
     forms = [(1,)] * (fam.base - 1) + [
         (bundle.base_twist,) + bundle.fiber_degrees for bundle in bundles]
-    product = tower.const(1)
-    for coeffs in forms:
-        product = product * tower.linear_form(coeffs)
-    value = integrate(product)
+
+    def degree(tower):
+        product = tower.const(1)
+        for coeffs in forms:
+            product = product * tower.linear_form(coeffs)
+        return integrate(product)
+
+    if tower is None:
+        value = with_pairing_tower(fam, degree)
+    else:
+        value = degree(tower)
     if value.denominator != 1:
         raise AssertionError("pairing degree must be an integer")
     return int(value)

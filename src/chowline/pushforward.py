@@ -50,7 +50,6 @@ from .charclass import (
     chern_character_spec,
     evaluate_class_in_ring,
     todd_spec,
-    todd_star_spec,
 )
 from .chern_ring import TRUNCATION_LIMIT, RingClass
 from .errors import (
@@ -95,8 +94,11 @@ class Tower:
     is a coefficient vector over (xi_1, ..., xi_j): level 0 lines have no
     coefficients (lines on a point are trivial).  ``bound``, the
     truncation of every class, equals ``dimension``.  The levels are fixed
-    once built, so the tower below (``drop_top``) and the Todd class of
-    the tangent bundle (``tangent_todd``) are built on first use and kept.
+    once built, so the tower below (``drop_top``) and the Todd classes of
+    the tangent bundle and of each relative tangent bundle
+    (``tangent_todd``) are built on first use and kept, as is the
+    normal-form table.  A product family keeps one tower per process
+    (``dcoh.pairing_tower``), so all of these outlive a single call.
     """
 
     def __init__(self, levels):
@@ -118,7 +120,7 @@ class Tower:
                 f"{TRUNCATION_LIMIT}")
         self.bound = self.dimension
         self._below = None
-        self._todd = None
+        self._todd = {}
         # The levels in order: the top level's field is the lowest, so
         # push_level moves a cofactor to the tower below with a shift.
         self.grades = VarTable(
@@ -373,18 +375,23 @@ def integrate(tclass):
     return tclass.poly.coefficient(tclass.tower._top_monomial)
 
 
-def tangent_todd(tower):
-    """td of the tower's tangent bundle, from the relative Euler sequences.
+def tangent_todd(tower, base_levels=0):
+    """td of the tangent bundle of the tower relative to its first
+    ``base_levels`` levels, from the relative Euler sequences: td(T_X)
+    for 0, td(T_f) of the family X -> (first levels) otherwise.
 
-    Each level contributes T_j = pi^* E_{j-1} (x) O_j(1) - O, whose roots
-    are l + xi_j over the line classes l of that level.  Built on the
-    first call and kept on the tower; ring operations return new classes,
-    so callers share it safely.
+    Each level above the base contributes T_j = pi^* E_{j-1} (x) O_j(1) -
+    O, whose roots are l + xi_j over the line classes l of that level.
+    Built on the first call for each ``base_levels`` and kept on the
+    tower; ring operations return new classes, so callers share it
+    safely.
     """
-    if tower._todd is None:
-        tower._todd = evaluate_class_in_ring(
-            todd_spec(tower.bound), relative_tangent(tower, 0), tower)
-    return tower._todd
+    todd = tower._todd.get(base_levels)
+    if todd is None:
+        todd = tower._todd[base_levels] = evaluate_class_in_ring(
+            todd_spec(tower.bound), relative_tangent(tower, base_levels),
+            tower)
+    return todd
 
 
 def relative_tangent(tower, base_levels):
@@ -410,20 +417,21 @@ def symmetry_sign(tower, lines, i, j):
     """Sign of swapping entries i and j of a pairing with L_i = L_j.
 
     The sign is (-1)^kappa with kappa the degree of the product of the
-    other n first Chern classes over the n-dimensional fiber tower.
+    other n first Chern classes over the n-dimensional fiber tower.  As in
+    the pairing route, the unreduced linear forms multiply through the
+    reduced product; the swapped lines are equal when their difference
+    reduces to zero.
     """
     if i == j or not (0 <= i < len(lines)) or not (0 <= j < len(lines)):
         raise ValueError("indices must be distinct slots of the pairing")
-    li = tower.line_class(lines[i]).poly
-    lj = tower.line_class(lines[j]).poly
-    if li != lj:
+    forms = [tower.linear_form(coeffs) for coeffs in lines]
+    if not tower.from_poly(forms[i] - forms[j]).is_zero():
         raise UnequalBundles(
             "the swapped line classes must be equal for the sign formula")
     product = tower.const(1)
-    for k, coeffs in enumerate(lines):
-        if k == i:
-            continue
-        product = product * tower.line_class(coeffs)
+    for k, form in enumerate(forms):
+        if k != i:
+            product = product * form
     kappa = integrate(product)
     if kappa.denominator != 1:
         raise AssertionError("relative degree must be an integer")
@@ -436,8 +444,11 @@ def grr_codim1_report(fam, bundle):
 
     The left side is the degree of det Rf_* L from the cohomological
     oracle; the right side is the degree of the codimension-one part of
-    f_*(ch(L) td*(Omega_f)) computed symbolically on the tower.  Returns a
-    dict with both degrees and the verdict.
+    f_*(ch(L) td^v(Omega_f)) computed symbolically on the family's kept
+    tower (``dcoh.with_pairing_tower``), pushed down one fiber level at a
+    time.  Since td^v(V) = td(V^v) and Omega_f is the dual of T_f,
+    td^v(Omega_f) = td(T_f), the kept ``tangent_todd(tower, 1)``.
+    Returns a dict with both degrees and the verdict.
     """
     from . import dcoh  # local import: dcoh also consumes this module
 
@@ -446,20 +457,18 @@ def grr_codim1_report(fam, bundle):
             "degree comparison needs a one-dimensional base")
     lhs = dcoh.det_Rf_degree(fam, bundle).degree
 
-    tower = dcoh.pairing_tower(fam)
     coeffs = [bundle.base_twist] + list(bundle.fiber_degrees)
-    line = VirtualBundle.line_class(tower.line_class(coeffs).poly)
 
-    omega = relative_tangent(tower, base_levels=1).dual()
-    integrand = (
-        evaluate_class_in_ring(chern_character_spec(tower.bound), line, tower)
-        * evaluate_class_in_ring(todd_star_spec(tower.bound), omega, tower))
+    def pushed_degree(tower):
+        line = VirtualBundle.line_class(tower.linear_form(coeffs))
+        ch = evaluate_class_in_ring(
+            chern_character_spec(tower.bound), line, tower)
+        pushed = ch * tangent_todd(tower, base_levels=1)
+        for _ in range(len(fam.fiber)):
+            pushed = push_level(pushed)
+        return integrate(pushed.graded_part(1))
 
-    pushed = integrand
-    for _ in range(len(fam.fiber)):
-        pushed = push_level(pushed)
-    rhs = integrate(pushed.graded_part(1))
+    rhs = dcoh.with_pairing_tower(fam, pushed_degree)
     if rhs.denominator != 1:
         raise AssertionError("determinant degree must be an integer")
     return {"lhs_degree": lhs, "rhs_degree": int(rhs), "equal": lhs == int(rhs)}
-

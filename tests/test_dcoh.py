@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chowline
-from chowline import dcoh
+from chowline import cli, dcoh, pushforward
 from chowline.dcoh import (
     _fiber_chi,
     FamilyDescriptor,
@@ -21,7 +21,8 @@ from chowline.dcoh import (
     pairing_degree_by_pushforward,
     pairing_tower,
 )
-from chowline.errors import UnsupportedFamily, WrongBundleCount
+from chowline.errors import TowerTooLarge, UnsupportedFamily, WrongBundleCount
+from chowline.pushforward import Tower
 
 
 def _kunneth_dims(fiber, degrees):
@@ -256,6 +257,52 @@ def test_pairing_degree_refuses_a_multidegree_of_the_wrong_length():
         deligne_pairing_degree(fam, [L(1, 1), L(0, 1), L(2, 1)])
 
 
+def _pairing_subset_by_subset(fam, bundles):
+    """The pairing degree by its definition, one subset I at a time: the
+    multidegree of the tensor product of the L_i in I, its fiber chi as
+    the alternating sum of the Kunneth dimensions, and the exponent
+    (-1)^{n+1-|I|} of det Rf_* = chi copies of O(e)."""
+    n = fam.fiber_dimension
+    degree = rank_sum = 0
+    for mask in range(2 ** (n + 1)):
+        chosen = [b for i, b in enumerate(bundles) if mask >> i & 1]
+        degrees = [sum(b.fiber_degrees[k] for b in chosen)
+                   for k in range(len(fam.fiber))]
+        twist = sum(b.base_twist for b in chosen)
+        dims = _kunneth_dims(fam.fiber, degrees)
+        chi = (-1) ** (n + 1 - len(chosen)) * sum(
+            (-1) ** k * h for k, h in enumerate(dims))
+        degree += chi * twist
+        rank_sum += chi
+    return degree, rank_sum
+
+
+@st.composite
+def families_and_bundles(draw):
+    """One to three fiber factors of dimension 1-3, base 1-2, and n+1
+    bundles with degrees in [-6, 6]."""
+    fiber = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    fam = FamilyDescriptor(fiber, draw(st.integers(1, 2)))
+    degrees = st.lists(st.integers(-6, 6), min_size=len(fiber) + 1,
+                       max_size=len(fiber) + 1)
+    bundles = [L(*draw(degrees)) for _ in range(fam.fiber_dimension + 1)]
+    return fam, bundles
+
+
+@settings(max_examples=150, deadline=None)
+@given(families_and_bundles())
+# Subsets of one, two and three bundles land at -1, -2 and -3 on P^2 and
+# P^3, inside and at the edge of each vanishing window -n..-1.
+@example((FamilyDescriptor((2,), 1), [L(-1, 1), L(-1, 2), L(-1, -1)]))
+@example((FamilyDescriptor((3, 1), 2),
+          [L(-1, 0, 2), L(-1, -1, 1), L(-2, 1, -3), L(0, -2, 1),
+           L(-1, 1, 1)]))
+def test_column_oracle_matches_the_subset_definition(case):
+    fam, bundles = case
+    assert (deligne_pairing_degree(fam, bundles)
+            == _pairing_subset_by_subset(fam, bundles))
+
+
 def _pushforward_by_reduced_lines(fam, bundles):
     """The pushforward degree as it was first computed: each first Chern
     class reduced through ``line_class`` before it multiplies, and the
@@ -365,3 +412,115 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# ------------------------------------------------------------ kept towers
+
+def _kept_entries():
+    return sum(map(dcoh._entries, dcoh._towers.values()))
+
+
+def test_a_family_keeps_one_tower():
+    fam = FamilyDescriptor((1, 1), 1)
+    assert pairing_tower(fam) is pairing_tower(FamilyDescriptor((1, 1), 1))
+    assert pairing_tower(fam) is not pairing_tower(FamilyDescriptor((1, 1), 2))
+
+
+def test_the_kept_tables_stay_within_the_limit(monkeypatch):
+    # Each family alone fits in 30 entries, all six of them do not.
+    monkeypatch.setattr(pushforward, "TOWER_TABLE_LIMIT", 30)
+    families = [FamilyDescriptor(fiber, base)
+                for fiber in [(1,), (2,), (1, 1)] for base in (1, 2)]
+    for _ in range(3):
+        for fam in families:
+            bundles = [L(*[1] * (len(fam.fiber) + 1))
+                       for _ in range(fam.fiber_dimension + 1)]
+            assert c1_pairing_check(fam, bundles)["match"]
+            assert _kept_entries() <= 30
+            if fam.base == 1:
+                twist = L(*[2] * (len(fam.fiber) + 1))
+                assert pushforward.grr_codim1_report(fam, twist)["equal"]
+                assert _kept_entries() <= 30
+            pairing_tower(fam)
+            assert _kept_entries() <= 30
+    assert len(dcoh._towers) < len(families)
+
+
+def test_a_warm_family_still_refuses_under_a_lowered_limit(monkeypatch):
+    argv = ["deligne", "--fiber", "1,1", "--base", "1",
+            "--bundles", "[[1,0,1],[0,1,1],[1,1,0]]"]
+    assert cli.main(argv) == 0
+    fam = FamilyDescriptor((1, 1), 1)
+    assert len(pairing_tower(fam)._normal) > 10
+    monkeypatch.setattr(pushforward, "TOWER_TABLE_LIMIT", 10)
+    assert cli.main(argv) == 2
+    assert cli.main(["grr", "--fiber", "1,1", "--bundle", "[1,2,3]"]) == 2
+    monkeypatch.undo()
+    assert cli.main(argv) == 0
+
+
+def test_a_warm_family_accepts_what_a_fresh_one_accepts(monkeypatch):
+    # Each pairing alone meets two monomials of P^1 x P^1 x P^1, and the
+    # two pairings meet different ones.
+    fam = FamilyDescriptor((1, 1), 1)
+    first = [L(1, 0, 0)] * 3
+    second = [L(0, 1, 0)] * 3
+    dcoh._towers.pop(fam, None)
+    monkeypatch.setattr(pushforward, "TOWER_TABLE_LIMIT", 2)
+    assert pairing_degree_by_pushforward(fam, first) == 0
+    warm = pairing_tower(fam)
+    assert len(warm._normal) == 2
+    fresh = Tower.product_of_projective_spaces([1, 1, 1])
+    assert pairing_degree_by_pushforward(fam, second, fresh) == 0
+    # The warm table fills up, so the pairing runs again on a fresh tower.
+    assert pairing_degree_by_pushforward(fam, second) == 0
+    assert pairing_tower(fam) is not warm
+    # A fresh tower that fills up refuses at once.
+    dcoh._towers.pop(fam, None)
+    with pytest.raises(TowerTooLarge):
+        pairing_degree_by_pushforward(fam, [L(1, 1, 1)] * 3)
+    assert fam not in dcoh._towers
+
+
+def test_threads_share_the_kept_towers(monkeypatch):
+    # A limit of 30 entries keeps trimming the kept towers while four
+    # threads run pairings and grr on six families at once.
+    import sys
+    import threading
+    monkeypatch.setattr(pushforward, "TOWER_TABLE_LIMIT", 30)
+    families = [FamilyDescriptor(fiber, base)
+                for fiber in [(1,), (2,), (1, 1)] for base in (1, 2)]
+    wrong = []
+
+    def work(seed):
+        try:
+            for k in range(300):
+                fam = families[(seed + k) % len(families)]
+                bundles = [L(*[(seed + k + i) % 3 - 1] * (len(fam.fiber) + 1))
+                           for i in range(fam.fiber_dimension + 1)]
+                if not c1_pairing_check(fam, bundles)["match"]:
+                    wrong.append((fam, bundles))
+                if fam.base == 1:
+                    twist = L(*[k % 4 - 1] * (len(fam.fiber) + 1))
+                    if not pushforward.grr_codim1_report(fam, twist)["equal"]:
+                        wrong.append((fam, twist))
+                for other in families:
+                    pairing_tower(other)
+        except Exception as err:  # a thread's exception is otherwise lost
+            wrong.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    pairing_tower(families[0])
+    assert _kept_entries() <= 30

@@ -157,6 +157,20 @@ def test_tangent_todd_is_built_once_per_tower(levels):
     assert tangent_todd(Tower(levels)) is not td
 
 
+@TODD_TOWERS
+def test_tangent_todd_is_kept_for_each_base_level(levels):
+    t = Tower(levels)
+    kept = [tangent_todd(t, b) for b in range(len(levels) + 1)]
+    assert [tangent_todd(t, b) for b in range(len(levels) + 1)] == kept
+    assert all(tangent_todd(t, b) is td for b, td in enumerate(kept))
+    assert tangent_todd(t) is kept[0]
+    # Over the whole tower the relative tangent bundle is zero.
+    assert kept[-1] == t.const(1)
+    fresh = Tower(levels)
+    assert ([tangent_todd(fresh, b).poly for b in range(len(levels) + 1)]
+            == [td.poly for td in kept])
+
+
 def test_a_linear_form_takes_at_most_one_coefficient_per_level():
     t = p1xp1()
     assert t.linear_form([2]) == (t.xi(1) * 2).poly
@@ -282,6 +296,59 @@ def test_symmetry_sign_p2_fiber():
         for b in range(-2, 3):
             kappa = b * a
             assert symmetry_sign(t, [[b], [a], [a]], 1, 2) == (-1) ** kappa
+
+
+def _symmetry_sign_by_reduced_lines(tower, lines, i, j):
+    """The sign as it was first computed: each line reduced through
+    ``line_class`` before the comparison and before it multiplies."""
+    if tower.line_class(lines[i]).poly != tower.line_class(lines[j]).poly:
+        raise UnequalBundles("unequal")
+    product = tower.const(1)
+    for k, coeffs in enumerate(lines):
+        if k != i:
+            product = product * tower.line_class(coeffs)
+    return -1 if int(integrate(product)) % 2 else 1
+
+
+def _random_sign_towers(rng):
+    """Product towers and twisted towers of one to three levels; the
+    twisted ones may have rank-1 levels, where unequal coefficient
+    vectors can give equal classes."""
+    for _ in range(12):
+        dims = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
+        yield Tower.product_of_projective_spaces(dims)
+    for _ in range(24):
+        yield Tower([[[rng.randint(-2, 2) for _ in range(j)]
+                      for _ in range(rng.randint(1, 3))]
+                     for j in range(rng.randint(1, 3))])
+
+
+def test_symmetry_sign_matches_the_reduced_line_loop():
+    rng = random.Random(29)
+    refused = rewritten = 0
+    for tower in _random_sign_towers(rng):
+        J = len(tower.ranks)
+        for _ in range(6):
+            lines = [[rng.randint(-3, 3) for _ in range(J)]
+                     for _ in range(tower.dimension + 2)]
+            i, j = rng.sample(range(len(lines)), 2)
+            if rng.random() < 0.8:
+                lines[j] = list(lines[i])
+                if J > 1 and tower.ranks[-1] == 1:
+                    # A rank-1 top level with line l has xi_J + l = 0.
+                    lines[j][-1] += 1
+                    lines[j][:-1] = [a + b for a, b in zip(
+                        lines[j][:-1], tower.line_coeffs[-1][0])]
+            try:
+                expected = _symmetry_sign_by_reduced_lines(tower, lines, i, j)
+            except UnequalBundles:
+                refused += 1
+                with pytest.raises(UnequalBundles):
+                    symmetry_sign(tower, lines, i, j)
+            else:
+                assert symmetry_sign(tower, lines, i, j) == expected
+                rewritten += lines[i] != lines[j]
+    assert 0 < refused < 36 * 6 and rewritten > 0
 
 
 # ------------------------------------------------------------------- GRR

@@ -13,10 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowline import cli, pushforward
+from chowline.charclass import evaluate_class_in_ring, todd_star_spec
 from chowline.chern_ring import TRUNCATION_LIMIT
 from chowline.errors import TowerTooLarge
 from chowline.poly import Poly
-from chowline.pushforward import Tower, integrate, xi_name
+from chowline.pushforward import (
+    Tower,
+    integrate,
+    relative_tangent,
+    tangent_todd,
+    xi_name,
+)
 
 
 @st.composite
@@ -211,3 +218,17 @@ def test_a_table_past_the_limit_is_refused(monkeypatch):
     assert cli.main(argv) == 2
     monkeypatch.undo()
     assert cli.main(argv) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(tower_levels(), st.data())
+def test_the_relative_todd_class_is_the_dual_todd_of_the_cotangent(levels,
+                                                                   data):
+    # td^v(V) = td(V^v), and the relative cotangent bundle is the dual of
+    # the relative tangent bundle: the grr integrand's two forms agree.
+    tower = Tower(levels)
+    base = data.draw(st.integers(0, len(levels)))
+    omega = relative_tangent(tower, base).dual()
+    dual_todd = evaluate_class_in_ring(todd_star_spec(tower.bound), omega,
+                                       tower)
+    assert dual_todd.poly == tangent_todd(tower, base).poly
