@@ -391,10 +391,8 @@ def restriction_normal_bundle_check(setup, name):
     if setup.truncation < r:
         raise TruncationTooLow(
             f"need truncation >= {r} for a rank-{r} bundle")
-    expo = exp_series(setup.truncation)
-    lhs = setup.const(1)
-    for root in setup.roots(name):
-        lhs = lhs * (setup.const(1)
-                     - ChernSeries(setup, expo.apply_to(-root)))
+    # prod_i (1 - e^{-x_i}): ch(lambda_{-1}(E)) with x_i -> -x_i, which
+    # signs its degree-k part by (-1)^k.
+    lhs = ch_lambda_minus_one(setup, name).alternate_signs()
     rhs = chern_class(setup, name, r) * td(VirtualBundle.bundle(name), setup).inverse()
     return (lhs - rhs).is_zero()

@@ -15,7 +15,9 @@ solved from the supplied symmetry elements as an integer linear system,
 with the order-2 constraint imposed rather than assumed.
 
 Everything reduces to exact integer linear algebra via the Smith normal
-form, which is implemented here with full transformation matrices.
+form, which is implemented here with full transformation matrices.  Each
+group is reduced once, when it is built, and keeps its form: invariants,
+membership and the solve for eps all read it.
 """
 
 from __future__ import annotations
@@ -144,67 +146,21 @@ def smith_normal_form(matrix):
     return [T[i][i] for i in range(rank_bound)], [row[n:] for row in T[:m]], T[m:]
 
 
-def solve_integer_system(matrix, rhs):
-    """A solution x of matrix @ x = rhs over the integers, or None.
-
-    With U A V = D, the system becomes D y = U b and x = V y.
-    """
-    m = len(matrix)
-    n = len(matrix[0]) if matrix else 0
-    if len(rhs) != m:
-        raise ValueError("right-hand side length mismatch")
-    if n == 0:
-        return [] if all(b == 0 for b in rhs) else None
-    diagonal, U, V = smith_normal_form(matrix)
-    c = mat_vec(U, list(rhs))
-    y = [0] * n
-    for i in range(m):
-        d = diagonal[i] if i < len(diagonal) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            if i < n:
-                y[i] = c[i] // d
-    return mat_vec(V, y)
-
-
-def lattice_contains(columns, vector):
-    """Is ``vector`` an integer combination of the given columns?"""
-    if not columns:
-        return all(x == 0 for x in vector)
-    matrix = [[col[i] for col in columns] for i in range(len(vector))]
-    return solve_integer_system(matrix, vector) is not None
-
-
-def cokernel_invariants(matrix, generators):
-    """(free_rank, torsion) of Z^generators / column span of ``matrix``.
-
-    ``matrix`` has ``generators`` rows; torsion lists the invariant
-    factors > 1 in divisibility order.
-    """
-    if generators == 0:
-        return 0, []
-    if not matrix or not matrix[0]:
-        return generators, []
-    diagonal, _, _ = smith_normal_form(matrix)
-    nonzero = [d for d in diagonal if d != 0]
-    torsion = [d for d in nonzero if d != 1]
-    return generators - len(nonzero), torsion
-
-
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups
 # ---------------------------------------------------------------------------
 
 class FGAbelianGroup:
-    """Z^g modulo the columns of a relation matrix.
+    """Z^g modulo the span of the relation vectors.
 
     Elements are integer vectors of length g; two vectors represent the
     same element iff their difference lies in the relation lattice.
     Isomorphism type is carried by (free rank, invariant factors).
+
+    The relation matrix R, one column per relation, is put in Smith form
+    once, U R V = D, and the group keeps ``(diagonal, U, V)``: the
+    invariants are read from the diagonal, and membership and solving
+    from all three (``relation_coefficients``).
     """
 
     def __init__(self, generators, relations=()):
@@ -214,11 +170,13 @@ class FGAbelianGroup:
         for r in self.relations:
             if len(r) != self.generators:
                 raise ValueError("relation length must equal generator count")
-        self.free_rank, self.torsion = cokernel_invariants(
-            self._relation_matrix(), self.generators)
-
-    def _relation_matrix(self):
-        return [[r[i] for r in self.relations] for i in range(self.generators)]
+        self.diagonal, self.U, self.V = smith_normal_form(
+            [[r[i] for r in self.relations] for i in range(self.generators)])
+        if not self.generators:  # no rows to carry V's size
+            self.V = identity_matrix(len(self.relations))
+        nonzero = [d for d in self.diagonal if d]
+        self.free_rank = self.generators - len(nonzero)
+        self.torsion = [d for d in nonzero if d != 1]
 
     @classmethod
     def free(cls, rank):
@@ -259,10 +217,25 @@ class FGAbelianGroup:
     def __hash__(self):
         return hash(self.invariants())
 
-    def element_is_zero(self, vector):
+    def relation_coefficients(self, vector):
+        """Integers x with sum_j x_j * relations[j] == vector, or None.
+
+        R x = v becomes D y = U v with x = V y: solvable iff each d_i
+        divides (U v)_i, and (U v)_i vanishes past the nonzero d_i.
+        """
         if len(vector) != self.generators:
             raise ValueError("element length must equal generator count")
-        return lattice_contains(self.relations, list(vector))
+        y = [0] * len(self.relations)
+        for i, c in enumerate(mat_vec(self.U, vector)):
+            d = self.diagonal[i] if i < len(self.diagonal) else 0
+            if c % d if d else c:
+                return None
+            if d:
+                y[i] = c // d
+        return mat_vec(self.V, y)
+
+    def element_is_zero(self, vector):
+        return self.relation_coefficients(vector) is not None
 
     def hom(self, other):
         """Hom(self, other) as an abstract f.g. abelian group.
@@ -327,11 +300,9 @@ def homomorphism_is_isomorphism(source, target, matrix):
         raise NotAHomomorphism("matrix does not respect the relations")
     if source.invariants() != target.invariants():
         return False
-    columns = [[row[j] for row in matrix] for j in range(source.generators)]
-    columns += [list(r) for r in target.relations]
-    stacked = [[col[i] for col in columns] for i in range(target.generators)]
-    free, torsion = cokernel_invariants(stacked, target.generators)
-    return free == 0 and not torsion
+    images = [list(column) for column in zip(*matrix)]
+    return FGAbelianGroup(
+        target.generators, images + target.relations).is_trivial()
 
 
 def equivalence_check(pi0_map, pi1_map, source, target):
@@ -500,44 +471,38 @@ def _solve_sign_homomorphism(skeleton, pi0, pi1):
     span_cols = [vec for vec, _ in samples]
     span_cols += [[a - b for a, b in zip(u, v)]
                   for u, v in skeleton.monoid.relations]
-    span_matrix = [[col[i] for col in span_cols] for i in range(g)]
-    h_free, h_torsion = cokernel_invariants(span_matrix, g)
+    H = FGAbelianGroup(g, span_cols)
     pi1_has_two_torsion = any(d % 2 == 0 for d in pi1.torsion)
-    h_mod_two_nonzero = h_free > 0 or any(d % 2 == 0 for d in h_torsion)
+    h_mod_two_nonzero = H.free_rank > 0 or any(d % 2 == 0 for d in H.torsion)
     if pi1_has_two_torsion and h_mod_two_nonzero:
         raise UnderdeterminedSign(
             "the chain classes do not pin down the sign homomorphism: "
             "a nonzero order-2 homomorphism vanishes on all of them")
 
-    # Unknowns: the g*p entries of eps, plus one lattice slack vector per
-    # congruence constraint.  Each constraint contributes p equations.
-    constraints = []  # (coefficient vector over pi0 generators, rhs in Z^p)
-    for vec, value in samples:
-        constraints.append((vec, value))
-    for u, v in skeleton.monoid.relations:
-        constraints.append(([a - b for a, b in zip(u, v)], [0] * p))
-    for i in range(g):
-        unit = [0] * g
-        unit[i] = 2
-        constraints.append((unit, [0] * p))
-
-    rel_cols = pi1.relations  # columns of the pi1 relation lattice
-    r = len(rel_cols)
-    n_unknowns = g * p + len(constraints) * r
-    rows = []
-    rhs = []
-    for c_index, (coeffs, target) in enumerate(constraints):
-        for row_i in range(p):
-            row = [0] * n_unknowns
-            for col_j in range(g):
-                # entry eps[row_i][col_j] has unknown index row_i*g + col_j
-                row[row_i * g + col_j] = coeffs[col_j]
-            for rel_index in range(r):
-                slack = g * p + c_index * r + rel_index
-                row[slack] = rel_cols[rel_index][row_i]
-            rows.append(row)
-            rhs.append(target[row_i])
-    solution = solve_integer_system(rows, rhs)
+    # Each constraint (coefficients c over pi0 generators, value t in Z^p)
+    # asks eps c = t modulo the pi1 relations: p equations, stacked in
+    # constraint order.  The unknowns are the g*p entries of eps, row by
+    # row, then one slack per pi1 relation and constraint; each unknown
+    # is one column of the system, so that the system is a relation
+    # matrix and its solution the coefficients of the right side.
+    constraints = samples + [([a - b for a, b in zip(u, v)], [0] * p)
+                             for u, v in skeleton.monoid.relations]
+    constraints += [([2 if k == i else 0 for k in range(g)], [0] * p)
+                    for i in range(g)]
+    equations = len(constraints) * p
+    columns = []
+    for row_i in range(p):
+        for col_j in range(g):
+            column = [0] * equations
+            column[row_i::p] = [coeffs[col_j] for coeffs, _ in constraints]
+            columns.append(column)
+    for c_index in range(len(constraints)):
+        for rel in pi1.relations:
+            column = [0] * equations
+            column[c_index * p:(c_index + 1) * p] = rel
+            columns.append(column)
+    rhs = [x for _, target in constraints for x in target]
+    solution = FGAbelianGroup(equations, columns).relation_coefficients(rhs)
     if solution is None:
         raise InvalidSymmetryData(
             "no order-2 homomorphism matches the supplied symmetry elements")

@@ -57,7 +57,7 @@ from .errors import (
     TruncationTooHigh,
     UnequalBundles,
     UnknownBundle,
-    UnsupportedFamily,
+    WrongBundleCount,
 )
 from .poly import Poly, VarTable, _lowest, _recode
 
@@ -420,8 +420,13 @@ def symmetry_sign(tower, lines, i, j):
     other n first Chern classes over the n-dimensional fiber tower.  As in
     the pairing route, the unreduced linear forms multiply through the
     reduced product; the swapped lines are equal when their difference
-    reduces to zero.
+    reduces to zero.  A pairing over the n-dimensional tower takes
+    exactly n+1 lines, as in ``dcoh``'s pairing routes.
     """
+    if len(lines) != tower.dimension + 1:
+        raise WrongBundleCount(
+            f"a pairing over a tower of dimension {tower.dimension} takes "
+            f"exactly {tower.dimension + 1} lines, got {len(lines)}")
     if i == j or not (0 <= i < len(lines)) or not (0 <= j < len(lines)):
         raise ValueError("indices must be distinct slots of the pairing")
     forms = [tower.linear_form(coeffs) for coeffs in lines]
@@ -440,21 +445,20 @@ def symmetry_sign(tower, lines, i, j):
 
 def grr_codim1_report(fam, bundle):
     """Compare the two sides of the degree-level Riemann-Roch identity for
-    a product family X = fiber x P^1 -> P^1.
+    a product family X = fiber x P^m -> P^m.
 
     The left side is the degree of det Rf_* L from the cohomological
     oracle; the right side is the degree of the codimension-one part of
     f_*(ch(L) td^v(Omega_f)) computed symbolically on the family's kept
     tower (``dcoh.with_pairing_tower``), pushed down one fiber level at a
-    time.  Since td^v(V) = td(V^v) and Omega_f is the dual of T_f,
+    time and read against xi_1^{m-1} on the base, as
+    ``dcoh.pairing_degree_by_pushforward`` reads a divisor's degree.
+    Since td^v(V) = td(V^v) and Omega_f is the dual of T_f,
     td^v(Omega_f) = td(T_f), the kept ``tangent_todd(tower, 1)``.
     Returns a dict with both degrees and the verdict.
     """
     from . import dcoh  # local import: dcoh also consumes this module
 
-    if fam.base != 1:
-        raise UnsupportedFamily(
-            "degree comparison needs a one-dimensional base")
     lhs = dcoh.det_Rf_degree(fam, bundle).degree
 
     coeffs = [bundle.base_twist] + list(bundle.fiber_degrees)
@@ -466,7 +470,10 @@ def grr_codim1_report(fam, bundle):
         pushed = ch * tangent_todd(tower, base_levels=1)
         for _ in range(len(fam.fiber)):
             pushed = push_level(pushed)
-        return integrate(pushed.graded_part(1))
+        pushed = pushed.graded_part(1)
+        for _ in range(fam.base - 1):
+            pushed = pushed * pushed.tower.linear_form((1,))
+        return integrate(pushed)
 
     rhs = dcoh.with_pairing_tower(fam, pushed_degree)
     if rhs.denominator != 1:

@@ -527,7 +527,7 @@ def test_truncation_is_refused_where_it_is_unused(argv, capsys):
     ["deligne", "--fiber", "0", "--bundles", "[[1,0],[0,1]]"],
     ["verify", "c1-pairing", "--fiber", "0", "--bundles", "[[1,0],[0,1]]"],
     ["verify", "c1-pairing", "--base", "-1", "--bundles", "[[1,0],[0,1]]"],
-    ["grr", "--base", "2", "--bundle", "[2,-1]"],
+    ["grr", "--base", "0", "--bundle", "[2,-1]"],
     # A pairing over a fiber of dimension 1 takes two bundles, as a list.
     ["deligne", "--fiber", "1", "--bundles", "[[1,0]]"],
     ["verify", "c1-pairing", "--fiber", "1", "--bundles", "[[1,0]]"],

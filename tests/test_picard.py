@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
+from chowline import picard
 from chowline.errors import (
     ChainNotStabilized,
     InvalidSymmetryData,
@@ -22,12 +23,11 @@ from chowline.picard import (
     gq_pair_product,
     grothendieck_group,
     homomorphism_is_isomorphism,
-    lattice_contains,
+    mat_vec,
     nat_transform_torsor,
     picardify,
     rationalize,
     smith_normal_form,
-    solve_integer_system,
 )
 from chowline.poly import Poly
 
@@ -142,7 +142,7 @@ def test_snf_diagonal_matches_sympy(M):
     assert diagonal == [int(d) for d in invariant_factors(Matrix(M), domain=ZZ)]
 
 
-# (diagonal, U, V) exactly: ``solve_integer_system`` returns V @ y, and
+# (diagonal, U, V) exactly: ``relation_coefficients`` returns V @ y, and
 # ``chowline picard`` prints that solution as the raw eps, so a different
 # but valid U or V changes the report.  One matrix per branch.
 PINNED_SNF = [
@@ -174,16 +174,95 @@ def test_snf_transforms_are_pinned(M, expected):
 
 def test_solve_integer_system():
     # 2x + 4y = 6 has integer solutions; = 7 does not.
-    assert solve_integer_system([[2, 4]], [6]) is not None
-    assert solve_integer_system([[2, 4]], [7]) is None
-    x = solve_integer_system([[3, 5]], [1])
+    group = FGAbelianGroup(1, [[2], [4]])
+    assert group.relation_coefficients([6]) is not None
+    assert group.relation_coefficients([7]) is None
+    x = FGAbelianGroup(1, [[3], [5]]).relation_coefficients([1])
     assert x is not None and 3 * x[0] + 5 * x[1] == 1
 
 
 def test_lattice_membership():
-    cols = [[2, 0], [0, 3]]
-    assert lattice_contains(cols, [4, 3])
-    assert not lattice_contains(cols, [1, 0])
+    group = FGAbelianGroup(2, [[2, 0], [0, 3]])
+    assert group.element_is_zero([4, 3])
+    assert not group.element_is_zero([1, 0])
+
+
+def _solve_by_a_fresh_smith_form(relations, vector):
+    """The reference solve: the relations transposed into a matrix with
+    one column each, reduced afresh, and D y = U v tested entry by
+    entry."""
+    if not relations:
+        return None if any(vector) else []
+    matrix = [[r[i] for r in relations] for i in range(len(vector))]
+    if not matrix:
+        return [0] * len(relations)
+    diagonal, U, V = smith_normal_form(matrix)
+    y = [0] * len(relations)
+    for i, c in enumerate(mat_vec(U, vector)):
+        d = diagonal[i] if i < len(diagonal) else 0
+        if (d == 0 and c != 0) or (d != 0 and c % d != 0):
+            return None
+        if d:
+            y[i] = c // d
+    return mat_vec(V, y)
+
+
+@st.composite
+def presentations(draw):
+    """A presentation with 0-4 generators and 0-4 relations, often of
+    lower rank, and a vector that is a relation combination about half
+    the time."""
+    g, count = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entries = st.integers(-6, 6)
+    relations = [[draw(entries) for _ in range(g)] for _ in range(count)]
+    if count and draw(st.booleans()):
+        relations[-1] = [2 * x for x in relations[0]]
+    if draw(st.booleans()):
+        x = [draw(entries) for _ in range(count)]
+        vector = [sum(c * r[i] for c, r in zip(x, relations)) for i in range(g)]
+    else:
+        vector = [draw(entries) for _ in range(g)]
+    return g, relations, vector
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations())
+def test_one_smith_form_answers_invariants_and_membership(presentation):
+    g, relations, vector = presentation
+    group = FGAbelianGroup(g, relations)
+    if g and relations:
+        factors = [int(d) for d in invariant_factors(
+            Matrix([[r[i] for r in relations] for i in range(g)]), domain=ZZ)]
+    else:
+        factors = []
+    nonzero = [d for d in factors if d]
+    assert group.invariants() == (
+        g - len(nonzero), tuple(d for d in nonzero if d != 1))
+    x = group.relation_coefficients(vector)
+    if x is not None:
+        assert len(x) == len(relations)
+        assert [sum(c * r[i] for c, r in zip(x, relations))
+                for i in range(g)] == vector
+    assert (x is None) == (_solve_by_a_fresh_smith_form(relations, vector) is None)
+    assert group.element_is_zero(vector) == (x is not None)
+
+
+def test_membership_reads_the_kept_smith_form(monkeypatch):
+    group = FGAbelianGroup(3, [[2, 4, 0], [0, 6, 9], [4, 14, 9]])
+    pi0 = grothendieck_group(MonoidPresentation(2, [((2, 0), (0, 2))]))
+
+    def recomputed(matrix):
+        raise AssertionError("a Smith form was computed again")
+
+    monkeypatch.setattr(picard, "smith_normal_form", recomputed)
+    assert group.element_is_zero([2, 10, 9])
+    assert not group.element_is_zero([1, 0, 0])
+    x = group.relation_coefficients([2, 10, 9])
+    assert [sum(c * r[i] for c, r in zip(x, group.relations))
+            for i in range(3)] == [2, 10, 9]
+    assert group.relation_coefficients([0, 0, 1]) is None
+    assert pi0.element_is_zero([2, -2])
+    assert not pi0.element_is_zero([1, -1])
 
 
 # ------------------------------------------------------- grothendieck_group

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from chowline.errors import (
     TruncationTooHigh,
     UnequalBundles,
     UnknownBundle,
-    UnsupportedFamily,
+    WrongBundleCount,
 )
 from chowline.poly import Poly
 from chowline.pushforward import (
@@ -288,6 +289,15 @@ def test_symmetry_sign_requires_equal_classes():
         symmetry_sign(t, [[1], [2]], 0, 1)
 
 
+def test_symmetry_sign_refuses_a_wrong_line_count():
+    # Over P^1 x P^1 a pairing takes exactly three lines.
+    t = Tower.product_of_projective_spaces([1, 1])
+    for lines in ([[1, 0], [1, 0]], [[1, 0]] * 4):
+        with pytest.raises(WrongBundleCount):
+            symmetry_sign(t, lines, 0, 1)
+    assert symmetry_sign(t, [[1, 0], [1, 0], [0, 1]], 0, 1) == -1
+
+
 def test_symmetry_sign_p2_fiber():
     t = p2()
     # Swap slots 1 and 2 with L_1 = L_2 = O(a): kappa is the integral of
@@ -324,13 +334,18 @@ def _random_sign_towers(rng):
 
 
 def test_symmetry_sign_matches_the_reduced_line_loop():
+    # A pairing over an n-dimensional tower takes n+1 lines, so a tower
+    # of dimension 0 has no two slots to swap.
     rng = random.Random(29)
     refused = rewritten = 0
+    signs = {1: 0, -1: 0}
     for tower in _random_sign_towers(rng):
+        if not tower.dimension:
+            continue
         J = len(tower.ranks)
         for _ in range(6):
             lines = [[rng.randint(-3, 3) for _ in range(J)]
-                     for _ in range(tower.dimension + 2)]
+                     for _ in range(tower.dimension + 1)]
             i, j = rng.sample(range(len(lines)), 2)
             if rng.random() < 0.8:
                 lines[j] = list(lines[i])
@@ -348,7 +363,9 @@ def test_symmetry_sign_matches_the_reduced_line_loop():
             else:
                 assert symmetry_sign(tower, lines, i, j) == expected
                 rewritten += lines[i] != lines[j]
+                signs[expected] += 1
     assert 0 < refused < 36 * 6 and rewritten > 0
+    assert signs[1] and signs[-1], signs
 
 
 # ------------------------------------------------------------------- GRR
@@ -391,10 +408,21 @@ def test_grr_two_factor_fiber():
         assert out["equal"] and out["lhs_degree"] == expected, out
 
 
-def test_grr_needs_one_dimensional_base():
-    fam = FamilyDescriptor((1,), 2)
-    with pytest.raises(UnsupportedFamily):
-        grr_codim1_report(fam, MultidegreeLineBundle((1,), 1))
+def test_grr_over_bases_two_and_three():
+    # deg det Rf_* O(d; e) = e * chi(fiber, O(d)) over any P^m; the right
+    # side reads c_1 against xi_1^{m-1} on the base.
+    rng = random.Random(31)
+    for fiber in [(1,), (2,), (1, 1), (3,)]:
+        for base in (2, 3):
+            fam = FamilyDescriptor(fiber, base)
+            for _ in range(4):
+                degrees = tuple(rng.randint(-4, 4) for _ in fiber)
+                twist = rng.randint(-4, 4)
+                chi = prod(chi_projective_space(n, d)
+                           for n, d in zip(fiber, degrees))
+                out = grr_codim1_report(
+                    fam, MultidegreeLineBundle(degrees, twist))
+                assert out["equal"] and out["lhs_degree"] == twist * chi, out
 
 
 # ------------------------------------------------------------ tower model
