@@ -238,10 +238,11 @@ def pairing_degree_by_pushforward(fam, bundles, tower=None):
     product of the first Chern classes, against the base hyperplane power
     that reads off a divisor's degree.
 
-    The product starts from 1 and multiplies in the unreduced linear
-    forms: xi_1 (the base hyperplane) base - 1 times, then each bundle's
-    first Chern class.  The reduced product normalizes every monomial
-    product as it forms, and NF(a b) = NF(NF(a) b).  The bundles are
+    The product is one ``Tower.divisor_product`` of coefficient vectors:
+    xi_1 (the base hyperplane) base - 1 times, then each bundle's first
+    Chern class.  It keeps integer numerators, normalizes every monomial
+    product as it forms (NF(a b) = NF(NF(a) b)) and builds one class at
+    the end, which ``integrate`` reads.  The bundles are
     checked as ``deligne_pairing_degree`` checks them.  Without a
     ``tower`` the family's kept tower serves (``with_pairing_tower``).
     """
@@ -250,10 +251,7 @@ def pairing_degree_by_pushforward(fam, bundles, tower=None):
         (bundle.base_twist,) + bundle.fiber_degrees for bundle in bundles]
 
     def degree(tower):
-        product = tower.const(1)
-        for coeffs in forms:
-            product = product * tower.linear_form(coeffs)
-        return integrate(product)
+        return integrate(tower.divisor_product(forms))
 
     if tower is None:
         value = with_pairing_tower(fam, degree)

@@ -166,6 +166,9 @@ class FGAbelianGroup:
     def __init__(self, generators, relations=()):
         # index() refuses what int() would truncate or parse: 1.9, "2".
         self.generators = index(generators)
+        if self.generators < 0:
+            raise ValueError(
+                f"generator count must be non-negative, got {self.generators}")
         self.relations = [list(map(index, r)) for r in relations]
         for r in self.relations:
             if len(r) != self.generators:
@@ -195,6 +198,9 @@ class FGAbelianGroup:
 
     @classmethod
     def from_invariants(cls, free_rank, torsion):
+        if index(free_rank) < 0:
+            raise ValueError(
+                f"free rank must be non-negative, got {free_rank}")
         g = free_rank + len(torsion)
         relations = []
         for i, d in enumerate(torsion):

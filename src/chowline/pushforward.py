@@ -24,8 +24,10 @@ monomial -> normal form as (basis monomial, integer) pairs, the first
 time it meets each monomial; reducing a polynomial is then one lookup
 per term.  The product of two classes looks up each pair's monomial
 product as it forms, without building the unreduced product, and powers
-go through that product.  Rewriting keeps degrees, so a term beyond the
-dimension is dropped rather than reduced.  Rank-1 levels (P(L),
+go through that product.  A product of divisors, given as coefficient
+vectors, runs through the same pair loop on integer numerators and
+builds one class at the end.  Rewriting keeps degrees, so a term beyond
+the dimension is dropped rather than reduced.  Rank-1 levels (P(L),
 isomorphic to its base) need nothing special: their rule rewrites xi_j
 as -l.  Classes are ``TowerClass`` elements: the shared ``RingClass``
 arithmetic with a product that reduces.
@@ -93,12 +95,16 @@ class Tower:
     part of the tower below it, as a list of line classes.  Each line class
     is a coefficient vector over (xi_1, ..., xi_j): level 0 lines have no
     coefficients (lines on a point are trivial).  ``bound``, the
-    truncation of every class, equals ``dimension``.  The levels are fixed
-    once built, so the tower below (``drop_top``) and the Todd classes of
-    the tangent bundle and of each relative tangent bundle
-    (``tangent_todd``) are built on first use and kept, as is the
-    normal-form table.  A product family keeps one tower per process
-    (``dcoh.pairing_tower``), so all of these outlive a single call.
+    truncation of every class, equals ``dimension``.  A divisor on the
+    tower is given the same way, as a coefficient vector over the levels,
+    and ``divisor_product`` multiplies any number of them in one pass.
+    Every product of the tower, of classes or of divisors, runs through
+    one pair loop (``_product``).  The levels are fixed once built, so
+    the tower below (``drop_top``) and the Todd classes of the tangent
+    bundle and of each relative tangent bundle (``tangent_todd``) are
+    built on first use and kept, as is the normal-form table.  A product
+    family keeps one tower per process (``dcoh.pairing_tower``), so all
+    of these outlive a single call.
     """
 
     def __init__(self, levels):
@@ -125,6 +131,10 @@ class Tower:
         # push_level moves a cofactor to the tower below with a shift.
         self.grades = VarTable(
             {xi_name(j + 1): 1 for j in range(len(self.ranks))}, self.bound)
+        # The packed monomial xi_{j+1} at index j, so a coefficient vector
+        # packs without naming a variable.
+        self._units = [self.grades.unit[xi_name(j + 1)]
+                       for j in range(len(self.ranks))]
         self._line_polys = [
             [self.linear_form(coeffs) for coeffs in lines]
             for lines in self.line_coeffs
@@ -177,14 +187,38 @@ class Tower:
     def linear_form(self, coeffs):
         """sum_i coeffs[i] * xi_{i+1} for integer coefficients, as an
         unreduced polynomial that a ``TowerClass`` product reduces; zero
-        on the point, whose bound leaves no room for degree 1."""
+        on the point, whose bound leaves no room for degree 1.  A product
+        of several is ``divisor_product``, which builds none of them."""
+        return Poly(dict(self._linear_terms(coeffs)), 1, self.grades,
+                    self.bound)
+
+    def _linear_terms(self, coeffs):
+        """The terms of ``linear_form(coeffs)`` as (packed monomial,
+        integer) pairs, packed through the kept units."""
         coeffs = list(coeffs)
-        if len(coeffs) > len(self.ranks):
+        if len(coeffs) > len(self._units):
             raise ValueError("more coefficients than tower levels")
-        unit = self.grades.unit
-        nums = {unit[xi_name(i + 1)]: c
-                for i, c in enumerate(map(index, coeffs)) if c}
-        return Poly(nums if self.bound else {}, 1, self.grades, self.bound)
+        terms = [(u, c) for u, c in zip(self._units, map(index, coeffs)) if c]
+        return terms if self.bound else []
+
+    def divisor_product(self, vectors):
+        """The reduced class of the product of the divisors
+        sum_i v[i] * xi_{i+1}, one per coefficient vector v: 1 for no
+        vectors.
+
+        The running product is kept as integer numerators, and each
+        vector's terms, all of degree 1, multiply into it through the
+        reduced-product pair loop (``_product``), the loop of every tower
+        product; one class is built at the end.  The pairs, and so the
+        normal-form table entries, are those of multiplying
+        ``linear_form``s into ``const(1)`` one at a time.  A vector longer
+        than the tower is refused as ``linear_form`` refuses it.
+        """
+        nums = {0: 1}
+        for coeffs in vectors:
+            nums = self._product(nums, [(1, self._linear_terms(coeffs))],
+                                 self.bound)
+        return self._class(nums, 1, self.bound)
 
     def xi(self, level):
         """The tautological class of the given level (1-based)."""
@@ -208,7 +242,14 @@ class Tower:
         if poly.bound > self.bound:  # higher degrees vanish in the ring
             poly = poly.truncate(self.bound)
         nums = _recode(poly.nums, poly.grades, self.grades, poly.bound)
-        return self._product(nums, poly.den, {0: 1}, 1, poly.bound)
+        return self._class(
+            self._product(nums, self._by_degree({0: 1}), poly.bound),
+            poly.den, poly.bound)
+
+    def _class(self, nums, den, bound):
+        """The class sum_m nums[m] * m / den of numerators keyed in this
+        tower's table, in lowest terms."""
+        return TowerClass(self, _lowest(nums, den, self.grades, bound))
 
     def roots(self, name):
         """A tower declares no named bundles: its virtual bundles are built
@@ -267,17 +308,26 @@ class Tower:
                 todo.pop()
         return table[mono]
 
-    def _product(self, left, lden, right, rden, bound):
-        """The class of (left / lden) * (right / rden), numerators keyed
-        in this tower's table, truncated to ``bound``.  Each pair of terms
-        within the bound adds the normal form of its monomial product as
-        it forms; the right operand's terms are grouped by degree, so each
-        left term stops at the first group beyond the bound."""
+    def _by_degree(self, nums):
+        """Terms keyed in this tower's table grouped by degree, as
+        (degree, [(monomial, numerator), ...]) pairs in increasing
+        degree: the right operand of ``_product``."""
         dshift = self.grades.dshift
         buckets = {}
-        for m2, c2 in right.items():
-            buckets.setdefault(m2 >> dshift, []).append((m2, c2))
-        groups = sorted(buckets.items())
+        for m, n in nums.items():
+            buckets.setdefault(m >> dshift, []).append((m, n))
+        return sorted(buckets.items())
+
+    def _product(self, left, groups, bound):
+        """The reduced numerators of left * right, for integer numerators
+        keyed in this tower's table, truncated to ``bound``: the one pair
+        loop behind ``TowerClass.__mul__``, ``from_poly`` and
+        ``divisor_product``.  ``left`` is a numerator dict and ``groups``
+        the right operand grouped by degree (``_by_degree``).  Each pair
+        of terms within the bound adds the normal form of its monomial
+        product as it forms, and each left term stops at the first group
+        beyond the bound."""
+        dshift = self.grades.dshift
         table, normal_form = self._normal, self._normal_form
         out = {}
         get = out.get
@@ -293,8 +343,7 @@ class Tower:
                     c = c1 * c2
                     for b, n in form:
                         out[b] = get(b, 0) + c * n
-        return TowerClass(self, _lowest({m: n for m, n in out.items() if n},
-                                        lden * rden, self.grades, bound))
+        return {m: n for m, n in out.items() if n}
 
 
 class TowerClass(RingClass):
@@ -315,7 +364,9 @@ class TowerClass(RingClass):
         left = self.poly
         bound = min(left.bound, other.bound)
         right = _recode(other.nums, other.grades, tower.grades, bound)
-        return tower._product(left.nums, left.den, right, other.den, bound)
+        return tower._class(
+            tower._product(left.nums, tower._by_degree(right), bound),
+            left.den * other.den, bound)
 
     __rmul__ = __mul__
 
@@ -366,7 +417,7 @@ def push_level(tclass):
     width, mask = table.width, table.mask
     nums = {(m - top) >> width: n for m, n in poly.nums.items()
             if m & mask == r - 1}
-    return TowerClass(below, _lowest(nums, poly.den, below.grades, below.bound))
+    return below._class(nums, poly.den, below.bound)
 
 
 def integrate(tclass):
@@ -418,9 +469,9 @@ def symmetry_sign(tower, lines, i, j):
 
     The sign is (-1)^kappa with kappa the degree of the product of the
     other n first Chern classes over the n-dimensional fiber tower.  As in
-    the pairing route, the unreduced linear forms multiply through the
-    reduced product; the swapped lines are equal when their difference
-    reduces to zero.  A pairing over the n-dimensional tower takes
+    the pairing route, that product is one ``Tower.divisor_product`` of
+    the coefficient vectors; the swapped lines are equal when their
+    reduced classes are.  A pairing over the n-dimensional tower takes
     exactly n+1 lines, as in ``dcoh``'s pairing routes.
     """
     if len(lines) != tower.dimension + 1:
@@ -429,14 +480,11 @@ def symmetry_sign(tower, lines, i, j):
             f"exactly {tower.dimension + 1} lines, got {len(lines)}")
     if i == j or not (0 <= i < len(lines)) or not (0 <= j < len(lines)):
         raise ValueError("indices must be distinct slots of the pairing")
-    forms = [tower.linear_form(coeffs) for coeffs in lines]
-    if not tower.from_poly(forms[i] - forms[j]).is_zero():
+    product = tower.divisor_product(
+        [coeffs for k, coeffs in enumerate(lines) if k != i])
+    if tower.divisor_product([lines[i]]) != tower.divisor_product([lines[j]]):
         raise UnequalBundles(
             "the swapped line classes must be equal for the sign formula")
-    product = tower.const(1)
-    for k, form in enumerate(forms):
-        if k != i:
-            product = product * form
     kappa = integrate(product)
     if kappa.denominator != 1:
         raise AssertionError("relative degree must be an integer")
@@ -451,7 +499,8 @@ def grr_codim1_report(fam, bundle):
     oracle; the right side is the degree of the codimension-one part of
     f_*(ch(L) td^v(Omega_f)) computed symbolically on the family's kept
     tower (``dcoh.with_pairing_tower``), pushed down one fiber level at a
-    time and read against xi_1^{m-1} on the base, as
+    time and read against xi_1^{m-1} on the base, one
+    ``Tower.divisor_product`` of m-1 copies of (1,), as
     ``dcoh.pairing_degree_by_pushforward`` reads a divisor's degree.
     Since td^v(V) = td(V^v) and Omega_f is the dual of T_f,
     td^v(Omega_f) = td(T_f), the kept ``tangent_todd(tower, 1)``.
@@ -471,9 +520,8 @@ def grr_codim1_report(fam, bundle):
         for _ in range(len(fam.fiber)):
             pushed = push_level(pushed)
         pushed = pushed.graded_part(1)
-        for _ in range(fam.base - 1):
-            pushed = pushed * pushed.tower.linear_form((1,))
-        return integrate(pushed)
+        hyperplanes = pushed.tower.divisor_product([(1,)] * (fam.base - 1))
+        return integrate(pushed * hyperplanes)
 
     rhs = dcoh.with_pairing_tower(fam, pushed_degree)
     if rhs.denominator != 1:

@@ -265,6 +265,19 @@ def test_membership_reads_the_kept_smith_form(monkeypatch):
     assert not pi0.element_is_zero([1, -1])
 
 
+def test_a_negative_generator_count_is_refused():
+    # Z^g needs g >= 0: a negative count would give a negative free rank,
+    # printed as "0" but not trivial.
+    for build in (lambda: FGAbelianGroup(-2), lambda: FGAbelianGroup(-1, []),
+                  lambda: FGAbelianGroup.free(-3),
+                  lambda: FGAbelianGroup.from_invariants(-2, []),
+                  lambda: FGAbelianGroup.from_invariants(-1, [2])):
+        with pytest.raises(ValueError, match="non-negative"):
+            build()
+    assert FGAbelianGroup(0).is_trivial() and str(FGAbelianGroup(0)) == "0"
+    assert FGAbelianGroup.from_invariants(0, [2]).invariants() == (0, (2,))
+
+
 # ------------------------------------------------------- grothendieck_group
 
 def test_completion_of_free_monoid():

@@ -1,7 +1,7 @@
 """Differential tests of the tower kernel: the normal-form table behind
-``Tower.from_poly``, the reduced product ``TowerClass.__mul__`` and
-``TowerClass.__pow__``, against sympy's multivariate division and against
-each other."""
+``Tower.from_poly``, the reduced product ``TowerClass.__mul__``,
+``TowerClass.__pow__`` and ``Tower.divisor_product``, against sympy's
+multivariate division and against each other."""
 
 import sys
 from fractions import Fraction
@@ -127,6 +127,68 @@ def test_a_raw_linear_form_multiplies_as_its_reduced_class(data):
     v = data.draw(st.lists(st.integers(-3, 3), min_size=len(tower.ranks),
                            max_size=len(tower.ranks)))
     assert (a * tower.linear_form(v)).poly == (a * tower.line_class(v)).poly
+
+
+def _product_of_linear_forms(tower, vectors):
+    """The product of the divisors one ``TowerClass`` product at a time."""
+    product = tower.const(1)
+    for v in vectors:
+        product = product * tower.linear_form(v)
+    return product
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_divisor_product_is_the_product_of_linear_forms(data):
+    levels = data.draw(tower_levels())
+    one_pass, stepwise = Tower(levels), Tower(levels)
+    # Up to two factors past the dimension, where the product vanishes;
+    # a vector may be shorter than the tower.
+    vectors = data.draw(st.lists(
+        st.lists(st.integers(-3, 3), max_size=len(levels)),
+        max_size=one_pass.bound + 2))
+    product = one_pass.divisor_product(vectors)
+    assert product.tower is one_pass
+    assert product.poly == _product_of_linear_forms(stepwise, vectors).poly
+    # The same monomials reach the table, so TOWER_TABLE_LIMIT refuses
+    # (and a warm kept tower retries) exactly as for the stepwise loop.
+    assert one_pass._normal.keys() == stepwise._normal.keys()
+
+
+def test_divisor_product_of_no_vectors_and_on_the_point():
+    t = Tower.product_of_projective_spaces([1, 2])
+    assert t.divisor_product([]) == t.const(1)
+    assert t.divisor_product(iter([(1, 2), [0, 1]])) == (
+        t.line_class([1, 2]) * t.line_class([0, 1]))
+    for point in (Tower([]), Tower.projective_space(0)):
+        assert point.divisor_product([]) == point.const(1)
+        assert point.divisor_product([[]]).is_zero()
+    assert Tower.projective_space(0).divisor_product([[5]]).is_zero()
+    assert Tower.projective_space(0).linear_form([5]).is_zero()
+
+
+def test_divisor_product_refuses_a_vector_longer_than_the_tower():
+    t = Tower.product_of_projective_spaces([1, 1])
+    for vectors in ([[1, 2, 3]], [[1, 0], [0, 1, 1]]):
+        with pytest.raises(ValueError, match="more coefficients"):
+            t.divisor_product(vectors)
+    with pytest.raises(ValueError, match="more coefficients"):
+        Tower([]).divisor_product([[1]])
+    with pytest.raises(TypeError):
+        t.divisor_product([[1.5, 0]])
+
+
+def test_divisor_product_is_refused_where_the_stepwise_loop_is(monkeypatch):
+    levels = [[[0] * j, [1] * j] for j in range(4)]
+    vectors = [[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 1, 1]]
+    full = Tower(levels)
+    expected = integrate(_product_of_linear_forms(full, vectors))
+    needed = len(full._normal)
+    monkeypatch.setattr(pushforward, "TOWER_TABLE_LIMIT", needed)
+    assert integrate(Tower(levels).divisor_product(vectors)) == expected
+    monkeypatch.setattr(pushforward, "TOWER_TABLE_LIMIT", needed - 1)
+    with pytest.raises(TowerTooLarge):
+        Tower(levels).divisor_product(vectors)
 
 
 @settings(max_examples=40, deadline=None)
