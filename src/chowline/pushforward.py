@@ -520,8 +520,10 @@ def grr_codim1_report(fam, bundle):
         for _ in range(len(fam.fiber)):
             pushed = push_level(pushed)
         pushed = pushed.graded_part(1)
-        hyperplanes = pushed.tower.divisor_product([(1,)] * (fam.base - 1))
-        return integrate(pushed * hyperplanes)
+        if fam.base > 1:
+            pushed = pushed * pushed.tower.divisor_product(
+                [(1,)] * (fam.base - 1))
+        return integrate(pushed)
 
     rhs = dcoh.with_pairing_tower(fam, pushed_degree)
     if rhs.denominator != 1:
