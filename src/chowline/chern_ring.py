@@ -25,7 +25,9 @@ remains the canonical form.
 the package: a ring object and a polynomial representative in that ring's
 normal form.  It carries the arithmetic; ``ChernSeries`` (this module)
 adds the Chern-ring operations, and ``pushforward.TowerClass`` adds the
-reducing product of a tower's ring.
+reducing product of a tower's ring.  One bound per ring: every element
+is truncated at its ring's bound.  One door per ring: a polynomial enters
+only through ``ring.from_poly``, which reduces it in a tower.
 """
 
 from __future__ import annotations
@@ -194,7 +196,9 @@ class Setup:
         return ChernSeries(self, Poly.const(value, self.grades, self.truncation))
 
     def from_poly(self, poly):
-        return ChernSeries(self, poly)
+        """The class of a polynomial in the roots (``Poly.recode``):
+        ``TypeError`` for a foreign variable or a lower bound."""
+        return ChernSeries(self, poly.recode(self.grades, self.truncation))
 
     # -- serialization -----------------------------------------------------
 
@@ -232,9 +236,10 @@ class RingClass:
     """An element of a truncated graded ring, kept in the ring's normal form.
 
     ``ring`` is the object that made the element (a ``Setup`` or a
-    ``Tower``) and ``poly`` its representative.  Arithmetic with an element
-    of the same ring object or with a rational number stays in the ring;
-    an element of any other ring object, even one of the same class and
+    ``Tower``) and ``poly`` its representative, at the ring's bound.
+    Arithmetic with an element of the same ring object, a rational number
+    or a polynomial (through ``ring.from_poly``) stays in the ring; an
+    element of any other ring object, even one of the same class and
     declarations, is refused with ``TypeError``.  Elements of two different
     ring objects are never equal; within one ring, equality is that of the
     representatives.
@@ -252,6 +257,8 @@ class RingClass:
                 raise TypeError(
                     "cannot combine elements of two different rings")
             return other.poly
+        if isinstance(other, Poly):
+            return self.ring.from_poly(other).poly
         return other
 
     def __add__(self, other):
@@ -379,8 +386,7 @@ def tensor_line_oracle(setup, name, line, k):
     c_k(E (x) L).  Kept separate so the closed formula has an independent
     check."""
     ell = chern_class(setup, line, 1)
-    shifted = [ChernSeries(setup, Poly.var(v, setup.grades, setup.truncation)) + ell
-               for v in setup.root_vars(name)]
+    shifted = [setup.from_poly(root) + ell for root in setup.roots(name)]
     # e_k of explicit ring elements, by dynamic programming over
     # prod_j (1 + t x_j): coefficient of t^k.
     layers = [setup.const(1)] + [setup.zero()] * k
@@ -430,13 +436,10 @@ def first_chern_det(setup, virtual):
     """c_1(det V) = c_1(V) for a virtual bundle, additive in every sum.
 
     Accepts a VirtualBundle expression; the first Chern class is the
-    coefficient-weighted sum of all roots.
+    single root of det V, the coefficient-weighted sum of all roots.
     """
-    total = setup.zero()
-    for mult, roots in virtual.summands(setup):
-        for root in roots:
-            total = total + setup.from_poly(root) * mult
-    return total
+    [(_, (root,))] = virtual.det().summands(setup)
+    return setup.from_poly(root)
 
 
 def integrate_formal(series, degree):

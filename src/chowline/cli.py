@@ -10,7 +10,8 @@ so that no downstream tool coerces them to floats.
 
 Exit codes: 0 when every verdict is true, 1 when a verification fails
 (the residual is printed), 2 when the request is refused: a usage or
-validation error, or any other error the library raises on its input.
+validation error, any other error the library raises on its input, or an
+integer of more digits than the interpreter reads or prints.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def tokenize(text):
             column = 1
             i += 1
             continue
-        if ch.isspace():
+        if ch.isascii() and ch.isspace():
             i += 1
             column += 1
             continue
@@ -441,20 +442,19 @@ def series_report(series):
 
 
 def emit(report, as_json, ok):
-    if as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        _emit_human(report)
+    # Rendered whole first, so a value that cannot print leaves no report.
+    print(json.dumps(report, indent=2) if as_json
+          else "\n".join(_human_lines(report)))
     return 0 if ok else 1
 
 
-def _emit_human(report, indent=""):
+def _human_lines(report, indent=""):
     for key, value in report.items():
         if isinstance(value, dict):
-            print(f"{indent}{key}:")
-            _emit_human(value, indent + "  ")
+            yield f"{indent}{key}:"
+            yield from _human_lines(value, indent + "  ")
         else:
-            print(f"{indent}{key}: {value}")
+            yield f"{indent}{key}: {value}"
 
 
 def _load_json(text, what):
@@ -934,7 +934,11 @@ def main(argv=None):
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ChowlineError as err:
+    except (ChowlineError, ValueError) as err:
+        # The one ValueError refused here: Python's limit on integer digits.
+        if not (isinstance(err, ChowlineError)
+                or "integer string conversion" in str(err)):
+            raise
         print(f"error: {err}", file=sys.stderr)
         return 2
 

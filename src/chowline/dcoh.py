@@ -21,6 +21,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from math import comb, factorial, prod
+from operator import index
 
 from . import pushforward
 from .chern_ring import TRUNCATION_LIMIT
@@ -40,7 +41,8 @@ class FamilyDescriptor:
     base: int
 
     def __post_init__(self):
-        object.__setattr__(self, "fiber", tuple(int(n) for n in self.fiber))
+        object.__setattr__(self, "fiber", tuple(map(index, self.fiber)))
+        object.__setattr__(self, "base", index(self.base))
         if any(n < 1 for n in self.fiber) or self.base < 1:
             raise UnsupportedFamily("all projective-space factors need dimension >= 1")
         if self.fiber_dimension + self.base > TRUNCATION_LIMIT:
@@ -62,7 +64,8 @@ class MultidegreeLineBundle:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "fiber_degrees", tuple(int(d) for d in self.fiber_degrees))
+            self, "fiber_degrees", tuple(map(index, self.fiber_degrees)))
+        object.__setattr__(self, "base_twist", index(self.base_twist))
 
 
 @dataclass(frozen=True)

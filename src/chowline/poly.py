@@ -157,12 +157,13 @@ def _union(t1, t2):
 
 def _recode(nums, src, dst, bound):
     """Numerators keyed in ``src`` re-keyed in ``dst``, dropping monomials
-    of degree above ``bound``; KeyError when a monomial kept has a
-    variable ``dst`` lacks."""
-    if src is dst:
-        return nums
+    of degree above ``bound``; TypeError when a monomial kept has a
+    variable ``dst`` lacks or grades otherwise."""
     mask, dshift = src.mask, src.dshift
-    moves = [(v, s, dst.unit.get(v)) for v, s in src.shift.items()]
+    if src is dst:
+        return {m: n for m, n in nums.items() if m >> dshift <= bound}
+    moves = [(v, s, dst.unit.get(v) if dst.get(v) == src[v] else None)
+             for v, s in src.shift.items()]
     out = {}
     for m, n in nums.items():
         if m >> dshift <= bound:
@@ -171,10 +172,21 @@ def _recode(nums, src, dst, bound):
                 e = m >> s & mask
                 if e:
                     if unit is None:
-                        raise KeyError(f"variable {v!r} has no declared grade")
+                        raise TypeError(f"variable {v!r} is not in the ring")
                     new += e * unit
             out[new] = n
     return out
+
+
+def _degree_groups(nums, dshift):
+    """Terms grouped by degree, as (degree, [(monomial, numerator), ...])
+    pairs in increasing degree: the right operand of a product (here and
+    in ``pushforward.Tower._product``), each of whose left terms stops at
+    the first group beyond the bound, so no exponent exceeds the bound."""
+    buckets = {}
+    for m, n in nums.items():
+        buckets.setdefault(m >> dshift, []).append((m, n))
+    return sorted(buckets.items())
 
 
 def _num_den(x):
@@ -278,15 +290,15 @@ class Poly:
         """Common table and bound for a binary operation, and both
         operands' numerators keyed in that table.
 
-        Elements of one table combine as they are; otherwise both are
-        re-encoded into the union of the tables, in which a variable
-        declared on both sides must have the same grade.  The bound is
-        the minimum of the two: precision cannot be gained by combining
-        truncated elements.
+        Elements of one table and bound combine as they are; otherwise
+        both are re-encoded into the union of the tables, in which a
+        variable declared on both sides must have the same grade.  The
+        bound is the minimum of the two, and terms above it are dropped:
+        precision cannot be gained by combining truncated elements.
         """
         bound = min(self.bound, other.bound)
         t1, t2 = self.grades, other.grades
-        if t1 is t2:
+        if t1 is t2 and self.bound == other.bound:
             return t1, bound, self.nums, other.nums
         table = _union(t1, t2)
         return (table, bound, _recode(self.nums, t1, table, bound),
@@ -346,9 +358,6 @@ class Poly:
                 nums[mono] = acc
             else:
                 nums.pop(mono, None)
-        if self.bound != other.bound:  # drop what exceeds the lower bound
-            dshift = table.dshift
-            nums = {m: n for m, n in nums.items() if m >> dshift <= bound}
         return _lowest(nums, d1 * s1, table, bound)
 
     __radd__ = __add__
@@ -374,13 +383,7 @@ class Poly:
                            self.den * q, self.grades, self.bound)
         table, bound, left, right = self._merged(other)
         dshift = table.dshift
-        # The right operand's terms grouped by degree, lowest first: each
-        # left term stops at the first group that would exceed the bound,
-        # so no exponent of a product exceeds the bound.
-        buckets = {}
-        for m2, c2 in right.items():
-            buckets.setdefault(m2 >> dshift, []).append((m2, c2))
-        groups = sorted(buckets.items())
+        groups = _degree_groups(right, dshift)
         nums = {}
         get = nums.get
         for m1, c1 in left.items():
@@ -440,21 +443,25 @@ class Poly:
 
     def graded_parts(self):
         """All nonzero homogeneous components, as a dict degree -> Poly."""
-        dshift = self.grades.dshift
-        buckets = {}
-        for m, n in self.nums.items():
-            buckets.setdefault(m >> dshift, {})[m] = n
-        return {k: _lowest(t, self.den, self.grades, self.bound)
-                for k, t in sorted(buckets.items())}
+        return {k: _lowest(dict(group), self.den, self.grades, self.bound)
+                for k, group in _degree_groups(self.nums, self.grades.dshift)}
+
+    def recode(self, table, bound):
+        """This polynomial re-keyed in ``table`` and truncated at ``bound``,
+        as a ring's ``from_poly`` admits it: ``TypeError`` for one
+        truncated below ``bound`` or over a variable the table lacks."""
+        if self.bound < bound:
+            raise TypeError(f"a polynomial truncated at degree {self.bound} "
+                            f"cannot enter a ring truncated at {bound}")
+        if self.grades is table and self.bound == bound:
+            return self
+        return _lowest(_recode(self.nums, self.grades, table, bound),
+                       self.den, table, bound)
 
     def truncate(self, bound):
-        if bound >= self.bound:
-            table = var_table(self.grades, bound)
-            nums = _recode(self.nums, self.grades, table, bound)
-            return Poly(dict(nums), self.den, table, bound)
-        dshift = self.grades.dshift
-        nums = {m: n for m, n in self.nums.items() if m >> dshift <= bound}
-        return _lowest(nums, self.den, self.grades, bound)
+        table = var_table(self.grades, bound)
+        return _lowest(_recode(self.nums, self.grades, table, bound),
+                       self.den, table, bound)
 
     def alternate_signs(self):
         """Scale each degree-k component by (-1)^k.

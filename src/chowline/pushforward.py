@@ -61,7 +61,7 @@ from .errors import (
     UnknownBundle,
     WrongBundleCount,
 )
-from .poly import Poly, VarTable, _lowest, _recode
+from .poly import Poly, VarTable, _degree_groups, _lowest
 
 
 # A tower memoizes the normal form of every monomial its products meet,
@@ -94,8 +94,9 @@ class Tower:
     ``levels`` is a list; entry j (0-based) describes the bundle E_j on the
     part of the tower below it, as a list of line classes.  Each line class
     is a coefficient vector over (xi_1, ..., xi_j): level 0 lines have no
-    coefficients (lines on a point are trivial).  ``bound``, the
-    truncation of every class, equals ``dimension``.  A divisor on the
+    coefficients (lines on a point are trivial).  ``bound``, the one
+    truncation of every class, equals ``dimension``.  Polynomials enter
+    the ring only by ``from_poly``, which reduces them.  A divisor on the
     tower is given the same way, as a coefficient vector over the levels,
     and ``divisor_product`` multiplies any number of them in one pass.
     Every product of the tower, of classes or of divisors, runs through
@@ -216,19 +217,18 @@ class Tower:
         """
         nums = {0: 1}
         for coeffs in vectors:
-            nums = self._product(nums, [(1, self._linear_terms(coeffs))],
-                                 self.bound)
-        return self._class(nums, 1, self.bound)
+            nums = self._product(nums, [(1, self._linear_terms(coeffs))])
+        return self._class(nums, 1)
 
     def xi(self, level):
         """The tautological class of the given level (1-based)."""
         if not 1 <= level <= len(self.ranks):
             raise ValueError(f"no level {level} in this tower")
-        return self.from_poly(Poly.var(xi_name(level), self.grades, self.bound))
+        return self.divisor_product([[0] * (level - 1) + [1]])
 
     def line_class(self, coeffs):
         """The class sum_i coeffs[i] * xi_{i+1}, for integer coefficients."""
-        return self.from_poly(self.linear_form(coeffs))
+        return self.divisor_product([coeffs])
 
     def const(self, value):
         return TowerClass(self, Poly.const(value, self.grades, self.bound))
@@ -237,19 +237,17 @@ class Tower:
         return TowerClass(self, Poly.zero(self.grades, self.bound))
 
     def from_poly(self, poly):
-        """The class of a polynomial in the xi: its product with 1,
-        truncated to the tower's bound."""
-        if poly.bound > self.bound:  # higher degrees vanish in the ring
-            poly = poly.truncate(self.bound)
-        nums = _recode(poly.nums, poly.grades, self.grades, poly.bound)
-        return self._class(
-            self._product(nums, self._by_degree({0: 1}), poly.bound),
-            poly.den, poly.bound)
+        """The class of a polynomial in the xi (``Poly.recode``), reduced as
+        its product with 1: ``TypeError`` for a foreign variable or a bound
+        below the tower's."""
+        poly = poly.recode(self.grades, self.bound)
+        return self._class(self._product(poly.nums, [(0, [(0, 1)])]),
+                           poly.den)
 
-    def _class(self, nums, den, bound):
+    def _class(self, nums, den):
         """The class sum_m nums[m] * m / den of numerators keyed in this
-        tower's table, in lowest terms."""
-        return TowerClass(self, _lowest(nums, den, self.grades, bound))
+        tower's table, in lowest terms, at the tower's bound."""
+        return TowerClass(self, _lowest(nums, den, self.grades, self.bound))
 
     def roots(self, name):
         """A tower declares no named bundles: its virtual bundles are built
@@ -308,26 +306,16 @@ class Tower:
                 todo.pop()
         return table[mono]
 
-    def _by_degree(self, nums):
-        """Terms keyed in this tower's table grouped by degree, as
-        (degree, [(monomial, numerator), ...]) pairs in increasing
-        degree: the right operand of ``_product``."""
-        dshift = self.grades.dshift
-        buckets = {}
-        for m, n in nums.items():
-            buckets.setdefault(m >> dshift, []).append((m, n))
-        return sorted(buckets.items())
-
-    def _product(self, left, groups, bound):
+    def _product(self, left, groups):
         """The reduced numerators of left * right, for integer numerators
-        keyed in this tower's table, truncated to ``bound``: the one pair
-        loop behind ``TowerClass.__mul__``, ``from_poly`` and
+        keyed in this tower's table, truncated to the tower's bound: the
+        one pair loop behind ``TowerClass.__mul__``, ``from_poly`` and
         ``divisor_product``.  ``left`` is a numerator dict and ``groups``
-        the right operand grouped by degree (``_by_degree``).  Each pair
-        of terms within the bound adds the normal form of its monomial
-        product as it forms, and each left term stops at the first group
-        beyond the bound."""
-        dshift = self.grades.dshift
+        the right operand grouped by degree (``poly._degree_groups``).
+        Each pair of terms within the bound adds the normal form of its
+        monomial product as it forms, and each left term stops at the
+        first group beyond the bound."""
+        bound, dshift = self.bound, self.grades.dshift
         table, normal_form = self._normal, self._normal_form
         out = {}
         get = out.get
@@ -356,17 +344,17 @@ class TowerClass(RingClass):
         return self.ring
 
     def __mul__(self, other):
-        """The product, reduced as it forms (``Tower._product``)."""
+        """The product, reduced as it forms (``Tower._product``), which
+        also reduces a raw polynomial of the tower's own table and bound."""
         tower = self.ring
-        other = self._coerce(other)
-        if not isinstance(other, Poly):
-            return TowerClass(tower, self.poly * other)
-        left = self.poly
-        bound = min(left.bound, other.bound)
-        right = _recode(other.nums, other.grades, tower.grades, bound)
-        return tower._class(
-            tower._product(left.nums, tower._by_degree(right), bound),
-            left.den * other.den, bound)
+        if not (isinstance(other, Poly) and other.grades is tower.grades
+                and other.bound == tower.bound):
+            other = self._coerce(other)
+            if not isinstance(other, Poly):
+                return TowerClass(tower, self.poly * other)
+        groups = _degree_groups(other.nums, tower.grades.dshift)
+        return tower._class(tower._product(self.poly.nums, groups),
+                            self.poly.den * other.den)
 
     __rmul__ = __mul__
 
@@ -385,7 +373,7 @@ class TowerClass(RingClass):
         y = self - c
         result = self.ring.const(c ** n)
         power = self.ring.const(1)
-        for k in range(1, min(n, self.poly.bound) + 1):
+        for k in range(1, min(n, self.ring.bound) + 1):
             power = power * y
             if power.is_zero():
                 break
@@ -417,7 +405,7 @@ def push_level(tclass):
     width, mask = table.width, table.mask
     nums = {(m - top) >> width: n for m, n in poly.nums.items()
             if m & mask == r - 1}
-    return below._class(nums, poly.den, below.bound)
+    return below._class(nums, poly.den)
 
 
 def integrate(tclass):

@@ -28,6 +28,7 @@ from chowline.errors import (
     UnknownBundle,
 )
 from chowline.poly import MIN_FIELD_BITS, Poly
+from chowline.pushforward import Tower
 
 
 def total_chern_class(setup, name):
@@ -449,3 +450,23 @@ def test_arithmetic_refuses_classes_of_another_setup():
         with pytest.raises(TypeError):
             mix()
     assert (a + chern_class(s, "E", 1)).setup is s
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: Setup([("E", 2)], 0, 3), "E.1"),
+    (lambda: Tower.product_of_projective_spaces([1, 2]), "xi1"),
+], ids=["setup", "tower"])
+def test_a_polynomial_outside_the_ring_is_refused(make, name):
+    """One door per ring: a polynomial over a variable the ring lacks or
+    grades otherwise, or truncated below the ring's bound (3 for both
+    rings), is refused by every operation."""
+    ring = make()
+    x = ring.from_poly(Poly.var(name, ring.grades, 3))
+    for p in (Poly.var("y", {"y": 1}, 3), Poly.var(name, {name: 2}, 3),
+              Poly.var(name, ring.grades, 2)):
+        for op in (lambda: x + p, lambda: x - p, lambda: x * p,
+                   lambda: x == p, lambda: ring.from_poly(p)):
+            with pytest.raises(TypeError):
+                op()
+    # A polynomial of a finer truncation is truncated as it enters.
+    assert x == Poly.var(name, ring.grades, 5) and x * 1 == x

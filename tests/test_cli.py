@@ -295,6 +295,7 @@ def assert_usage_error(argv, capsys):
     assert code == 2, err
     assert "error:" in err
     assert "Traceback" not in err
+    return err
 
 
 def test_rank_zero_is_refused(capsys):
@@ -331,6 +332,39 @@ def test_fractional_bundle_degree_is_refused(capsys):
     # A fractional degree is refused, not rounded to an integer.
     assert_usage_error(["grr", "--fiber", "1", "--bundle", "[2.7,-1]", "--json"],
                        capsys)
+
+
+digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter has no limit on integer digits")
+
+
+@digit_limit
+def test_an_integer_past_the_digit_limit_is_refused_on_input(capsys):
+    limit = sys.get_int_max_str_digits()
+    too_long = "9" * (limit + 1)
+    err = assert_usage_error(
+        ["deligne", "--bundles", f"[[{too_long},0],[0,1]]"], capsys)
+    assert f"({limit} digits)" in err and err.count("\n") == 1
+
+
+@digit_limit
+def test_an_integer_past_the_digit_limit_is_refused_on_output(
+        rank1_file, capsys):
+    # 2^e has more than e * 0.301 decimal digits.
+    limit = sys.get_int_max_str_digits()
+    exponent = int(limit / 0.301) + 1
+    err = assert_usage_error(
+        ["eval", f"2^{exponent}", "--setup", rank1_file], capsys)
+    assert f"({limit} digits)" in err and err.count("\n") == 1
+    assert main(["eval", f"2^{exponent // 2}", "--setup", rank1_file]) == 0
+    capsys.readouterr()
+    # A degree of about 2 * (limit / 2 + 1) digits from inputs of half as
+    # many: the report is refused whole, with no line of it printed.
+    d = "9" * (limit // 2 + 1)
+    code = main(["deligne", "--bundles", f"[[{d},{d}],[{d},{d}]]"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.startswith("error:")
 
 
 @pytest.fixture()
@@ -504,6 +538,8 @@ def test_count_below_one_is_refused(capsys):
     ("c(\u00b2,E)", 3),   # superscript two
     ("c(\u0661,E)", 3),   # Arabic-Indic digit one
     ("c(1,E)+1/0", 8),
+    ("c(1,\u00a0E)", 5),  # no-break space
+    ("1\u3000+2", 2),     # ideographic space
 ])
 def test_non_ascii_digits_and_zero_denominators_are_syntax_errors(
         expression, column, rank1_file, capsys):

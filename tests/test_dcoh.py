@@ -249,6 +249,19 @@ def test_pairing_degree_matches_the_subset_loop(fiber, base):
                 == _pairing_by_subsets(fam, bundles))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: FamilyDescriptor((1.5,), 1),
+    lambda: FamilyDescriptor((1,), 1.5),
+    lambda: MultidegreeLineBundle((1.9,), 0),
+    lambda: MultidegreeLineBundle((1,), 0.5),
+], ids=["fiber", "base", "degrees", "twist"])
+def test_family_inputs_are_integers_not_truncated_floats(make):
+    # Refused, not cut by int(): a degree 1 kept from 1.9 with a twist of
+    # 0.5 would give the oracle a pairing degree of 1.5.
+    with pytest.raises(TypeError):
+        make()
+
+
 def test_pairing_degree_refuses_a_multidegree_of_the_wrong_length():
     fam = FamilyDescriptor((1, 1), 1)
     with pytest.raises(ValueError):

@@ -491,6 +491,24 @@ def test_number_minus_class():
     assert integrate((1 - h) ** 3) == 3
 
 
+def test_a_class_with_a_foreign_variable_is_refused():
+    # Kept in a union table and read in the tower's layout, the sum
+    # would multiply to 0 and integrate to 0.
+    t = p1xp1()
+    y = Poly.var("y", {"y": 1}, 2)
+    with pytest.raises(TypeError):
+        (t.xi(2) + y) * t.xi(1)
+
+
+def test_a_polynomial_sum_is_reduced_as_it_enters():
+    # xi2 = -xi1 on the rank-1 level; an unreduced xi2 would be unequal
+    # to the line class and integrate to 0.
+    t = Tower([[[], []], [[1]]])
+    total = t.zero() + t.linear_form([0, 1])
+    assert total == t.line_class([0, 1]) == -t.xi(1)
+    assert integrate(total) == -1
+
+
 def test_tower_and_chern_classes_do_not_mix():
     h = p2().xi(1)
     series = Setup([("E", 2)], 0, 2).const(1)

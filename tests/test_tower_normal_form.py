@@ -129,6 +129,27 @@ def test_a_raw_linear_form_multiplies_as_its_reduced_class(data):
     assert (a * tower.linear_form(v)).poly == (a * tower.line_class(v)).poly
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_polynomial_enters_the_tower_only_reduced(data):
+    # One door: a sum, the class of a polynomial and a product by 1 all
+    # reduce a polynomial of the tower's own table alike.
+    tower = Tower(data.draw(tower_levels()))
+    p = data.draw(polys_on(tower))
+    entered = tower.from_poly(p).poly
+    assert (tower.zero() + p).poly == entered == (tower.const(1) * p).poly
+    assert (tower.zero() - p).poly == -entered
+    J = len(tower.ranks)
+
+    def entered_form(v):
+        return tower.from_poly(tower.linear_form(v)).poly
+
+    for j in range(1, J + 1):
+        assert tower.xi(j).poly == entered_form([0] * (j - 1) + [1])
+    v = data.draw(st.lists(st.integers(-3, 3), min_size=J, max_size=J))
+    assert tower.line_class(v).poly == entered_form(v)
+
+
 def _product_of_linear_forms(tower, vectors):
     """The product of the divisors one ``TowerClass`` product at a time."""
     product = tower.const(1)
