@@ -17,23 +17,27 @@ polynomial, and the result is ``ring.from_poly`` of the evaluated
 polynomial.
 
 An additive class phi acts by phi_0 * rank + sum over roots of the
-positive part; a multiplicative class psi (psi(0) = 1) acts by the product
-of psi(root); a summand of negative multiplicity takes 1/psi, inverted
-once as a univariate series, at each of its roots.
+positive part, summed with each root's multiplicity in one accumulator
+of integer numerators over one denominator and reduced once; a
+multiplicative class psi (psi(0) = 1) acts by the product of psi(root),
+started from the first factor; a summand of negative multiplicity takes
+1/psi, inverted once as a univariate series, at each of its roots.
 
 Every series is a ``PowerSeries``, integer numerators over one
 denominator, and every application to a root goes through
-``PowerSeries.apply_to``, which needs no polynomial product for a
-one-term root (a declared root, its negation, ``xi_j``).  The series of
-``ch``, ``td`` and ``td*`` come from ``symfun``, which builds each once
+``PowerSeries.apply_to``, which takes no polynomial product: a one-term
+root (a declared root, its negation, ``xi_j``) has a closed form, and a
+root of several terms (a tensor root ``x_i + y_j``, a Lambda^p subset
+sum, a line class) is expanded by the multinomial theorem.  The series
+of ``ch``, ``td`` and ``td*`` come from ``symfun``, which builds each once
 per order and shares it; a series is immutable, so sharing is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .chern_ring import ChernSeries, chern_class, dual_class
 from .errors import (
@@ -41,7 +45,7 @@ from .errors import (
     MalformedVirtualBundle,
     TruncationTooLow,
 )
-from .poly import PowerSeries
+from .poly import PowerSeries, _lowest
 from .symfun import exp_series, todd_series, todd_star_series
 # Unused here since negative multiplicities invert per root, but still
 # bound in this module: perfbench/layers.py traces it at this binding.
@@ -271,35 +275,49 @@ def evaluate_class_in_ring(spec, virtual, ring):
     ``Setup`` or a ``Tower``: the result is an element of that ring.
 
     Zero roots are skipped: psi(0) = 1, and the positive part of an
-    additive class vanishes at 0.
+    additive class vanishes at 0.  An additive class sums m * phi(root)
+    as integer numerators over the lcm of the parts' denominators, each
+    part first re-keyed in the ring's table (``Poly.recode``, which
+    refuses a foreign variable), and reduces the sum once.  A
+    multiplicative class multiplies its factors, starting from the first.
     """
     summands = virtual.summands(ring)
+    zero = ring.zero().poly
+    table, bound = zero.grades, zero.bound
     if spec.kind == "additive":
-        nums, den = spec.series.nums, spec.series.den
-        phi0 = Fraction(nums[0], den)
-        positive = PowerSeries._reduced((0,) + nums[1:], den)
+        a, den = spec.series.nums, spec.series.den
+        positive = PowerSeries._reduced((0,) + a[1:], den)
+        parts = [(m, positive.apply_to(root).recode(table, bound))
+                 for m, roots in summands for root in roots if root.nums]
+        common = lcm(den, *(part.den for _, part in parts))
         rank = sum(m * len(roots) for m, roots in summands)
-        total = ring.const(phi0 * rank).poly
-        for m, roots in summands:
-            for root in roots:
-                if not root.is_zero():
-                    total = total + positive.apply_to(root) * m
-    else:
-        inverse = None
-        total = ring.const(1).poly
-        for m, roots in summands:
-            for root in roots:
-                if root.is_zero():
-                    continue
-                if m > 0:
-                    value = spec.series.apply_to(root)
+        nums = {0: a[0] * rank * (common // den)} if a[0] * rank else {}
+        get = nums.get
+        for m, part in parts:
+            scale = m * (common // part.den)
+            for mono, n in part.nums.items():
+                acc = get(mono, 0) + scale * n
+                if acc:
+                    nums[mono] = acc
                 else:
-                    if inverse is None:
-                        inverse = _series_to_bound(
-                            spec.series, total.bound).inverse()
-                    value = inverse.apply_to(root)
-                total = total * (value if abs(m) == 1 else value ** abs(m))
-    return ring.from_poly(total)
+                    del nums[mono]
+        return ring.from_poly(_lowest(nums, common, table, bound))
+    inverse = None
+    total = None
+    for m, roots in summands:
+        for root in roots:
+            if not root.nums:
+                continue
+            if m > 0:
+                value = spec.series.apply_to(root)
+            else:
+                if inverse is None:
+                    inverse = _series_to_bound(spec.series, bound).inverse()
+                value = inverse.apply_to(root)
+            if abs(m) != 1:
+                value = value ** abs(m)
+            total = value if total is None else total * value
+    return ring.const(1) if total is None else ring.from_poly(total)
 
 
 evaluate_class = evaluate_class_in_ring

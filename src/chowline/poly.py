@@ -12,14 +12,17 @@ integer numerators over one positive common denominator, in lowest terms
 polynomial has denominator 1).  Sums, products and scalings therefore do
 integer arithmetic only, plus one gcd reduction per result, and
 ``evaluate`` divides once.  Outside this module only
-``symfun.to_chern_basis``, ``symfun.check_block_symmetry``, and the tower
-kernel and ``push_level`` of ``pushforward`` read that form, to reduce
-integer numerators over ``den`` and to read, add or shift packed
-monomials; everything else sees ``Poly.terms``, which presents each
-coefficient as an ``int`` when it is integral and a ``Fraction``
-otherwise.  ``PowerSeries`` is held the same way, integer numerators over
-one denominator, and is immutable; its ``apply_to`` substitutes a
-polynomial into it with integer arithmetic only.
+``symfun.to_chern_basis``, ``symfun.check_block_symmetry``, the tower
+kernel and ``push_level`` of ``pushforward``, and the additive sum of
+``charclass.evaluate_class_in_ring`` read that form, to reduce integer
+numerators over ``den`` and to read, add or shift packed monomials;
+everything else sees ``Poly.terms``, which presents each coefficient as
+an ``int`` when it is integral and a ``Fraction`` otherwise.
+``PowerSeries`` is held the same way, integer numerators over one
+denominator, and is immutable.  Its ``apply_to`` substitutes a polynomial
+into it by the multinomial theorem: every output monomial is formed once
+from the root's terms, with integer arithmetic only and no polynomial
+product.
 
 Monomials are packed exponent vectors (Monagan and Pearce, *Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors*, CASC
@@ -341,6 +344,8 @@ class Poly:
 
     def __add__(self, other):
         if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.const(other, self.grades, self.bound)
         table, bound, left, right = self._merged(other)
         # Bring both sides over the least common denominator.
@@ -367,8 +372,8 @@ class Poly:
                     self.grades, self.bound)
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other, self.grades, self.bound)
+        if not isinstance(other, (Poly, int, Fraction)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -376,7 +381,9 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            p, q = _num_den(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            p, q = other.numerator, other.denominator
             if p == 0:
                 return Poly({}, 1, self.grades, self.bound)
             return _lowest({m: n * p for m, n in self.nums.items()},
@@ -660,6 +667,8 @@ class PowerSeries:
             p, q = _num_den(other)
             return PowerSeries._reduced(tuple(n * p for n in self.nums),
                                         self.den * q)
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
         n = min(len(self.nums), len(other.nums))
         b = other.nums
         out = [0] * n
@@ -708,12 +717,18 @@ class PowerSeries:
         Truncation of the ring makes the sum finite: powers of a root of
         positive degree vanish once their degree exceeds the bound.  The
         sum is formed fraction-free, over one denominator, and reduced
-        once.  A one-term root (n/d) m, m a monomial of degree g > 0,
-        needs no product: with the series A_k / den, the result is
-        sum_k A_k n^k d^(K-k) (k m) over den d^K, for k g <= bound.  Any
-        other root (several terms, a constant or zero) is raised to its
-        powers by ``Poly`` products.  Trailing zero coefficients of the
-        series are skipped.
+        once; no ``Poly`` product is taken.  With the series A_k / den and
+        the root sum_i n_i m_i / d, the result is
+
+            sum_e A_|e| C(e) prod_i n_i^e_i d^(K-|e|) (sum_i e_i m_i)
+
+        over den d^K, for the exponent vectors e of degree at most the
+        bound and |e| <= K, the last nonzero coefficient; C(e) is the
+        multinomial coefficient |e|! / prod_i e_i!.  A one-term root
+        (n/d) m of degree g > 0 (a declared root, its negation, ``xi_j``)
+        takes the closed form of that sum, one term per k = |e| with
+        k g <= bound.  Any other root (several terms, a constant or zero)
+        is walked term by term (``_multinomial``).
         """
         table, bound = root.grades, root.bound
         a = self.nums
@@ -734,26 +749,59 @@ class PowerSeries:
                     n_k *= n
                     d_rest //= d
                 return _lowest(nums, self.den * d ** top, table, bound)
-        powers = []
-        power = Poly.const(1, table, bound)
-        for k in range(1, top + 1):
-            power = power * root
-            if power.is_zero():
-                break
-            if a[k]:
-                powers.append((a[k], power))
-        e = lcm(*(p.den for _, p in powers))
-        nums = {0: a[0] * e} if a[0] else {}
-        get = nums.get
-        for a_k, p in powers:
-            scale = a_k * (e // p.den)
-            for mono, c in p.nums.items():
-                acc = get(mono, 0) + scale * c
-                if acc:
-                    nums[mono] = acc
-                else:
-                    nums.pop(mono, None)
-        return _lowest(nums, self.den * e, table, bound)
+        return _multinomial(a, top, root, self.den)
 
     def __repr__(self):
         return f"PowerSeries({[str(c) for c in self.coeffs]})"
+
+
+def _multinomial(a, top, root, den):
+    """The series sum_k a[k] T^k / den, a[k] = 0 beyond ``top``, at
+    T = root, a root of any number of terms, by the multinomial theorem.
+
+    The exponent vectors e are walked term by term as partials (packed
+    monomial, degree room left, |e|, numerator), the numerator being
+    C(e) prod_i n_i^e_i over the terms walked so far.  One more copy of
+    the term n m of degree g, the e-th, raises |e| to k and multiplies the
+    numerator by k / e * n, which stays an integer: C(e) grows by
+    C(k, e) / C(k - 1, e - 1) = k / e.  A term stops adding copies when
+    its degree no longer fits the room or |e| reaches ``top``, so a
+    degree-0 term stops at ``top`` alone.  Two vectors may give one
+    monomial (terms x and x^2), so the sum is keyed by monomial and drops
+    the numerators that cancel.
+    """
+    table, bound = root.grades, root.bound
+    terms = [(m, n, m >> table.dshift) for m, n in root.nums.items()]
+    if terms and all(g for _, _, g in terms):
+        top = min(top, bound // min(g for _, _, g in terms))
+    d = root.den
+    weight = [0] * (top + 1)  # a[k] d^(top-k), over the one den d^top
+    d_rest = 1
+    for k in range(top, -1, -1):
+        weight[k] = a[k] * d_rest
+        d_rest *= d
+    partials = [(0, bound, 0, 1)]
+    for m, n, g in terms:
+        grown = partials[:]
+        append = grown.append
+        for mono, room, k, c in partials:
+            e = 0
+            while k < top and g <= room:
+                e += 1
+                k += 1
+                room -= g
+                mono += m
+                c = c * k // e * n
+                append((mono, room, k, c))
+        partials = grown
+    nums = {}
+    get = nums.get
+    for mono, _, k, c in partials:
+        w = weight[k]
+        if w:
+            acc = get(mono, 0) + w * c
+            if acc:
+                nums[mono] = acc
+            else:
+                del nums[mono]
+    return _lowest(nums, den * d ** top, table, bound)

@@ -11,6 +11,7 @@ from chowline.charclass import (
     VirtualBundle,
     borel_serre_check,
     ch,
+    chern_character_spec,
     ch_lambda_minus_one,
     ch_tensor_check,
     evaluate_class,
@@ -22,7 +23,8 @@ from chowline.charclass import (
 )
 from chowline.chern_ring import BundleDecl, Setup, chern_class
 from chowline.errors import MalformedVirtualBundle, TruncationTooLow
-from chowline.poly import PowerSeries
+from chowline.poly import Poly, PowerSeries
+from chowline.pushforward import Tower
 from chowline.symfun import exp_series, series_invert, todd_series
 
 
@@ -315,3 +317,109 @@ def test_rank_function():
     assert E.lam(2).rank(s.rank) == 3
     assert E.det().rank(s.rank) == 1
     assert O.rank(s.rank) == 1
+
+
+# ------------------------------------------------- evaluate_class_in_ring
+
+def stepwise_evaluation(spec, virtual, ring):
+    """The evaluation as a loop of ring operations: one ``Poly`` sum per
+    root for an additive class, and for a multiplicative one a product
+    started from 1, a root of negative multiplicity taking the
+    multivariate inverse (``series_invert``) of its value."""
+    summands = virtual.summands(ring)
+    if spec.kind == "additive":
+        coeffs = spec.series.coeffs
+        positive = PowerSeries([0] + coeffs[1:])
+        rank = sum(m * len(roots) for m, roots in summands)
+        total = ring.const(coeffs[0] * rank).poly
+        for m, roots in summands:
+            for root in roots:
+                total = total + positive.apply_to(root) * m
+    else:
+        total = ring.const(1).poly
+        for m, roots in summands:
+            for root in roots:
+                value = spec.series.apply_to(root)
+                if m < 0:
+                    value = series_invert(value)
+                total = total * value ** abs(m)
+    return ring.from_poly(total)
+
+
+CLASS_SERIES = [
+    ("additive", exp_series(5)),
+    ("additive", PowerSeries([3, Fraction(-1, 2), 0, Fraction(5, 7)])),
+    ("multiplicative", todd_series(5)),
+    ("multiplicative", PowerSeries([1, Fraction(1, 2), Fraction(1, 3),
+                                    Fraction(-1, 5), 1])),
+]
+
+
+@pytest.mark.parametrize("kind, series", CLASS_SERIES,
+                         ids=["ch", "additive", "td", "multiplicative"])
+def test_evaluation_matches_the_stepwise_loop(kind, series):
+    # Random trees of sums, tensor products (several-term roots), duals
+    # and multiplicities -1 and 2, so terms cancel across summands.
+    rng = random.Random(21)
+    s = make_setup(truncation=5, A=1, B=2, C=2)
+    spec = CharClassSpec(kind, series)
+    for _ in range(20):
+        v = random_virtual_tree(rng, ["A", "B", "C"], 3)
+        assert evaluate_class_in_ring(spec, v, s) == stepwise_evaluation(
+            spec, v, s)
+
+
+def tower_line(t, coeffs):
+    return VirtualBundle.line_class(t.linear_form(coeffs))
+
+
+@pytest.mark.parametrize("kind, series", CLASS_SERIES,
+                         ids=["ch", "additive", "td", "multiplicative"])
+def test_evaluation_on_a_tower_matches_the_stepwise_loop(kind, series):
+    t = Tower([[[], []], [[0], [2]], [[1, -1], [0, 1]]])
+    spec = CharClassSpec(kind, series)
+    L, M = tower_line(t, [1, 2, -1]), tower_line(t, [0, -3, 1])
+    O = VirtualBundle.trivial()
+    for v in (L, L * M - 2 * M, (L + O) * (M.dual() + L) - L * M,
+              -(L * M * L), 2 * (L - O) - (M - L).dual()):
+        assert evaluate_class_in_ring(spec, v, t) == stepwise_evaluation(
+            spec, v, t)
+
+
+def test_cancelling_multiplicities():
+    s = make_setup(truncation=5, E=2, F=1)
+    E, F = VirtualBundle.bundle("E"), VirtualBundle.bundle("F")
+    assert ch(E - E, s).is_zero() and ch(E * F - F * E, s).is_zero()
+    assert ch(2 * E - E, s) == ch(E, s)
+    assert ch(E * (F - F) + O - O, s).is_zero()
+    assert td(O, s) == 1 and td(E - E, s) == 1
+    assert td(-E, s) * td(E, s) == 1
+    assert td(-(E * F), s) * td(E * F, s) == 1
+    assert td(-2 * E, s) * td(E, s) ** 2 == 1
+
+
+def test_cancelling_multiplicities_on_a_tower():
+    t = Tower.product_of_projective_spaces([1, 2])
+    ch_t = chern_character_spec(t.bound)
+    td_t = CharClassSpec("multiplicative", todd_series(t.bound))
+    L = tower_line(t, [1, 2])
+    assert evaluate_class_in_ring(ch_t, L - L, t).is_zero()
+    assert evaluate_class_in_ring(ch_t, 3 * L - 2 * L, t) == (
+        evaluate_class_in_ring(ch_t, L, t))
+    assert evaluate_class_in_ring(td_t, O, t) == 1
+    assert evaluate_class_in_ring(td_t, -L, t) * (
+        evaluate_class_in_ring(td_t, L, t)) == 1
+
+
+@pytest.mark.parametrize("kind, series", CLASS_SERIES,
+                         ids=["ch", "additive", "td", "multiplicative"])
+def test_a_line_class_outside_the_ring_is_refused(kind, series):
+    spec = CharClassSpec(kind, series)
+    s = make_setup(truncation=5, E=2)
+    t = Tower.product_of_projective_spaces([1, 2])
+    E = VirtualBundle.bundle("E")
+    for ring, inside in ((s, E), (t, O)):
+        foreign = VirtualBundle.line_class(Poly.var("y", {"y": 1}, 5))
+        for v in (foreign, inside + foreign, -foreign, foreign * inside):
+            with pytest.raises(TypeError):
+                evaluate_class_in_ring(spec, v, ring)

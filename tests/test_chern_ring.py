@@ -27,7 +27,7 @@ from chowline.errors import (
     TruncationTooHigh,
     UnknownBundle,
 )
-from chowline.poly import MIN_FIELD_BITS, Poly
+from chowline.poly import MIN_FIELD_BITS, Poly, PowerSeries
 from chowline.pushforward import Tower
 
 
@@ -470,3 +470,38 @@ def test_a_polynomial_outside_the_ring_is_refused(make, name):
                 op()
     # A polynomial of a finer truncation is truncated as it enters.
     assert x == Poly.var(name, ring.grades, 5) and x * 1 == x
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: Setup([("E", 2)], 0, 3), "E.1"),
+    (lambda: Tower.projective_space(2), "xi1"),
+], ids=["setup", "tower"])
+def test_a_class_on_the_right_of_a_polynomial_takes_the_operation(make, name):
+    """``Poly`` returns NotImplemented for an operand it does not know, so
+    ``p + x``, ``p - x`` and ``p * x`` reach the class's reflected
+    operation and agree with the class on the left."""
+    ring = make()
+    p = Poly.var(name, ring.grades, 3)
+    x = ring.from_poly(p) * 3 + 1
+    lifted = ring.from_poly(p)
+    for got, want in ((p + x, lifted + x), (x + p, lifted + x),
+                      (p - x, lifted - x), (x - p, x - lifted),
+                      (p * x, lifted * x), (x * p, lifted * x)):
+        assert type(got) is type(x) and got.ring is ring and got == want
+    # The reflected operation goes through the ring's one door too.
+    foreign = Poly.var("y", {"y": 1}, 3)
+    for op in (lambda: foreign + x, lambda: foreign - x, lambda: foreign * x):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_a_polynomial_with_an_operand_it_does_not_know_raises():
+    p = Poly.var("x", {"x": 1}, 3)
+    for op in (lambda: p + "x", lambda: "x" + p, lambda: p - "x",
+               lambda: "x" - p, lambda: p * "x", lambda: p * 1.5,
+               lambda: 1.5 + p, lambda: p * PowerSeries([1, 2]),
+               lambda: PowerSeries([1, 2]) * p):
+        with pytest.raises(TypeError):
+            op()
+    assert p + 1 == 1 + p and p - Fraction(1, 2) == -(Fraction(1, 2) - p)
+    assert p * 2 == 2 * p == p + p

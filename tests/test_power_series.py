@@ -137,6 +137,79 @@ def test_zero_and_constant_roots_match_the_reference(data):
     assert_matches_reference(series, x + Poly.const(c, table, bound))
 
 
+# Lambda^p subset sums of a rank-6 bundle: linear forms in 5 or 6 of its
+# roots, here with any nonzero rational coefficients.
+SUBSET_SUMS = Setup([("E", 6), ("F", 1)], 0, 8)
+
+
+@st.composite
+def subset_sums(draw):
+    bound = draw(st.integers(1, 6))
+    names = draw(st.lists(st.sampled_from(sorted(SUBSET_SUMS.grades)),
+                          min_size=5, max_size=6, unique=True))
+    spec = {((v, 1),): draw(nonzero_fractions) for v in names}
+    return Poly.make(spec, SUBSET_SUMS.grades, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_roots_of_five_and_six_terms_match_the_reference(data):
+    root = data.draw(subset_sums())
+    assert_matches_reference(data.draw(power_series(root.bound)), root)
+
+
+# Terms whose exponent vectors collide: x^2 is both the square of x and a
+# term of its own, x*y both a term and the product of x and y; the
+# constant term stands for a degree-0 term.
+COLLIDING = ((), (("x", 1),), (("x", 2),), (("y", 1),), (("x", 1), ("y", 1)),
+             (("z", 1),), (("x", 1), ("z", 1)))
+
+
+@st.composite
+def colliding_roots(draw):
+    table, bound = graded_ring(draw(st.integers(1, 8)))
+    monos = draw(st.lists(st.sampled_from(COLLIDING), min_size=2,
+                          max_size=len(COLLIDING), unique=True))
+    return Poly.make({m: draw(nonzero_fractions) for m in monos}, table, bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_roots_whose_terms_collide_match_the_reference(data):
+    root = data.draw(colliding_roots())
+    assert_matches_reference(data.draw(power_series(root.bound)), root)
+
+
+@pytest.mark.parametrize("terms", [
+    {(("x", 1),): 1, (("x", 2),): 1},
+    {(("x", 1),): Fraction(-2, 3), (("x", 2),): Fraction(4, 9)},
+    {(("x", 1), ("y", 1)): 1, (("x", 1),): 1, (("y", 1),): 1},
+    {(("x", 1), ("y", 1)): -1, (("x", 1),): Fraction(1, 2),
+     (("y", 1),): Fraction(-5, 2)},
+    {(): Fraction(3, 2), (("x", 1),): -1, (("y", 1),): Fraction(2, 7),
+     (("z", 1),): 5},
+    {(): -1, (("x", 1),): 1},  # 1 + (x - 1): f(x) read around -1
+], ids=["x+x2", "rational-x+x2", "xy+x+y", "signed-xy+x+y",
+        "const+three", "const-cancels"])
+@pytest.mark.parametrize("series", [
+    exp_series(9), todd_series(9), todd_star_series(9),
+    PowerSeries([0, Fraction(-1, 3), 0, Fraction(7, 5), 0, 0]),
+], ids=["exp", "td", "td*", "sparse"])
+def test_colliding_and_constant_terms_match_the_reference(terms, series):
+    table, _ = graded_ring(7)
+    assert_matches_reference(series, Poly.make(terms, table, 7))
+
+
+def test_terms_that_cancel_leave_no_zero_numerator():
+    # T + T^2 at x - x^2 is x - 2x^3 + x^4: the x^2 of the root and the
+    # x^2 of its square cancel.
+    table, _ = graded_ring(6)
+    root = Poly.make({(("x", 1),): 1, (("x", 2),): -1}, table, 6)
+    got = PowerSeries([0, 1, 1]).apply_to(root)
+    assert dict(got.terms) == {(("x", 1),): 1, (("x", 3),): -2, (("x", 4),): 1}
+    assert_matches_reference(PowerSeries([0, 1, 1]), root)
+
+
 def test_one_term_root_of_every_grade_stops_at_the_bound():
     table, _ = graded_ring(7)
     ones = PowerSeries([1] * 10)
