@@ -36,7 +36,13 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from .errors import SetupTooLarge, Truncated, TruncationTooHigh, UnknownBundle
+from .errors import (
+    NotSymmetric,
+    SetupTooLarge,
+    Truncated,
+    TruncationTooHigh,
+    UnknownBundle,
+)
 from .poly import Poly, VarTable
 from .symfun import (
     _inverse_components,
@@ -100,15 +106,39 @@ class Setup:
     are extended only up to the degree asked, so a bundle holds at most
     3 (truncation + 1) polynomials.  A table is replaced, never edited in
     place, by a longer list of the same values.
+
+    A setup depends only on its ``declaration``, so the command line keeps
+    one per declaration (``dcoh.kept``): its tables then serve every
+    later request that declares the same bundles, relative dimension and
+    truncation, and their terms count against ``TOWER_TABLE_LIMIT``.
     """
 
     def __init__(self, bundles, relative_dimension=0, truncation=8):
-        decls = []
-        for b in bundles:
-            if isinstance(b, BundleDecl):
-                decls.append(b)
-            else:
-                decls.append(BundleDecl(*b))
+        decls, relative_dimension, truncation = self.declaration(
+            bundles, relative_dimension, truncation)
+        decls = [BundleDecl(*b) for b in decls]
+        self.bundles = {b.name: b for b in decls}
+        self.relative_dimension = relative_dimension
+        self.truncation = truncation
+        self.grades = VarTable({self._root_name(b.name, i): 1
+                                for b in decls for i in range(1, b.rank + 1)},
+                               truncation)
+        # (kind, name) -> the bundle's table of that kind: "chern" holds
+        # [c_0, ..., c_m], m = min(r, truncation), "segre" [s_0, ..., s_m]
+        # with s = 1/c, "recovered" [c_0, ..., c_m] from 1/s; and the
+        # terms each table holds.
+        self._tables = {}
+        self._terms = {}
+
+    @staticmethod
+    def declaration(bundles, relative_dimension=0, truncation=8):
+        """The constructor's arguments checked and made hashable:
+        ((name, rank) per bundle, relative dimension, truncation), the key
+        of the setup's kept ring (``dcoh.kept``).  Every check of the
+        constructor runs here, limits included, so a setup fetched under
+        its declaration refuses what a new one refuses."""
+        decls = [b if isinstance(b, BundleDecl) else BundleDecl(*b)
+                 for b in bundles]
         names = [b.name for b in decls]
         if len(set(names)) != len(names):
             raise ValueError("bundle names must be unique within a setup")
@@ -128,15 +158,13 @@ class Setup:
                 f"{roots} Chern roots at truncation {truncation} span "
                 f"{monomials} monomials, above the limit of "
                 f"{ROOT_MONOMIAL_LIMIT}")
-        self.bundles = {b.name: b for b in decls}
-        self.relative_dimension = relative_dimension
-        self.truncation = truncation
-        self.grades = VarTable({self._root_name(b.name, i): 1
-                                for b in decls for i in range(1, b.rank + 1)},
-                               truncation)
-        self._chern = {}      # name -> [c_0, ..., c_m], m = min(r, truncation)
-        self._segre = {}      # name -> [s_0, ..., s_m], s = 1/c
-        self._recovered = {}  # name -> [c_0, ..., c_m], from 1/s
+        return (tuple((b.name, b.rank) for b in decls), relative_dimension,
+                truncation)
+
+    def table_entries(self):
+        """The terms held in the class tables, counted against
+        ``pushforward.TOWER_TABLE_LIMIT`` while the setup is kept."""
+        return sum(self._terms.values())
 
     @staticmethod
     def _root_name(bundle, index):
@@ -163,33 +191,40 @@ class Setup:
     def _chern_classes(self, name):
         """[c_0, ..., c_m] of a declared bundle, as polynomials, with
         m = min(rank, truncation): every higher class is 0 here."""
-        table = self._chern.get(name)
+        table = self._tables.get(("chern", name))
         if table is None:
             vars_ = self.root_vars(name)
-            table = self._chern[name] = [
+            table = self._store("chern", name, [
                 elem_sym(k, vars_, self.grades, self.truncation)
-                for k in range(min(len(vars_), self.truncation) + 1)]
+                for k in range(min(len(vars_), self.truncation) + 1)])
         return table
 
-    def _inverted(self, tables, name, unit, top):
+    def _inverted(self, kind, name, unit, top):
         """Components 0..top (top <= truncation) of the inverse of the
-        unit whose homogeneous parts are ``unit``, kept in
-        ``tables[name]``; only the components it lacks are computed."""
-        table = tables.get(name) or [
+        unit whose homogeneous parts are ``unit``, kept in the table
+        ``kind`` of the bundle; only the components it lacks are
+        computed."""
+        table = self._tables.get((kind, name)) or [
             Poly.const(1, self.grades, self.truncation)]
         if len(table) <= top:
             parts = dict(enumerate(unit[1:top + 1], 1))
-            table = tables[name] = _inverse_components(parts, table, top)
+            table = self._store(kind, name,
+                                _inverse_components(parts, table, top))
+        return table
+
+    def _store(self, kind, name, table):
+        """Keep ``table`` as the bundle's table ``kind``, with its terms."""
+        self._tables[kind, name] = table
+        self._terms[kind, name] = sum(len(poly.nums) for poly in table)
         return table
 
     def _segre_classes(self, name, top):
         """[s_0, ..., s_m], m >= top, the Fulton Segre classes s = 1/c."""
-        return self._inverted(self._segre, name, self._chern_classes(name),
-                              top)
+        return self._inverted("segre", name, self._chern_classes(name), top)
 
     def _recovered_classes(self, name, top):
         """[c_0, ..., c_m], m >= top, the inverse of the Segre series."""
-        return self._inverted(self._recovered, name,
+        return self._inverted("recovered", name,
                               self._segre_classes(name, top), top)
 
     def const(self, value):
@@ -204,9 +239,14 @@ class Setup:
 
     @classmethod
     def from_dict(cls, data):
-        """The setup ``to_dict`` describes.  Ranks, the relative dimension
-        and the truncation must be integers: 2.7 or ``true`` is refused
-        with ``ValueError``, not read as 2 or 1."""
+        """The setup ``to_dict`` describes (``dict_declaration``)."""
+        return cls(*cls.dict_declaration(data))
+
+    @classmethod
+    def dict_declaration(cls, data):
+        """The checked ``declaration`` that ``to_dict`` describes.  Ranks,
+        the relative dimension and the truncation must be integers: 2.7 or
+        ``true`` is refused with ``ValueError``, not read as 2 or 1."""
         def integer(key, value):
             if type(value) is not int:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
@@ -214,10 +254,10 @@ class Setup:
 
         bundles = [BundleDecl(b["name"], integer("rank", b["rank"]))
                    for b in data.get("bundles", [])]
-        return cls(bundles,
-                   relative_dimension=integer(
-                       "relative_dimension", data.get("relative_dimension", 0)),
-                   truncation=integer("truncation", data.get("truncation", 8)))
+        return cls.declaration(
+            bundles,
+            integer("relative_dimension", data.get("relative_dimension", 0)),
+            integer("truncation", data.get("truncation", 8)))
 
     @classmethod
     def from_json(cls, text):
@@ -327,7 +367,12 @@ class ChernSeries(RingClass):
         return to_chern_basis(self.poly, blocks)
 
     def __str__(self):
-        return str(self.chern_basis())
+        """The Chern-basis presentation, or the root polynomial for a class
+        not symmetric in each bundle's roots, which has none."""
+        try:
+            return str(self.chern_basis())
+        except NotSymmetric:
+            return str(self.poly)
 
 
 # -- operations --------------------------------------------------------------

@@ -476,17 +476,20 @@ def _read_json(path):
     return data
 
 
-def load_setup(args):
+def setup_declaration(args):
+    """The checked declaration of the --setup file, its truncation
+    replaced by --truncation when given (``Setup.dict_declaration``)."""
     data = _read_json(args.setup)
     if args.truncation is not None:
         data["truncation"] = args.truncation
     try:
-        setup = Setup.from_dict(data)
+        declared = Setup.dict_declaration(data)
     except (KeyError, TypeError, ValueError) as err:
         raise ValidationError(f"{args.setup}: bad setup ({err})") from None
-    if "O" in setup.bundles:
+    bundles, _, _ = declared
+    if any(name == "O" for name, _ in bundles):
         raise ValidationError(f"{args.setup}: 'O' names the trivial line")
-    return setup
+    return declared
 
 
 def default_truncation(args, fallback=8):
@@ -508,9 +511,10 @@ def default_truncation(args, fallback=8):
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args):
-    setup = load_setup(args)
+    declared = setup_declaration(args)
     tree = parse(args.expression)
-    value = Evaluator(setup, fulton=args.fulton).class_value(tree)
+    with dcoh.kept(Setup, *declared) as setup:
+        value = Evaluator(setup, fulton=args.fulton).class_value(tree)
     report = {
         "command": "eval",
         "expression": args.expression,
@@ -563,66 +567,69 @@ def verify_whitney(args, rng):
     if len(ranks) != 2:
         raise ValidationError(f"--ranks takes two ranks, got {len(ranks)}")
     r1, r2 = ranks
-    setup = Setup([("A", r1), ("B", r2)], 0, default_truncation(args))
     checks = []
-    for k in _chern_degrees(args, setup, range(r1 + r2 + 1)):
-        combined = elem_sym(k, setup.root_vars("A") + setup.root_vars("B"),
-                            setup.grades, setup.truncation)
-        rhs = whitney_expand(setup, "A", "B", k)
-        exact = rhs.poly == combined
-        points = [{v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                   for v in setup.grades} for _ in range(args.count or 25)]
-        samples = all(combined.evaluate(point) == rhs.poly.evaluate(point)
-                      for point in points)
-        checks.append({"degree": k, "exact": exact, "samples": samples})
+    with dcoh.kept(Setup, [("A", r1), ("B", r2)], 0,
+                   default_truncation(args)) as setup:
+        for k in _chern_degrees(args, setup, range(r1 + r2 + 1)):
+            combined = elem_sym(k, setup.root_vars("A") + setup.root_vars("B"),
+                                setup.grades, setup.truncation)
+            rhs = whitney_expand(setup, "A", "B", k)
+            exact = rhs.poly == combined
+            points = [{v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                       for v in setup.grades} for _ in range(args.count or 25)]
+            samples = all(combined.evaluate(point) == rhs.poly.evaluate(point)
+                          for point in points)
+            checks.append({"degree": k, "exact": exact, "samples": samples})
     ok = all(check["exact"] and check["samples"] for check in checks)
     return {"identity": "whitney", "ranks": [r1, r2], "checks": checks}, ok
 
 
 def verify_dual(args, rng):
     r = args.rank or 3
-    setup = Setup([("E", r)], 0, default_truncation(args))
-    sub = {v: -Poly.var(v, setup.grades, setup.truncation)
-           for v in setup.root_vars("E")}
-    checks = [{"degree": k, "exact": dual_class(setup, "E", k).poly
-               == chern_class(setup, "E", k).poly.substitute(sub)}
-              for k in _chern_degrees(args, setup, range(r + 1))]
+    with dcoh.kept(Setup, [("E", r)], 0, default_truncation(args)) as setup:
+        sub = {v: -Poly.var(v, setup.grades, setup.truncation)
+               for v in setup.root_vars("E")}
+        checks = [{"degree": k, "exact": dual_class(setup, "E", k).poly
+                   == chern_class(setup, "E", k).poly.substitute(sub)}
+                  for k in _chern_degrees(args, setup, range(r + 1))]
     ok = all(check["exact"] for check in checks)
     return {"identity": "dual", "rank": r, "checks": checks}, ok
 
 
 def verify_tensor_line(args, rng):
     r = args.rank or 2
-    setup = Setup([("E", r), ("L", 1)], 0, default_truncation(args))
-    checks = [{"degree": k, "exact": tensor_line(setup, "E", "L", k)
-               == tensor_line_oracle(setup, "E", "L", k)}
-              for k in _chern_degrees(args, setup, range(r + 2))]
+    with dcoh.kept(Setup, [("E", r), ("L", 1)], 0,
+                   default_truncation(args)) as setup:
+        checks = [{"degree": k, "exact": tensor_line(setup, "E", "L", k)
+                   == tensor_line_oracle(setup, "E", "L", k)}
+                  for k in _chern_degrees(args, setup, range(r + 2))]
     ok = all(check["exact"] for check in checks)
     return {"identity": "tensor-line", "rank": r, "checks": checks}, ok
 
 
 def verify_segre(args, rng):
     r = args.rank or 3
-    setup = Setup([("E", r)], 0, default_truncation(args))
-    # The recurrence is checked in degrees 1..top; --degree 0 would check
-    # nothing and report success.
-    [top] = _chern_degrees(args, setup, [setup.truncation], low=1)
-    segre = [segre_class(setup, "E", i) for i in range(top + 1)]
-    chern = [chern_class(setup, "E", i) for i in range(top + 1)]
     checks = []
-    for k in range(1, top + 1):
-        acc = setup.zero()
-        for i in range(k + 1):
-            acc = acc + segre[i] * chern[k - i] * ((-1) ** i)
-        checks.append({"degree": k, "recurrence_zero": acc.is_zero()})
+    with dcoh.kept(Setup, [("E", r)], 0, default_truncation(args)) as setup:
+        # The recurrence is checked in degrees 1..top; --degree 0 would
+        # check nothing and report success.
+        [top] = _chern_degrees(args, setup, [setup.truncation], low=1)
+        segre = [segre_class(setup, "E", i) for i in range(top + 1)]
+        chern = [chern_class(setup, "E", i) for i in range(top + 1)]
+        for k in range(1, top + 1):
+            acc = setup.zero()
+            for i in range(k + 1):
+                acc = acc + segre[i] * chern[k - i] * ((-1) ** i)
+            checks.append({"degree": k, "recurrence_zero": acc.is_zero()})
     ok = all(check["recurrence_zero"] for check in checks)
     return {"identity": "segre", "rank": r, "checks": checks}, ok
 
 
 def verify_borel_serre(args, rng):
     r = args.rank or 2
-    setup = Setup([("E", r)], 0, max(default_truncation(args), r))
-    good, residual = charclass.borel_serre_check(setup, "E")
+    with dcoh.kept(Setup, [("E", r)], 0,
+                   max(default_truncation(args), r)) as setup:
+        good, residual = charclass.borel_serre_check(setup, "E")
     report = {
         "identity": "borel-serre",
         "rank": r,
@@ -634,8 +641,9 @@ def verify_borel_serre(args, rng):
 
 def verify_restriction(args, rng):
     r = args.rank or 2
-    setup = Setup([("E", r)], 0, max(default_truncation(args), r))
-    good = charclass.restriction_normal_bundle_check(setup, "E")
+    with dcoh.kept(Setup, [("E", r)], 0,
+                   max(default_truncation(args), r)) as setup:
+        good = charclass.restriction_normal_bundle_check(setup, "E")
     return {"identity": "restriction", "rank": r}, good
 
 
@@ -655,12 +663,14 @@ def _random_tree(rng, names, depth):
 
 
 def verify_ch_mult_suite(args, rng):
-    setup = Setup([("A", 1), ("B", 2), ("C", 3)], 0, default_truncation(args, 6))
     names = ["A", "B", "C"]
     count = args.count or 25
-    pairs = [(_random_tree(rng, names, 2), _random_tree(rng, names, 2))
-             for _ in range(count)]
-    failures = sum(not charclass.ch_tensor_check(setup, v, w) for v, w in pairs)
+    with dcoh.kept(Setup, [("A", 1), ("B", 2), ("C", 3)], 0,
+                   default_truncation(args, 6)) as setup:
+        pairs = [(_random_tree(rng, names, 2), _random_tree(rng, names, 2))
+                 for _ in range(count)]
+        failures = sum(not charclass.ch_tensor_check(setup, v, w)
+                       for v, w in pairs)
     report = {
         "identity": "ch-mult",
         "count": count,
@@ -683,9 +693,13 @@ def verify_c1_pairing(args, rng):
 def verify_hrr(args, rng):
     n = args.rank or 2
     d = args.degree if args.degree is not None else 3
-    tower = pushforward.Tower.projective_space(n)
-    v = VirtualBundle.line_class((tower.xi(1) * d).poly)
-    chi = pushforward.euler_characteristic(tower, v)
+
+    def chi_of(tower):
+        v = VirtualBundle.line_class((tower.xi(1) * d).poly)
+        return pushforward.euler_characteristic(tower, v)
+
+    chi = dcoh.with_kept(chi_of, pushforward.Tower,
+                         pushforward.Tower.product_levels([n]))
     expected = dcoh.chi_projective_space(n, d)
     report = {
         "identity": "hrr",
@@ -857,7 +871,8 @@ def cmd_picard(args):
 @functools.cache
 def build_arg_parser():
     """The parser of this process: building it costs more than most
-    requests, and ``parse_args`` returns a fresh namespace on every call."""
+    requests, and ``parse_args`` returns a fresh namespace on every call.
+    ``parser.subcommands`` maps each subcommand's name to its parser."""
     parser = argparse.ArgumentParser(
         prog="chowline",
         description="Exact intersection-theory calculator")
@@ -927,11 +942,36 @@ def build_arg_parser():
     common(p_picard)
     p_picard.set_defaults(func=cmd_picard)
 
+    parser.subcommands = sub.choices
     return parser
 
 
+def parse_arguments(argv):
+    """``build_arg_parser().parse_args(argv)``, parsed once.
+
+    The top-level parser hands every argument after a subcommand's name
+    to that subcommand's parser, so when ``argv`` starts with a known
+    name its parser reads the rest directly and the top-level parser
+    only reports arguments left over, with its own message, as
+    ``parse_args`` does.  Anything else (no arguments, ``-h``, an
+    unknown name) goes through the top-level parser.
+    """
+    parser = build_arg_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return argparse.Namespace(subcommand=argv[0], **vars(args))
+
+
 def main(argv=None):
-    args = build_arg_parser().parse_args(argv)
+    """Run one request, ``argv`` or the process's arguments, and return
+    its exit code (module docstring); the arguments are parsed once
+    (``parse_arguments``)."""
+    args = parse_arguments(argv)
     try:
         return args.func(args)
     except (ChowlineError, ValueError) as err:

@@ -14,11 +14,17 @@ is entirely independent of the symbolic pushforward machinery: the pairing
 of n+1 line bundles is the alternating tensor product of determinants of
 cohomology over subsets of the bundles, and its degree must match the
 direct image of the product of first Chern classes.
+
+The symbolic side runs on kept rings: the module keeps one ``Setup`` or
+``Tower`` per declaration (``kept``, ``with_kept``), the families'
+towers and the command line's setups alike, under one bound and one
+lock.  The oracle itself builds no ring.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb, factorial, prod
 from operator import index
@@ -173,67 +179,123 @@ def deligne_pairing_degree(fam, bundles):
     return degree, sum(chis)
 
 
-# The product families' towers, least recently used first, and the lock
-# under which they are swapped.
-_towers = {}
+# The kept rings: a ``Setup`` or ``Tower`` per declaration, least recently
+# used first; the table entries each held when last counted, and their
+# sum.  All three change only under the lock.
+_rings = {}
+_counted = {}
+_held = 0
 _lock = threading.Lock()
 
 
-def _entries(tower):
-    """Normal-form entries held by a tower and the towers kept below it."""
-    below = tower._below
-    return len(tower._normal) + (_entries(below) if below else 0)
+def _keep(key, ring):
+    """Keep ``ring`` under ``key`` as the most recently used, its entries
+    counted now, then drop the least recently used rings until the kept
+    tables hold at most ``TOWER_TABLE_LIMIT`` entries together.  Called
+    under the lock; its work does not grow with the number of rings."""
+    global _held
+    if key in _rings:
+        _drop(key)
+    _rings[key] = ring
+    _counted[key] = entries = ring.table_entries()
+    _held += entries
+    while _held > pushforward.TOWER_TABLE_LIMIT:
+        _drop(next(iter(_rings)))
 
 
-def _trim():
-    """Drop the least recently used towers until the kept tables hold at
-    most ``TOWER_TABLE_LIMIT`` entries together."""
+def _drop(key):
+    global _held
+    del _rings[key]
+    _held -= _counted.pop(key)
+
+
+def _fetch(cls, declared):
+    """The key of a declaration and its kept ring, fetched as ``kept``
+    describes."""
+    key = cls, cls.declaration(*declared)
     with _lock:
-        while (sum(map(_entries, _towers.values()))
-               > pushforward.TOWER_TABLE_LIMIT):
-            del _towers[next(iter(_towers))]
+        ring = _rings.get(key)
+        if (ring is None
+                or ring.table_entries() > pushforward.TOWER_TABLE_LIMIT):
+            ring = cls(*declared)
+        _keep(key, ring)
+    return key, ring
 
 
-def pairing_tower(fam):
-    """The total space of the family as a tower: base level first, then
-    the fiber factors.
+def _release(key, ring):
+    """Count a ring's entries again once a computation on it is over,
+    unless it was dropped meanwhile."""
+    with _lock:
+        if _rings.get(key) is ring:
+            _keep(key, ring)
 
-    One tower is kept per family, so its normal-form table, the towers
-    below it and its Todd classes serve every later call.  The kept
-    tables hold at most ``TOWER_TABLE_LIMIT`` entries together, counted
-    at each call; the least recently used tower is dropped first.  A kept
-    table already past the current limit is replaced by a fresh tower, so
-    that a lowered limit refuses as it would on a fresh tower.
+
+@contextmanager
+def kept(cls, *declared):
+    """The ring ``cls(*declared)``, a ``Setup`` or a ``Tower``, kept for
+    its declaration, for the length of a ``with`` block.
+
+    A ring depends only on its declaration (``cls.declaration``), so one
+    is kept per declaration and its tables serve every later block:
+    ``eval``'s setup file, the ``verify`` setups, ``verify hrr``'s P^n
+    and the product families, keyed by their levels.  Every fetch runs
+    the constructor's checks again, limits included, so a kept ring
+    refuses what a new one refuses, and a kept ring whose tables are
+    already past ``TOWER_TABLE_LIMIT`` is replaced by a new one.  The
+    entries of the kept tables (normal forms of a tower and the towers
+    below it, terms of a setup's class tables) are counted when a ring
+    is fetched and when its block ends, and together stay within
+    ``TOWER_TABLE_LIMIT``: the least recently used ring is dropped
+    first.  The registry changes under a lock, so threads share its
+    rings; a ring's tables only gain entries, each the one any thread
+    would compute.
     """
-    with _lock:
-        tower = _towers.pop(fam, None)
-        if tower is None or _entries(tower) > pushforward.TOWER_TABLE_LIMIT:
-            tower = Tower.product_of_projective_spaces(
-                [fam.base] + list(fam.fiber))
-        _towers[fam] = tower
-    _trim()
-    return tower
+    key, ring = _fetch(cls, declared)
+    try:
+        yield ring
+    finally:
+        _release(key, ring)
 
 
-def with_pairing_tower(fam, compute):
-    """``compute(tower)`` on the family's kept tower.
+def with_kept(compute, cls, *declared):
+    """``compute(ring)`` on the kept ring of a declaration (``kept``).
 
     A kept table holds entries of earlier calls, so it can reach
     ``TOWER_TABLE_LIMIT`` where a fresh table would not: on
-    ``TowerTooLarge`` the tower is dropped, and ``compute`` runs once
-    more on a fresh tower unless the refused one was fresh already.
+    ``TowerTooLarge`` the ring is dropped, and ``compute`` runs once more
+    on a fresh ring unless the refused one was fresh already.
     """
     while True:
-        tower = pairing_tower(fam)
-        warm = bool(tower._normal)
+        key, ring = _fetch(cls, declared)
+        warm = ring.table_entries() > 0
         try:
-            return compute(tower)
+            return compute(ring)
         except TowerTooLarge:
-            _towers.pop(fam, None)
+            with _lock:
+                if _rings.get(key) is ring:
+                    _drop(key)
             if not warm:
                 raise
         finally:
-            _trim()
+            _release(key, ring)
+
+
+def _family_levels(fam):
+    """The levels of the family's total space: base level first, then
+    the fiber factors."""
+    return Tower.product_levels([fam.base, *fam.fiber])
+
+
+def pairing_tower(fam):
+    """The total space of the family as its kept tower (``kept``), whose
+    normal-form table, towers below and Todd classes serve every later
+    call."""
+    return _fetch(Tower, [_family_levels(fam)])[1]
+
+
+def with_pairing_tower(fam, compute):
+    """``compute(tower)`` on the family's kept tower (``with_kept``)."""
+    return with_kept(compute, Tower, _family_levels(fam))
 
 
 def pairing_degree_by_pushforward(fam, bundles, tower=None):

@@ -103,28 +103,17 @@ class Tower:
     one pair loop (``_product``).  The levels are fixed once built, so
     the tower below (``drop_top``) and the Todd classes of the tangent
     bundle and of each relative tangent bundle (``tangent_todd``) are
-    built on first use and kept, as is the normal-form table.  A product
-    family keeps one tower per process (``dcoh.pairing_tower``), so all
-    of these outlive a single call.
+    built on first use and kept, as is the normal-form table.  A tower
+    depends only on its ``declaration``, so a product family and ``verify
+    hrr``'s P^n keep one tower per declaration (``dcoh.kept``), and all of
+    these outlive a single call.
     """
 
     def __init__(self, levels):
-        self.line_coeffs = []
-        for j, lines in enumerate(levels):
-            if not lines:
-                raise ValueError(f"level {j} needs at least one line class")
-            for coeffs in lines:
-                if len(coeffs) != j:
-                    raise ValueError(
-                        f"a line class on level {j} takes {j} coefficients, "
-                        f"got {len(coeffs)}")
-            self.line_coeffs.append([list(map(int, c)) for c in lines])
+        self.line_coeffs = [[list(c) for c in lines]
+                            for lines in self.declaration(levels)]
         self.ranks = [len(lines) for lines in self.line_coeffs]
         self.dimension = sum(r - 1 for r in self.ranks)
-        if self.dimension > TRUNCATION_LIMIT:
-            raise TruncationTooHigh(
-                f"tower dimension {self.dimension} exceeds the limit of "
-                f"{TRUNCATION_LIMIT}")
         self.bound = self.dimension
         self._below = None
         self._todd = {}
@@ -160,20 +149,53 @@ class Tower:
                 (m, -n) for m, n in relation.nums.items() if m != power)))
         self._normal = {}
 
+    @staticmethod
+    def declaration(levels):
+        """The levels checked and made hashable, as tuples of integer
+        coefficient tuples: the key of the tower's kept ring
+        (``dcoh.kept``).  Every check of the constructor runs here, the
+        dimension limit included, so a tower fetched under its declaration
+        refuses what a new one refuses."""
+        declared = []
+        for j, lines in enumerate(levels):
+            if not lines:
+                raise ValueError(f"level {j} needs at least one line class")
+            for coeffs in lines:
+                if len(coeffs) != j:
+                    raise ValueError(
+                        f"a line class on level {j} takes {j} coefficients, "
+                        f"got {len(coeffs)}")
+            declared.append(tuple(tuple(map(int, c)) for c in lines))
+        dimension = sum(map(len, declared)) - len(declared)
+        if dimension > TRUNCATION_LIMIT:
+            raise TruncationTooHigh(
+                f"tower dimension {dimension} exceeds the limit of "
+                f"{TRUNCATION_LIMIT}")
+        return tuple(declared)
+
+    def table_entries(self):
+        """Normal-form entries held by the tower and the towers kept below
+        it, counted against ``TOWER_TABLE_LIMIT`` while the tower is kept."""
+        below = self._below
+        return len(self._normal) + (below.table_entries() if below else 0)
+
     # -- construction helpers ------------------------------------------
+
+    @staticmethod
+    def product_levels(dims):
+        """The levels of P^{d_1} x P^{d_2} x ...: level j has d_j + 1
+        trivial lines."""
+        return [[[0] * j for _ in range(d + 1)] for j, d in enumerate(dims)]
 
     @classmethod
     def projective_space(cls, n):
         """P^n as the projectivization of the trivial rank-(n+1) bundle."""
-        return cls([[[] for _ in range(n + 1)]])
+        return cls(cls.product_levels([n]))
 
     @classmethod
     def product_of_projective_spaces(cls, dims):
         """P^{d_1} x P^{d_2} x ... as a tower of trivial projectivizations."""
-        levels = []
-        for j, d in enumerate(dims):
-            levels.append([[0] * j for _ in range(d + 1)])
-        return cls(levels)
+        return cls(cls.product_levels(dims))
 
     @classmethod
     def from_dict(cls, data):

@@ -9,8 +9,8 @@ The two workhorses are:
   Functions and Hall Polynomials*, I.2): only the dominant terms, whose
   exponents weakly decrease along each block, are kept, with integer
   coefficients, and the dominant parts of the products of the e_i are
-  built once per block, one factor at a time.  No polynomial product is
-  formed.
+  built once per block size, one factor at a time, and kept across
+  calls.  No polynomial product is formed.
 
 * ``phi_components`` / ``psi_components`` -- the universal polynomials
   expressing sum_j phi(T_j) (additive case) and prod_j psi(T_j)
@@ -147,9 +147,19 @@ def _times_e(f, i, r):
     return {mu: c for mu, c in out.items() if c}
 
 
+@lru_cache(maxsize=32)
+def _e_products(r):
+    """The table of ``_e_product`` for blocks of r roots, exponent tuple
+    -> dominant part, kept across calls: the products of the e_i over r
+    roots depend on r alone.  It holds e^0 = 1 at first; entries are only
+    added, each the one any caller would compute, so threads share it."""
+    return {(0,) * r: {(0,) * r: 1}}
+
+
 def _e_product(table, k):
     """The dominant part of e_1^k_1 ... e_r^k_r of one block, memoized in
-    ``table``: built from the product with one fewer factor."""
+    ``table`` (``_e_products``): built from the product with one fewer
+    factor."""
     chain = []
     while k not in table:
         i = next(j for j, kj in enumerate(k) if kj)
@@ -179,9 +189,11 @@ def to_chern_basis(p, blocks):
     terms are grouped by orbit in one pass, which also checks the
     symmetry, and only each orbit's dominant term is kept, keyed by one
     partition per block; subtracting the product e_1^{l_1 - l_2} ... e_r^{l_r} matching the
-    lead l strictly lowers it.  The dominant part of each such product is
-    built once per block and call, from the product with one fewer factor
-    (``_times_e``), and across blocks the products are outer products.
+    lead l strictly lowers it.  The dominant part of each such product
+    depends only on the block size: it is built once per size and kept
+    across calls (``_e_products``), from the product with one fewer
+    factor (``_times_e``), and across blocks the products are outer
+    products.
     """
     seen = set()
     for _, variables in blocks:
@@ -205,7 +217,7 @@ def to_chern_basis(p, blocks):
 
     # Each orbit's common coefficient, keyed by its dominant monomial.
     rem = _orbits(p, blocks)
-    tables = [{(0,) * len(vs): {(0,) * len(vs): 1}} for _, vs in blocks]
+    tables = [_e_products(len(vs)) for _, vs in blocks]
     image = {}
     while rem:
         lead = max(rem)

@@ -505,3 +505,14 @@ def test_a_polynomial_with_an_operand_it_does_not_know_raises():
             op()
     assert p + 1 == 1 + p and p - Fraction(1, 2) == -(Fraction(1, 2) - p)
     assert p * 2 == 2 * p == p + p
+
+
+def test_a_class_that_is_not_symmetric_prints_its_root_polynomial():
+    # It has no Chern-basis presentation, so str and repr, which a failing
+    # assertion prints, fall back to the roots instead of raising.
+    s = Setup([("E", 2)], 0, 3)
+    x = s.from_poly(s.roots("E")[0]) * 2 + 1
+    assert str(x) == str(x.poly) == "1 + 2*E.1"
+    assert repr(x) == "ChernSeries(1 + 2*E.1)"
+    symmetric = chern_class(s, "E", 1) ** 2 - chern_class(s, "E", 2)
+    assert str(symmetric) == str(symmetric.chern_basis()) == "c1(E)^2 - c2(E)"

@@ -21,6 +21,8 @@ from chowline.dcoh import (
     pairing_degree_by_pushforward,
     pairing_tower,
 )
+from chowline.charclass import VirtualBundle, td
+from chowline.chern_ring import Setup, chern_from_segre, segre_class
 from chowline.errors import TowerTooLarge, UnsupportedFamily, WrongBundleCount
 from chowline.pushforward import Tower
 
@@ -430,7 +432,20 @@ def test_package_has_no_assert_statements():
 # ------------------------------------------------------------ kept towers
 
 def _kept_entries():
-    return sum(map(dcoh._entries, dcoh._towers.values()))
+    return sum(ring.table_entries() for ring in dcoh._rings.values())
+
+
+def _key(fam):
+    """The registry key of the family's kept tower."""
+    return Tower, Tower.declaration(dcoh._family_levels(fam))
+
+
+def _forget(*keys):
+    """Drop the kept rings of ``keys``, every kept ring without any."""
+    with dcoh._lock:
+        for key in keys or list(dcoh._rings):
+            if key in dcoh._rings:
+                dcoh._drop(key)
 
 
 def test_a_family_keeps_one_tower():
@@ -441,6 +456,7 @@ def test_a_family_keeps_one_tower():
 
 def test_the_kept_tables_stay_within_the_limit(monkeypatch):
     # Each family alone fits in 30 entries, all six of them do not.
+    _forget()
     monkeypatch.setattr(pushforward, "TOWER_TABLE_LIMIT", 30)
     families = [FamilyDescriptor(fiber, base)
                 for fiber in [(1,), (2,), (1, 1)] for base in (1, 2)]
@@ -456,7 +472,7 @@ def test_the_kept_tables_stay_within_the_limit(monkeypatch):
                 assert _kept_entries() <= 30
             pairing_tower(fam)
             assert _kept_entries() <= 30
-    assert len(dcoh._towers) < len(families)
+    assert len(dcoh._rings) < len(families)
 
 
 def test_a_warm_family_still_refuses_under_a_lowered_limit(monkeypatch):
@@ -478,7 +494,7 @@ def test_a_warm_family_accepts_what_a_fresh_one_accepts(monkeypatch):
     fam = FamilyDescriptor((1, 1), 1)
     first = [L(1, 0, 0)] * 3
     second = [L(0, 1, 0)] * 3
-    dcoh._towers.pop(fam, None)
+    _forget(_key(fam))
     monkeypatch.setattr(pushforward, "TOWER_TABLE_LIMIT", 2)
     assert pairing_degree_by_pushforward(fam, first) == 0
     warm = pairing_tower(fam)
@@ -489,10 +505,10 @@ def test_a_warm_family_accepts_what_a_fresh_one_accepts(monkeypatch):
     assert pairing_degree_by_pushforward(fam, second) == 0
     assert pairing_tower(fam) is not warm
     # A fresh tower that fills up refuses at once.
-    dcoh._towers.pop(fam, None)
+    _forget(_key(fam))
     with pytest.raises(TowerTooLarge):
         pairing_degree_by_pushforward(fam, [L(1, 1, 1)] * 3)
-    assert fam not in dcoh._towers
+    assert _key(fam) not in dcoh._rings
 
 
 def test_threads_share_the_kept_towers(monkeypatch):
@@ -537,3 +553,65 @@ def test_threads_share_the_kept_towers(monkeypatch):
     assert wrong == []
     pairing_tower(families[0])
     assert _kept_entries() <= 30
+
+
+def _setup_classes(setup):
+    """Printed classes that fill all three class tables of the first
+    bundle of a setup, and the Chern-basis tables of its block sizes."""
+    name = next(iter(setup.bundles))
+    top = setup.truncation
+    return [str(td(VirtualBundle.bundle(name), setup)),
+            str(segre_class(setup, name, top)),
+            str(chern_from_segre(setup, name, top) * segre_class(setup, name, 1))]
+
+
+def test_threads_share_the_kept_setups_and_towers(monkeypatch):
+    # A limit of 60 entries keeps dropping kept setups and towers while
+    # four threads evaluate classes on three setups and run pairings and
+    # grr on three families at once.
+    import sys
+    import threading
+    declarations = [([("E", 2), ("L", 1)], 0, 5), ([("E", 3)], 0, 4),
+                    ([("A", 1), ("B", 2)], 1, 6)]
+    expected = [_setup_classes(Setup(*declared)) for declared in declarations]
+    _forget()
+    monkeypatch.setattr(pushforward, "TOWER_TABLE_LIMIT", 60)
+    families = [FamilyDescriptor(fiber, 1) for fiber in [(1,), (2,), (1, 1)]]
+    wrong = []
+
+    def work(seed):
+        try:
+            for k in range(150):
+                i = (seed + k) % len(declarations)
+                with dcoh.kept(Setup, *declarations[i]) as setup:
+                    if _setup_classes(setup) != expected[i]:
+                        wrong.append(declarations[i])
+                fam = families[(seed + 2 * k) % len(families)]
+                bundles = [L(*[(seed + k + j) % 3 - 1] * (len(fam.fiber) + 1))
+                           for j in range(fam.fiber_dimension + 1)]
+                if not c1_pairing_check(fam, bundles)["match"]:
+                    wrong.append((fam, bundles))
+                twist = L(*[k % 4 - 1] * (len(fam.fiber) + 1))
+                if not pushforward.grr_codim1_report(fam, twist)["equal"]:
+                    wrong.append((fam, twist))
+        except Exception as err:  # a thread's exception is otherwise lost
+            wrong.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    with dcoh.kept(Setup, *declarations[0]):
+        pass
+    assert _kept_entries() <= 60
+    # The counts the registry keeps are those of the kept tables.
+    assert dcoh._held == sum(dcoh._counted.values()) == _kept_entries()

@@ -13,6 +13,7 @@ from chowline.errors import (
     UnitPartNotOne,
 )
 from chowline.poly import Poly, PowerSeries
+from chowline import symfun
 from chowline.symfun import (
     check_block_symmetry,
     chern_var,
@@ -238,6 +239,46 @@ def test_chern_basis_round_trip_property(case):
     # Chern-basis presentation of the expanded polynomial is the original.
     q, roots_poly, blocks = case
     assert to_chern_basis(roots_poly, blocks) == q
+
+
+@st.composite
+def block_symmetric_polynomials(draw):
+    """A polynomial symmetric in each of one to three blocks of 1-5 roots,
+    the blocks drawn in random order, at a truncation of 1-8: a random
+    combination of products of the blocks' e_k, expanded in the roots."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    blocks = draw(st.permutations(_blocks(sizes)))
+    grade = {chern_var(k, label): k
+             for label, roots in blocks for k in range(1, len(roots) + 1)}
+    bound = draw(st.integers(1, 8))
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        exps, degree = {}, 0
+        for c in draw(st.lists(st.sampled_from(sorted(grade)), max_size=6)):
+            if degree + grade[c] <= bound:
+                exps[c] = exps.get(c, 0) + 1
+                degree += grade[c]
+        terms[tuple(sorted(exps.items()))] = Fraction(
+            draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+    _, p, _ = _chern_case(blocks, terms, bound)
+    return p, blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_symmetric_polynomials())
+def test_kept_e_product_tables_give_what_empty_ones_give(case):
+    # The tables of e-products are kept per block size across calls (and
+    # across examples here); emptied, they are built again and must give
+    # the same presentation, which expands back to the input.
+    p, blocks = case
+    warm = to_chern_basis(p, blocks)
+    symfun._e_products.cache_clear()
+    cold = to_chern_basis(p, blocks)
+    assert warm.sorted_terms() == cold.sorted_terms()
+    assert str(warm) == str(cold)
+    images = {chern_var(k, label): elem_sym(k, roots, p.grades, p.bound)
+              for label, roots in blocks for k in range(1, len(roots) + 1)}
+    assert warm.substitute(images) == p
 
 
 def _monomial_symmetric(exponents, variables, grades, bound):
