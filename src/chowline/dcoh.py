@@ -188,17 +188,14 @@ _held = 0
 _lock = threading.Lock()
 
 
-def _keep(key, ring):
-    """Keep ``ring`` under ``key`` as the most recently used, its entries
-    counted now, then drop the least recently used rings until the kept
-    tables hold at most ``TOWER_TABLE_LIMIT`` entries together.  Called
-    under the lock; its work does not grow with the number of rings."""
+def _count(key, entries):
+    """Record ``entries`` for the ring kept under ``key``, then drop the
+    least recently used rings until the kept tables hold at most
+    ``TOWER_TABLE_LIMIT`` entries together.  Called under the lock; its
+    work does not grow with the number of rings."""
     global _held
-    if key in _rings:
-        _drop(key)
-    _rings[key] = ring
-    _counted[key] = entries = ring.table_entries()
-    _held += entries
+    _held += entries - _counted.get(key, 0)
+    _counted[key] = entries
     while _held > pushforward.TOWER_TABLE_LIMIT:
         _drop(next(iter(_rings)))
 
@@ -210,16 +207,18 @@ def _drop(key):
 
 
 def _fetch(cls, declared):
-    """The key of a declaration and its kept ring, fetched as ``kept``
-    describes."""
+    """The key of a declaration, its kept ring and the entries the ring
+    holds, fetched as ``kept`` describes."""
     key = cls, cls.declaration(*declared)
     with _lock:
         ring = _rings.get(key)
-        if (ring is None
-                or ring.table_entries() > pushforward.TOWER_TABLE_LIMIT):
-            ring = cls(*declared)
-        _keep(key, ring)
-    return key, ring
+        entries = 0 if ring is None else ring.table_entries()
+        if ring is None or entries > pushforward.TOWER_TABLE_LIMIT:
+            ring, entries = cls(*declared), 0
+        _rings.pop(key, None)
+        _rings[key] = ring  # the most recently used
+        _count(key, entries)
+    return key, ring, entries
 
 
 def _release(key, ring):
@@ -227,7 +226,7 @@ def _release(key, ring):
     unless it was dropped meanwhile."""
     with _lock:
         if _rings.get(key) is ring:
-            _keep(key, ring)
+            _count(key, ring.table_entries())
 
 
 @contextmanager
@@ -250,7 +249,7 @@ def kept(cls, *declared):
     rings; a ring's tables only gain entries, each the one any thread
     would compute.
     """
-    key, ring = _fetch(cls, declared)
+    key, ring, _ = _fetch(cls, declared)
     try:
         yield ring
     finally:
@@ -266,15 +265,14 @@ def with_kept(compute, cls, *declared):
     on a fresh ring unless the refused one was fresh already.
     """
     while True:
-        key, ring = _fetch(cls, declared)
-        warm = ring.table_entries() > 0
+        key, ring, entries = _fetch(cls, declared)
         try:
             return compute(ring)
         except TowerTooLarge:
             with _lock:
                 if _rings.get(key) is ring:
                     _drop(key)
-            if not warm:
+            if not entries:
                 raise
         finally:
             _release(key, ring)
@@ -290,7 +288,8 @@ def pairing_tower(fam):
     """The total space of the family as its kept tower (``kept``), whose
     normal-form table, towers below and Todd classes serve every later
     call."""
-    return _fetch(Tower, [_family_levels(fam)])[1]
+    _, tower, _ = _fetch(Tower, [_family_levels(fam)])
+    return tower
 
 
 def with_pairing_tower(fam, compute):

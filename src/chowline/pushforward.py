@@ -176,8 +176,10 @@ class Tower:
     def table_entries(self):
         """Normal-form entries held by the tower and the towers kept below
         it, counted against ``TOWER_TABLE_LIMIT`` while the tower is kept."""
-        below = self._below
-        return len(self._normal) + (below.table_entries() if below else 0)
+        entries, tower = 0, self
+        while tower is not None:
+            entries, tower = entries + len(tower._normal), tower._below
+        return entries
 
     # -- construction helpers ------------------------------------------
 
@@ -185,7 +187,7 @@ class Tower:
     def product_levels(dims):
         """The levels of P^{d_1} x P^{d_2} x ...: level j has d_j + 1
         trivial lines."""
-        return [[[0] * j for _ in range(d + 1)] for j, d in enumerate(dims)]
+        return tuple(((0,) * j,) * (d + 1) for j, d in enumerate(dims))
 
     @classmethod
     def projective_space(cls, n):
