@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import chowline
 from chowline import cli, dcoh, pushforward
+from chowline.charclass import VirtualBundle, td
+from chowline.chern_ring import Setup, chern_from_segre, segre_class
 from chowline.dcoh import (
     _fiber_chi,
     FamilyDescriptor,
@@ -21,8 +23,6 @@ from chowline.dcoh import (
     pairing_degree_by_pushforward,
     pairing_tower,
 )
-from chowline.charclass import VirtualBundle, td
-from chowline.chern_ring import Setup, chern_from_segre, segre_class
 from chowline.errors import TowerTooLarge, UnsupportedFamily, WrongBundleCount
 from chowline.pushforward import Tower
 
