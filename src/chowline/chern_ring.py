@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 from .errors import (
@@ -43,7 +44,7 @@ from .errors import (
     TruncationTooHigh,
     UnknownBundle,
 )
-from .poly import Poly, VarTable
+from .poly import Poly, VarTable, sum_of_products
 from .symfun import (
     _inverse_components,
     elem_sym,
@@ -215,7 +216,7 @@ class Setup:
     def _store(self, kind, name, table):
         """Keep ``table`` as the bundle's table ``kind``, with its terms."""
         self._tables[kind, name] = table
-        self._terms[kind, name] = sum(len(poly.nums) for poly in table)
+        self._terms[kind, name] = sum(len(poly.terms) for poly in table)
         return table
 
     def _segre_classes(self, name, top):
@@ -390,15 +391,15 @@ def chern_class(setup, name, k):
 
 
 def whitney_expand(setup, first, second, k):
-    """The Whitney expansion sum_i c_i(first) * c_{k-i}(second).
+    """The Whitney expansion sum_i c_i(first) c_{k-i}(second), in one pass.
 
     Evaluated on the concatenation of the two root blocks this equals
     c_k(first + second), i.e. e_k of the combined roots.
     """
-    total = setup.zero()
-    for i in range(k + 1):
-        total = total + chern_class(setup, first, i) * chern_class(setup, second, k - i)
-    return total
+    return ChernSeries(setup, sum_of_products(
+        [(1, chern_class(setup, first, i).poly,
+          chern_class(setup, second, k - i).poly) for i in range(k + 1)],
+        setup.grades, setup.truncation))
 
 
 def dual_class(setup, name, k):
@@ -417,28 +418,32 @@ def tensor_line(setup, name, line, k):
     r = setup.rank(name)
     if setup.rank(line) != 1:
         raise UnknownBundle(f"{line!r} must be a declared line bundle")
-    c1L = chern_class(setup, line, 1)
-    total = setup.zero()
-    for i in range(k + 1):
-        coeff = comb(r - k + i, i) if r - k + i >= 0 else 0
-        if coeff:
-            total = total + chern_class(setup, name, k - i) * (c1L ** i) * coeff
-    return total
+    # c_1(L)^i, each from the one before; every coefficient is 0 for k > r.
+    powers = accumulate([chern_class(setup, line, 1).poly] * k, Poly.__mul__,
+                        initial=setup.const(1).poly)
+    terms = [(comb(r - k + i, i), chern_class(setup, name, k - i).poly, power)
+             for i, power in enumerate(powers)] if k <= r else []
+    return ChernSeries(setup, sum_of_products(terms, setup.grades,
+                                              setup.truncation))
 
 
 def tensor_line_oracle(setup, name, line, k):
     """e_k of the shifted roots {x_j + l}: the splitting-principle value of
     c_k(E (x) L).  Kept separate so the closed formula has an independent
-    check."""
-    ell = chern_class(setup, line, 1)
-    shifted = [setup.from_poly(root) + ell for root in setup.roots(name)]
-    # e_k of explicit ring elements, by dynamic programming over
+    check: it reads no Chern class of E, only the roots, and shares with
+    ``tensor_line`` only the pair loop of ``sum_of_products``."""
+    ell = chern_class(setup, line, 1).poly
+    shifted = [root + ell for root in setup.roots(name)]
+    one = Poly.const(1, setup.grades, setup.truncation)
+    # e_k of explicit polynomials, by dynamic programming over
     # prod_j (1 + t x_j): coefficient of t^k.
-    layers = [setup.const(1)] + [setup.zero()] * k
-    for x in shifted:
-        for i in range(min(k, len(shifted)), 0, -1):
-            layers[i] = layers[i] + layers[i - 1] * x
-    return layers[k]
+    layers = [one] + [setup.zero().poly] * k
+    for j, x in enumerate(shifted):
+        for i in range(min(k, j + 1), 0, -1):
+            layers[i] = sum_of_products([(1, layers[i], one),
+                                         (1, layers[i - 1], x)],
+                                        setup.grades, setup.truncation)
+    return ChernSeries(setup, layers[k])
 
 
 def segre_class(setup, name, k, fulton=False):

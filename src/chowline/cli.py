@@ -41,7 +41,7 @@ from .errors import (
     ExprSyntaxError,
     ValidationError,
 )
-from .poly import Poly, PowerSeries
+from .poly import Poly, PowerSeries, sum_of_products
 from .symfun import elem_sym
 
 # ---------------------------------------------------------------------------
@@ -617,9 +617,9 @@ def verify_segre(args, rng):
         segre = [segre_class(setup, "E", i) for i in range(top + 1)]
         chern = [chern_class(setup, "E", i) for i in range(top + 1)]
         for k in range(1, top + 1):
-            acc = setup.zero()
-            for i in range(k + 1):
-                acc = acc + segre[i] * chern[k - i] * ((-1) ** i)
+            acc = sum_of_products([((-1) ** i, segre[i].poly, chern[k - i].poly)
+                                   for i in range(k + 1)],
+                                  setup.grades, setup.truncation)
             checks.append({"degree": k, "recurrence_zero": acc.is_zero()})
     ok = all(check["recurrence_zero"] for check in checks)
     return {"identity": "segre", "rank": r, "checks": checks}, ok

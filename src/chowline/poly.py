@@ -11,9 +11,10 @@ integer numerators over one positive common denominator, in lowest terms
 (the gcd of the denominator and every numerator is 1, and the zero
 polynomial has denominator 1).  Sums, products and scalings therefore do
 integer arithmetic only, plus one gcd reduction per result, and
-``evaluate`` divides once.  Outside this module only
-``symfun.to_chern_basis``, ``symfun.check_block_symmetry``, the tower
-kernel and ``push_level`` of ``pushforward``, and the additive sum of
+``evaluate`` divides once; products, ``substitute`` and ``sum_of_products``
+share one pair loop.  Outside this module only the orbits of ``symfun``
+(``to_chern_basis``, ``check_block_symmetry``), the tower kernel and
+``push_level`` of ``pushforward``, and the additive sum of
 ``charclass.evaluate_class_in_ring`` read that form, to reduce integer
 numerators over ``den`` and to read, add or shift packed monomials;
 everything else sees ``Poly.terms``, which presents each coefficient as
@@ -46,7 +47,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
 from math import gcd, lcm
 
 # Every field is at least this many bits wide, so that all rings of bound
@@ -213,6 +215,54 @@ def _lowest(nums, den, grades, bound):
             nums = {m: n // g for m, n in nums.items()}
             den //= g
     return Poly(nums, den, grades, bound)
+
+
+def _add_products(nums, left, groups, scale, dshift, bound):
+    """``nums`` plus scale * left * right, right given by its degree groups
+    (``_degree_groups``), cancelled terms dropped: the one pair loop."""
+    get = nums.get
+    if scale != 1:
+        left = {m: c * scale for m, c in left.items()}
+    for m1, c1 in left.items():
+        room = bound - (m1 >> dshift)
+        for d2, group in groups:
+            if d2 > room:
+                break
+            for m2, c2 in group:
+                mono = m1 + m2
+                acc = get(mono, 0) + c1 * c2
+                if acc:
+                    nums[mono] = acc
+                else:
+                    nums.pop(mono, None)
+    return nums
+
+
+def sum_of_products(terms, grades, bound):
+    """``Poly.zero(grades, bound) + c1 * a1 * b1 + ...`` for the list
+    ``terms`` of triples (c, a, b), c an int or Fraction, in the chained
+    sum's table and bound: each product goes through the one pair loop
+    into one numerator dictionary over the lcm of the denominators, and
+    the sum is reduced once."""
+    table, products, den = var_table(grades, bound), [], 1
+    for c, a, b in terms:
+        if a.grades is not table or b.grades is not table:
+            table = _union(_union(table, a.grades), b.grades)
+        bound = min(bound, a.bound, b.bound)
+        p, q = (c, 1) if type(c) is int else _num_den(c)
+        if p and a.nums and b.nums:
+            products.append((p, q * a.den * b.den, a, b))
+            den = lcm(den, products[-1][1])
+    dshift, nums = table.dshift, {}
+    for p, q, a, b in products:
+        # Terms beyond the bound stay: the pair loop never reaches them.
+        left = a.nums if a.grades is table else _recode(
+            a.nums, a.grades, table, bound)
+        right = b.nums if b.grades is table else _recode(
+            b.nums, b.grades, table, bound)
+        _add_products(nums, left, _degree_groups(right, dshift),
+                      p * (den // q), dshift, bound)
+    return _lowest(nums, den, table, bound)
 
 
 class Poly:
@@ -389,22 +439,8 @@ class Poly:
             return _lowest({m: n * p for m, n in self.nums.items()},
                            self.den * q, self.grades, self.bound)
         table, bound, left, right = self._merged(other)
-        dshift = table.dshift
-        groups = _degree_groups(right, dshift)
-        nums = {}
-        get = nums.get
-        for m1, c1 in left.items():
-            room = bound - (m1 >> dshift)
-            for d2, group in groups:
-                if d2 > room:
-                    break
-                for m2, c2 in group:
-                    mono = m1 + m2
-                    acc = get(mono, 0) + c1 * c2
-                    if acc:
-                        nums[mono] = acc
-                    else:
-                        nums.pop(mono, None)
+        nums = _add_products({}, left, _degree_groups(right, table.dshift), 1,
+                             table.dshift, bound)
         return _lowest(nums, self.den * other.den, table, bound)
 
     __rmul__ = __mul__
@@ -485,24 +521,38 @@ class Poly:
     def substitute(self, mapping):
         """Replace variables by polynomials.
 
-        ``mapping`` maps variable names to Poly values; variables not listed
-        are kept as themselves.  Substitution must not raise degrees above
-        the bound in an uncontrolled way: images are truncated like any
-        other product.
-        """
-        table = self.grades
-        for img in mapping.values():
-            table = _union(table, img.grades)
-        out = Poly.zero(table, self.bound)
-        for mono, coeff in self.terms.items():
-            term = Poly.const(coeff, table, self.bound)
-            for v, e in mono:
-                if v in mapping:
-                    term = term * (mapping[v] ** e)
-                else:
-                    term = term * (Poly.var(v, table, self.bound) ** e)
-            out = out + term
-        return out
+        ``mapping`` maps variable names to Poly values; variables not
+        listed are kept as themselves.  The result is in the union of the
+        tables, at the least bound of this polynomial and of the images of
+        its variables.  Each image's powers are formed once, and the terms'
+        products of them are summed as in ``sum_of_products``."""
+        src = self.grades
+        table = reduce(_union, [img.grades for img in mapping.values()], src)
+        present = self.variables()
+        bound = min([self.bound] + [mapping[v].bound for v in present
+                                    if v in mapping])
+        dshift, mask, full, nums = table.dshift, src.mask, 1, {}
+        fields = []  # (shift, [(den, degree groups) of image ** e])
+        for v, s in src.shift.items():
+            if v in present:  # an unmapped variable is its own image
+                img = mapping[v] if v in mapping else Poly.var(v, table, bound)
+                top = max(m >> s & mask for m in self.nums)
+                fields.append((s, [None] + [
+                    (p.den, _degree_groups(_recode(p.nums, p.grades, table,
+                                                   bound), dshift))
+                    for p in accumulate([img] * top, Poly.__mul__)]))
+                full *= img.den ** top  # a multiple of each power's den
+        for m, n in self.nums.items():
+            scale, rights = full, [[(0, [(0, 1)])]]  # the groups of 1
+            for s, powers in fields:
+                if e := m >> s & mask:
+                    scale //= powers[e][0]
+                    rights.append(powers[e][1])
+            left = {0: n * scale}
+            for right in rights[1:-1]:
+                left = _add_products({}, left, right, 1, dshift, bound)
+            _add_products(nums, left, rights[-1], 1, dshift, bound)
+        return _lowest(nums, self.den * full, table, bound)
 
     def evaluate(self, values):
         """Evaluate at rational points; every variable must be assigned.

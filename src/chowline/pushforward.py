@@ -165,7 +165,7 @@ class Tower:
                     raise ValueError(
                         f"a line class on level {j} takes {j} coefficients, "
                         f"got {len(coeffs)}")
-            declared.append(tuple(tuple(map(int, c)) for c in lines))
+            declared.append(tuple(tuple(map(index, c)) for c in lines))
         dimension = sum(map(len, declared)) - len(declared)
         if dimension > TRUNCATION_LIMIT:
             raise TruncationTooHigh(

@@ -39,7 +39,7 @@ from .errors import (
     NotSymmetric,
     UnitPartNotOne,
 )
-from .poly import Poly, PowerSeries, VarTable
+from .poly import Poly, PowerSeries, VarTable, sum_of_products
 
 
 def elem_sym(k, variables, grades, bound):
@@ -89,13 +89,22 @@ def _orbits(p, blocks):
     sorted decreasingly (the orbit's dominant monomial) -> the orbit's
     common numerator.  Raises NotSymmetric unless every orbit met holds
     all its monomials with one coefficient, which is invariance under the
-    permutations within each block."""
-    fields = _block_fields(p, blocks)
+    permutations within each block.  Each block of a monomial is keyed by
+    its bit pattern, whose exponents are sorted once per call."""
     mask = p.grades.mask
+    patterns = [(sum(mask << s for s in set(shifts)), shifts, {})
+                for shifts in _block_fields(p, blocks)]
     orbits = {}
     for m, n in p.nums.items():
-        key = tuple(tuple(sorted((m >> s & mask for s in shifts), reverse=True))
-                    for shifts in fields)
+        key = []
+        for bits, shifts, lams in patterns:
+            pattern = m & bits
+            lam = lams.get(pattern)
+            if lam is None:
+                lam = lams[pattern] = tuple(sorted(
+                    [pattern >> s & mask for s in shifts], reverse=True))
+            key.append(lam)
+        key = tuple(key)
         seen = orbits.get(key)
         if seen is None:
             orbits[key] = [n, 1]
@@ -187,9 +196,10 @@ def to_chern_basis(p, blocks):
     determined by its dominant terms, those whose exponents weakly
     decrease along every block; the leading term is one of them.  So the
     terms are grouped by orbit in one pass, which also checks the
-    symmetry, and only each orbit's dominant term is kept, keyed by one
-    partition per block; subtracting the product e_1^{l_1 - l_2} ... e_r^{l_r} matching the
-    lead l strictly lowers it.  The dominant part of each such product
+    symmetry (``_orbits``: a block's bit pattern is sorted once per call),
+    and only each orbit's dominant term is kept, keyed by one partition
+    per block; subtracting the product e_1^{l_1 - l_2} ... e_r^{l_r}
+    matching the lead l strictly lowers it.  The dominant part of each such product
     depends only on the block size: it is built once per size and kept
     across calls (``_e_products``), from the product with one fewer
     factor (``_times_e``), and across blocks the products are outer
@@ -297,20 +307,15 @@ def _inverse_components(parts, head, top):
     1 + sum_j s_j, and ``head`` holds at least t_0 = 1, the unit of their
     ring.  Then t_m = sum_{1 <= j <= m} (-s_j) t_{m-j}: degree m of the
     identity (1 + sum_j s_j)(sum_m t_m) = 1.  Only t_n..t_top are
-    computed, each s_j up to t_top negated once, and every product is one
-    of two homogeneous parts.  Returns a new list; ``head`` is left as it
-    was.
+    computed, each as one ``sum_of_products`` of homogeneous parts, over
+    one denominator and reduced once.  Returns a new list; ``head`` is
+    left as it was.
     """
     t = list(head)
-    neg = [(j, -s_j) for j, s_j in sorted(parts.items()) if j <= top]
-    zero = Poly.zero(t[0].grades, t[0].bound)
+    parts = [(j, s_j) for j, s_j in sorted(parts.items()) if j <= top]
     for m in range(len(t), top + 1):
-        acc = zero
-        for j, s_j in neg:
-            if j > m:
-                break
-            acc = acc + (s_j if j == m else s_j * t[m - j])
-        t.append(acc)
+        t.append(sum_of_products([(-1, s_j, t[m - j]) for j, s_j in parts
+                                  if j <= m], t[0].grades, t[0].bound))
     return t
 
 

@@ -615,3 +615,15 @@ def test_threads_share_the_kept_setups_and_towers(monkeypatch):
     assert _kept_entries() <= 60
     # The counts the registry keeps are those of the kept tables.
     assert dcoh._held == sum(dcoh._counted.values()) == _kept_entries()
+
+
+def test_a_kept_tower_refuses_non_integer_line_coefficients():
+    levels = [[[], []], [[1], [0]]]
+    with dcoh.kept(Tower, levels) as tower:
+        assert tower.line_coeffs[1] == [[1], [0]]
+    for coeff in (1.7, "2"):
+        with pytest.raises(TypeError):
+            with dcoh.kept(Tower, [[[], []], [[coeff], [0]]]):
+                pass
+    with dcoh.kept(Tower, levels) as again:
+        assert again is tower

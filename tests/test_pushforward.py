@@ -647,3 +647,22 @@ def test_twisted_tower_chi_matches_symmetric_powers(n, twists, k, m):
         for mu in itertools.product(range(k + 1), repeat=len(twists))
         if sum(mu) == k)
     assert euler_characteristic(t, line) == expected
+
+
+@pytest.mark.parametrize("coeff", [1.7, 1.0, "2", Fraction(2), None])
+def test_line_coefficients_must_be_integers(coeff):
+    # int() would read 1.7 as 1, so that integrate(xi2) gave 0, and "2"
+    # from a family file as 2.
+    with pytest.raises(TypeError):
+        Tower([[[], []], [[coeff], [0]]])
+    with pytest.raises(TypeError):
+        Tower.from_dict({"levels": [{"lines": [[], []]},
+                                    {"lines": [[coeff], [0]]}]})
+    with pytest.raises(TypeError):
+        Tower.declaration([[[], []], [[coeff], [0]]])
+
+
+def test_integer_like_line_coefficients_are_read_exactly():
+    t = Tower([[[], []], [[True], [0]]])  # bool is an integer, as in index()
+    assert t.line_coeffs == Tower([[[], []], [[1], [0]]]).line_coeffs
+    assert integrate(t.xi(2)) == integrate(Tower([[[], []], [[1], [0]]]).xi(2))
