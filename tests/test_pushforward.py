@@ -661,8 +661,3 @@ def test_line_coefficients_must_be_integers(coeff):
     with pytest.raises(TypeError):
         Tower.declaration([[[], []], [[coeff], [0]]])
 
-
-def test_integer_like_line_coefficients_are_read_exactly():
-    t = Tower([[[], []], [[True], [0]]])  # bool is an integer, as in index()
-    assert t.line_coeffs == Tower([[[], []], [[1], [0]]]).line_coeffs
-    assert integrate(t.xi(2)) == integrate(Tower([[[], []], [[1], [0]]]).xi(2))
