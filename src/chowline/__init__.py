@@ -15,8 +15,6 @@ from .poly import Poly, PowerSeries
 from .symfun import (
     elem_sym,
     exp_series,
-    phi_components,
-    psi_components,
     series_invert,
     to_chern_basis,
     todd_series,
@@ -28,8 +26,6 @@ from .chern_ring import (
     chern_class,
     chern_from_segre,
     dual_class,
-    first_chern_det,
-    integrate_formal,
     segre_class,
     tensor_line,
     whitney_expand,
@@ -70,10 +66,7 @@ from .picard import (
     GroupoidSkeleton,
     MonoidPresentation,
     PicardInvariants,
-    equivalence_check,
-    gq_pair_product,
     grothendieck_group,
-    nat_transform_torsor,
     picardify,
     rationalize,
     smith_normal_form,
@@ -82,12 +75,11 @@ from .picard import (
 __all__ = [
     "__version__",
     # polynomial kernel
-    "Poly", "PowerSeries", "elem_sym", "exp_series", "phi_components",
-    "psi_components", "series_invert", "to_chern_basis", "todd_series",
+    "Poly", "PowerSeries", "elem_sym", "exp_series", "series_invert",
+    "to_chern_basis", "todd_series",
     # Chern ring
     "BundleDecl", "ChernSeries", "Setup", "chern_class", "chern_from_segre",
-    "dual_class", "first_chern_det", "integrate_formal", "segre_class",
-    "tensor_line", "whitney_expand",
+    "dual_class", "segre_class", "tensor_line", "whitney_expand",
     # characteristic classes
     "CharClassSpec", "VirtualBundle", "borel_serre_check", "ch",
     "ch_lambda_minus_one", "ch_tensor_check", "evaluate_class",
@@ -101,7 +93,6 @@ __all__ = [
     "det_Rf_degree",
     # Picard invariants
     "FGAbelianGroup", "GroupoidSkeleton", "MonoidPresentation",
-    "PicardInvariants", "equivalence_check", "gq_pair_product",
-    "grothendieck_group", "nat_transform_torsor", "picardify", "rationalize",
+    "PicardInvariants", "grothendieck_group", "picardify", "rationalize",
     "smith_normal_form",
 ]

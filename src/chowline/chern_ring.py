@@ -19,20 +19,21 @@ returns a new ``ChernSeries`` over the shared, immutable polynomial.
 
 The Chern-monomial presentation (polynomials in symbols c_k(E)) is a
 display layer produced by ``to_chern_basis``; the root representation
-remains the canonical form.
+remains the canonical form.  A characteristic class's universal
+polynomial is the ``chern_basis`` of its value on a declared bundle.
 
 ``RingClass`` is the one element type of every truncated graded ring in
 the package: a ring object and a polynomial representative in that ring's
-normal form.  It carries the arithmetic; ``ChernSeries`` (this module)
-adds the Chern-ring operations, and ``pushforward.TowerClass`` adds the
-reducing product of a tower's ring.  One bound per ring: every element
+normal form.  It carries the arithmetic, the binomial power included;
+``ChernSeries`` (this module) adds the Chern-ring operations, and
+``pushforward.TowerClass`` adds the reducing product of a tower's ring,
+which its powers then go through.  One bound per ring: every element
 is truncated at its ring's bound.  One door per ring: a polynomial enters
 only through ``ring.from_poly``, which reduces it in a tower.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
@@ -40,7 +41,6 @@ from math import comb
 from .errors import (
     NotSymmetric,
     SetupTooLarge,
-    Truncated,
     TruncationTooHigh,
     UnknownBundle,
 )
@@ -260,10 +260,6 @@ class Setup:
             integer("relative_dimension", data.get("relative_dimension", 0)),
             integer("truncation", data.get("truncation", 8)))
 
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
     def to_dict(self):
         return {
             "bundles": [{"name": b.name, "rank": b.rank}
@@ -319,7 +315,25 @@ class RingClass:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return type(self)(self.ring, self.poly ** n)
+        """x^n = sum_k C(n, k) c^(n-k) y^k for x = c + y, c the constant
+        term: at most ``bound`` products by y, whose powers vanish past the
+        bound.  Squaring would multiply two large powers instead: for a
+        16-variable linear form on the 16-level rank-2 tower, x^8 * x^8 is
+        165M term pairs."""
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only non-negative integer powers are defined")
+        c = self.poly.constant_term()
+        y = self - c
+        result = self.ring.const(c ** n)
+        power = self.ring.const(1)
+        for k in range(1, min(n, self.poly.bound) + 1):
+            power = power * y
+            if power.is_zero():
+                break
+            scalar = comb(n, k) * c ** (n - k)
+            if scalar:
+                result = result + power * scalar
+        return result
 
     def __neg__(self):
         return type(self)(self.ring, -self.poly)
@@ -429,21 +443,27 @@ def tensor_line(setup, name, line, k):
 
 def tensor_line_oracle(setup, name, line, k):
     """e_k of the shifted roots {x_j + l}: the splitting-principle value of
-    c_k(E (x) L).  Kept separate so the closed formula has an independent
-    check: it reads no Chern class of E, only the roots, and shares with
+    c_k(E (x) L), entry k of ``tensor_line_oracle_classes``."""
+    return tensor_line_oracle_classes(setup, name, line, k)[k]
+
+
+def tensor_line_oracle_classes(setup, name, line, top):
+    """[e_0, ..., e_top] of the shifted roots {x_j + l}, in one pass.
+    Kept separate so the closed formula has an independent check: it
+    reads no Chern class of E, only the roots, and shares with
     ``tensor_line`` only the pair loop of ``sum_of_products``."""
     ell = chern_class(setup, line, 1).poly
     shifted = [root + ell for root in setup.roots(name)]
     one = Poly.const(1, setup.grades, setup.truncation)
-    # e_k of explicit polynomials, by dynamic programming over
-    # prod_j (1 + t x_j): coefficient of t^k.
-    layers = [one] + [setup.zero().poly] * k
+    # e_0..e_top of explicit polynomials, by dynamic programming over
+    # prod_j (1 + t x_j): layer i is the coefficient of t^i.
+    layers = [one] + [setup.zero().poly] * top
     for j, x in enumerate(shifted):
-        for i in range(min(k, j + 1), 0, -1):
+        for i in range(min(top, j + 1), 0, -1):
             layers[i] = sum_of_products([(1, layers[i], one),
                                          (1, layers[i - 1], x)],
                                         setup.grades, setup.truncation)
-    return ChernSeries(setup, layers[k])
+    return [ChernSeries(setup, layer) for layer in layers]
 
 
 def segre_class(setup, name, k, fulton=False):
@@ -480,26 +500,3 @@ def chern_from_segre(setup, name, k, fulton=False):
     if k > setup.truncation:
         return setup.zero()
     return ChernSeries(setup, setup._recovered_classes(name, k)[k])
-
-
-def first_chern_det(setup, virtual):
-    """c_1(det V) = c_1(V) for a virtual bundle, additive in every sum.
-
-    Accepts a VirtualBundle expression; the first Chern class is the
-    single root of det V, the coefficient-weighted sum of all roots.
-    """
-    [(_, (root,))] = virtual.det().summands(setup)
-    return setup.from_poly(root)
-
-
-def integrate_formal(series, degree):
-    """Extract the homogeneous component of the given degree.
-
-    Components beyond the truncation bound were never computed and cannot
-    be recovered, so asking for them raises Truncated.
-    """
-    if degree > series.setup.truncation:
-        raise Truncated(
-            f"degree {degree} exceeds the truncation bound "
-            f"{series.setup.truncation}")
-    return series.graded_part(degree)

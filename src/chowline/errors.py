@@ -11,10 +11,6 @@ class NotSymmetric(ChowlineError):
     """Input polynomial is not invariant under permutations within a root block."""
 
 
-class NonzeroConstantTerm(ChowlineError):
-    """Additive series must vanish at the origin; the constant part is the rank term."""
-
-
 class ConstantTermNotOne(ChowlineError):
     """Multiplicative series must have constant term 1."""
 
@@ -32,10 +28,6 @@ class UnknownBundle(ChowlineError):
 class MalformedVirtualBundle(ChowlineError):
     """Virtual-bundle expression violates a rank constraint (e.g. exterior
     power of a genuinely virtual object, or negative rank)."""
-
-
-class Truncated(ChowlineError):
-    """A graded component beyond the ring's truncation bound was requested."""
 
 
 class TruncationTooLow(ChowlineError):

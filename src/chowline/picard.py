@@ -311,14 +311,6 @@ def homomorphism_is_isomorphism(source, target, matrix):
         target.generators, images + target.relations).is_trivial()
 
 
-def equivalence_check(pi0_map, pi1_map, source, target):
-    """Weak-equivalence criterion: a functor of Picard categories is an
-    equivalence iff it induces isomorphisms on pi0 and pi1."""
-    ok0 = homomorphism_is_isomorphism(source.pi0, target.pi0, pi0_map)
-    ok1 = homomorphism_is_isomorphism(source.pi1, target.pi1, pi1_map)
-    return ok0 and ok1
-
-
 # ---------------------------------------------------------------------------
 # monoids and group completion
 # ---------------------------------------------------------------------------
@@ -525,24 +517,3 @@ def rationalize(invariants):
     pi1 = FGAbelianGroup.free(invariants.pi1.free_rank)
     eps = [[0] * pi0.generators for _ in range(pi1.generators)]
     return PicardInvariants(pi0, pi1, eps, rational=True)
-
-
-def nat_transform_torsor(source, target):
-    """The torsor of natural transformations between parallel functors of
-    Picard categories: Hom(pi0(source), pi1(target))."""
-    return source.pi0.hom(target.pi1)
-
-
-# ---------------------------------------------------------------------------
-# Grayson-Quillen pair product
-# ---------------------------------------------------------------------------
-
-def gq_pair_product(pair_a, pair_b):
-    """Product of difference pairs in the completed object ring.
-
-    (A, A') * (B, B') = (A@B' + A'@B, A@B + A'@B'), so that the class
-    (second - first) multiplies like (A' - A)(B' - B).
-    """
-    a, a2 = pair_a
-    b, b2 = pair_b
-    return (a * b2 + a2 * b, a * b + a2 * b2)

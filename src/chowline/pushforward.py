@@ -23,11 +23,12 @@ order and the normal form is unique).  A tower fills one table, packed
 monomial -> normal form as (basis monomial, integer) pairs, the first
 time it meets each monomial; reducing a polynomial is then one lookup
 per term.  The product of two classes looks up each pair's monomial
-product as it forms, without building the unreduced product, and powers
-go through that product.  A product of divisors, given as coefficient
-vectors, runs through the same pair loop on integer numerators and
-builds one class at the end.  Rewriting keeps degrees, so a term beyond
-the dimension is dropped rather than reduced.  Rank-1 levels (P(L),
+product as it forms, without building the unreduced product, and the
+power every ring class shares (``RingClass.__pow__``) goes through that
+product.  A product of divisors, given as coefficient vectors, runs
+through the same pair loop on integer numerators and builds one class
+at the end.  Rewriting keeps degrees, so a term beyond the dimension is
+dropped rather than reduced.  Rank-1 levels (P(L),
 isomorphic to its base) need nothing special: their rule rewrites xi_j
 as -l.  Classes are ``TowerClass`` elements: the shared ``RingClass``
 arithmetic with a product that reduces.
@@ -44,7 +45,6 @@ checking (splitting principle) and keeps every ring finite-dimensional.
 
 from __future__ import annotations
 
-from math import comb
 from operator import index
 
 from .charclass import (
@@ -381,30 +381,6 @@ class TowerClass(RingClass):
                             self.poly.den * other.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        """x^n = sum_k C(n, k) c^(n-k) y^k, for x = c + y with c the
-        constant term, through the reduced product.
-
-        y has no constant term, so y^k vanishes beyond the bound: at most
-        ``bound`` products, each by y alone.  Squaring would multiply two
-        large powers instead: for a 16-variable linear form on the
-        16-level rank-2 tower, x^8 * x^8 is 165M term pairs.
-        """
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers are defined")
-        c = self.poly.constant_term()
-        y = self - c
-        result = self.ring.const(c ** n)
-        power = self.ring.const(1)
-        for k in range(1, min(n, self.ring.bound) + 1):
-            power = power * y
-            if power.is_zero():
-                break
-            scalar = comb(n, k) * c ** (n - k)
-            if scalar:
-                result = result + power * scalar
-        return result
 
 
 def push_level(tclass):

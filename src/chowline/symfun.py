@@ -1,23 +1,17 @@
 """Symmetric-function machinery on top of the sparse polynomial kernel.
 
-The two workhorses are:
-
-* ``to_chern_basis`` -- the fundamental theorem of symmetric polynomials,
-  per root block: a polynomial symmetric in each block is rewritten
-  uniquely in the elementary symmetric polynomials of the blocks.  The
-  lexicographic reduction runs in partition space (Macdonald, *Symmetric
-  Functions and Hall Polynomials*, I.2): only the dominant terms, whose
-  exponents weakly decrease along each block, are kept, with integer
-  coefficients, and the dominant parts of the products of the e_i are
-  built once per block size, one factor at a time, and kept across
-  calls.  No polynomial product is formed.
-
-* ``phi_components`` / ``psi_components`` -- the universal polynomials
-  expressing sum_j phi(T_j) (additive case) and prod_j psi(T_j)
-  (multiplicative case) in the elementary symmetric polynomials c_1..c_k.
-  The degree-k component is computed with exactly k internal roots, the
-  minimum valid count; independence of the root count is a theorem and is
-  asserted by the test suite rather than re-derived here.
+``to_chern_basis`` is the fundamental theorem of symmetric polynomials,
+per root block: a polynomial symmetric in each block is rewritten
+uniquely in the elementary symmetric polynomials of the blocks.  The
+lexicographic reduction runs in partition space (Macdonald, *Symmetric
+Functions and Hall Polynomials*, I.2): only the dominant terms, whose
+exponents weakly decrease along each block, are kept, with integer
+coefficients, and the dominant parts of the products of the e_i are
+built once per block size, one factor at a time, and kept across calls.
+No polynomial product is formed.  The universal polynomial of a
+characteristic class in the Chern classes is read through it: evaluate
+the class on a declared bundle (``charclass.evaluate_class``) and take
+``chern_basis()`` of the result.
 
 Graded units are inverted by one degree-by-degree recurrence,
 ``_inverse_components``, which continues from any prefix of components it
@@ -33,13 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from .errors import (
-    ConstantTermNotOne,
-    NonzeroConstantTerm,
-    NotSymmetric,
-    UnitPartNotOne,
-)
-from .poly import Poly, PowerSeries, VarTable, sum_of_products
+from .errors import NotSymmetric, UnitPartNotOne
+from .poly import Poly, PowerSeries, sum_of_products
 
 
 def elem_sym(k, variables, grades, bound):
@@ -250,53 +239,6 @@ def to_chern_basis(p, blocks):
                 del rem[key]
         image[tuple(sorted(mono))] = Fraction(c, p.den)
     return Poly.make(image, out_grades, p.bound)
-
-
-def _internal_roots(r, bound):
-    grades = VarTable({f"t{j}": 1 for j in range(1, r + 1)}, bound)
-    return [Poly.var(f"t{j}", grades, bound) for j in range(1, r + 1)], grades
-
-
-def phi_components(phi: PowerSeries, k, roots=None):
-    """Degree-k universal polynomial of an additive series.
-
-    For phi with phi(0) = 0, returns the unique polynomial Phi_k in
-    c_1..c_k of weighted degree k with sum_j phi(T_j) = Phi_k(e_1..e_k)
-    for any number of roots >= k.  ``roots`` overrides the internal root
-    count (used by tests to confirm the r-independence).
-    """
-    if k < 1:
-        raise ValueError("component degree must be >= 1")
-    if phi.nums[0]:
-        raise NonzeroConstantTerm("additive series must satisfy phi(0) = 0")
-    r = roots if roots is not None else k
-    if r < k:
-        raise ValueError(f"need at least {k} roots for the degree-{k} component")
-    vars_, grades = _internal_roots(r, k)
-    total = Poly.zero(grades, k)
-    for t in vars_:
-        total = total + phi.apply_to(t)
-    block = [("", [f"t{j}" for j in range(1, r + 1)])]
-    rewritten = to_chern_basis(total, block)
-    return rewritten.graded_part(k)
-
-
-def psi_components(psi: PowerSeries, k, roots=None):
-    """Degree-k part of the multiplicative class prod_j psi(T_j), in c_1..c_k."""
-    if k < 0:
-        raise ValueError("component degree must be >= 0")
-    if psi.nums[0] != psi.den:
-        raise ConstantTermNotOne("multiplicative series must satisfy psi(0) = 1")
-    r = roots if roots is not None else max(k, 1)
-    if k and r < k:
-        raise ValueError(f"need at least {k} roots for the degree-{k} component")
-    vars_, grades = _internal_roots(r, max(k, 0))
-    product = Poly.const(1, grades, k)
-    for t in vars_:
-        product = product * psi.apply_to(t)
-    block = [("", [f"t{j}" for j in range(1, r + 1)])]
-    rewritten = to_chern_basis(product, block)
-    return rewritten.graded_part(k)
 
 
 def _inverse_components(parts, head, top):

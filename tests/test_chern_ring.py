@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from chowline.charclass import VirtualBundle
+from chowline.charclass import VirtualBundle, ch
 from chowline.chern_ring import (
     ROOT_MONOMIAL_LIMIT,
     TRUNCATION_LIMIT,
@@ -14,8 +14,6 @@ from chowline.chern_ring import (
     chern_class,
     chern_from_segre,
     dual_class,
-    first_chern_det,
-    integrate_formal,
     segre_class,
     tensor_line,
     tensor_line_oracle,
@@ -23,7 +21,6 @@ from chowline.chern_ring import (
 )
 from chowline.errors import (
     SetupTooLarge,
-    Truncated,
     TruncationTooHigh,
     UnknownBundle,
 )
@@ -323,28 +320,34 @@ def test_segre_fulton_convention_translation():
         assert segre_class(s, "E", k) == sf * ((-1) ** k)
 
 
-# ---------------------------------------------------------- first_chern_det
+# ------------------------------------------------------------- c_1(det V)
+# c_1(det V) is the degree-1 part of ch(det V): det V is a line, whose ch
+# is e^{c_1}.
+
+def c1_det(setup, virtual):
+    return ch(virtual.det(), setup).graded_part(1)
+
 
 def test_first_chern_det_of_determinant():
     s = make_setup(E=2)
     E = VirtualBundle.bundle("E")
-    assert first_chern_det(s, E.det()) == chern_class(s, "E", 1)
+    assert c1_det(s, E) == chern_class(s, "E", 1)
 
 
 def test_first_chern_det_additive():
     s = make_setup(E=2, F=3)
     E, F = VirtualBundle.bundle("E"), VirtualBundle.bundle("F")
     c1E, c1F = chern_class(s, "E", 1), chern_class(s, "F", 1)
-    assert first_chern_det(s, E + F) == c1E + c1F
-    assert first_chern_det(s, E - F) == c1E - c1F
+    assert c1_det(s, E + F) == c1E + c1F
+    assert c1_det(s, E - F) == c1E - c1F
 
 
 def test_first_chern_det_counts_the_trivial_line_as_zero():
     s = make_setup(E=2)
     E, O = VirtualBundle.bundle("E"), VirtualBundle.trivial()
-    assert first_chern_det(s, E + O) == chern_class(s, "E", 1)
-    assert first_chern_det(s, O.det()).is_zero()
-    assert first_chern_det(s, (E + O).det()) == chern_class(s, "E", 1)
+    assert c1_det(s, E + O) == chern_class(s, "E", 1)
+    assert c1_det(s, O.det()).is_zero()
+    assert c1_det(s, (E + O).det()) == chern_class(s, "E", 1)
 
 
 def test_first_chern_det_rejects_malformed_input():
@@ -352,25 +355,19 @@ def test_first_chern_det_rejects_malformed_input():
     s = make_setup(E=2, F=3)
     virtual = VirtualBundle.bundle("E") - VirtualBundle.bundle("F")
     with pytest.raises(MalformedVirtualBundle):
-        first_chern_det(s, virtual.lam(2))
+        c1_det(s, virtual.lam(2))
     with pytest.raises(UnknownBundle):
-        first_chern_det(s, VirtualBundle.bundle("G"))
+        c1_det(s, VirtualBundle.bundle("G"))
 
 
-# ---------------------------------------------------------- integrate_formal
+# ------------------------------------------------------- homogeneous parts
 
 def test_integrate_formal_degree_parts():
     s = make_setup(E=2)
     series = s.const(1) + chern_class(s, "E", 1) + chern_class(s, "E", 2)
-    assert integrate_formal(series, 0) == s.const(1)
-    assert integrate_formal(series, 2) == chern_class(s, "E", 2)
-    assert integrate_formal(series, 3).is_zero()
-
-
-def test_integrate_formal_truncated_error():
-    s = make_setup(E=2)
-    with pytest.raises(Truncated):
-        integrate_formal(s.const(1), 9)
+    assert series.graded_part(0) == s.const(1)
+    assert series.graded_part(2) == chern_class(s, "E", 2)
+    assert series.graded_part(3).is_zero()
 
 
 # ------------------------------------------------------------ presentation
@@ -384,7 +381,7 @@ def test_chern_basis_presentation():
 def test_setup_json_round_trip():
     s = Setup([BundleDecl("E", 2), BundleDecl("L", 1)], 1, 6)
     import json
-    s2 = Setup.from_json(json.dumps(s.to_dict()))
+    s2 = Setup.from_dict(json.loads(json.dumps(s.to_dict())))
     assert s2.to_dict() == s.to_dict()
 
 

@@ -2,12 +2,14 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from chowline.chern_ring import Setup
-from chowline.cli import Evaluator, main, parse, print_expr
+from chowline.cli import POWER_LIMIT, Evaluator, main, parse, print_expr
 from chowline.errors import ExprSyntaxError, ValidationError
 
 
@@ -477,6 +479,33 @@ def test_setup_that_is_a_directory_is_refused(tmp_path, capsys):
 def test_expressions_the_library_refuses_are_usage_errors(
         expression, setup_file, capsys):
     assert_usage_error(["eval", expression, "--setup", setup_file], capsys)
+
+
+@pytest.mark.parametrize("expression", [
+    "(2+c(1,E))^40000000",
+    "(2+c(1,E))^1000000000000",
+    f"(1+c(1,E))^{POWER_LIMIT + 1}",
+    "((2+c(1,E))^1000)^1000",         # nested powers multiply
+    "((2+c(1,E))^200*c(1,E))^100",    # a power of degree 201 * 100
+])
+def test_powers_past_the_limit_are_refused_at_once(
+        expression, setup_file, capsys):
+    # (2+c(1,E))^40000000 ran 13 s before the printer refused its
+    # integers, and 10^12 never returned.
+    start = time.perf_counter()
+    err = assert_usage_error(["eval", expression, "--setup", setup_file],
+                             capsys)
+    assert time.perf_counter() - start < 1
+    assert f"exceeds the limit of {POWER_LIMIT}" in err
+
+
+def test_a_power_at_the_limit_is_evaluated(setup_file, capsys):
+    # (1 + x)^n = sum_k C(n, k) x^k: the exponent reaches only binomials.
+    assert main(["eval", f"(1+c(1,L))^{POWER_LIMIT}", "--setup", setup_file,
+                 "--json"]) == 0
+    by_degree = json.loads(capsys.readouterr().out)["result"]["by_degree"]
+    assert by_degree["1"] == {"c1(L)": str(POWER_LIMIT)}
+    assert by_degree["6"] == {"c1(L)^6": str(comb(POWER_LIMIT, 6))}
 
 
 @pytest.mark.parametrize("key, value", [

@@ -19,17 +19,13 @@ from chowline.picard import (
     GroupoidSkeleton,
     MonoidPresentation,
     PicardInvariants,
-    equivalence_check,
-    gq_pair_product,
     grothendieck_group,
     homomorphism_is_isomorphism,
     mat_vec,
-    nat_transform_torsor,
     picardify,
     rationalize,
     smith_normal_form,
 )
-from chowline.poly import Poly
 
 
 def mat_mul(A, B):
@@ -515,6 +511,8 @@ def test_rationalize_idempotent():
 
 
 # -------------------------------------------------------------- the torsor
+# Natural transformations between parallel functors of Picard categories
+# form a torsor under Hom(pi0(source), pi1(target)).
 
 def test_nat_transform_torsor_sizes():
     Z = FGAbelianGroup.free(1)
@@ -522,35 +520,42 @@ def test_nat_transform_torsor_sizes():
     Z4 = FGAbelianGroup.cyclic(4)
     P = PicardInvariants(Z, Z2, [[0]])
     P_prime = PicardInvariants(Z2, Z4, [[0]])
-    assert nat_transform_torsor(P, P_prime).invariants() == (0, (4,))
+    assert P.pi0.hom(P_prime.pi1).invariants() == (0, (4,))
 
     Q = PicardInvariants(Z2, Z4, [[0]])
-    assert nat_transform_torsor(Q, Q).order() == 2
+    assert Q.pi0.hom(Q.pi1).order() == 2
 
     R = PicardInvariants(Z2, Z, [[0]])
-    assert nat_transform_torsor(R, R).is_trivial()
+    assert R.pi0.hom(R.pi1).is_trivial()
 
 
-# ------------------------------------------------------- equivalence_check
+# ------------------------------------------------------------- equivalence
+# A functor of Picard categories is an equivalence iff it induces
+# isomorphisms on pi0 and on pi1.
+
+def is_equivalence(pi0_map, pi1_map, source, target):
+    return (homomorphism_is_isomorphism(source.pi0, target.pi0, pi0_map)
+            and homomorphism_is_isomorphism(source.pi1, target.pi1, pi1_map))
+
 
 def test_equivalence_identity():
     Z = FGAbelianGroup.free(1)
     Z2 = FGAbelianGroup.cyclic(2)
     P = PicardInvariants(Z, Z2, [[0]])
-    assert equivalence_check([[1]], [[1]], P, P)
+    assert is_equivalence([[1]], [[1]], P, P)
 
 
 def test_equivalence_multiplication_by_two_fails():
     Z = FGAbelianGroup.free(1)
     P = PicardInvariants(Z, Z, [[0]])
-    assert not equivalence_check([[2]], [[1]], P, P)
+    assert not is_equivalence([[2]], [[1]], P, P)
 
 
 def test_equivalence_sign_flip_passes():
     Z = FGAbelianGroup.free(1)
     Z2 = FGAbelianGroup.cyclic(2)
     P = PicardInvariants(Z2, Z, [[0]])
-    assert equivalence_check([[1]], [[-1]], P, P)
+    assert is_equivalence([[1]], [[-1]], P, P)
 
 
 def test_equivalence_rejects_non_homomorphism():
@@ -558,47 +563,3 @@ def test_equivalence_rejects_non_homomorphism():
     Z3 = FGAbelianGroup.cyclic(3)
     with pytest.raises(NotAHomomorphism):
         homomorphism_is_isomorphism(Z2, Z3, [[1]])
-
-
-# ------------------------------------------------------------ pair product
-
-# Formal object classes: monomial generators of the object semiring, in a
-# truncation high enough for every product below.
-_FORMAL_BOUND = 64
-
-
-def formal_object(name):
-    return Poly.var(name, {name: 1}, _FORMAL_BOUND)
-
-
-def formal_zero():
-    return Poly.zero({}, _FORMAL_BOUND)
-
-
-def pair_class(pair):
-    """The class second - first of a difference pair."""
-    first, second = pair
-    return second - first
-
-
-def test_pair_product_positive_times_positive():
-    A, B = formal_object("A"), formal_object("B")
-    zero = formal_zero()
-    first, second = gq_pair_product((zero, A), (zero, B))
-    assert first == zero
-    assert second == A * B
-
-
-def test_pair_product_sign_rule():
-    A, B = formal_object("A"), formal_object("B")
-    zero = formal_zero()
-    first, second = gq_pair_product((A, zero), (zero, B))
-    assert first == A * B
-    assert second == zero
-
-
-def test_pair_product_class_identity():
-    A, A2 = formal_object("A"), formal_object("A2")
-    B, B2 = formal_object("B"), formal_object("B2")
-    product = gq_pair_product((A, A2), (B, B2))
-    assert pair_class(product) == pair_class((A, A2)) * pair_class((B, B2))

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chowline.charclass import CharClassSpec, VirtualBundle, evaluate_class
+from chowline.chern_ring import Setup
 from chowline.errors import (
     ConstantTermNotOne,
-    NonzeroConstantTerm,
     NotSymmetric,
     UnitPartNotOne,
 )
@@ -19,8 +20,6 @@ from chowline.symfun import (
     chern_var,
     elem_sym,
     exp_series,
-    phi_components,
-    psi_components,
     series_invert,
     to_chern_basis,
     todd_series,
@@ -400,7 +399,26 @@ def test_to_chern_basis_two_blocks_expand_back_in_sympy():
         assert sympy.expand(back - _to_sympy(p)) == 0, p
 
 
-# ------------------------------------------------------------------- Phi_k
+# ------------------------------------------------ universal polynomials
+# The degree-k universal polynomial of an additive class, Phi_k with
+# sum_j phi(T_j) = Phi_k(e_1..e_k), or of a multiplicative class, the
+# degree-k part of prod_j psi(T_j), read as the class of a bundle E in
+# the Chern basis.
+
+def universal(kind, series, k, rank=None):
+    """The degree-k part of the class on a bundle E of the given rank (k
+    by default, the fewest roots that reach degree k), in c1(E)..ck(E)."""
+    setup = Setup([("E", rank or k)], 0, k)
+    value = evaluate_class(CharClassSpec(kind, series),
+                           VirtualBundle.bundle("E"), setup)
+    return value.chern_basis().graded_part(k)
+
+
+def chern_symbols(k):
+    """c1(E)..ck(E) as polynomials, of grades 1..k, at bound k."""
+    grades = {chern_var(i, "E"): i for i in range(1, k + 1)}
+    return [Poly.var(chern_var(i, "E"), grades, k) for i in range(1, k + 1)]
+
 
 def test_phi_exp_components():
     # Oracle (frozen): expand sum_j exp(T_j) - 1 over r = k roots and
@@ -409,25 +427,19 @@ def test_phi_exp_components():
     #   k=2: sum T_j^2 / 2   = (e1^2-2e2)/2
     #   k=3: sum T_j^3 / 6   = (e1^3 - 3 e1 e2 + 3 e3)/6
     phi = exp_minus_one_series(8)
-    cg = {f"c{i}": i for i in range(1, 4)}
-    c1 = Poly.var("c1", cg, 3)
-    c2 = Poly.var("c2", cg, 3)
-    c3 = Poly.var("c3", cg, 3)
-    assert phi_components(phi, 1) == c1
-    assert phi_components(phi, 2) == (c1 * c1 - 2 * c2) * Fraction(1, 2)
+    c1, c2, c3 = chern_symbols(3)
+    assert universal("additive", phi, 1) == chern_symbols(1)[0]
+    assert (universal("additive", phi, 2)
+            == (c1 * c1 - 2 * c2) * Fraction(1, 2))
     expected3 = (c1 ** 3 - 3 * c1 * c2 + 3 * c3) * Fraction(1, 6)
-    assert phi_components(phi, 3) == expected3
-
-
-def test_phi_requires_zero_constant_term():
-    with pytest.raises(NonzeroConstantTerm):
-        phi_components(exp_series(4), 2)
+    assert universal("additive", phi, 3) == expected3
 
 
 def test_phi_independent_of_root_count():
     phi = exp_minus_one_series(8)
     for k in range(1, 5):
-        assert phi_components(phi, k) == phi_components(phi, k, roots=k + 2)
+        assert (universal("additive", phi, k)
+                == universal("additive", phi, k, rank=k + 2))
 
 
 def test_phi_additivity():
@@ -439,13 +451,12 @@ def test_phi_additivity():
             Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)]
         phi = PowerSeries(coeffs)
         for k in range(1, 7):
-            comp = phi_components(phi, k)
+            comp = universal("additive", phi, k)
             bound = k
             merged = {}
             for i in range(1, k + 1):
                 merged[f"a{i}"] = i
                 merged[f"b{i}"] = i
-            merged.update({f"c{i}": i for i in range(1, k + 1)})
 
             def whitney_sum(i):
                 total = Poly.zero(merged, bound)
@@ -462,14 +473,13 @@ def test_phi_additivity():
                     total = total + left * right
                 return total
 
+            c = [chern_var(i, "E") for i in range(1, k + 1)]
             substituted = comp.substitute(
-                {f"c{i}": whitney_sum(i) for i in range(1, k + 1)})
-            prime = rename(comp, {f"c{i}": f"a{i}" for i in range(1, k + 1)})
-            second = rename(comp, {f"c{i}": f"b{i}" for i in range(1, k + 1)})
+                {c[i - 1]: whitney_sum(i) for i in range(1, k + 1)})
+            prime = rename(comp, {c[i - 1]: f"a{i}" for i in range(1, k + 1)})
+            second = rename(comp, {c[i - 1]: f"b{i}" for i in range(1, k + 1)})
             assert substituted == prime + second
 
-
-# ------------------------------------------------------------------- Psi_k
 
 def test_psi_todd_components():
     # Oracle (frozen): td(T) = 1 + T/2 + T^2/12 + ...
@@ -478,28 +488,29 @@ def test_psi_todd_components():
     #                                               = (c1^2 + c2)/12
     td = todd_series(8)
     assert td.coeffs[:3] == [Fraction(1), Fraction(1, 2), Fraction(1, 12)]
-    cg = {"c1": 1, "c2": 2}
-    c1 = Poly.var("c1", cg, 2)
-    c2 = Poly.var("c2", cg, 2)
-    assert psi_components(td, 1) == c1 * Fraction(1, 2)
-    assert psi_components(td, 2) == (c1 * c1 + c2) * Fraction(1, 12)
+    c1, c2 = chern_symbols(2)
+    assert (universal("multiplicative", td, 1)
+            == chern_symbols(1)[0] * Fraction(1, 2))
+    assert (universal("multiplicative", td, 2)
+            == (c1 * c1 + c2) * Fraction(1, 12))
 
 
 def test_psi_total_chern_class():
     # prod (1 + T_j) has degree-k part e_k.
-    cg = {"c1": 1, "c2": 2}
-    assert psi_components(one_plus_t_series(4), 2) == Poly.var("c2", cg, 2)
+    assert (universal("multiplicative", one_plus_t_series(4), 2)
+            == chern_symbols(2)[1])
 
 
 def test_psi_requires_unit_constant_term():
     with pytest.raises(ConstantTermNotOne):
-        psi_components(exp_minus_one_series(4), 2)
+        universal("multiplicative", exp_minus_one_series(4), 2)
 
 
 def test_psi_independent_of_root_count():
     td = todd_series(8)
     for k in range(1, 5):
-        assert psi_components(td, k) == psi_components(td, k, roots=k + 2)
+        assert (universal("multiplicative", td, k)
+                == universal("multiplicative", td, k, rank=k + 2))
 
 
 def test_todd_series_higher_coefficients():

@@ -1,7 +1,8 @@
 """Differential tests of the tower kernel: the normal-form table behind
-``Tower.from_poly``, the reduced product ``TowerClass.__mul__``,
-``TowerClass.__pow__`` and ``Tower.divisor_product``, against sympy's
-multivariate division and against each other."""
+``Tower.from_poly``, the reduced product ``TowerClass.__mul__``, the
+power every ring class shares (``RingClass.__pow__``) and
+``Tower.divisor_product``, against sympy's multivariate division and
+against each other."""
 
 import sys
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from chowline import cli, pushforward
 from chowline.charclass import evaluate_class_in_ring, todd_star_spec
-from chowline.chern_ring import TRUNCATION_LIMIT
+from chowline.chern_ring import TRUNCATION_LIMIT, Setup
 from chowline.errors import TowerTooLarge
 from chowline.poly import Poly
 from chowline.pushforward import (
@@ -41,23 +42,33 @@ coefficients = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 
 
 @st.composite
-def polys_on(draw, tower):
-    """A polynomial in the tower's variables within its bound, with
-    exponents up to the bound, so that most monomials are outside the
-    basis."""
-    J = len(tower.ranks)
+def polys_on(draw, ring):
+    """A polynomial in the ring's variables within its bound, with
+    exponents up to the bound, so that most monomials of a tower are
+    outside the basis."""
+    bound = ring.zero().poly.bound
     terms = {}
     for _ in range(draw(st.integers(0, 6))):
         exps = []
-        room = tower.bound
-        for _ in range(J):
+        room = bound
+        for _ in ring.grades:
             e = draw(st.integers(0, room))
             exps.append(e)
             room -= e
-        mono = tuple(sorted((xi_name(j + 1), e)
-                            for j, e in enumerate(exps) if e))
+        mono = tuple(sorted((v, e) for v, e in zip(ring.grades, exps) if e))
         terms[mono] = draw(coefficients)
-    return Poly.make(terms, tower.grades, tower.bound)
+    return Poly.make(terms, ring.grades, bound)
+
+
+@st.composite
+def rings(draw):
+    """A tower of ``tower_levels``, or a setup of one or two bundles of
+    ranks 1-3 at truncation 1-4."""
+    if draw(st.booleans()):
+        return Tower(draw(tower_levels()))
+    ranks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    return Setup([(f"E{i}", r) for i, r in enumerate(ranks)], 0,
+                 draw(st.integers(1, 4)))
 
 
 def _symbols(tower):
@@ -215,11 +226,11 @@ def test_divisor_product_is_refused_where_the_stepwise_loop_is(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_powers_equal_repeated_products(data):
-    tower = Tower(data.draw(tower_levels()))
-    x = tower.from_poly(data.draw(polys_on(tower)))
-    for n in range(tower.bound + 3):
+    ring = data.draw(rings())
+    x = ring.from_poly(data.draw(polys_on(ring)))
+    for n in range(ring.zero().poly.bound + 3):
         assert (x ** n).poly == reduce(lambda p, _: p * x, range(n),
-                                       tower.const(1)).poly
+                                       ring.const(1)).poly
 
 
 def test_power_of_a_unit_keeps_every_binomial_term():
