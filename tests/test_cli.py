@@ -353,13 +353,15 @@ def test_an_integer_past_the_digit_limit_is_refused_on_input(capsys):
 @digit_limit
 def test_an_integer_past_the_digit_limit_is_refused_on_output(
         rank1_file, capsys):
-    # 2^e has more than e * 0.301 decimal digits.
+    # The product of two integers of limit / 2 + 1 digits has more than
+    # the limit, and either factor alone prints.  (A power of 2 would
+    # pass POWER_LIMIT under an interpreter limit above about 4,900.)
     limit = sys.get_int_max_str_digits()
-    exponent = int(limit / 0.301) + 1
+    half = "9" * (limit // 2 + 1)
     err = assert_usage_error(
-        ["eval", f"2^{exponent}", "--setup", rank1_file], capsys)
+        ["eval", f"{half}*{half}", "--setup", rank1_file], capsys)
     assert f"({limit} digits)" in err and err.count("\n") == 1
-    assert main(["eval", f"2^{exponent // 2}", "--setup", rank1_file]) == 0
+    assert main(["eval", half, "--setup", rank1_file]) == 0
     capsys.readouterr()
     # A degree of about 2 * (limit / 2 + 1) digits from inputs of half as
     # many: the report is refused whole, with no line of it printed.
