@@ -12,6 +12,13 @@ Exit codes: 0 when every verdict is true, 1 when a verification fails
 (the residual is printed), 2 when the request is refused: a usage or
 validation error, any other error the library raises on its input, or an
 integer of more digits than the interpreter reads or prints.
+
+A request is read and written without the generic paths of argparse and
+json where they are not needed.  ``parse_arguments`` reads a well-formed
+argument list with an exact reader built from each subcommand parser's
+own actions and leaves anything else, help and usage errors included, to
+argparse; ``emit`` writes a ``--json`` report with ``_json_text``, which
+matches ``json.dumps(report, indent=2)`` byte for byte.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import random
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import charclass, dcoh, picard, pushforward
 from .chern_ring import (
@@ -274,6 +282,13 @@ def print_expr(tree):
 # refused before it is evaluated; 2^16384 already has more digits than
 # the interpreter prints by default (4,300).
 POWER_LIMIT = 16_384
+# The degree bounds the products but not the size of c^n: a 4,000-digit
+# constant term to the 4,000th power has about 16M digits.  A power whose
+# exponent times the bit length of its base's largest number (a numerator
+# or the denominator) passes this is refused before it is formed; 2^16
+# bits is about 19,700 digits, over four times what the interpreter
+# prints by default.
+POWER_BITS_LIMIT = 1 << 16
 
 
 def _degree(tree):
@@ -318,7 +333,14 @@ class Evaluator:
             if degree > POWER_LIMIT:
                 raise ValidationError(f"a power of degree {degree} exceeds "
                                       f"the limit of {POWER_LIMIT}")
-            return self.class_value(tree[1]) ** tree[2]
+            base = self.class_value(tree[1])
+            bits = tree[2] * max(n.bit_length() for n in
+                                 (base.poly.den, *base.poly.nums.values()))
+            if bits > POWER_BITS_LIMIT:
+                raise ValidationError(
+                    f"a power of about {bits} bits exceeds the limit of "
+                    f"{POWER_BITS_LIMIT} bits")
+            return base ** tree[2]
         if kind == "neg":
             return -self.class_value(tree[1])
         if kind == "call":
@@ -467,9 +489,45 @@ def series_report(series):
 
 def emit(report, as_json, ok):
     # Rendered whole first, so a value that cannot print leaves no report.
-    print(json.dumps(report, indent=2) if as_json
+    print(_json_text(report) if as_json
           else "\n".join(_human_lines(report)))
     return 0 if ok else 1
+
+
+def _json_text(value, indent="\n"):
+    """``json.dumps(value, indent=2)``, byte for byte, for the types a
+    report holds: dicts with str keys, lists, str, int, bool and None.
+
+    ``json.dumps`` serves an indented dump with its pure-Python encoder;
+    this writer joins the same text, each string escaped by the C escaper
+    and each int written by ``int.__repr__``, so an integer past the
+    interpreter's digit limit raises the same ``ValueError``.  ``indent``
+    is the newline and spaces that precede the value's closing bracket.
+    Any other type, a float, a tuple or a key that is not a str included,
+    raises ``TypeError``."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            f"{_quote(key)}: {_json_text(item, inner)}"
+            for key, item in value.items()) + indent + "}")
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return ("[" + inner + ("," + inner).join(
+            _json_text(item, inner) for item in value) + indent + "]")
+    raise TypeError(f"a report holds no {type(value).__name__}")
 
 
 def _human_lines(report, indent=""):
@@ -972,25 +1030,109 @@ def build_arg_parser():
     return parser
 
 
-def parse_arguments(argv):
-    """``build_arg_parser().parse_args(argv)``, parsed once.
+# The actions the exact reader reads: a flag that stores True, and an
+# option or positional that stores one value, converted by its type.
+_FLAG, _STORE = argparse._StoreTrueAction, argparse._StoreAction
 
-    The top-level parser hands every argument after a subcommand's name
-    to that subcommand's parser, so when ``argv`` starts with a known
-    name its parser reads the rest directly and the top-level parser
-    only reports arguments left over, with its own message, as
-    ``parse_args`` does.  Anything else (no arguments, ``-h``, an
-    unknown name) goes through the top-level parser.
+
+@functools.cache
+def _exact_reader(parser):
+    """(options, positionals, required, start) of a subcommand's parser,
+    read off its own actions: each option string's action, the positional
+    actions in order, the options that must be given, and the values
+    ``parse_args`` starts from (each action's default, then those of
+    ``set_defaults``).
+
+    Raises ``TypeError`` for an action the exact reader would not read as
+    argparse does: one that is neither ``store_true`` nor a plain
+    ``store`` of one value (``choices``, ``nargs`` and other ``const``
+    actions), a ``str`` default that argparse would pass through ``type``,
+    or an option string argparse could take for a negative number.  The
+    help action is left to argparse."""
+    if (parser.prefix_chars != "-" or parser.fromfile_prefix_chars
+            or parser._mutually_exclusive_groups):
+        raise TypeError(f"{parser.prog}: argparse reads it differently")
+    options, positionals, required, start = {}, [], set(), {}
+    for action in parser._actions:
+        if type(action) is argparse._HelpAction:
+            continue
+        exact = type(action) is _FLAG or (
+            type(action) is _STORE and action.nargs is None
+            and action.const is None and action.choices is None
+            and not (isinstance(action.default, str) and action.type))
+        if (not exact or argparse.SUPPRESS in (action.dest, action.default)
+                or any(option[1:2].isdigit() or option[1:2] == "."
+                       for option in action.option_strings)):
+            raise TypeError(f"{parser.prog}: cannot read "
+                            f"{action.option_strings or action.dest} exactly")
+        for option in action.option_strings:
+            options[option] = action
+        if not action.option_strings:
+            positionals.append(action)
+        elif action.required:
+            required.add(action)
+        start.setdefault(action.dest, action.default)
+    for dest, value in parser._defaults.items():
+        start.setdefault(dest, value)
+    return options, positionals, required, start
+
+
+def _read_exact(parser, tokens):
+    """The values ``parser.parse_known_args(tokens)`` would set, or None.
+
+    Reads exact tokens only: an option string with its value, a negative
+    number (as argparse reads one, a value or a positional) and
+    positionals.  Anything else is argparse's to answer: an abbreviation,
+    ``--opt=value``, ``-h``, ``--``, a value that starts with ``-`` and is
+    not a number, a value its type refuses, a missing required option or
+    the wrong number of positionals."""
+    options, positionals, required, start = _exact_reader(parser)
+    number = parser._negative_number_matcher.match
+    values, given, filled = dict(start), set(), 0
+    tokens = iter(tokens)
+    for token in tokens:
+        if token[:1] == "-" and not number(token):
+            action = options.get(token)
+            if action is None:
+                return None
+            given.add(action)
+            if type(action) is _FLAG:
+                values[action.dest] = action.const
+                continue
+            token = next(tokens, None)
+            if token is None or token[:1] == "-" and not number(token):
+                return None
+        elif filled < len(positionals):
+            action = positionals[filled]
+            filled += 1
+        else:
+            return None
+        try:
+            values[action.dest] = action.type(token) if action.type else token
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+    if filled < len(positionals) or not required <= given:
+        return None
+    return values
+
+
+def parse_arguments(argv):
+    """``build_arg_parser().parse_args(argv)``, for ``argv`` None the
+    process's arguments.
+
+    A well-formed request is read by the subcommand's exact reader
+    (``_read_exact``), which the subcommand's parser builds from its own
+    actions, so there is no second table of flags; anything the reader
+    does not read, help and every usage error included, goes to
+    argparse, which stays the one source of help, usage and error text.
     """
     parser = build_arg_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is None:
+    values = None if sub is None else _read_exact(sub, argv[1:])
+    if values is None:
         return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return argparse.Namespace(subcommand=argv[0], **vars(args))
+    return argparse.Namespace(subcommand=argv[0], **values)
 
 
 def main(argv=None):

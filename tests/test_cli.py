@@ -9,7 +9,14 @@ from math import comb
 import pytest
 
 from chowline.chern_ring import Setup
-from chowline.cli import POWER_LIMIT, Evaluator, main, parse, print_expr
+from chowline.cli import (
+    POWER_BITS_LIMIT,
+    POWER_LIMIT,
+    Evaluator,
+    main,
+    parse,
+    print_expr,
+)
 from chowline.errors import ExprSyntaxError, ValidationError
 
 
@@ -508,6 +515,17 @@ def test_a_power_at_the_limit_is_evaluated(setup_file, capsys):
     by_degree = json.loads(capsys.readouterr().out)["result"]["by_degree"]
     assert by_degree["1"] == {"c1(L)": str(POWER_LIMIT)}
     assert by_degree["6"] == {"c1(L)^6": str(comb(POWER_LIMIT, 6))}
+
+
+def test_a_power_of_large_numbers_is_refused_at_once(setup_file, capsys):
+    # Of degree 4,000, within POWER_LIMIT, but its constant term c^n has
+    # about 16M digits: it ran past 30 s before the printer refused it.
+    expression = f"({'9' * 4000}+c(1,E))^4000"
+    start = time.perf_counter()
+    err = assert_usage_error(["eval", expression, "--setup", setup_file],
+                             capsys)
+    assert time.perf_counter() - start < 1
+    assert f"exceeds the limit of {POWER_BITS_LIMIT} bits" in err
 
 
 @pytest.mark.parametrize("key, value", [

@@ -8,9 +8,12 @@ import ast
 import contextlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowline import chern_ring, cli, dcoh, pushforward, symfun
 
@@ -240,3 +243,149 @@ def test_one_parse_per_request_matches_the_two_level_parse(argv):
     assert direct == nested
     args, code, _, _ = direct
     assert (code is None) == isinstance(args, argparse.Namespace)
+
+
+SUBPARSERS = cli.build_arg_parser().subcommands
+OPTIONS = sorted({option for sub in SUBPARSERS.values()
+                  for action in sub._actions for option in action.option_strings})
+VALUES = st.one_of(
+    st.sampled_from(["-h", "--", "-1", "-.5", "-x", "-x y", "", "-", "dual",
+                     "hrr", "setup.json"]),
+    st.integers(-20, 20).map(str),
+    st.lists(st.integers(-3, 5), min_size=1, max_size=3).map(
+        lambda xs: ",".join(map(str, xs))),
+    st.lists(st.lists(st.integers(-3, 3), max_size=3), max_size=3).map(json.dumps),
+    st.text(max_size=6),
+)
+# Any option's prefix (an abbreviation, or the option itself), --opt=value,
+# or one value alone.
+NOISE = st.one_of(
+    st.sampled_from(OPTIONS).flatmap(
+        lambda option: st.integers(2, len(option)).map(lambda n: (option[:n],))),
+    st.tuples(st.sampled_from(OPTIONS), VALUES).map(lambda ov: ("=".join(ov),)),
+    st.tuples(VALUES),
+)
+
+
+def _chunk(action):
+    """The tokens of one of a subcommand's actions: a flag, an option and
+    a value (a positive integer half the time), or a positional."""
+    value = st.integers(1, 5).map(str) | VALUES
+    if not action.option_strings:
+        return st.tuples(value)
+    if action.nargs == 0:
+        return st.tuples(st.sampled_from(action.option_strings))
+    return st.tuples(st.sampled_from(action.option_strings), value)
+
+
+def _argvs(head):
+    """``head``, then chunks of its required actions and some others,
+    shuffled with up to two chunks of noise."""
+    actions = [action for action in getattr(SUBPARSERS.get(head), "_actions", [])
+               if not isinstance(action, argparse._HelpAction)]
+    required = [action for action in actions if action.required]
+    others = [action for action in actions if not action.required]
+    own = st.lists(st.sampled_from(others), unique=True).flatmap(
+        lambda chosen: st.tuples(*map(_chunk, required + chosen))
+    ) if actions else st.just(())
+    return st.tuples(own, st.lists(NOISE, max_size=2)).flatmap(
+        lambda both: st.permutations(list(both[0]) + both[1])).map(
+        lambda chunks: [head] + [token for c in chunks for token in c])
+
+
+ARGVS = st.sampled_from(sorted(SUBPARSERS) + ["nope", "-h", "--json", "-1"]).flatmap(_argvs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ARGVS)
+def test_the_exact_reader_parses_as_argparse_does(argv):
+    assert (_parse_outcome(cli.parse_arguments, argv)
+            == _parse_outcome(cli.build_arg_parser().parse_args, argv))
+
+
+# One argument list of each request shape the cli-requests workload sends
+# (perfbench/workloads.py), with the flags of its catalogue entries.
+VERIFY_FLAGS = {
+    "whitney": ["--ranks", "1,2", "--count", "2", "--seed", "709"],
+    "dual": ["--rank", "1", "--truncation", "6"],
+    "tensor-line": ["--rank", "2", "--truncation", "6"],
+    "segre": ["--rank", "3", "--truncation", "6"],
+    "borel-serre": ["--rank", "1", "--truncation", "6"],
+    "restriction": ["--rank", "2", "--truncation", "6"],
+    "ch-mult": ["--count", "2", "--seed", "410", "--truncation", "6"],
+    "hrr": ["--rank", "2", "--degree", "-3"],
+    "c1-pairing": ["--fiber", "1,1", "--base", "2",
+                   "--bundles", "[[1, 2, -1], [0, 1, 3], [2, -1, 1]]"],
+}
+SERVED_ARGVS = [
+    ["eval", "ch(E*L) - td(F)", "--setup", "setup.json", "--json"],
+    *[["verify", name, *flags, "--json"] for name, flags in VERIFY_FLAGS.items()],
+    ["deligne", "--fiber", "1", "--base", "1", "--bundles", "[[-2, 0], [0, 3]]",
+     "--json"],
+    ["grr", "--fiber", "1,2", "--base", "1", "--bundle", "[0, 1, -1]", "--json"],
+    ["picard", "skeleton.json", "--json"],
+]
+
+
+def test_the_exact_reader_serves_every_benchmarked_request_shape(monkeypatch):
+    assert set(VERIFY_FLAGS) == set(cli.VERIFIERS)
+    expected = [cli.build_arg_parser().parse_args(argv) for argv in SERVED_ARGVS]
+
+    def asked(*args, **kwargs):
+        raise AssertionError("argparse was asked")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", asked)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", asked)
+    got = [cli.parse_arguments(argv) for argv in SERVED_ARGVS]
+    assert all(isinstance(args, argparse.Namespace) for args in got)
+    assert got == expected
+
+
+@pytest.mark.parametrize("add", [
+    lambda p: p.add_argument("--kind", choices=["a", "b"]),
+    lambda p: p.add_argument("--ranks", nargs="+", type=int),
+    lambda p: p.add_argument("--quiet", action="store_const", const=1),
+    lambda p: p.add_argument("--seed", type=int, default="0"),
+    lambda p: p.add_argument("-1", dest="one", action="store_true"),
+], ids=["choices", "nargs", "store-const", "str-default", "negative-number"])
+def test_an_action_the_reader_cannot_read_exactly_fails_its_build(add):
+    def probe():
+        parser = argparse.ArgumentParser(prog="probe")
+        parser.add_argument("input")
+        parser.add_argument("--json", action="store_true")
+        return parser
+
+    options, positionals, _, start = cli._exact_reader(probe())
+    assert set(options) == {"--json"} and len(positionals) == 1
+    assert start == {"input": None, "json": False}
+    parser = probe()
+    add(parser)
+    with pytest.raises(TypeError):
+        cli._exact_reader(parser)
+
+
+# ------------------------------------------------------ reports
+
+REPORT_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.integers(-(10 ** 60), 10 ** 60),
+              st.text(st.characters(blacklist_categories=()), max_size=8)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=5), children, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_VALUES)
+def test_the_report_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, (1, 2), {1: "a"}, {"a": [1, 2.0]}, {"a": {"b": (1,)}}, [{None: 1}],
+    {"a": {"b": Fraction(1, 2)}},
+])
+def test_the_report_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
