@@ -644,7 +644,19 @@ def _chern_degrees(args, setup, default, low=0):
     return [args.degree]
 
 
+# The coordinates of whitney's sample points, p/q for -9 <= p <= 9 and
+# 1 <= q <= 5, each formed once.
+_SAMPLE_VALUES = {(p, q): Fraction(p, q)
+                  for p in range(-9, 10) for q in range(1, 6)}
+
+
 def verify_whitney(args, rng):
+    """c_k(A + B) = sum_i c_i(A) c_{k-i}(B) by two routes: ``exact``
+    compares e_k of the concatenated roots with the Whitney expansion as
+    polynomials, and ``samples`` compares the expansion's value at
+    --count random rational points with e_k of the points' coordinates,
+    which ``dcoh.elementary_symmetric_value`` forms without the
+    polynomial kernel."""
     ranks = args.ranks or [2, 2]
     if len(ranks) != 2:
         raise ValidationError(f"--ranks takes two ranks, got {len(ranks)}")
@@ -652,14 +664,17 @@ def verify_whitney(args, rng):
     checks = []
     with dcoh.kept(Setup, [("A", r1), ("B", r2)], 0,
                    default_truncation(args)) as setup:
+        roots = setup.root_vars("A") + setup.root_vars("B")
         for k in _chern_degrees(args, setup, range(r1 + r2 + 1)):
-            combined = elem_sym(k, setup.root_vars("A") + setup.root_vars("B"),
-                                setup.grades, setup.truncation)
             rhs = whitney_expand(setup, "A", "B", k)
-            exact = rhs.poly == combined
-            points = [{v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            exact = rhs.poly == elem_sym(k, roots, setup.grades,
+                                         setup.truncation)
+            points = [{v: _SAMPLE_VALUES[rng.randrange(-9, 10),
+                                         rng.randrange(1, 6)]
                        for v in setup.grades} for _ in range(args.count or 25)]
-            samples = all(combined.evaluate(point) == rhs.poly.evaluate(point)
+            samples = all(rhs.poly.evaluate(point)
+                          == dcoh.elementary_symmetric_value(
+                              k, [point[v] for v in roots])
                           for point in points)
             checks.append({"degree": k, "exact": exact, "samples": samples})
     ok = all(check["exact"] and check["samples"] for check in checks)

@@ -19,6 +19,10 @@ The symbolic side runs on kept rings: the module keeps one ``Setup`` or
 ``Tower`` per declaration (``kept``, ``with_kept``), the families'
 towers and the command line's setups alike, under one bound and one
 lock.  The oracle itself builds no ring.
+
+``elementary_symmetric_value`` is a second oracle, for ``verify
+whitney``: e_k of rational numbers by an integer recurrence, with nothing
+from the polynomial kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import comb, factorial, prod
+from fractions import Fraction
+from math import comb, factorial, lcm, prod
 from operator import index
 
 from . import pushforward
@@ -104,6 +109,27 @@ def chi_projective_space(n, d):
     (d+1)...(d+n) / n!, exact since n! divides any product of n
     consecutive integers."""
     return prod(range(d + 1, d + n + 1)) // factorial(n)
+
+
+def elementary_symmetric_value(k, values):
+    """e_k of a list of rationals (ints or Fractions): the sum over its
+    k-element sublists of their products, so e_0 = 1 and e_k = 0 for k
+    above the list's length.
+
+    The point route of ``verify whitney``, which builds no polynomial:
+    with the values written a_i / q over their common denominator q, the
+    integers e_j(a_1..a_i) = e_j(a_1..a_{i-1}) + a_i e_{j-1}(a_1..a_{i-1})
+    are summed for j <= k, and e_k of the values is e_k(a) / q^k.
+    """
+    if k < 0:
+        raise ValueError("elementary symmetric degree must be >= 0")
+    q = lcm(*[x.denominator for x in values])
+    e = [1] + [0] * k
+    for i, x in enumerate(values, 1):
+        a = x.numerator * (q // x.denominator)
+        for j in range(min(i, k), 0, -1):
+            e[j] += a * e[j - 1]
+    return Fraction(e[k], q ** k)
 
 
 def _chi(n, d):

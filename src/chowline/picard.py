@@ -159,8 +159,9 @@ class FGAbelianGroup:
 
     The relation matrix R, one column per relation, is put in Smith form
     once, U R V = D, and the group keeps ``(diagonal, U, V)``: the
-    invariants are read from the diagonal, and membership and solving
-    from all three (``relation_coefficients``).
+    invariants are read from the diagonal, membership from U and the
+    diagonal (``element_is_zero``), and solving from all three
+    (``relation_coefficients``).
     """
 
     def __init__(self, generators, relations=()):
@@ -223,8 +224,8 @@ class FGAbelianGroup:
     def __hash__(self):
         return hash(self.invariants())
 
-    def relation_coefficients(self, vector):
-        """Integers x with sum_j x_j * relations[j] == vector, or None.
+    def _diagonal_solution(self, vector):
+        """y with D y = U v, or None when there is none.
 
         R x = v becomes D y = U v with x = V y: solvable iff each d_i
         divides (U v)_i, and (U v)_i vanishes past the nonzero d_i.
@@ -238,10 +239,18 @@ class FGAbelianGroup:
                 return None
             if d:
                 y[i] = c // d
-        return mat_vec(self.V, y)
+        return y
+
+    def relation_coefficients(self, vector):
+        """Integers x with sum_j x_j * relations[j] == vector, or None:
+        x = V y for the y of ``_diagonal_solution``."""
+        y = self._diagonal_solution(vector)
+        return None if y is None else mat_vec(self.V, y)
 
     def element_is_zero(self, vector):
-        return self.relation_coefficients(vector) is not None
+        """Whether the vector lies in the relation lattice, read from U v
+        and the diagonal alone."""
+        return self._diagonal_solution(vector) is not None
 
     def hom(self, other):
         """Hom(self, other) as an abstract f.g. abelian group.

@@ -12,8 +12,9 @@ integer numerators over one positive common denominator, in lowest terms
 polynomial has denominator 1).  Sums, products and scalings therefore do
 integer arithmetic only, plus one gcd reduction per result, and
 ``evaluate`` divides once; products, ``substitute`` and ``sum_of_products``
-share one pair loop.  Outside this module only the orbits of ``symfun``
-(``to_chern_basis``, ``check_block_symmetry``), the tower kernel and
+share one pair loop.  Outside this module only ``symfun`` (the orbits of
+``to_chern_basis`` and ``check_block_symmetry``, and ``elem_sym``, which
+sums packed units), the tower kernel and
 ``push_level`` of ``pushforward``, and the additive sum of
 ``charclass.evaluate_class_in_ring`` read that form, to reduce integer
 numerators over ``den`` and to read, add or shift packed monomials;
@@ -560,20 +561,24 @@ class Poly:
         Fraction-free: with the values written a_v / q over their common
         denominator q, a term of total exponent t is n * prod a_v^e over
         q^t.  The integer sums of the terms of each t are brought over
-        q^top, for the largest t, and divided once.
+        q^top, for the largest t, and divided once.  Only the variables
+        that occur are read, each once.
         """
         table = self.grades
-        point = {v: _num_den(values[v]) for v in self.variables()}
-        q = lcm(*(d for _, d in point.values()))
-        fields = [(n * (q // d), table.shift[v]) for v, (n, d) in point.items()]
-        mask = table.mask
+        mask, seen = table.mask, 0
+        for m in self.nums:
+            seen |= m
+        point = [(*_num_den(values[v]), s) for v, s in table.shift.items()
+                 if seen >> s & mask]
+        q = lcm(*[d for _, d, _ in point])
+        fields = [(n * (q // d), s) for n, d, s in point]
         sums = {}
         for m, n in self.nums.items():
             t = 0
             for a, s in fields:
                 e = m >> s & mask
                 if e:
-                    n *= a ** e
+                    n *= a if e == 1 else a ** e
                     t += e
             sums[t] = sums.get(t, 0) + n
         top = max(sums, default=0)

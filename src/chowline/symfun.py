@@ -28,13 +28,16 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import NotSymmetric, UnitPartNotOne
-from .poly import Poly, PowerSeries, sum_of_products
+from .poly import Poly, PowerSeries, sum_of_products, var_table
 
 
 def elem_sym(k, variables, grades, bound):
     """Elementary symmetric polynomial e_k of the given variables.
 
-    e_0 = 1 and e_k = 0 for k > #variables.
+    e_0 = 1 and e_k = 0 for k > #variables.  Each k-subset of the list
+    is one monomial, the sum of its variables' packed units, so a variable
+    listed twice is counted twice (e_2(x, x, y) = x^2 + 2xy); monomials
+    of weighted degree above the bound are dropped.
     """
     if k < 0:
         raise ValueError("elementary symmetric degree must be >= 0")
@@ -42,9 +45,14 @@ def elem_sym(k, variables, grades, bound):
         return Poly.const(1, grades, bound)
     if k > len(variables):
         return Poly.zero(grades, bound)
-    return Poly.make({tuple((v, 1) for v in subset): 1
-                      for subset in combinations(sorted(variables), k)},
-                     grades, bound)
+    table = var_table(grades, bound)
+    units = [table.unit[v] for v in sorted(variables)]
+    top, nums = (bound + 1) << table.dshift, {}
+    for subset in combinations(units, k):
+        m = sum(subset)
+        if m < top:  # weighted degree at most the bound
+            nums[m] = nums.get(m, 0) + 1
+    return Poly(nums, 1, table, bound)
 
 
 def chern_var(index, label=""):

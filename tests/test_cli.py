@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -8,7 +9,8 @@ from math import comb
 
 import pytest
 
-from chowline.chern_ring import Setup
+from chowline import cli
+from chowline.chern_ring import ChernSeries, Setup
 from chowline.cli import (
     POWER_BITS_LIMIT,
     POWER_LIMIT,
@@ -18,6 +20,8 @@ from chowline.cli import (
     print_expr,
 )
 from chowline.errors import ExprSyntaxError, ValidationError
+from chowline.poly import Poly
+from chowline.symfun import elem_sym
 
 
 @pytest.fixture()
@@ -193,6 +197,94 @@ def test_verify_whitney(capsys):
     code = main(["verify", "whitney", "--ranks", "2,3", "--seed", "5", "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["ok"]
+
+
+def test_whitney_samples_catch_a_wrong_class_that_exact_accepts(
+        monkeypatch, capsys):
+    """Both sides of ``exact`` patched to one wrong class, e_k plus the
+    k-th power of a root: ``exact`` holds, and only the point route, which
+    forms e_k of the coordinates without the polynomial kernel, sees it."""
+    def wrong_elem_sym(k, variables, grades, bound):
+        root = Poly.var(variables[0], grades, bound)
+        return elem_sym(k, variables, grades, bound) + root ** k
+
+    def wrong_whitney_expand(setup, first, second, k):
+        return ChernSeries(setup, wrong_elem_sym(
+            k, setup.root_vars(first) + setup.root_vars(second),
+            setup.grades, setup.truncation))
+
+    monkeypatch.setattr(cli, "elem_sym", wrong_elem_sym)
+    monkeypatch.setattr(cli, "whitney_expand", wrong_whitney_expand)
+    code = main(["verify", "whitney", "--ranks", "2,2", "--seed", "7",
+                 "--json"])
+    report = json.loads(capsys.readouterr().out)
+    checks = report["report"]["checks"]
+    assert [check["degree"] for check in checks] == [0, 1, 2, 3, 4]
+    assert all(check["exact"] is True for check in checks)
+    assert all(check["samples"] is False for check in checks)
+    assert code == 1 and report["ok"] is False
+
+
+# The bytes ``verify whitney`` printed before its samples had a route of
+# their own: one report in full, two by SHA-256.
+WHITNEY_1_2 = """\
+{
+  "command": "verify",
+  "name": "whitney",
+  "seed": 0,
+  "report": {
+    "identity": "whitney",
+    "ranks": [
+      1,
+      2
+    ],
+    "checks": [
+      {
+        "degree": 0,
+        "exact": true,
+        "samples": true
+      },
+      {
+        "degree": 1,
+        "exact": true,
+        "samples": true
+      },
+      {
+        "degree": 2,
+        "exact": true,
+        "samples": true
+      },
+      {
+        "degree": 3,
+        "exact": true,
+        "samples": true
+      }
+    ]
+  },
+  "ok": true
+}
+"""
+WHITNEY_DIGESTS = [
+    (["--ranks", "3,3", "--count", "25", "--seed", "7"],
+     "b672d142cfc1f43e04153c714fffa70aa0ad9b217f03b3b66a04136575456437"),
+    (["--ranks", "3,1", "--count", "4", "--seed", "999"],
+     "e5289329a114acaee001af55f4bb2cf04c050651ea215ab004a968f1fda2d0da"),
+]
+
+
+def test_whitney_report_keeps_its_bytes(monkeypatch, capsys):
+    monkeypatch.delenv("CHOWLINE_TRUNCATION", raising=False)
+    assert main(["verify", "whitney", "--ranks", "1,2", "--count", "2",
+                 "--seed", "0", "--json"]) == 0
+    assert capsys.readouterr().out == WHITNEY_1_2
+
+
+@pytest.mark.parametrize("argv, digest", WHITNEY_DIGESTS)
+def test_whitney_reports_keep_their_digests(argv, digest, monkeypatch, capsys):
+    monkeypatch.delenv("CHOWLINE_TRUNCATION", raising=False)
+    assert main(["verify", "whitney", *argv, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_all_identities_pass(capsys):

@@ -25,6 +25,7 @@ from chowline.dcoh import (
 )
 from chowline.errors import TowerTooLarge, UnsupportedFamily, WrongBundleCount
 from chowline.pushforward import Tower
+from chowline.symfun import elem_sym
 
 
 def _kunneth_dims(fiber, degrees):
@@ -140,6 +141,31 @@ def test_fiber_chi_refuses_a_multidegree_of_the_wrong_length():
         _fiber_chi((1, 1), (2,))
     with pytest.raises(ValueError):
         _fiber_chi((1,), (2, 3))
+
+
+POINT_NAMES = ("u", "v", "w", "x", "y")
+POINT_VALUES = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7), st.lists(st.sampled_from(POINT_NAMES), max_size=6),
+       st.fixed_dictionaries({v: POINT_VALUES for v in POINT_NAMES}))
+@example(2, ["x", "x", "y"], {"u": 0, "v": 0, "w": 0, "x": Fraction(-2, 3),
+                              "y": Fraction(5, 4)})  # a repeated coordinate
+@example(3, ["u", "v"], dict.fromkeys(POINT_NAMES, 1))  # k above the length
+@example(0, [], dict.fromkeys(POINT_NAMES, 1))
+def test_elementary_symmetric_value_is_elem_sym_at_the_point(k, names, point):
+    grades = dict.fromkeys(POINT_NAMES, 1)
+    want = elem_sym(k, names, grades, 8).evaluate(point)
+    got = dcoh.elementary_symmetric_value(k, [point[v] for v in names])
+    assert type(got) is Fraction and got == want
+
+
+def test_elementary_symmetric_value_refuses_a_negative_degree():
+    with pytest.raises(ValueError):
+        dcoh.elementary_symmetric_value(-1, [Fraction(1, 2)])
 
 
 def test_kunneth_rank_is_product_of_chis():

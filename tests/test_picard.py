@@ -243,6 +243,18 @@ def test_one_smith_form_answers_invariants_and_membership(presentation):
     assert group.element_is_zero(vector) == (x is not None)
 
 
+@settings(max_examples=200, deadline=None)
+@given(presentations())
+def test_membership_agrees_with_solving_without_reading_v(presentation):
+    g, relations, vector = presentation
+    group = FGAbelianGroup(g, relations)
+    solvable = group.relation_coefficients(vector) is not None
+    group.V = None  # membership reads U and the diagonal alone
+    assert group.element_is_zero(vector) == solvable
+    with pytest.raises(ValueError):
+        group.element_is_zero(vector + [0])
+
+
 def test_membership_reads_the_kept_smith_form(monkeypatch):
     group = FGAbelianGroup(3, [[2, 4, 0], [0, 6, 9], [4, 14, 9]])
     pi0 = grothendieck_group(MonoidPresentation(2, [((2, 0), (0, 2))]))

@@ -3,7 +3,7 @@ differential check of products against sympy, and the canonical
 fraction-free form (integer numerators over one reduced denominator)."""
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 import pytest
 import sympy
@@ -283,6 +283,30 @@ def test_evaluation_needs_every_variable_of_the_polynomial():
         p.evaluate({"x": 2})
     with pytest.raises(TypeError):
         p.evaluate({"x": 2, "y": 0.5})
+
+
+def sorted_terms_value(p, values):
+    """p at the point, a Fraction sum over ``sorted_terms``."""
+    return sum((Fraction(c) * prod(Fraction(values[v]) ** e for v, e in mono)
+                for mono, c in p.sorted_terms()), Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rich_polys(), st.fixed_dictionaries({v: VALUES for v in VARS}))
+@example(Poly.make({(("z", 2),): Fraction(5, 6), (("x", 1), ("y", 1)):
+                    Fraction(-1, 4), (("x", 3),): 2}, GRADES, 4),
+         {"x": Fraction(-2, 3), "y": Fraction(5, 7), "z": Fraction(3, 4)})
+def test_evaluation_matches_a_sum_over_sorted_terms(p, values):
+    value = p.evaluate(values)
+    assert type(value) is Fraction and value == sorted_terms_value(p, values)
+    occurring = {v for mono, _ in p.sorted_terms() for v, _ in mono}
+    # A variable that does not occur needs no value.
+    assert p.evaluate({v: values[v] for v in occurring}) == value
+    for v in occurring:
+        with pytest.raises(KeyError):
+            p.evaluate({w: x for w, x in values.items() if w != v})
+        with pytest.raises(TypeError):
+            p.evaluate({**values, v: float(values[v])})
 
 
 # -- the packed kernel against tuple monomials --------------------------------

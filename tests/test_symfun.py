@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -70,6 +71,40 @@ def test_elem_sym_three_variables_degree_two():
 def test_elem_sym_zero_is_one():
     grades, bound = ring("x")
     assert elem_sym(0, ["x"], grades, bound) == 1
+
+
+def elem_sym_by_make(k, variables, grades, bound):
+    """e_k as ``Poly.make`` of the tuple monomials of the k-subsets, each
+    subset counted, so a repeated variable's monomials add."""
+    subsets = itertools.combinations(sorted(variables), k)
+    return Poly.make(collections.Counter(tuple((v, 1) for v in subset)
+                                         for subset in subsets),
+                     grades, bound)
+
+
+ELEM_GRADES = {"u": 1, "v": 1, "w": 2, "x": 1, "y": 3}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7), st.lists(st.sampled_from(sorted(ELEM_GRADES)),
+                                   max_size=6),
+       st.integers(0, 9))
+@example(2, ["x", "x", "u"], 8)  # x^2 + 2 u x: repeated variables add
+@example(3, ["u", "v", "x"], 2)  # k above the bound
+@example(2, ["w", "y"], 4)  # grades above 1: w y has degree 5
+@example(4, ["u", "v"], 8)  # k above the variable count
+def test_elem_sym_matches_make_over_combinations(k, variables, bound):
+    got = elem_sym(k, variables, ELEM_GRADES, bound)
+    want = elem_sym_by_make(k, variables, ELEM_GRADES, bound)
+    assert got == want and got.bound == want.bound == bound
+    assert got.grades is want.grades
+
+
+def test_elem_sym_refuses_negative_degree_and_unknown_variables():
+    with pytest.raises(ValueError):
+        elem_sym(-1, ["u"], ELEM_GRADES, 4)
+    with pytest.raises(KeyError):
+        elem_sym(1, ["u", "z"], ELEM_GRADES, 4)
 
 
 # ---------------------------------------------------------- to_chern_basis
