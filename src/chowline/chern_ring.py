@@ -441,12 +441,6 @@ def tensor_line(setup, name, line, k):
                                               setup.truncation))
 
 
-def tensor_line_oracle(setup, name, line, k):
-    """e_k of the shifted roots {x_j + l}: the splitting-principle value of
-    c_k(E (x) L), entry k of ``tensor_line_oracle_classes``."""
-    return tensor_line_oracle_classes(setup, name, line, k)[k]
-
-
 def tensor_line_oracle_classes(setup, name, line, top):
     """[e_0, ..., e_top] of the shifted roots {x_j + l}, in one pass.
     Kept separate so the closed formula has an independent check: it

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm, prod
 from operator import index
 
-from . import pushforward
+from . import chern_ring, pushforward
 from .chern_ring import TRUNCATION_LIMIT
 from .errors import (
     TowerTooLarge,
@@ -207,10 +207,13 @@ def deligne_pairing_degree(fam, bundles):
 
 # The kept rings: a ``Setup`` or ``Tower`` per declaration, least recently
 # used first; the table entries each held when last counted, and their
-# sum.  All three change only under the lock.
+# sum; and the alias of each kept ring's last fetch, both ways.  All of
+# them change only under the lock.
 _rings = {}
 _counted = {}
 _held = 0
+_aliases = {}
+_alias_of = {}
 _lock = threading.Lock()
 
 
@@ -230,12 +233,55 @@ def _drop(key):
     global _held
     del _rings[key]
     _held -= _counted.pop(key)
+    alias = _alias_of.pop(key, None)
+    if alias is not None:
+        del _aliases[alias]
+
+
+def _frozen(value):
+    """``value`` with its lists made tuples; ``TypeError`` unless it is
+    built of lists and tuples of ints and strs alone, so that two equal
+    results come from values that the declaration checks read alike.  A
+    tuple of ints and strs is returned as it is."""
+    kind = type(value)
+    if kind is tuple:
+        for item in value:
+            kind = type(item)
+            if kind is not int and kind is not str:
+                return tuple([_frozen(item) for item in value])
+        return value
+    if kind is list:
+        return tuple([_frozen(item) for item in value])
+    if kind is int or kind is str:
+        return value
+    raise TypeError(kind)
+
+
+def _alias(cls, declared):
+    """The alias of a raw declaration: the declaration made hashable and
+    the current value of every limit that ``Setup.declaration`` and
+    ``Tower.declaration`` read, or None for one that ``_frozen``
+    refuses."""
+    try:
+        frozen = _frozen(declared)
+    except TypeError:
+        return None
+    return (cls, frozen, chern_ring.TRUNCATION_LIMIT,
+            pushforward.TRUNCATION_LIMIT, chern_ring.ROOT_MONOMIAL_LIMIT)
 
 
 def _fetch(cls, declared):
     """The key of a declaration, its kept ring and the entries the ring
-    holds, fetched as ``kept`` describes."""
-    key = cls, cls.declaration(*declared)
+    holds, fetched as ``kept`` describes.  The key of a kept ring is
+    found by its alias (``_alias``), with no declaration check: the same
+    raw declaration under the same limits passes the same checks.  Each
+    kept ring keeps the alias of its last fetch, so there are at most as
+    many aliases as kept rings, and an alias goes with its ring."""
+    alias = _alias(cls, declared)
+    with _lock:
+        key = _aliases.get(alias)
+    if key is None:
+        key = cls, cls.declaration(*declared)
     with _lock:
         ring = _rings.get(key)
         entries = 0 if ring is None else ring.table_entries()
@@ -243,6 +289,10 @@ def _fetch(cls, declared):
             ring, entries = cls(*declared), 0
         _rings.pop(key, None)
         _rings[key] = ring  # the most recently used
+        if alias is not None and _aliases.get(alias) is not key:
+            _aliases.pop(_alias_of.get(key), None)
+            _aliases[alias] = key
+            _alias_of[key] = alias
         _count(key, entries)
     return key, ring, entries
 
@@ -263,10 +313,12 @@ def kept(cls, *declared):
     A ring depends only on its declaration (``cls.declaration``), so one
     is kept per declaration and its tables serve every later block:
     ``eval``'s setup file, the ``verify`` setups, ``verify hrr``'s P^n
-    and the product families, keyed by their levels.  Every fetch runs
-    the constructor's checks again, limits included, so a kept ring
-    refuses what a new one refuses, and a kept ring whose tables are
-    already past ``TOWER_TABLE_LIMIT`` is replaced by a new one.  The
+    and the product families, keyed by their levels.  A fetch runs the
+    constructor's checks again, limits included, unless the kept ring was
+    last fetched by the same raw declaration under the same limits
+    (``_fetch``), which passed them; so a kept ring refuses what a new
+    one refuses, and a kept ring whose tables are already past
+    ``TOWER_TABLE_LIMIT`` is replaced by a new one.  The
     entries of the kept tables (normal forms of a tower and the towers
     below it, terms of a setup's class tables) are counted when a ring
     is fetched and when its block ends, and together stay within

@@ -596,30 +596,38 @@ class Poly:
         return [(mono, _exact(n, self.den)) for _, mono, n in items]
 
     def __str__(self):
-        if not self.nums:
-            return "0"
-        pieces = []
-        for mono, coeff in self.sorted_terms():
-            factors = []
-            for v, e in mono:
-                factors.append(v if e == 1 else f"{v}^{e}")
-            body = "*".join(factors)
-            if not body:
-                text = str(coeff)
-            elif coeff == 1:
-                text = body
-            elif coeff == -1:
-                text = f"-{body}"
-            else:
-                text = f"{coeff}*{body}"
-            pieces.append(text)
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return terms_text(self.sorted_terms())
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def monomial_text(mono):
+    """A tuple monomial as ``x*y^2``; the empty monomial is ''."""
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
+
+
+def terms_text(terms):
+    """The text of a polynomial from its ``sorted_terms``, as
+    ``Poly.__str__`` writes it: ``0`` for none, a coefficient 1 or -1
+    left out before a monomial, and a negative term joined by `` - ``."""
+    if not terms:
+        return "0"
+    pieces = []
+    for mono, coeff in terms:
+        body = monomial_text(mono)
+        if not body:
+            pieces.append(str(coeff))
+        elif coeff == 1:
+            pieces.append(body)
+        elif coeff == -1:
+            pieces.append(f"-{body}")
+        else:
+            pieces.append(f"{coeff}*{body}")
+    out = pieces[0]
+    for p in pieces[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 class _Terms(Mapping):

@@ -2,16 +2,19 @@
 
 ``to_chern_basis`` is the fundamental theorem of symmetric polynomials,
 per root block: a polynomial symmetric in each block is rewritten
-uniquely in the elementary symmetric polynomials of the blocks.  The
-lexicographic reduction runs in partition space (Macdonald, *Symmetric
-Functions and Hall Polynomials*, I.2): only the dominant terms, whose
-exponents weakly decrease along each block, are kept, with integer
-coefficients, and the dominant parts of the products of the e_i are
-built once per block size, one factor at a time, and kept across calls.
-No polynomial product is formed.  The universal polynomial of a
-characteristic class in the Chern classes is read through it: evaluate
-the class on a declared bundle (``charclass.evaluate_class``) and take
-``chern_basis()`` of the result.
+uniquely in the elementary symmetric polynomials of the blocks.  It
+reads the polynomial as a sum of products of monomial symmetric
+functions m_lambda, one per block, and sums the outer products of their
+rows in the monomial-to-elementary transition matrix (Macdonald,
+*Symmetric Functions and Hall Polynomials*, I.2 and I.6).  A row depends
+on the block size and the partition alone, so it is kept across calls;
+it is filled on first use by the lexicographic reduction run in
+partition space on its one orbit, with integer coefficients, from the
+dominant parts of the products of the e_i, which are also built once per
+block size, one factor at a time.  No polynomial product is formed.
+The universal polynomial of a characteristic class in the Chern classes
+is read through it: evaluate the class on a declared bundle
+(``charclass.evaluate_class``) and take ``chern_basis()`` of the result.
 
 Graded units are inverted by one degree-by-degree recurrence,
 ``_inverse_components``, which continues from any prefix of components it
@@ -25,10 +28,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
+from operator import mul
 
 from .errors import NotSymmetric, UnitPartNotOne
-from .poly import Poly, PowerSeries, sum_of_products, var_table
+from .poly import Poly, PowerSeries, _lowest, sum_of_products, var_table
 
 
 def elem_sym(k, variables, grades, bound):
@@ -70,14 +74,13 @@ def _block_fields(p, blocks):
             for _, variables in blocks]
 
 
-def _orbit_size(key):
-    """The number of monomials in the orbit of one exponent tuple per
-    block under the permutations within each block."""
-    size = 1
-    for lam in key:
-        size *= math.factorial(len(lam))
-        for e in set(lam):
-            size //= math.factorial(lam.count(e))
+@lru_cache(maxsize=2048)
+def _orbit_size(lam):
+    """The number of monomials in the orbit of one block's exponent
+    tuple under the permutations of the block, kept per tuple."""
+    size = math.factorial(len(lam))
+    for e in set(lam):
+        size //= math.factorial(lam.count(e))
     return size
 
 
@@ -87,20 +90,30 @@ def _orbits(p, blocks):
     common numerator.  Raises NotSymmetric unless every orbit met holds
     all its monomials with one coefficient, which is invariance under the
     permutations within each block.  Each block of a monomial is keyed by
-    its bit pattern, whose exponents are sorted once per call."""
+    its bit pattern, whose exponents are sorted once per call; a block
+    none of whose variables occur in p reads as the zero partition, with
+    no masking."""
     mask = p.grades.mask
-    patterns = [(sum(mask << s for s in set(shifts)), shifts, {})
-                for shifts in _block_fields(p, blocks)]
+    occurring = 0
+    for m in p.nums:
+        occurring |= m
+    zero = []
+    patterns = []
+    for b, shifts in enumerate(_block_fields(p, blocks)):
+        zero.append((0,) * len(shifts))
+        bits = sum(mask << s for s in set(shifts))
+        if bits & occurring:
+            patterns.append((b, bits, shifts, {}))
     orbits = {}
     for m, n in p.nums.items():
-        key = []
-        for bits, shifts, lams in patterns:
+        key = list(zero)
+        for b, bits, shifts, lams in patterns:
             pattern = m & bits
             lam = lams.get(pattern)
             if lam is None:
                 lam = lams[pattern] = tuple(sorted(
                     [pattern >> s & mask for s in shifts], reverse=True))
-            key.append(lam)
+            key[b] = lam
         key = tuple(key)
         seen = orbits.get(key)
         if seen is None:
@@ -111,10 +124,11 @@ def _orbits(p, blocks):
         else:
             seen[1] += 1
     for key, (_, count) in orbits.items():
-        if count != _orbit_size(key):
+        size = math.prod(map(_orbit_size, key))
+        if count != size:
             raise NotSymmetric(
                 f"the orbit of exponents {key} has {count} of its "
-                f"{_orbit_size(key)} monomials")
+                f"{size} monomials")
     return {key: n for key, (n, _) in orbits.items()}
 
 
@@ -177,6 +191,49 @@ def _e_product(table, k):
     return f
 
 
+@lru_cache(maxsize=32)
+def _m_rows(r):
+    """The kept rows of ``_m_row`` for blocks of r roots, partition ->
+    row, kept across calls like ``_e_products``: m_lambda over r roots
+    depends on r alone.  Only partitions of degree at most
+    ``chern_ring.TRUNCATION_LIMIT`` (16) are kept, so a block size keeps
+    at most 915 rows (the partitions of 0..16), each of at most 231 terms
+    (the partitions of 16); 32 block sizes are kept, the least recently
+    used dropped first.  Entries are only added, each the one any caller
+    would compute, so threads share it."""
+    return {}
+
+
+def _m_row(r, lam):
+    """The row of the monomial-to-elementary transition matrix at lam:
+    m_lam over r roots as a list of (k, a_k), with m_lam the sum of
+    a_k e_1^k_1 ... e_r^k_r, the a_k nonzero integers (Macdonald, I.2
+    and I.6).  It is the lexicographic reduction run on the one orbit:
+    subtracting the dominant part of the e-product matching the lead l,
+    e_1^{l_1 - l_2} ... e_r^{l_r} (``_e_product``), strictly lowers it.
+    Kept in ``_m_rows``."""
+    rows = _m_rows(r)
+    row = rows.get(lam)
+    if row is not None:
+        return row
+    table, rem, row = _e_products(r), {lam: 1}, []
+    while rem:
+        lead = max(rem)
+        c = rem[lead]
+        k = tuple(a - b for a, b in zip(lead, lead[1:] + (0,)))
+        for mu, coeff in _e_product(table, k).items():
+            left = rem.get(mu, 0) - c * coeff
+            if left:
+                rem[mu] = left
+            else:
+                del rem[mu]
+        row.append((k, c))
+    from .chern_ring import TRUNCATION_LIMIT  # chern_ring imports symfun
+    if sum(lam) <= TRUNCATION_LIMIT:
+        rows[lam] = row
+    return row
+
+
 def to_chern_basis(p, blocks):
     """Rewrite a block-symmetric polynomial in elementary symmetric classes.
 
@@ -188,19 +245,15 @@ def to_chern_basis(p, blocks):
     ``ValueError``.  Substituting e_i(block) back for each class symbol
     recovers p exactly.
 
-    The rewriting is the classical lexicographic reduction, run in
-    partition space.  A polynomial symmetric within each block is
-    determined by its dominant terms, those whose exponents weakly
-    decrease along every block; the leading term is one of them.  So the
-    terms are grouped by orbit in one pass, which also checks the
-    symmetry (``_orbits``: a block's bit pattern is sorted once per call),
-    and only each orbit's dominant term is kept, keyed by one partition
-    per block; subtracting the product e_1^{l_1 - l_2} ... e_r^{l_r}
-    matching the lead l strictly lowers it.  The dominant part of each such product
-    depends only on the block size: it is built once per size and kept
-    across calls (``_e_products``), from the product with one fewer
-    factor (``_times_e``), and across blocks the products are outer
-    products.
+    A polynomial symmetric within each block is a sum, over its orbits,
+    of the orbit's coefficient times the product over the blocks of the
+    monomial symmetric functions m_lambda, one partition per block.  So
+    the terms are grouped by orbit in one pass, which also checks the
+    symmetry (``_orbits``), and the image is the sum over the orbits of
+    the outer products of the blocks' rows of the monomial-to-elementary
+    transition matrix (``_m_row``).  A row depends only on the block size
+    and the partition: it is computed once by the lexicographic
+    reduction and kept across calls (``_m_rows``).
     """
     seen = set()
     for _, variables in blocks:
@@ -216,37 +269,30 @@ def to_chern_basis(p, blocks):
         raise ValueError(f"variables {sorted(stray)} belong to no block")
 
     out_grades = {}
-    symbols = []
     for label, variables in blocks:
-        names = [chern_var(i, label) for i in range(1, len(variables) + 1)]
-        out_grades.update(zip(names, range(1, len(names) + 1)))
-        symbols.append(names)
-
-    # Each orbit's common coefficient, keyed by its dominant monomial.
-    rem = _orbits(p, blocks)
-    tables = [_e_products(len(vs)) for _, vs in blocks]
-    image = {}
-    while rem:
-        lead = max(rem)
-        c = rem[lead]
-        factors = []
-        mono = []
-        for lam, table, names in zip(lead, tables, symbols):
-            k = tuple(a - b for a, b in zip(lam, lam[1:] + (0,)))
-            factors.append(_e_product(table, k).items())
-            mono.extend((s, e) for s, e in zip(names, k) if e)
-        for combo in product(*factors):
-            key = tuple(mu for mu, _ in combo)
-            d = c
-            for _, coeff in combo:
-                d *= coeff
-            left = rem.get(key, 0) - d
-            if left:
-                rem[key] = left
-            else:
-                del rem[key]
-        image[tuple(sorted(mono))] = Fraction(c, p.den)
-    return Poly.make(image, out_grades, p.bound)
+        out_grades.update((chern_var(i, label), i)
+                          for i in range(1, len(variables) + 1))
+    table = var_table(out_grades, p.bound)
+    # Per block: its size, the packed units of its class symbols, and the
+    # rows met so far with their e-monomials packed in the image's table.
+    packed = [(len(variables), [table.unit[chern_var(i, label)]
+                                for i in range(1, len(variables) + 1)], {})
+              for label, variables in blocks]
+    nums = {}
+    for key, n in _orbits(p, blocks).items():
+        terms = [(0, n)]
+        for lam, (r, units, rows) in zip(key, packed):
+            if not lam or not lam[0]:
+                continue  # m of the zero partition is 1
+            row = rows.get(lam)
+            if row is None:
+                row = rows[lam] = [(sum(map(mul, k, units)), a)
+                                   for k, a in _m_row(r, lam)]
+            terms = [(m + m2, c * a) for m, c in terms for m2, a in row]
+        for m, c in terms:
+            nums[m] = nums.get(m, 0) + c
+    return _lowest({m: c for m, c in nums.items() if c}, p.den, table,
+                   p.bound)
 
 
 def _inverse_components(parts, head, top):

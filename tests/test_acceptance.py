@@ -18,7 +18,7 @@ from chowline.chern_ring import (
     dual_class,
     segre_class,
     tensor_line,
-    tensor_line_oracle,
+    tensor_line_oracle_classes,
     whitney_expand,
 )
 from chowline.charclass import VirtualBundle
@@ -102,8 +102,8 @@ def test_criterion_4_tensor_by_line():
     for r in range(1, 6):
         s = Setup([BundleDecl("E", r), BundleDecl("L", 1)], 0, 8)
         for k in range(6):
-            assert tensor_line(s, "E", "L", k) == tensor_line_oracle(
-                s, "E", "L", k)
+            assert tensor_line(s, "E", "L", k) == tensor_line_oracle_classes(
+                s, "E", "L", k)[k]
 
     # Documented discrepancy: the variant coefficient binom(r-k+1, i) is
     # wrong at r = 2, k = 2; the shifted-root oracle exceeds it by exactly
@@ -117,7 +117,7 @@ def test_criterion_4_tensor_by_line():
             variant = variant + chern_class(s, "E", k - i) * (
                 chern_class(s, "L", 1) ** i) * coeff
     ell = chern_class(s, "L", 1)
-    assert tensor_line_oracle(s, "E", "L", k) - variant == ell * ell
+    assert tensor_line_oracle_classes(s, "E", "L", k)[k] - variant == ell * ell
     report(4, "c_k(E (x) L) matches the shifted-root oracle for r <= 5, "
               "k <= 5; the binom(r-k+1, i) variant fails at r=2, k=2 by "
               "c_1(L)^2 exactly")

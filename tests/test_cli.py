@@ -1,6 +1,5 @@
 import hashlib
 import json
-import random
 import subprocess
 import sys
 import time
@@ -17,7 +16,6 @@ from chowline.cli import (
     Evaluator,
     main,
     parse,
-    print_expr,
 )
 from chowline.errors import ExprSyntaxError, ValidationError
 from chowline.poly import Poly
@@ -88,45 +86,43 @@ def test_precedence_power_binds_tightest():
     assert tree[1][0] == "pow"
 
 
-# -------------------------------------------------------------- round trips
+# ------------------------------------------------------------ fixed texts
 
-def random_class_tree(rng, depth):
-    if depth == 0 or rng.random() < 0.3:
-        choice = rng.random()
-        if choice < 0.35:
-            return ("num", Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-        if choice < 0.7:
-            return ("call", "c", (("num", Fraction(rng.randint(0, 3))),
-                                  ("name", rng.choice(["E", "F"]))))
-        return ("call", rng.choice(["ch", "td", "tdstar"]),
-                (random_bundle_tree(rng, 1),))
-    op = rng.choice(["add", "sub", "mul", "pow", "neg"])
-    if op == "pow":
-        return ("pow", random_class_tree(rng, depth - 1), rng.randint(0, 3))
-    if op == "neg":
-        inner = random_class_tree(rng, depth - 1)
-        if inner[0] == "num":
-            return ("num", -inner[1])
-        return ("neg", inner)
-    return (op, random_class_tree(rng, depth - 1),
-            random_class_tree(rng, depth - 1))
+def test_parse_reads_fixed_texts():
+    # Each text and the tree it reads: every node kind, the precedence of
+    # ^ over unary minus over * over + and -, left association, a negated
+    # number folded into the number, and parentheses that only group.
+    E, F, L = ("name", "E"), ("name", "F"), ("name", "L")
 
+    def num(p, q=1):
+        return ("num", Fraction(p, q))
 
-def random_bundle_tree(rng, depth):
-    if depth == 0 or rng.random() < 0.4:
-        return ("name", rng.choice(["E", "F", "L", "O"]))
-    op = rng.choice(["add", "mul", "dual", "det"])
-    if op in ("dual", "det"):
-        return ("call", op, (random_bundle_tree(rng, depth - 1),))
-    return (op, random_bundle_tree(rng, depth - 1),
-            random_bundle_tree(rng, depth - 1))
+    def call(name, *args):
+        return ("call", name, args)
 
-
-def test_print_parse_round_trip():
-    rng = random.Random(31)
-    for _ in range(200):
-        tree = random_class_tree(rng, 5)
-        assert parse(print_expr(tree)) == tree
+    cases = {
+        "-3/4": num(-3, 4),
+        "c(2,E)": call("c", num(2), E),
+        "((c(1,E) + 1/2)*td(E*F))": (
+            "mul", ("add", call("c", num(1), E), num(1, 2)),
+            call("td", ("mul", E, F))),
+        "c(1,E) - c(1,F) - 2": (
+            "sub", ("sub", call("c", num(1), E), call("c", num(1), F)),
+            num(2)),
+        "-(ch(dual(E)))": ("neg", call("ch", call("dual", E))),
+        "-c(1,E)^2*td(L)": (
+            "mul", ("neg", ("pow", call("c", num(1), E), 2)), call("td", L)),
+        "(-1/2)^3^2": ("pow", ("pow", num(-1, 2), 3), 2),
+        "class(psi, [1,-1/2,0], E + F)": call(
+            "class", ("name", "psi"),
+            ("series", (Fraction(1), Fraction(-1, 2), Fraction(0))),
+            ("add", E, F)),
+        "ch(lam(2, E - O))*tdstar(det(E))": (
+            "mul", call("ch", call("lam", num(2), ("sub", E, ("name", "O")))),
+            call("tdstar", call("det", E))),
+    }
+    for text, tree in cases.items():
+        assert parse(text) == tree, text
 
 
 # ------------------------------------------------------------------- eval
@@ -673,6 +669,47 @@ def test_hrr_takes_a_negative_twist(capsys):
 
 def test_count_below_one_is_refused(capsys):
     assert_usage_error(["verify", "ch-mult", "--count", "-3", "--json"], capsys)
+
+
+def test_count_at_the_limit_is_drawn_and_above_it_refused(monkeypatch, capsys):
+    limit = cli.COUNT_LIMIT
+    assert main(["verify", "whitney", "--ranks", "1,1", "--degree", "1",
+                 "--count", str(limit), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+    def no_draws(seed):
+        raise AssertionError("a refused count drew from a generator")
+
+    monkeypatch.setattr(cli.random, "Random", no_draws)
+    for name in ("whitney", "ch-mult"):
+        err = assert_usage_error(
+            ["verify", name, "--count", str(limit + 1), "--json"], capsys)
+        assert err == (f"error: --count {limit + 1} exceeds the limit of "
+                       f"{limit}\n")
+
+
+@pytest.mark.parametrize("name", ["whitney", "ch-mult"])
+def test_a_lowered_count_limit_admits_its_value_and_refuses_the_next(
+        name, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "COUNT_LIMIT", 3)
+    assert main(["verify", name, "--count", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert_usage_error(["verify", name, "--count", "4", "--json"], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual", "--rank", "3"],
+    ["hrr", "--rank", "2", "--degree", "3"],
+    ["c1-pairing", "--fiber", "1", "--bundles", "[[1,0],[0,1]]"],
+])
+def test_identities_that_draw_nothing_build_no_generator(
+        argv, monkeypatch, capsys):
+    def no_generator(seed):
+        raise AssertionError(f"verify {argv[0]} built a generator")
+
+    monkeypatch.setattr(cli.random, "Random", no_generator)
+    assert main(["verify", *argv, "--seed", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 @pytest.mark.parametrize("expression, column", [

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chowline
-from chowline import cli, dcoh, pushforward
+from chowline import chern_ring, cli, dcoh, pushforward
 from chowline.charclass import VirtualBundle, td
 from chowline.chern_ring import Setup, chern_from_segre, segre_class
 from chowline.dcoh import (
@@ -653,3 +653,73 @@ def test_a_kept_tower_refuses_non_integer_line_coefficients():
                 pass
     with dcoh.kept(Tower, levels) as again:
         assert again is tower
+
+
+def test_a_repeated_declaration_is_found_by_its_alias_unchecked(monkeypatch):
+    # A fetch of a kept ring's raw declaration, as a list or a tuple,
+    # under the same limits skips the checks; any other declaration, a
+    # float or bool equal to a kept int included, and any changed limit
+    # runs them.
+    _forget()
+    with dcoh.kept(Setup, [("E", 2), ("L", 1)], 0, 5) as setup:
+        pass
+    with dcoh.kept(Tower, [[[], []], [[1], [0]]]) as tower:
+        pass
+
+    def checked(*declared):
+        raise AssertionError("checked")
+
+    monkeypatch.setattr(Setup, "declaration", staticmethod(checked))
+    monkeypatch.setattr(Tower, "declaration", staticmethod(checked))
+    for bundles in ([("E", 2), ("L", 1)], (("E", 2), ("L", 1))):
+        with dcoh.kept(Setup, bundles, 0, 5) as again:
+            assert again is setup
+    with dcoh.kept(Tower, (((), ()), ((1,), (0,)))) as again:
+        assert again is tower
+    for cls, declared in [
+            (Setup, ([("E", 2), ("L", 1)], 0, 6)),
+            (Setup, ([("E", 2), ("L", 1)], 0, 5.0)),
+            (Setup, ([("E", 2), ("L", True)], 0, 5)),
+            (Tower, ([[[], []], [[1.0], [0]]],))]:
+        with pytest.raises(AssertionError, match="checked"):
+            with dcoh.kept(cls, *declared):
+                pass
+    for module, name in [(chern_ring, "TRUNCATION_LIMIT"),
+                         (pushforward, "TRUNCATION_LIMIT"),
+                         (chern_ring, "ROOT_MONOMIAL_LIMIT")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, getattr(module, name) + 1)
+            with pytest.raises(AssertionError, match="checked"):
+                with dcoh.kept(Setup, [("E", 2), ("L", 1)], 0, 5):
+                    pass
+
+
+def test_an_equal_declaration_of_another_type_is_refused_as_a_fresh_one():
+    _forget()
+    with dcoh.kept(Setup, [("E", 2)], 0, 5):
+        pass
+    with pytest.raises(TypeError):
+        Setup([("E", 2)], 0, 5.0)
+    with pytest.raises(TypeError):
+        with dcoh.kept(Setup, [("E", 2)], 0, 5.0):
+            pass
+
+
+def test_an_alias_goes_with_its_ring(monkeypatch):
+    # One alias per kept ring, the last raw declaration fetched, and none
+    # once the ring is dropped, by ``_forget`` or by the table bound.
+    _forget()
+    assert dcoh._aliases == {} == dcoh._alias_of
+    for truncation in (4, 5, 6):
+        with dcoh.kept(Setup, [("E", 2)], 0, truncation):
+            pass
+    with dcoh.kept(Setup, (("E", 2),), 0, 6):
+        pass
+    assert len(dcoh._aliases) == len(dcoh._rings) == 3
+    assert set(dcoh._aliases.values()) == set(dcoh._rings)
+    _forget((Setup, Setup.declaration([("E", 2)], 0, 5)))
+    assert len(dcoh._aliases) == len(dcoh._rings) == 2
+    monkeypatch.setattr(pushforward, "TOWER_TABLE_LIMIT", 0)
+    with dcoh.kept(Setup, [("E", 3)], 0, 4) as setup:
+        chern_ring.chern_class(setup, "E", 2)
+    assert dcoh._aliases == {} == dcoh._rings

@@ -27,11 +27,13 @@ PICARD_SKELETON = {
 
 
 def _empty():
-    """Drop every kept ring and every kept table of e-products."""
+    """Drop every kept ring, every kept table of e-products and every
+    kept row of the monomial-to-elementary transition matrix."""
     with dcoh._lock:
         for key in list(dcoh._rings):
             dcoh._drop(key)
     symfun._e_products.cache_clear()
+    symfun._m_rows.cache_clear()
 
 
 def _request(argv):

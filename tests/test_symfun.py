@@ -307,12 +307,64 @@ def test_kept_e_product_tables_give_what_empty_ones_give(case):
     p, blocks = case
     warm = to_chern_basis(p, blocks)
     symfun._e_products.cache_clear()
+    symfun._m_rows.cache_clear()
     cold = to_chern_basis(p, blocks)
     assert warm.sorted_terms() == cold.sorted_terms()
     assert str(warm) == str(cold)
     images = {chern_var(k, label): elem_sym(k, roots, p.grades, p.bound)
               for label, roots in blocks for k in range(1, len(roots) + 1)}
     assert warm.substitute(images) == p
+
+
+@st.composite
+def chern_polynomials_of_some_blocks(draw):
+    """One to three blocks of 1-4 roots, a bound of 1-8, and a random
+    polynomial in the e_k of some of the blocks, expanded in the roots:
+    (polynomial, blocks, the e_k of every block by class symbol).  The
+    other blocks are declared but absent from the polynomial."""
+    blocks = _blocks(draw(st.lists(st.integers(1, 4), min_size=1,
+                                   max_size=3)))
+    present = draw(st.lists(st.sampled_from(range(len(blocks))),
+                            unique=True))
+    grade = {chern_var(k, blocks[b][0]): k
+             for b in present for k in range(1, len(blocks[b][1]) + 1)}
+    bound = draw(st.integers(1, 8))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        exps, degree = {}, 0
+        for c in draw(st.lists(st.sampled_from(sorted(grade)), max_size=5)
+                      if grade else st.just([])):
+            if degree + grade[c] <= bound:
+                exps[c] = exps.get(c, 0) + 1
+                degree += grade[c]
+        terms[tuple(sorted(exps.items()))] = Fraction(
+            draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+    grades = {v: 1 for _, roots in blocks for v in roots}
+    images = {chern_var(k, label): elem_sym(k, roots, grades, bound)
+              for label, roots in blocks for k in range(1, len(roots) + 1)}
+    q = Poly.make(terms, grade, bound)
+    return q.substitute(images), blocks, images
+
+
+@settings(max_examples=100, deadline=None)
+@given(chern_polynomials_of_some_blocks())
+def test_kept_transition_rows_rewrite_and_refuse_as_fresh_ones(case):
+    # Substituting e_k(block) for c_k(block) gives the polynomial back;
+    # the presentation is the same with the kept rows of the transition
+    # matrix warm and with them cleared; and one more root monomial
+    # breaks the symmetry of a block of two or more roots.
+    p, blocks, images = case
+    warm = to_chern_basis(p, blocks)
+    assert warm.substitute(images) == p
+    symfun._m_rows.cache_clear()
+    symfun._e_products.cache_clear()
+    cold = to_chern_basis(p, blocks)
+    assert cold.sorted_terms() == warm.sorted_terms()
+    for _, roots in blocks:
+        if len(roots) > 1:
+            x = Poly.var(roots[0], p.grades, p.bound)
+            with pytest.raises(NotSymmetric):
+                to_chern_basis(p + x, blocks)
 
 
 def _monomial_symmetric(exponents, variables, grades, bound):
