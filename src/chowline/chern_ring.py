@@ -134,10 +134,10 @@ class Setup:
     @staticmethod
     def declaration(bundles, relative_dimension=0, truncation=8):
         """The constructor's arguments checked and made hashable:
-        ((name, rank) per bundle, relative dimension, truncation), the key
-        of the setup's kept ring (``dcoh.kept``).  Every check of the
-        constructor runs here, limits included, so a setup fetched under
-        its declaration refuses what a new one refuses."""
+        ((name, rank) per bundle, relative dimension, truncation).  Every
+        check of the constructor runs here, limits included; ``dcoh.kept``
+        keeps a setup under its raw arguments and those limits, so a kept
+        setup refuses what a new one refuses."""
         decls = [b if isinstance(b, BundleDecl) else BundleDecl(*b)
                  for b in bundles]
         names = [b.name for b in decls]

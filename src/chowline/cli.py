@@ -8,10 +8,15 @@ tensor product; ``tensor(A, B)`` is the explicit escape hatch.  Rationals
 are written ``p/q`` (q > 0) and are serialized as strings in JSON reports
 so that no downstream tool coerces them to floats.
 
-Exit codes: 0 when every verdict is true, 1 when a verification fails
-(the residual is printed), 2 when the request is refused: a usage or
-validation error, any other error the library raises on its input, or an
-integer of more digits than the interpreter reads or prints.
+Exit codes: 0 when every verdict is true, 1 when a verification fails,
+2 when the request is refused: a usage or validation error, any other
+error the library raises on its input, or an integer of more digits than
+the interpreter reads or prints.  The report of a failed verdict shows
+the residual for ``verify borel-serre``; a boolean per degree for
+``whitney``, ``dual``, ``tensor-line`` and ``segre``; a count of failures
+for ``ch-mult``; the two values compared for ``hrr``, ``c1-pairing`` and
+``grr``; the degree and two booleans for ``deligne``; and the verdict
+alone for ``restriction``.
 
 A request is read and written without the generic paths of argparse and
 json where they are not needed.  ``parse_arguments`` reads a well-formed
@@ -727,7 +732,7 @@ def verify_segre(args):
 def verify_borel_serre(args):
     r = args.rank or 2
     with dcoh.kept(Setup, [("E", r)], 0,
-                   max(default_truncation(args), r)) as setup:
+                   default_truncation(args, max(8, r))) as setup:
         good, residual = charclass.borel_serre_check(setup, "E")
     report = {
         "identity": "borel-serre",
@@ -741,7 +746,7 @@ def verify_borel_serre(args):
 def verify_restriction(args):
     r = args.rank or 2
     with dcoh.kept(Setup, [("E", r)], 0,
-                   max(default_truncation(args), r)) as setup:
+                   default_truncation(args, max(8, r))) as setup:
         good = charclass.restriction_normal_bundle_check(setup, "E")
     return {"identity": "restriction", "rank": r}, good
 

@@ -16,9 +16,10 @@ cohomology over subsets of the bundles, and its degree must match the
 direct image of the product of first Chern classes.
 
 The symbolic side runs on kept rings: the module keeps one ``Setup`` or
-``Tower`` per declaration (``kept``, ``with_kept``), the families'
-towers and the command line's setups alike, under one bound and one
-lock.  The oracle itself builds no ring.
+``Tower`` per declaration and declaration limits (``kept``,
+``with_kept``), the families' towers and the command line's setups
+alike, under one key each, one bound and one lock.  The oracle itself
+builds no ring.
 
 ``elementary_symmetric_value`` is a second oracle, for ``verify
 whitney``: e_k of rational numbers by an integer recurrence, with nothing
@@ -35,7 +36,6 @@ from math import comb, factorial, lcm, prod
 from operator import index
 
 from . import chern_ring, pushforward
-from .chern_ring import TRUNCATION_LIMIT
 from .errors import (
     TowerTooLarge,
     TruncationTooHigh,
@@ -56,11 +56,11 @@ class FamilyDescriptor:
         object.__setattr__(self, "base", index(self.base))
         if any(n < 1 for n in self.fiber) or self.base < 1:
             raise UnsupportedFamily("all projective-space factors need dimension >= 1")
-        if self.fiber_dimension + self.base > TRUNCATION_LIMIT:
+        if self.fiber_dimension + self.base > chern_ring.TRUNCATION_LIMIT:
             raise TruncationTooHigh(
                 f"the family's total space has dimension "
                 f"{self.fiber_dimension + self.base}, above the limit of "
-                f"{TRUNCATION_LIMIT}")
+                f"{chern_ring.TRUNCATION_LIMIT}")
 
     @property
     def fiber_dimension(self):
@@ -205,15 +205,12 @@ def deligne_pairing_degree(fam, bundles):
     return degree, sum(chis)
 
 
-# The kept rings: a ``Setup`` or ``Tower`` per declaration, least recently
-# used first; the table entries each held when last counted, and their
-# sum; and the alias of each kept ring's last fetch, both ways.  All of
-# them change only under the lock.
+# The kept rings: a ``Setup`` or ``Tower`` per key (``_fetch``), least
+# recently used first; and the table entries each held when last counted,
+# and their sum.  All of them change only under the lock.
 _rings = {}
 _counted = {}
 _held = 0
-_aliases = {}
-_alias_of = {}
 _lock = threading.Lock()
 
 
@@ -233,9 +230,6 @@ def _drop(key):
     global _held
     del _rings[key]
     _held -= _counted.pop(key)
-    alias = _alias_of.pop(key, None)
-    if alias is not None:
-        del _aliases[alias]
 
 
 def _frozen(value):
@@ -257,31 +251,20 @@ def _frozen(value):
     raise TypeError(kind)
 
 
-def _alias(cls, declared):
-    """The alias of a raw declaration: the declaration made hashable and
-    the current value of every limit that ``Setup.declaration`` and
-    ``Tower.declaration`` read, or None for one that ``_frozen``
-    refuses."""
-    try:
-        frozen = _frozen(declared)
-    except TypeError:
-        return None
-    return (cls, frozen, chern_ring.TRUNCATION_LIMIT,
-            pushforward.TRUNCATION_LIMIT, chern_ring.ROOT_MONOMIAL_LIMIT)
-
-
 def _fetch(cls, declared):
     """The key of a declaration, its kept ring and the entries the ring
-    holds, fetched as ``kept`` describes.  The key of a kept ring is
-    found by its alias (``_alias``), with no declaration check: the same
-    raw declaration under the same limits passes the same checks.  Each
-    kept ring keeps the alias of its last fetch, so there are at most as
-    many aliases as kept rings, and an alias goes with its ring."""
-    alias = _alias(cls, declared)
-    with _lock:
-        key = _aliases.get(alias)
-    if key is None:
-        key = cls, cls.declaration(*declared)
+    holds, fetched as ``kept`` describes.  The key is the declaration
+    made hashable (``_frozen``) with the current value of every limit
+    that ``Setup.declaration`` and ``Tower.declaration`` read: on a miss
+    the ring is built, every check with it, and on a hit none runs, the
+    same declaration under the same limits passing the same checks.  A
+    declaration that ``_frozen`` refuses is built fresh and never kept,
+    under the key None."""
+    try:
+        key = (cls, _frozen(declared), chern_ring.TRUNCATION_LIMIT,
+               chern_ring.ROOT_MONOMIAL_LIMIT)
+    except TypeError:
+        return None, cls(*declared), 0
     with _lock:
         ring = _rings.get(key)
         entries = 0 if ring is None else ring.table_entries()
@@ -289,10 +272,6 @@ def _fetch(cls, declared):
             ring, entries = cls(*declared), 0
         _rings.pop(key, None)
         _rings[key] = ring  # the most recently used
-        if alias is not None and _aliases.get(alias) is not key:
-            _aliases.pop(_alias_of.get(key), None)
-            _aliases[alias] = key
-            _alias_of[key] = alias
         _count(key, entries)
     return key, ring, entries
 
@@ -313,15 +292,14 @@ def kept(cls, *declared):
     A ring depends only on its declaration (``cls.declaration``), so one
     is kept per declaration and its tables serve every later block:
     ``eval``'s setup file, the ``verify`` setups, ``verify hrr``'s P^n
-    and the product families, keyed by their levels.  A fetch runs the
-    constructor's checks again, limits included, unless the kept ring was
-    last fetched by the same raw declaration under the same limits
-    (``_fetch``), which passed them; so a kept ring refuses what a new
-    one refuses, and a kept ring whose tables are already past
-    ``TOWER_TABLE_LIMIT`` is replaced by a new one.  The
-    entries of the kept tables (normal forms of a tower and the towers
-    below it, terms of a setup's class tables) are counted when a ring
-    is fetched and when its block ends, and together stay within
+    and the product families, keyed by their levels.  It is kept under
+    its declaration together with the limits the declaration checks read
+    (``_fetch``), and built, every check with it, only under a new key;
+    so a kept ring refuses what a new one refuses, and a kept ring whose
+    tables are already past ``TOWER_TABLE_LIMIT`` is replaced by a new
+    one.  The entries of the kept tables (normal forms of a tower and the
+    towers below it, terms of a setup's class tables) are counted when a
+    ring is fetched and when its block ends, and together stay within
     ``TOWER_TABLE_LIMIT``: the least recently used ring is dropped
     first.  The registry changes under a lock, so threads share its
     rings; a ring's tables only gain entries, each the one any thread
@@ -370,11 +348,6 @@ def pairing_tower(fam):
     return tower
 
 
-def with_pairing_tower(fam, compute):
-    """``compute(tower)`` on the family's kept tower (``with_kept``)."""
-    return with_kept(compute, Tower, _family_levels(fam))
-
-
 def pairing_degree_by_pushforward(fam, bundles, tower=None):
     """The direct-image degree: integral over the total space of the
     product of the first Chern classes, against the base hyperplane power
@@ -386,7 +359,7 @@ def pairing_degree_by_pushforward(fam, bundles, tower=None):
     product as it forms (NF(a b) = NF(NF(a) b)) and builds one class at
     the end, which ``integrate`` reads.  The bundles are
     checked as ``deligne_pairing_degree`` checks them.  Without a
-    ``tower`` the family's kept tower serves (``with_pairing_tower``).
+    ``tower`` the family's kept tower serves (``with_kept``).
     """
     _check_bundles(fam, bundles)
     forms = [(1,)] * (fam.base - 1) + [
@@ -396,7 +369,7 @@ def pairing_degree_by_pushforward(fam, bundles, tower=None):
         return integrate(tower.divisor_product(forms))
 
     if tower is None:
-        value = with_pairing_tower(fam, degree)
+        value = with_kept(degree, Tower, _family_levels(fam))
     else:
         value = degree(tower)
     if value.denominator != 1:

@@ -53,7 +53,8 @@ from .charclass import (
     evaluate_class_in_ring,
     todd_spec,
 )
-from .chern_ring import TRUNCATION_LIMIT, RingClass
+from . import chern_ring
+from .chern_ring import RingClass
 from .errors import (
     TowerTooLarge,
     TruncationTooHigh,
@@ -152,10 +153,10 @@ class Tower:
     @staticmethod
     def declaration(levels):
         """The levels checked and made hashable, as tuples of integer
-        coefficient tuples: the key of the tower's kept ring
-        (``dcoh.kept``).  Every check of the constructor runs here, the
-        dimension limit included, so a tower fetched under its declaration
-        refuses what a new one refuses."""
+        coefficient tuples.  Every check of the constructor runs here, the
+        dimension limit included; ``dcoh.kept`` keeps a tower under its
+        raw levels and that limit, so a kept tower refuses what a new one
+        refuses."""
         declared = []
         for j, lines in enumerate(levels):
             if not lines:
@@ -167,10 +168,10 @@ class Tower:
                         f"got {len(coeffs)}")
             declared.append(tuple(tuple(map(index, c)) for c in lines))
         dimension = sum(map(len, declared)) - len(declared)
-        if dimension > TRUNCATION_LIMIT:
+        if dimension > chern_ring.TRUNCATION_LIMIT:
             raise TruncationTooHigh(
                 f"tower dimension {dimension} exceeds the limit of "
-                f"{TRUNCATION_LIMIT}")
+                f"{chern_ring.TRUNCATION_LIMIT}")
         return tuple(declared)
 
     def table_entries(self):
@@ -486,7 +487,7 @@ def grr_codim1_report(fam, bundle):
     The left side is the degree of det Rf_* L from the cohomological
     oracle; the right side is the degree of the codimension-one part of
     f_*(ch(L) td^v(Omega_f)) computed symbolically on the family's kept
-    tower (``dcoh.with_pairing_tower``), pushed down one fiber level at a
+    tower (``dcoh.with_kept``), pushed down one fiber level at a
     time and read against xi_1^{m-1} on the base, one
     ``Tower.divisor_product`` of m-1 copies of (1,), as
     ``dcoh.pairing_degree_by_pushforward`` reads a divisor's degree.
@@ -513,7 +514,7 @@ def grr_codim1_report(fam, bundle):
                 [(1,)] * (fam.base - 1))
         return integrate(pushed)
 
-    rhs = dcoh.with_pairing_tower(fam, pushed_degree)
+    rhs = dcoh.with_kept(pushed_degree, Tower, dcoh._family_levels(fam))
     if rhs.denominator != 1:
         raise AssertionError("determinant degree must be an integer")
     return {"lhs_degree": lhs, "rhs_degree": int(rhs), "equal": lhs == int(rhs)}

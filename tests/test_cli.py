@@ -189,6 +189,24 @@ def test_verify_borel_serre(capsys):
     assert report["report"]["residual"] == "0"
 
 
+@pytest.mark.parametrize("name", ["borel-serre", "restriction"])
+def test_a_truncation_below_the_rank_is_refused(name, capsys, monkeypatch):
+    # Given by --truncation or CHOWLINE_TRUNCATION, it is refused with the
+    # library's message rather than raised to the rank; without either,
+    # the truncation is 8 or the rank, whichever is larger.
+    monkeypatch.delenv("CHOWLINE_TRUNCATION", raising=False)
+    err = assert_usage_error(
+        ["verify", name, "--rank", "4", "--truncation", "2", "--json"], capsys)
+    assert err == "error: need truncation >= 4 for a rank-4 bundle\n"
+    monkeypatch.setenv("CHOWLINE_TRUNCATION", "3")
+    err = assert_usage_error(["verify", name, "--rank", "4", "--json"], capsys)
+    assert err == "error: need truncation >= 4 for a rank-4 bundle\n"
+    assert main(["verify", name, "--rank", "3", "--json"]) == 0
+    monkeypatch.delenv("CHOWLINE_TRUNCATION")
+    err = assert_usage_error(["verify", name, "--rank", "17"], capsys)
+    assert err == "error: truncation 17 exceeds the limit of 16\n"
+
+
 def test_verify_whitney(capsys):
     code = main(["verify", "whitney", "--ranks", "2,3", "--seed", "5", "--json"])
     report = json.loads(capsys.readouterr().out)
@@ -468,11 +486,10 @@ def test_an_integer_past_the_digit_limit_is_refused_on_output(
 
 @pytest.fixture()
 def truncation_limit_3(monkeypatch):
-    """TRUNCATION_LIMIT lowered to 3 wherever it is read, so that requests
-    above it stay small if the cap were not enforced."""
-    from chowline import chern_ring, dcoh, pushforward
-    for module in (chern_ring, pushforward, dcoh):
-        monkeypatch.setattr(module, "TRUNCATION_LIMIT", 3)
+    """TRUNCATION_LIMIT lowered to 3 in ``chern_ring``, its one binding,
+    so that requests above it stay small if the cap were not enforced."""
+    from chowline import chern_ring
+    monkeypatch.setattr(chern_ring, "TRUNCATION_LIMIT", 3)
 
 
 @pytest.mark.parametrize("argv", [

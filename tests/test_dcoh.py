@@ -463,7 +463,8 @@ def _kept_entries():
 
 def _key(fam):
     """The registry key of the family's kept tower."""
-    return Tower, Tower.declaration(dcoh._family_levels(fam))
+    return (Tower, dcoh._frozen((dcoh._family_levels(fam),)),
+            chern_ring.TRUNCATION_LIMIT, chern_ring.ROOT_MONOMIAL_LIMIT)
 
 
 def _forget(*keys):
@@ -524,7 +525,7 @@ def test_a_warm_family_accepts_what_a_fresh_one_accepts(monkeypatch):
     monkeypatch.setattr(pushforward, "TOWER_TABLE_LIMIT", 2)
     assert pairing_degree_by_pushforward(fam, first) == 0
     warm = pairing_tower(fam)
-    assert len(warm._normal) == 2
+    assert dcoh._rings[_key(fam)] is warm and len(warm._normal) == 2
     fresh = Tower.product_of_projective_spaces([1, 1, 1])
     assert pairing_degree_by_pushforward(fam, second, fresh) == 0
     # The warm table fills up, so the pairing runs again on a fresh tower.
@@ -655,7 +656,7 @@ def test_a_kept_tower_refuses_non_integer_line_coefficients():
         assert again is tower
 
 
-def test_a_repeated_declaration_is_found_by_its_alias_unchecked(monkeypatch):
+def test_a_repeated_declaration_is_found_by_its_key_unchecked(monkeypatch):
     # A fetch of a kept ring's raw declaration, as a list or a tuple,
     # under the same limits skips the checks; any other declaration, a
     # float or bool equal to a kept int included, and any changed limit
@@ -684,14 +685,14 @@ def test_a_repeated_declaration_is_found_by_its_alias_unchecked(monkeypatch):
         with pytest.raises(AssertionError, match="checked"):
             with dcoh.kept(cls, *declared):
                 pass
-    for module, name in [(chern_ring, "TRUNCATION_LIMIT"),
-                         (pushforward, "TRUNCATION_LIMIT"),
-                         (chern_ring, "ROOT_MONOMIAL_LIMIT")]:
+    for name in ("TRUNCATION_LIMIT", "ROOT_MONOMIAL_LIMIT"):
         with monkeypatch.context() as patch:
-            patch.setattr(module, name, getattr(module, name) + 1)
-            with pytest.raises(AssertionError, match="checked"):
-                with dcoh.kept(Setup, [("E", 2), ("L", 1)], 0, 5):
-                    pass
+            patch.setattr(chern_ring, name, getattr(chern_ring, name) + 1)
+            for cls, declared in [(Setup, ([("E", 2), ("L", 1)], 0, 5)),
+                                  (Tower, ([[[], []], [[1], [0]]],))]:
+                with pytest.raises(AssertionError, match="checked"):
+                    with dcoh.kept(cls, *declared):
+                        pass
 
 
 def test_an_equal_declaration_of_another_type_is_refused_as_a_fresh_one():
@@ -705,21 +706,26 @@ def test_an_equal_declaration_of_another_type_is_refused_as_a_fresh_one():
             pass
 
 
-def test_an_alias_goes_with_its_ring(monkeypatch):
-    # One alias per kept ring, the last raw declaration fetched, and none
-    # once the ring is dropped, by ``_forget`` or by the table bound.
+def test_one_ring_per_key_and_none_for_an_unfrozen_declaration(monkeypatch):
+    # A declaration the checks accept but ``_frozen`` refuses is built
+    # fresh on every fetch and never kept; the rest are kept one per key,
+    # a list and a tuple of the same items sharing one, and dropped with
+    # their counts by the table bound.
     _forget()
-    assert dcoh._aliases == {} == dcoh._alias_of
+    levels = [[[], []], [[True], [0]]]
+    with dcoh.kept(Tower, levels) as tower:
+        assert tower.line_coeffs[1] == [[1], [0]]
+    with dcoh.kept(Tower, levels) as again:
+        assert again is not tower
+    assert dcoh._rings == {} == dcoh._counted
     for truncation in (4, 5, 6):
         with dcoh.kept(Setup, [("E", 2)], 0, truncation):
             pass
     with dcoh.kept(Setup, (("E", 2),), 0, 6):
         pass
-    assert len(dcoh._aliases) == len(dcoh._rings) == 3
-    assert set(dcoh._aliases.values()) == set(dcoh._rings)
-    _forget((Setup, Setup.declaration([("E", 2)], 0, 5)))
-    assert len(dcoh._aliases) == len(dcoh._rings) == 2
+    assert [key[1][2] for key in dcoh._rings] == [4, 5, 6]
+    assert set(dcoh._counted) == set(dcoh._rings)
     monkeypatch.setattr(pushforward, "TOWER_TABLE_LIMIT", 0)
     with dcoh.kept(Setup, [("E", 3)], 0, 4) as setup:
         chern_ring.chern_class(setup, "E", 2)
-    assert dcoh._aliases == {} == dcoh._rings
+    assert dcoh._rings == {} == dcoh._counted and dcoh._held == 0
