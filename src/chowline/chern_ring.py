@@ -108,40 +108,19 @@ class Setup:
     3 (truncation + 1) polynomials.  A table is replaced, never edited in
     place, by a longer list of the same values.
 
-    A setup depends only on its ``declaration``, so the command line keeps
-    one per declaration (``dcoh.kept``): its tables then serve every
-    later request that declares the same bundles, relative dimension and
-    truncation, and their terms count against ``TOWER_TABLE_LIMIT``.
+    A setup depends only on its constructor's arguments, and every check
+    runs in the constructor, limits included.  So the command line keeps
+    one per declaration (``dcoh.kept``), under its raw arguments and those
+    limits: its tables then serve every later request that declares the
+    same bundles, relative dimension and truncation, and their terms
+    count against ``TOWER_TABLE_LIMIT``.
     """
 
     def __init__(self, bundles, relative_dimension=0, truncation=8):
-        decls, relative_dimension, truncation = self.declaration(
-            bundles, relative_dimension, truncation)
-        decls = [BundleDecl(*b) for b in decls]
-        self.bundles = {b.name: b for b in decls}
-        self.relative_dimension = relative_dimension
-        self.truncation = truncation
-        self.grades = VarTable({self._root_name(b.name, i): 1
-                                for b in decls for i in range(1, b.rank + 1)},
-                               truncation)
-        # (kind, name) -> the bundle's table of that kind: "chern" holds
-        # [c_0, ..., c_m], m = min(r, truncation), "segre" [s_0, ..., s_m]
-        # with s = 1/c, "recovered" [c_0, ..., c_m] from 1/s; and the
-        # terms each table holds.
-        self._tables = {}
-        self._terms = {}
-
-    @staticmethod
-    def declaration(bundles, relative_dimension=0, truncation=8):
-        """The constructor's arguments checked and made hashable:
-        ((name, rank) per bundle, relative dimension, truncation).  Every
-        check of the constructor runs here, limits included; ``dcoh.kept``
-        keeps a setup under its raw arguments and those limits, so a kept
-        setup refuses what a new one refuses."""
         decls = [b if isinstance(b, BundleDecl) else BundleDecl(*b)
                  for b in bundles]
-        names = [b.name for b in decls]
-        if len(set(names)) != len(names):
+        self.bundles = {b.name: b for b in decls}
+        if len(self.bundles) != len(decls):
             raise ValueError("bundle names must be unique within a setup")
         if relative_dimension < 0:
             raise ValueError("relative dimension must be >= 0")
@@ -159,8 +138,17 @@ class Setup:
                 f"{roots} Chern roots at truncation {truncation} span "
                 f"{monomials} monomials, above the limit of "
                 f"{ROOT_MONOMIAL_LIMIT}")
-        return (tuple((b.name, b.rank) for b in decls), relative_dimension,
-                truncation)
+        self.relative_dimension = relative_dimension
+        self.truncation = truncation
+        self.grades = VarTable({self._root_name(b.name, i): 1
+                                for b in decls for i in range(1, b.rank + 1)},
+                               truncation)
+        # (kind, name) -> the bundle's table of that kind: "chern" holds
+        # [c_0, ..., c_m], m = min(r, truncation), "segre" [s_0, ..., s_m]
+        # with s = 1/c, "recovered" [c_0, ..., c_m] from 1/s; and the
+        # terms each table holds.
+        self._tables = {}
+        self._terms = {}
 
     def table_entries(self):
         """The terms held in the class tables, counted against
@@ -235,38 +223,6 @@ class Setup:
         """The class of a polynomial in the roots (``Poly.recode``):
         ``TypeError`` for a foreign variable or a lower bound."""
         return ChernSeries(self, poly.recode(self.grades, self.truncation))
-
-    # -- serialization -----------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, data):
-        """The setup ``to_dict`` describes (``dict_declaration``)."""
-        return cls(*cls.dict_declaration(data))
-
-    @classmethod
-    def dict_declaration(cls, data):
-        """The checked ``declaration`` that ``to_dict`` describes.  Ranks,
-        the relative dimension and the truncation must be integers: 2.7 or
-        ``true`` is refused with ``ValueError``, not read as 2 or 1."""
-        def integer(key, value):
-            if type(value) is not int:
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            return value
-
-        bundles = [BundleDecl(b["name"], integer("rank", b["rank"]))
-                   for b in data.get("bundles", [])]
-        return cls.declaration(
-            bundles,
-            integer("relative_dimension", data.get("relative_dimension", 0)),
-            integer("truncation", data.get("truncation", 8)))
-
-    def to_dict(self):
-        return {
-            "bundles": [{"name": b.name, "rank": b.rank}
-                        for b in self.bundles.values()],
-            "relative_dimension": self.relative_dimension,
-            "truncation": self.truncation,
-        }
 
 
 class RingClass:

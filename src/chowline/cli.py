@@ -35,6 +35,7 @@ import os
 import random
 import sys
 from collections import namedtuple
+from contextlib import ExitStack
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -545,19 +546,37 @@ def _read_json(path):
 
 
 def setup_declaration(args):
-    """The checked declaration of the --setup file, its truncation
-    replaced by --truncation when given (``Setup.dict_declaration``)."""
+    """The ``Setup`` arguments the --setup file declares, its truncation
+    replaced by --truncation when given.  Only the file's shape is read
+    here: a list of bundles, each with a string name other than 'O' and
+    an integer rank, and an integer relative dimension and truncation
+    (2.7 or ``true`` is refused, not read as 2 or 1).  The rest is
+    ``Setup``'s to check, when ``cmd_eval`` builds it."""
     data = _read_json(args.setup)
     if args.truncation is not None:
         data["truncation"] = args.truncation
-    try:
-        declared = Setup.dict_declaration(data)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValidationError(f"{args.setup}: bad setup ({err})") from None
-    bundles, _, _ = declared
-    if any(name == "O" for name, _ in bundles):
-        raise ValidationError(f"{args.setup}: 'O' names the trivial line")
-    return declared
+
+    def bad(why):
+        return ValidationError(f"{args.setup}: bad setup ({why})")
+
+    def integer(key, value):
+        if type(value) is not int:
+            raise bad(f"{key} must be an integer, got {value!r}")
+        return value
+
+    bundles = data.get("bundles", [])
+    if type(bundles) is not list:
+        raise bad("bundles must be a list")
+    declared = []
+    for bundle in bundles:
+        if type(bundle) is not dict or type(bundle.get("name")) is not str:
+            raise bad(f"a bundle needs a string name, got {bundle!r}")
+        if bundle["name"] == "O":
+            raise ValidationError(f"{args.setup}: 'O' names the trivial line")
+        declared.append((bundle["name"], integer("rank", bundle.get("rank"))))
+    return (declared,
+            integer("relative_dimension", data.get("relative_dimension", 0)),
+            integer("truncation", data.get("truncation", 8)))
 
 
 def default_truncation(args, fallback=8):
@@ -581,7 +600,11 @@ def default_truncation(args, fallback=8):
 def cmd_eval(args):
     declared = setup_declaration(args)
     tree = parse(args.expression)
-    with dcoh.kept(Setup, *declared) as setup:
+    with ExitStack() as stack:
+        try:
+            setup = stack.enter_context(dcoh.kept(Setup, *declared))
+        except ValueError as err:
+            raise ValidationError(f"{args.setup}: bad setup ({err})") from None
         value = Evaluator(setup, fulton=args.fulton).class_value(tree)
     report = {
         "command": "eval",

@@ -16,10 +16,10 @@ cohomology over subsets of the bundles, and its degree must match the
 direct image of the product of first Chern classes.
 
 The symbolic side runs on kept rings: the module keeps one ``Setup`` or
-``Tower`` per declaration and declaration limits (``kept``,
-``with_kept``), the families' towers and the command line's setups
-alike, under one key each, one bound and one lock.  The oracle itself
-builds no ring.
+``Tower`` per declaration, its raw constructor arguments, and per value
+of the limits the constructor reads (``kept``, ``with_kept``): the
+families' towers and the command line's setups alike, under one key
+each, one bound and one lock.  The oracle itself builds no ring.
 
 ``elementary_symmetric_value`` is a second oracle, for ``verify
 whitney``: e_k of rational numbers by an integer recurrence, with nothing
@@ -235,7 +235,7 @@ def _drop(key):
 def _frozen(value):
     """``value`` with its lists made tuples; ``TypeError`` unless it is
     built of lists and tuples of ints and strs alone, so that two equal
-    results come from values that the declaration checks read alike.  A
+    results come from values that the constructor's checks read alike.  A
     tuple of ints and strs is returned as it is."""
     kind = type(value)
     if kind is tuple:
@@ -251,18 +251,23 @@ def _frozen(value):
     raise TypeError(kind)
 
 
+def _key(cls, declared):
+    """The key of a declaration: the constructor's arguments made
+    hashable (``_frozen``) with the current value of every limit that the
+    ``Setup`` and ``Tower`` constructors read."""
+    return (cls, _frozen(declared), chern_ring.TRUNCATION_LIMIT,
+            chern_ring.ROOT_MONOMIAL_LIMIT)
+
+
 def _fetch(cls, declared):
     """The key of a declaration, its kept ring and the entries the ring
-    holds, fetched as ``kept`` describes.  The key is the declaration
-    made hashable (``_frozen``) with the current value of every limit
-    that ``Setup.declaration`` and ``Tower.declaration`` read: on a miss
-    the ring is built, every check with it, and on a hit none runs, the
+    holds, fetched as ``kept`` describes.  On a miss the ring is built,
+    every check of its constructor with it, and on a hit none runs, the
     same declaration under the same limits passing the same checks.  A
     declaration that ``_frozen`` refuses is built fresh and never kept,
     under the key None."""
     try:
-        key = (cls, _frozen(declared), chern_ring.TRUNCATION_LIMIT,
-               chern_ring.ROOT_MONOMIAL_LIMIT)
+        key = _key(cls, declared)
     except TypeError:
         return None, cls(*declared), 0
     with _lock:
@@ -289,18 +294,18 @@ def kept(cls, *declared):
     """The ring ``cls(*declared)``, a ``Setup`` or a ``Tower``, kept for
     its declaration, for the length of a ``with`` block.
 
-    A ring depends only on its declaration (``cls.declaration``), so one
-    is kept per declaration and its tables serve every later block:
-    ``eval``'s setup file, the ``verify`` setups, ``verify hrr``'s P^n
-    and the product families, keyed by their levels.  It is kept under
-    its declaration together with the limits the declaration checks read
-    (``_fetch``), and built, every check with it, only under a new key;
-    so a kept ring refuses what a new one refuses, and a kept ring whose
-    tables are already past ``TOWER_TABLE_LIMIT`` is replaced by a new
-    one.  The entries of the kept tables (normal forms of a tower and the
-    towers below it, terms of a setup's class tables) are counted when a
-    ring is fetched and when its block ends, and together stay within
-    ``TOWER_TABLE_LIMIT``: the least recently used ring is dropped
+    A ring depends only on its constructor's arguments, so one is kept
+    per declaration and its tables serve every later block: ``eval``'s
+    setup file, the ``verify`` setups, ``verify hrr``'s P^n and the
+    product families, keyed by their levels.  It is kept under its raw
+    arguments together with the limits the constructor reads (``_key``),
+    and built, every check of the constructor with it, only under a new
+    key; so a kept ring refuses what a new one refuses, and a kept ring
+    whose tables are already past ``TOWER_TABLE_LIMIT`` is replaced by a
+    new one.  The entries of the kept tables (normal forms of a tower and
+    the towers below it, terms of a setup's class tables) are counted
+    when a ring is fetched and when its block ends, and together stay
+    within ``TOWER_TABLE_LIMIT``: the least recently used ring is dropped
     first.  The registry changes under a lock, so threads share its
     rings; a ring's tables only gain entries, each the one any thread
     would compute.
@@ -343,7 +348,8 @@ def _family_levels(fam):
 def pairing_tower(fam):
     """The total space of the family as its kept tower (``kept``), whose
     normal-form table, towers below and Todd classes serve every later
-    call."""
+    call.  ``pairing_degree_by_pushforward`` on it counts its table again
+    when the table grew."""
     _, tower, _ = _fetch(Tower, [_family_levels(fam)])
     return tower
 
@@ -359,7 +365,9 @@ def pairing_degree_by_pushforward(fam, bundles, tower=None):
     product as it forms (NF(a b) = NF(NF(a) b)) and builds one class at
     the end, which ``integrate`` reads.  The bundles are
     checked as ``deligne_pairing_degree`` checks them.  Without a
-    ``tower`` the family's kept tower serves (``with_kept``).
+    ``tower`` the family's kept tower serves (``with_kept``); a given
+    tower whose table grew is counted again if it is kept under the
+    family's key.
     """
     _check_bundles(fam, bundles)
     forms = [(1,)] * (fam.base - 1) + [
@@ -371,7 +379,10 @@ def pairing_degree_by_pushforward(fam, bundles, tower=None):
     if tower is None:
         value = with_kept(degree, Tower, _family_levels(fam))
     else:
+        entries = tower.table_entries()
         value = degree(tower)
+        if tower.table_entries() != entries:
+            _release(_key(Tower, [_family_levels(fam)]), tower)
     if value.denominator != 1:
         raise AssertionError("pairing degree must be an integer")
     return int(value)

@@ -105,16 +105,29 @@ class Tower:
     the tower below (``drop_top``) and the Todd classes of the tangent
     bundle and of each relative tangent bundle (``tangent_todd``) are
     built on first use and kept, as is the normal-form table.  A tower
-    depends only on its ``declaration``, so a product family and ``verify
-    hrr``'s P^n keep one tower per declaration (``dcoh.kept``), and all of
-    these outlive a single call.
+    depends only on its levels, and every check runs in the constructor,
+    the dimension limit included.  So a product family and ``verify
+    hrr``'s P^n keep one tower per declaration (``dcoh.kept``), under its
+    raw levels and that limit, and all of these outlive a single call.
     """
 
     def __init__(self, levels):
-        self.line_coeffs = [[list(c) for c in lines]
-                            for lines in self.declaration(levels)]
+        self.line_coeffs = []
+        for j, lines in enumerate(levels):
+            if not lines:
+                raise ValueError(f"level {j} needs at least one line class")
+            for coeffs in lines:
+                if len(coeffs) != j:
+                    raise ValueError(
+                        f"a line class on level {j} takes {j} coefficients, "
+                        f"got {len(coeffs)}")
+            self.line_coeffs.append([list(map(index, c)) for c in lines])
         self.ranks = [len(lines) for lines in self.line_coeffs]
         self.dimension = sum(r - 1 for r in self.ranks)
+        if self.dimension > chern_ring.TRUNCATION_LIMIT:
+            raise TruncationTooHigh(
+                f"tower dimension {self.dimension} exceeds the limit of "
+                f"{chern_ring.TRUNCATION_LIMIT}")
         self.bound = self.dimension
         self._below = None
         self._todd = {}
@@ -150,30 +163,6 @@ class Tower:
                 (m, -n) for m, n in relation.nums.items() if m != power)))
         self._normal = {}
 
-    @staticmethod
-    def declaration(levels):
-        """The levels checked and made hashable, as tuples of integer
-        coefficient tuples.  Every check of the constructor runs here, the
-        dimension limit included; ``dcoh.kept`` keeps a tower under its
-        raw levels and that limit, so a kept tower refuses what a new one
-        refuses."""
-        declared = []
-        for j, lines in enumerate(levels):
-            if not lines:
-                raise ValueError(f"level {j} needs at least one line class")
-            for coeffs in lines:
-                if len(coeffs) != j:
-                    raise ValueError(
-                        f"a line class on level {j} takes {j} coefficients, "
-                        f"got {len(coeffs)}")
-            declared.append(tuple(tuple(map(index, c)) for c in lines))
-        dimension = sum(map(len, declared)) - len(declared)
-        if dimension > chern_ring.TRUNCATION_LIMIT:
-            raise TruncationTooHigh(
-                f"tower dimension {dimension} exceeds the limit of "
-                f"{chern_ring.TRUNCATION_LIMIT}")
-        return tuple(declared)
-
     def table_entries(self):
         """Normal-form entries held by the tower and the towers kept below
         it, counted against ``TOWER_TABLE_LIMIT`` while the tower is kept."""
@@ -199,14 +188,6 @@ class Tower:
     def product_of_projective_spaces(cls, dims):
         """P^{d_1} x P^{d_2} x ... as a tower of trivial projectivizations."""
         return cls(cls.product_levels(dims))
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls([lvl["lines"] for lvl in data["levels"]])
-
-    def to_dict(self):
-        return {"levels": [{"lines": [list(c) for c in lines]}
-                           for lines in self.line_coeffs]}
 
     # -- ring elements ---------------------------------------------------
 

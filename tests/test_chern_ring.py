@@ -380,13 +380,6 @@ def test_chern_basis_presentation():
     assert str(c2.chern_basis()) == "c2(E)"
 
 
-def test_setup_json_round_trip():
-    s = Setup([BundleDecl("E", 2), BundleDecl("L", 1)], 1, 6)
-    import json
-    s2 = Setup.from_dict(json.loads(json.dumps(s.to_dict())))
-    assert s2.to_dict() == s.to_dict()
-
-
 def test_setup_requires_headroom_over_relative_dimension():
     with pytest.raises(ValueError):
         Setup([BundleDecl("E", 2)], relative_dimension=3, truncation=3)

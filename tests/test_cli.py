@@ -570,11 +570,20 @@ def test_setup_file_with_negative_rank_is_refused(tmp_path, capsys):
     b'{"bundles": [{"name": "E", "rank": 2}], "truncation": true}',
     b'{"bundles": [{"name": "E", "rank": 2}], "relative_dimension": 2.5}',
     b'{"bundles": [{"name": "O", "rank": 1}, {"name": "E", "rank": 2}]}',
+    b'{"bundles": [{"name": ["E"], "rank": 2}]}',
+    b'{"bundles": [{"name": 5, "rank": 1}, {"name": "E", "rank": 2}]}',
+    b'{"bundles": [{"name": "E", "rank": 2}, {"name": "E", "rank": 1}]}',
+    b'{"bundles": [{"name": "E", "rank": 0}]}',
+    b'{"bundles": [{"name": "E", "rank": 2}], "relative_dimension": 2, '
+    b'"truncation": 2}',
 ], ids=["not-utf8", "fractional-rank", "boolean-truncation",
-        "fractional-relative-dimension", "bundle-named-O"])
+        "fractional-relative-dimension", "bundle-named-O", "list-name",
+        "numeric-name", "duplicate-names", "rank-0",
+        "truncation-at-relative-dimension"])
 def test_bad_setup_files_are_refused(content, tmp_path, capsys):
-    # Not UTF-8, a non-integer read strictly (2.7 was read as 2, true as 1)
-    # and a bundle named like the trivial line.
+    # Not UTF-8, a non-integer read strictly (2.7 was read as 2, true as 1),
+    # a bundle named like the trivial line or by anything but a string (no
+    # expression names the bundle 5), and declarations ``Setup`` refuses.
     path = tmp_path / "setup.json"
     path.write_bytes(content)
     assert_usage_error(["eval", "c(2,E)", "--setup", str(path)], capsys)

@@ -502,6 +502,19 @@ def test_the_kept_tables_stay_within_the_limit(monkeypatch):
     assert len(dcoh._rings) < len(families)
 
 
+def test_pairings_on_a_handed_out_tower_are_counted():
+    # ``pairing_tower`` hands its tower out without a ``with`` block; the
+    # entries that pairings on it add must still count against the limit.
+    _forget()
+    fam = FamilyDescriptor((1, 1), 1)
+    tower = pairing_tower(fam)
+    for k in range(5):
+        bundles = [L(k % 3 - 1, 1, k), L(1, k, 0), L(0, 1, 1 - k)]
+        pairing_degree_by_pushforward(fam, bundles, tower)
+    assert tower.table_entries() > 0
+    assert dcoh._held == sum(dcoh._counted.values()) == _kept_entries()
+
+
 def test_a_warm_family_still_refuses_under_a_lowered_limit(monkeypatch):
     argv = ["deligne", "--fiber", "1,1", "--base", "1",
             "--bundles", "[[1,0,1],[0,1,1],[1,1,0]]"]
@@ -667,11 +680,11 @@ def test_a_repeated_declaration_is_found_by_its_key_unchecked(monkeypatch):
     with dcoh.kept(Tower, [[[], []], [[1], [0]]]) as tower:
         pass
 
-    def checked(*declared):
+    def checked(self, *declared):
         raise AssertionError("checked")
 
-    monkeypatch.setattr(Setup, "declaration", staticmethod(checked))
-    monkeypatch.setattr(Tower, "declaration", staticmethod(checked))
+    monkeypatch.setattr(Setup, "__init__", checked)
+    monkeypatch.setattr(Tower, "__init__", checked)
     for bundles in ([("E", 2), ("L", 1)], (("E", 2), ("L", 1))):
         with dcoh.kept(Setup, bundles, 0, 5) as again:
             assert again is setup

@@ -263,7 +263,7 @@ def test_chi_integrality_on_bundles():
                 coeffs = [rng.randint(-2, 2) for _ in t.ranks]
                 v = v + VirtualBundle.line_class(t.line_class(coeffs).poly)
             chi = euler_characteristic(t, v)
-            assert chi.denominator == 1, (t.to_dict(), chi)
+            assert chi.denominator == 1, (t.line_coeffs, chi)
 
 
 # --------------------------------------------------------- symmetry_sign
@@ -445,18 +445,11 @@ def test_from_poly_truncates_to_the_tower_bound():
     assert t.from_poly(finer) == t.xi(1)
 
 
-def test_tower_json_round_trip():
-    t = Tower([[[], []], [[0], [2]]])
-    t2 = Tower.from_dict(t.to_dict())
-    assert t2.to_dict() == t.to_dict()
-
-
 def test_truncation_is_the_dimension():
     # No constructor takes a truncation: a low one gave wrong integrals
     # (integrate(xi^2) was 0 on P^2 at truncation 1).
     for make in (Tower, Tower.projective_space,
-                 Tower.product_of_projective_spaces, Tower.from_dict,
-                 pairing_tower):
+                 Tower.product_of_projective_spaces, pairing_tower):
         assert "bound" not in inspect.signature(make).parameters
     for t in (p2(), p1xp1(), Tower([[[], []], [[3]]]), Tower([[[]]])):
         assert t.bound == t.dimension
@@ -597,7 +590,7 @@ def test_reduced_monomials_stay_in_the_basis(case):
     for mono in product.poly.terms:
         exps = dict(mono)
         for j, r in enumerate(t.ranks):
-            assert exps.get(f"xi{j + 1}", 0) < r, (t.to_dict(), mono)
+            assert exps.get(f"xi{j + 1}", 0) < r, (t.line_coeffs, mono)
 
 
 @settings(max_examples=40, deadline=None)
@@ -655,9 +648,4 @@ def test_line_coefficients_must_be_integers(coeff):
     # from a family file as 2.
     with pytest.raises(TypeError):
         Tower([[[], []], [[coeff], [0]]])
-    with pytest.raises(TypeError):
-        Tower.from_dict({"levels": [{"lines": [[], []]},
-                                    {"lines": [[coeff], [0]]}]})
-    with pytest.raises(TypeError):
-        Tower.declaration([[[], []], [[coeff], [0]]])
 
