@@ -20,7 +20,6 @@ from .symfun import (
     todd_series,
 )
 from .chern_ring import (
-    BundleDecl,
     ChernSeries,
     Setup,
     chern_class,
@@ -37,7 +36,7 @@ from .charclass import (
     ch,
     ch_lambda_minus_one,
     ch_tensor_check,
-    evaluate_class,
+    evaluate_class_in_ring,
     lambda_minus_one,
     restriction_normal_bundle_check,
     td,
@@ -54,7 +53,6 @@ from .pushforward import (
 )
 from .dcoh import (
     FamilyDescriptor,
-    GradedLineDegree,
     MultidegreeLineBundle,
     c1_pairing_check,
     cohomology_dims,
@@ -78,19 +76,18 @@ __all__ = [
     "Poly", "PowerSeries", "elem_sym", "exp_series", "series_invert",
     "to_chern_basis", "todd_series",
     # Chern ring
-    "BundleDecl", "ChernSeries", "Setup", "chern_class", "chern_from_segre",
-    "dual_class", "segre_class", "tensor_line", "whitney_expand",
+    "ChernSeries", "Setup", "chern_class", "chern_from_segre", "dual_class",
+    "segre_class", "tensor_line", "whitney_expand",
     # characteristic classes
     "CharClassSpec", "VirtualBundle", "borel_serre_check", "ch",
-    "ch_lambda_minus_one", "ch_tensor_check", "evaluate_class",
+    "ch_lambda_minus_one", "ch_tensor_check", "evaluate_class_in_ring",
     "lambda_minus_one", "restriction_normal_bundle_check", "td", "td_star",
     # towers
     "Tower", "TowerClass", "euler_characteristic", "grr_codim1_report",
     "integrate", "push_level", "symmetry_sign",
     # cohomological oracle
-    "FamilyDescriptor", "GradedLineDegree", "MultidegreeLineBundle",
-    "c1_pairing_check", "cohomology_dims", "deligne_pairing_degree",
-    "det_Rf_degree",
+    "FamilyDescriptor", "MultidegreeLineBundle", "c1_pairing_check",
+    "cohomology_dims", "deligne_pairing_degree", "det_Rf_degree",
     # Picard invariants
     "FGAbelianGroup", "GroupoidSkeleton", "MonoidPresentation",
     "PicardInvariants", "grothendieck_group", "picardify", "rationalize",

@@ -320,8 +320,6 @@ def evaluate_class_in_ring(spec, virtual, ring):
     return ring.const(1) if total is None else ring.from_poly(total)
 
 
-evaluate_class = evaluate_class_in_ring
-
 
 def chern_character_spec(order):
     return CharClassSpec("additive", exp_series(order))
@@ -338,15 +336,17 @@ def todd_star_spec(order):
 
 
 def ch(virtual, setup):
-    return evaluate_class(chern_character_spec(setup.truncation), virtual, setup)
+    return evaluate_class_in_ring(
+        chern_character_spec(setup.truncation), virtual, setup)
 
 
 def td(virtual, setup):
-    return evaluate_class(todd_spec(setup.truncation), virtual, setup)
+    return evaluate_class_in_ring(todd_spec(setup.truncation), virtual, setup)
 
 
 def td_star(virtual, setup):
-    return evaluate_class(todd_star_spec(setup.truncation), virtual, setup)
+    return evaluate_class_in_ring(
+        todd_star_spec(setup.truncation), virtual, setup)
 
 
 def ch_lambda_minus_one(setup, name):

@@ -34,7 +34,6 @@ only through ``ring.from_poly``, which reduces it in a tower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
@@ -80,24 +79,26 @@ TRUNCATION_LIMIT = 16
 ROOT_MONOMIAL_LIMIT = 65_536
 
 
-@dataclass(frozen=True)
-class BundleDecl:
-    """A named vector bundle of constant positive rank."""
-    name: str
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(
-                f"bundle {self.name!r} must have rank >= 1; model rank-0 "
-                "summands as the empty virtual sum")
+def _plain_int(what, value, least):
+    """``value`` if it is an ``int`` of at least ``least``: a bool, a float
+    or anything else is refused with ``ValueError``, not read as a number."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value
 
 
 class Setup:
     """A geometric setup: named bundles, relative dimension and truncation.
 
-    The truncation bound D must be at least n+1 so that the degree used for
-    pairing computations is representable.
+    The declaration is a list of ``(name, rank)`` pairs, a string name and
+    an ``int`` rank of at least 1 each (rank-0 summands are the empty
+    virtual sum), with no name twice; ``bundles`` maps each name to its
+    rank.  The relative dimension n is an ``int`` of at least 0, and only
+    sets the least truncation: the truncation bound D is an ``int`` of at
+    least n+1.  A bool or a float is refused, not read as a number.  Each
+    of these refusals is a ``ValueError``.
 
     A setup is not modified after construction, so its classes are ring
     constants: each bundle's Chern classes, its Fulton Segre classes and
@@ -117,21 +118,21 @@ class Setup:
     """
 
     def __init__(self, bundles, relative_dimension=0, truncation=8):
-        decls = [b if isinstance(b, BundleDecl) else BundleDecl(*b)
-                 for b in bundles]
-        self.bundles = {b.name: b for b in decls}
-        if len(self.bundles) != len(decls):
-            raise ValueError("bundle names must be unique within a setup")
-        if relative_dimension < 0:
-            raise ValueError("relative dimension must be >= 0")
-        if truncation < relative_dimension + 1:
-            raise ValueError(
-                "truncation must be at least relative_dimension + 1")
+        self.bundles = {}
+        for name, rank in bundles:
+            if type(name) is not str:
+                raise ValueError(
+                    f"a bundle name must be a string, got {name!r}")
+            if name in self.bundles:
+                raise ValueError("bundle names must be unique within a setup")
+            self.bundles[name] = _plain_int(f"the rank of {name!r}", rank, 1)
+        _plain_int("the relative dimension", relative_dimension, 0)
+        _plain_int("the truncation", truncation, relative_dimension + 1)
         if truncation > TRUNCATION_LIMIT:
             raise TruncationTooHigh(
                 f"truncation {truncation} exceeds the limit of "
                 f"{TRUNCATION_LIMIT}")
-        roots = sum(b.rank for b in decls)
+        roots = sum(self.bundles.values())
         monomials = comb(roots + truncation, truncation)
         if monomials > ROOT_MONOMIAL_LIMIT:
             raise SetupTooLarge(
@@ -140,8 +141,9 @@ class Setup:
                 f"{ROOT_MONOMIAL_LIMIT}")
         self.relative_dimension = relative_dimension
         self.truncation = truncation
-        self.grades = VarTable({self._root_name(b.name, i): 1
-                                for b in decls for i in range(1, b.rank + 1)},
+        self.grades = VarTable({self._root_name(name, i): 1
+                                for name, rank in self.bundles.items()
+                                for i in range(1, rank + 1)},
                                truncation)
         # (kind, name) -> the bundle's table of that kind: "chern" holds
         # [c_0, ..., c_m], m = min(r, truncation), "segre" [s_0, ..., s_m]
@@ -162,7 +164,7 @@ class Setup:
     def rank(self, name):
         if name not in self.bundles:
             raise UnknownBundle(f"bundle {name!r} is not declared")
-        return self.bundles[name].rank
+        return self.bundles[name]
 
     def root_vars(self, name):
         rank = self.rank(name)
@@ -318,18 +320,11 @@ class ChernSeries(RingClass):
 
     __slots__ = ()
 
-    @property
-    def setup(self):
-        return self.ring
-
     def alternate_signs(self):
         return ChernSeries(self.ring, self.poly.alternate_signs())
 
     def inverse(self):
         return ChernSeries(self.ring, series_invert(self.poly))
-
-    def evaluate(self, values):
-        return self.poly.evaluate(values)
 
     def chern_basis(self):
         """Presentation in the Chern-monomial symbols c_k(bundle)."""
@@ -434,13 +429,13 @@ def segre_class(setup, name, k, fulton=False):
     return ChernSeries(setup, s_k if fulton or k % 2 == 0 else -s_k)
 
 
-def chern_from_segre(setup, name, k, fulton=False):
+def chern_from_segre(setup, name, k):
     """c_k recovered from the Segre classes: component k of the inverse
     of s(E) = 1/c(E), c_k = -sum_{i>=1} s_i c_{k-i} with the Fulton s_i.
 
     In the default convention the recurrence reads
     c_k = sum_{i=1}^{k} (-1)^{i+1} s_i c_{k-i}, and its signs cancel those
-    of the s_i, so both values of ``fulton`` give the same class.  Equals
+    of the s_i, so the class does not depend on the convention.  Equals
     chern_class(setup, name, k) identically, but is computed from the
     Segre classes alone, never read from the Chern classes.
     """

@@ -49,7 +49,7 @@ from .chern_ring import (
     tensor_line_oracle_classes,
     whitney_expand,
 )
-from .charclass import CharClassSpec, VirtualBundle, evaluate_class
+from .charclass import CharClassSpec, VirtualBundle, evaluate_class_in_ring
 from .errors import (
     ChowlineError,
     ExprSyntaxError,
@@ -376,7 +376,8 @@ class Evaluator:
         coeffs += [Fraction(0)] * (self.setup.truncation + 1 - len(coeffs))
         spec_kind = "additive" if which[1] == "phi" else "multiplicative"
         spec = CharClassSpec(spec_kind, PowerSeries(coeffs))
-        return evaluate_class(spec, self.bundle_value(bundle), self.setup)
+        return evaluate_class_in_ring(spec, self.bundle_value(bundle),
+                                      self.setup)
 
     # -- bundle context -------------------------------------------------
 
@@ -547,11 +548,12 @@ def _read_json(path):
 
 def setup_declaration(args):
     """The ``Setup`` arguments the --setup file declares, its truncation
-    replaced by --truncation when given.  Only the file's shape is read
-    here: a list of bundles, each with a string name other than 'O' and
-    an integer rank, and an integer relative dimension and truncation
-    (2.7 or ``true`` is refused, not read as 2 or 1).  The rest is
-    ``Setup``'s to check, when ``cmd_eval`` builds it."""
+    replaced by --truncation when given.  Only what the command line alone
+    knows is checked here: the file's JSON shape, a list of bundle objects,
+    and names an expression can read, ASCII identifiers other than 'O',
+    the trivial line's name.  The ranks, relative dimension and truncation
+    are ``Setup``'s to check (2.7 and ``true`` are refused, not read as 2
+    and 1), when ``cmd_eval`` builds it."""
     data = _read_json(args.setup)
     if args.truncation is not None:
         data["truncation"] = args.truncation
@@ -559,24 +561,20 @@ def setup_declaration(args):
     def bad(why):
         return ValidationError(f"{args.setup}: bad setup ({why})")
 
-    def integer(key, value):
-        if type(value) is not int:
-            raise bad(f"{key} must be an integer, got {value!r}")
-        return value
-
     bundles = data.get("bundles", [])
     if type(bundles) is not list:
         raise bad("bundles must be a list")
     declared = []
     for bundle in bundles:
-        if type(bundle) is not dict or type(bundle.get("name")) is not str:
-            raise bad(f"a bundle needs a string name, got {bundle!r}")
-        if bundle["name"] == "O":
+        name = bundle.get("name") if type(bundle) is dict else None
+        if not (type(name) is str and name.isascii() and name.isidentifier()):
+            raise bad(f"a bundle needs an ASCII identifier as its name, got "
+                      f"{bundle!r}")
+        if name == "O":
             raise ValidationError(f"{args.setup}: 'O' names the trivial line")
-        declared.append((bundle["name"], integer("rank", bundle.get("rank"))))
-    return (declared,
-            integer("relative_dimension", data.get("relative_dimension", 0)),
-            integer("truncation", data.get("truncation", 8)))
+        declared.append((name, bundle.get("rank")))
+    return (declared, data.get("relative_dimension", 0),
+            data.get("truncation", 8))
 
 
 def default_truncation(args, fallback=8):

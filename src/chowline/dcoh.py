@@ -79,15 +79,6 @@ class MultidegreeLineBundle:
         object.__setattr__(self, "base_twist", index(self.base_twist))
 
 
-@dataclass(frozen=True)
-class GradedLineDegree:
-    """Isomorphism data of a graded line bundle on P^m: its grading (the
-    Euler characteristic of the pushed-forward bundle) and the degree of
-    the underlying line bundle."""
-    rank: int
-    degree: int
-
-
 def cohomology_dims(n, d):
     """[h^0, ..., h^n] for O(d) on P^n.
 
@@ -151,13 +142,14 @@ def det_Rf_degree(fam, bundle):
 
     Rf_* O(d; e) = H^*(fiber, O(d)) (x) O(e); each H^k contributes h^k
     copies of O(e) with alternating exponent (-1)^k, so the rank is the
-    fiber Euler characteristic and the degree is e times that.
+    fiber Euler characteristic and the degree is e times that.  Returns
+    (degree, rank), the isomorphism data of a graded line bundle on P^m.
     """
     if len(bundle.fiber_degrees) != len(fam.fiber):
         raise UnsupportedFamily(
             "bundle multidegree does not match the number of fiber factors")
     chi = _fiber_chi(fam.fiber, bundle.fiber_degrees)
-    return GradedLineDegree(rank=chi, degree=bundle.base_twist * chi)
+    return bundle.base_twist * chi, chi
 
 
 def _check_bundles(fam, bundles):
@@ -388,11 +380,11 @@ def pairing_degree_by_pushforward(fam, bundles, tower=None):
     return int(value)
 
 
-def c1_pairing_check(fam, bundles, tower=None):
+def c1_pairing_check(fam, bundles):
     """Exact agreement of the alternating-chi degree with the symbolic
     pushforward degree, plus the vanishing of the alternating rank sum."""
     degree, rank_sum = deligne_pairing_degree(fam, bundles)
-    pushed = pairing_degree_by_pushforward(fam, bundles, tower=tower)
+    pushed = pairing_degree_by_pushforward(fam, bundles)
     return {
         "degree": degree,
         "rank_sum": rank_sum,

@@ -13,9 +13,9 @@ polynomial has denominator 1).  Sums, products and scalings therefore do
 integer arithmetic only, plus one gcd reduction per result, and
 ``evaluate`` divides once; products, ``substitute`` and ``sum_of_products``
 share one pair loop.  Outside this module only ``symfun`` (the orbits of
-``to_chern_basis`` and ``check_block_symmetry``, and ``elem_sym``, which
-sums packed units), the tower kernel and
-``push_level`` of ``pushforward``, and the additive sum of
+``to_chern_basis``, which also check a class's symmetry, and ``elem_sym``,
+which sums packed units), the tower kernel and ``push_level`` of
+``pushforward``, and the additive sum of
 ``charclass.evaluate_class_in_ring`` read that form, to reduce integer
 numerators over ``den`` and to read, add or shift packed monomials;
 everything else sees ``Poly.terms``, which presents each coefficient as
@@ -379,10 +379,6 @@ class Poly:
 
     def constant_term(self):
         return _exact(self.nums.get(0, 0), self.den)
-
-    def monomials(self):
-        """The tuple monomials, as a view whose ``len`` decodes nothing."""
-        return self.terms.keys()
 
     def variables(self):
         seen = 0

@@ -345,10 +345,6 @@ class TowerClass(RingClass):
 
     __slots__ = ()
 
-    @property
-    def tower(self):
-        return self.ring
-
     def __mul__(self, other):
         """The product, reduced as it forms (``Tower._product``), which
         also reduces a raw polynomial of the tower's own table and bound."""
@@ -372,7 +368,7 @@ def push_level(tclass):
     and r the top rank, the image is a_{r-1}: the Segre terms s_{k-r+1}
     vanish for k < r-1 and reduction has already eliminated k >= r.
     """
-    tower = tclass.tower
+    tower = tclass.ring
     if not tower.ranks:
         raise ValueError("cannot push forward from the point")
     below = tower.drop_top()
@@ -393,7 +389,7 @@ def push_level(tclass):
 def integrate(tclass):
     """Push down to the point: the coefficient of the top basis monomial
     prod_j xi_j^{r_j-1}, zero unless the class has top degree."""
-    return tclass.poly.coefficient(tclass.tower._top_monomial)
+    return tclass.poly.coefficient(tclass.ring._top_monomial)
 
 
 def tangent_todd(tower, base_levels=0):
@@ -478,7 +474,7 @@ def grr_codim1_report(fam, bundle):
     """
     from . import dcoh  # local import: dcoh also consumes this module
 
-    lhs = dcoh.det_Rf_degree(fam, bundle).degree
+    lhs, _ = dcoh.det_Rf_degree(fam, bundle)
 
     coeffs = [bundle.base_twist] + list(bundle.fiber_degrees)
 
@@ -491,7 +487,7 @@ def grr_codim1_report(fam, bundle):
             pushed = push_level(pushed)
         pushed = pushed.graded_part(1)
         if fam.base > 1:
-            pushed = pushed * pushed.tower.divisor_product(
+            pushed = pushed * pushed.ring.divisor_product(
                 [(1,)] * (fam.base - 1))
         return integrate(pushed)
 

@@ -14,7 +14,8 @@ dominant parts of the products of the e_i, which are also built once per
 block size, one factor at a time.  No polynomial product is formed.
 The universal polynomial of a characteristic class in the Chern classes
 is read through it: evaluate the class on a declared bundle
-(``charclass.evaluate_class``) and take ``chern_basis()`` of the result.
+(``charclass.evaluate_class_in_ring``) and take ``chern_basis()`` of the
+result.
 
 Graded units are inverted by one degree-by-degree recurrence,
 ``_inverse_components``, which continues from any prefix of components it
@@ -130,13 +131,6 @@ def _orbits(p, blocks):
                 f"the orbit of exponents {key} has {count} of its "
                 f"{size} monomials")
     return {key: n for key, (n, _) in orbits.items()}
-
-
-def check_block_symmetry(p, blocks):
-    """Raise NotSymmetric unless p is invariant under permutations within
-    each block.  One pass over the terms: each is filed under its orbit,
-    and every orbit must be whole, with one coefficient."""
-    _orbits(p, blocks)
 
 
 def _times_e(f, i, r):
@@ -315,20 +309,18 @@ def _inverse_components(parts, head, top):
     return t
 
 
-def series_invert(s: Poly, bound=None):
-    """Inverse of a graded element with degree-0 part 1.
+def series_invert(s: Poly):
+    """Inverse of a graded element with degree-0 part 1, at its bound.
 
     Its homogeneous parts run through the degree-by-degree recurrence of
-    ``_inverse_components``, up to the truncation bound.
+    ``_inverse_components``, up to the truncation bound; to invert at a
+    lower bound, truncate first.
     """
-    if bound is None:
-        bound = s.bound
-    s = s.truncate(bound)
     parts = s.graded_parts()
     if parts.pop(0, None) != 1:
         raise UnitPartNotOne("graded element must have degree-0 part equal to 1")
     one, *rest = _inverse_components(
-        parts, [Poly.const(1, s.grades, bound)], bound)
+        parts, [Poly.const(1, s.grades, s.bound)], s.bound)
     return sum(rest, one)
 
 

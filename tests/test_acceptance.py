@@ -12,7 +12,6 @@ from math import comb
 
 from chowline import charclass, dcoh, picard, pushforward
 from chowline.chern_ring import (
-    BundleDecl,
     Setup,
     chern_class,
     dual_class,
@@ -35,13 +34,13 @@ def test_criterion_1_borel_serre_ranks_up_to_four():
     # Rank 0: lambda_{-1} of the zero bundle is Lambda^0 = O, the top Chern
     # class is c_0 = 1 and td of the zero bundle is 1; both sides evaluate
     # to the constant 1 through the same machinery as the positive ranks.
-    s = Setup([BundleDecl("X", 1)], 0, 8)
+    s = Setup([("X", 1)], 0, 8)
     zero = VirtualBundle.zero()
     lhs = charclass.ch(zero.lam(0), s)
     rhs = charclass.td(zero.dual(), s).inverse()
     assert lhs == rhs == s.const(1)
     for r in range(1, 5):
-        s = Setup([BundleDecl("E", r)], 0, 8)
+        s = Setup([("E", r)], 0, 8)
         ok, residual = charclass.borel_serre_check(s, "E")
         assert ok, f"rank {r} residual: {residual}"
         assert residual.is_zero()
@@ -56,7 +55,7 @@ def test_criterion_2_whitney_and_filtrations():
     failures = 0
     pairs = [(r1, r2) for r1 in range(1, 4) for r2 in range(r1, 4)]
     for r1, r2 in pairs:
-        s = Setup([BundleDecl("A", r1), BundleDecl("B", r2)], 0, 8)
+        s = Setup([("A", r1), ("B", r2)], 0, 8)
         combined_vars = s.root_vars("A") + s.root_vars("B")
         for _ in range(100):
             k = rng.randint(0, r1 + r2)
@@ -70,7 +69,7 @@ def test_criterion_2_whitney_and_filtrations():
 
     # Three-step filtration: both association orders of a triple sum give
     # the same expansion, exactly.
-    s = Setup([BundleDecl("A", 2), BundleDecl("B", 2), BundleDecl("C", 2)],
+    s = Setup([("A", 2), ("B", 2), ("C", 2)],
               0, 8)
     for k in range(7):
         left = s.zero()
@@ -89,7 +88,7 @@ def test_criterion_2_whitney_and_filtrations():
 
 def test_criterion_3_duality():
     for r in range(1, 6):
-        s = Setup([BundleDecl("E", r)], 0, 8)
+        s = Setup([("E", r)], 0, 8)
         negate = {v: -Poly.var(v, s.grades, s.truncation)
                   for v in s.root_vars("E")}
         for k in range(6):
@@ -100,7 +99,7 @@ def test_criterion_3_duality():
 
 def test_criterion_4_tensor_by_line():
     for r in range(1, 6):
-        s = Setup([BundleDecl("E", r), BundleDecl("L", 1)], 0, 8)
+        s = Setup([("E", r), ("L", 1)], 0, 8)
         for k in range(6):
             assert tensor_line(s, "E", "L", k) == tensor_line_oracle_classes(
                 s, "E", "L", k)[k]
@@ -108,7 +107,7 @@ def test_criterion_4_tensor_by_line():
     # Documented discrepancy: the variant coefficient binom(r-k+1, i) is
     # wrong at r = 2, k = 2; the shifted-root oracle exceeds it by exactly
     # c_1(L)^2.
-    s = Setup([BundleDecl("E", 2), BundleDecl("L", 1)], 0, 8)
+    s = Setup([("E", 2), ("L", 1)], 0, 8)
     r = k = 2
     variant = s.zero()
     for i in range(k + 1):
@@ -125,7 +124,7 @@ def test_criterion_4_tensor_by_line():
 
 def test_criterion_5_segre_recurrence_both_conventions():
     for r in range(1, 6):
-        s = Setup([BundleDecl("E", r)], 0, 8)
+        s = Setup([("E", r)], 0, 8)
         for k in range(1, 9):
             default = s.zero()
             fulton = s.zero()
@@ -260,7 +259,7 @@ def test_criterion_10_picardification():
 
 def test_criterion_11_ch_multiplicativity_random_trees():
     rng = random.Random(5150)
-    setup = Setup([BundleDecl("A", 1), BundleDecl("B", 2), BundleDecl("C", 3)],
+    setup = Setup([("A", 1), ("B", 2), ("C", 3)],
                   0, 6)
     names = ["A", "B", "C"]
 

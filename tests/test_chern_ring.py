@@ -9,7 +9,6 @@ from chowline.charclass import VirtualBundle, ch
 from chowline.chern_ring import (
     ROOT_MONOMIAL_LIMIT,
     TRUNCATION_LIMIT,
-    BundleDecl,
     Setup,
     chern_class,
     chern_from_segre,
@@ -36,7 +35,7 @@ def total_chern_class(setup, name):
 
 
 def make_setup(**ranks):
-    return Setup([BundleDecl(n, r) for n, r in ranks.items()], 0, 8)
+    return Setup([(n, r) for n, r in ranks.items()], 0, 8)
 
 
 def random_root_values(setup, rng):
@@ -121,14 +120,14 @@ def test_whitney_random_root_evaluation():
     rng = random.Random(99)
     from chowline.symfun import elem_sym
     for (r1, r2) in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]:
-        s = Setup([BundleDecl("A", r1), BundleDecl("B", r2)], 0, 8)
+        s = Setup([("A", r1), ("B", r2)], 0, 8)
         combined_vars = s.root_vars("A") + s.root_vars("B")
         for k in range(r1 + r2 + 1):
             rhs = whitney_expand(s, "A", "B", k)
             lhs = elem_sym(k, combined_vars, s.grades, s.truncation)
             for _ in range(10):
                 values = random_root_values(s, rng)
-                assert lhs.evaluate(values) == rhs.evaluate(values)
+                assert lhs.evaluate(values) == rhs.poly.evaluate(values)
 
 
 # ------------------------------------------------------------------- duals
@@ -176,7 +175,7 @@ def test_tensor_line_line_by_line():
 
 def test_tensor_line_matches_shifted_root_oracle():
     for r in range(1, 6):
-        s = Setup([BundleDecl("E", r), BundleDecl("L", 1)], 0, 8)
+        s = Setup([("E", r), ("L", 1)], 0, 8)
         for k in range(6):
             assert tensor_line(s, "E", "L", k) == tensor_line_oracle_classes(
                 s, "E", "L", k)[k]
@@ -220,7 +219,7 @@ def test_segre_low_degrees():
     assert segre_class(s, "E", 2) == c1 * c1 - c2
     # In every degree: s_k = h_k(roots), and s_k^F = (-1)^k h_k(roots).
     for r in range(1, 6):
-        s = Setup([BundleDecl("E", r)], 0, 8)
+        s = Setup([("E", r)], 0, 8)
         for k in range(9):
             h = complete_homogeneous(s, "E", k)
             assert segre_class(s, "E", k) == h, (r, k)
@@ -230,7 +229,7 @@ def test_segre_low_degrees():
 def test_segre_recurrence_all_ranks():
     # sum_i (-1)^i s_i c_{k-i} = 0 for k >= 1.
     for r in range(1, 6):
-        s = Setup([BundleDecl("E", r)], 0, 8)
+        s = Setup([("E", r)], 0, 8)
         for k in range(1, 9):
             acc = s.zero()
             for i in range(k + 1):
@@ -241,11 +240,10 @@ def test_segre_recurrence_all_ranks():
 
 def test_chern_recovered_from_segre():
     for r in range(1, 6):
-        s = Setup([BundleDecl("E", r)], 0, 8)
+        s = Setup([("E", r)], 0, 8)
         for k in range(9):
-            for fulton in (False, True):
-                assert chern_from_segre(s, "E", k, fulton=fulton) == chern_class(
-                    s, "E", k), (r, k, fulton)
+            assert chern_from_segre(s, "E", k) == chern_class(
+                s, "E", k), (r, k)
 
 
 def test_chern_from_segre_refuses_negative_degrees():
@@ -256,8 +254,8 @@ def test_chern_from_segre_refuses_negative_degrees():
     for fulton in (False, True):
         with pytest.raises(ValueError):
             segre_class(s, "E", -1, fulton=fulton)
-        with pytest.raises(ValueError):
-            chern_from_segre(s, "E", -1, fulton=fulton)
+    with pytest.raises(ValueError):
+        chern_from_segre(s, "E", -1)
 
 
 def test_identity_root_evaluation_oracle():
@@ -272,7 +270,7 @@ def test_identity_root_evaluation_oracle():
 
     for _ in range(100):
         r1, r2 = rng.randint(1, 5), rng.randint(1, 5)
-        s = Setup([BundleDecl("A", r1), BundleDecl("B", r2)], 0, 8)
+        s = Setup([("A", r1), ("B", r2)], 0, 8)
         k = rng.randint(0, min(8, r1 + r2))
         values = sample(s)
         combined = elem_sym(k, s.root_vars("A") + s.root_vars("B"),
@@ -282,7 +280,7 @@ def test_identity_root_evaluation_oracle():
 
     for _ in range(100):
         r = rng.randint(1, 5)
-        s = Setup([BundleDecl("E", r)], 0, 8)
+        s = Setup([("E", r)], 0, 8)
         k = rng.randint(0, min(8, r))
         values = sample(s)
         negated = {v: -x for v, x in values.items()}
@@ -291,7 +289,7 @@ def test_identity_root_evaluation_oracle():
 
     for _ in range(100):
         r = rng.randint(1, 5)
-        s = Setup([BundleDecl("E", r), BundleDecl("L", 1)], 0, 8)
+        s = Setup([("E", r), ("L", 1)], 0, 8)
         k = rng.randint(0, min(8, r + 1))
         values = sample(s)
         lhs = tensor_line(s, "E", "L", k).poly.evaluate(values)
@@ -301,7 +299,7 @@ def test_identity_root_evaluation_oracle():
 
     for _ in range(100):
         r = rng.randint(1, 5)
-        s = Setup([BundleDecl("E", r)], 0, 8)
+        s = Setup([("E", r)], 0, 8)
         k = rng.randint(1, 8)
         values = sample(s)
         acc = Fraction(0)
@@ -382,14 +380,40 @@ def test_chern_basis_presentation():
 
 def test_setup_requires_headroom_over_relative_dimension():
     with pytest.raises(ValueError):
-        Setup([BundleDecl("E", 2)], relative_dimension=3, truncation=3)
+        Setup([("E", 2)], relative_dimension=3, truncation=3)
+
+
+@pytest.mark.parametrize("declared", [
+    ([("E", True)], 0, 4),
+    ([("E", 2.0)], 0, 4),
+    ([(5, 2)], 0, 4),
+    ([("E", 2)], 0.5, 4),
+    ([("E", 2)], True, 4),
+    ([("E", 2)], 0, True),
+    ([("E", 2)], 0, 4.0),
+    ([("E", 2, 1)], 0, 4),
+    (["E"], 0, 4),
+], ids=["boolean-rank", "float-rank", "numeric-name",
+        "fractional-relative-dimension", "boolean-relative-dimension",
+        "boolean-truncation", "float-truncation", "triple", "bare-name"])
+def test_setup_refuses_what_is_not_a_plain_declaration(declared):
+    # A bool or a float is not read as an integer, nor anything but a
+    # string as a name: each is refused as the command line refuses it.
+    with pytest.raises(ValueError):
+        Setup(*declared)
+
+
+def test_setup_maps_each_name_to_its_rank():
+    s = Setup([("E", 3), ["L", 1]], 1, 4)
+    assert s.bundles == {"E": 3, "L": 1}
+    assert (s.rank("E"), s.relative_dimension, s.truncation) == (3, 1, 4)
 
 
 def test_setup_truncation_is_capped():
     # Refused before any class is built; the limit itself is accepted.
     with pytest.raises(TruncationTooHigh):
-        Setup([BundleDecl("E", 2)], truncation=TRUNCATION_LIMIT + 1)
-    s = Setup([BundleDecl("E", 2)], truncation=TRUNCATION_LIMIT)
+        Setup([("E", 2)], truncation=TRUNCATION_LIMIT + 1)
+    s = Setup([("E", 2)], truncation=TRUNCATION_LIMIT)
     assert s.truncation == TRUNCATION_LIMIT
     # Every ring within the limit has fields of one width.
     assert TRUNCATION_LIMIT < 1 << MIN_FIELD_BITS
@@ -402,11 +426,11 @@ def test_setup_root_monomials_are_capped(monkeypatch):
     # more root, or one more degree, is refused before any class is built.
     from chowline import chern_ring
     monkeypatch.setattr(chern_ring, "ROOT_MONOMIAL_LIMIT", comb(9, 4))
-    Setup([BundleDecl("E", 3), BundleDecl("F", 2)], truncation=4)
+    Setup([("E", 3), ("F", 2)], truncation=4)
     with pytest.raises(SetupTooLarge):
-        Setup([BundleDecl("E", 3), BundleDecl("F", 3)], truncation=4)
+        Setup([("E", 3), ("F", 3)], truncation=4)
     with pytest.raises(SetupTooLarge):
-        Setup([BundleDecl("E", 5)], truncation=5)
+        Setup([("E", 5)], truncation=5)
 
 
 def test_setup_root_monomial_cap_admits_the_largest_shipped_setup():
@@ -441,7 +465,7 @@ def test_arithmetic_refuses_classes_of_another_setup():
     for mix in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b + a):
         with pytest.raises(TypeError):
             mix()
-    assert (a + chern_class(s, "E", 1)).setup is s
+    assert (a + chern_class(s, "E", 1)).ring is s
 
 
 @pytest.mark.parametrize("make, name", [

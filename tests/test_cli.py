@@ -576,14 +576,22 @@ def test_setup_file_with_negative_rank_is_refused(tmp_path, capsys):
     b'{"bundles": [{"name": "E", "rank": 0}]}',
     b'{"bundles": [{"name": "E", "rank": 2}], "relative_dimension": 2, '
     b'"truncation": 2}',
+    b'{"bundles": [{"name": "E", "rank": true}]}',
+    b'{"bundles": [{"name": "a b", "rank": 1}, {"name": "E", "rank": 2}]}',
+    b'{"bundles": [{"name": "5", "rank": 1}, {"name": "E", "rank": 2}]}',
+    b'{"bundles": [{"name": "E-1", "rank": 1}, {"name": "E", "rank": 2}]}',
+    b'{"bundles": [{"name": "", "rank": 1}, {"name": "E", "rank": 2}]}',
+    b'{"bundles": [{"name": "\\u00c9", "rank": 1}, {"name": "E", "rank": 2}]}',
 ], ids=["not-utf8", "fractional-rank", "boolean-truncation",
         "fractional-relative-dimension", "bundle-named-O", "list-name",
         "numeric-name", "duplicate-names", "rank-0",
-        "truncation-at-relative-dimension"])
+        "truncation-at-relative-dimension", "boolean-rank", "name-with-space",
+        "digit-name", "name-with-minus", "empty-name", "non-ascii-name"])
 def test_bad_setup_files_are_refused(content, tmp_path, capsys):
     # Not UTF-8, a non-integer read strictly (2.7 was read as 2, true as 1),
-    # a bundle named like the trivial line or by anything but a string (no
-    # expression names the bundle 5), and declarations ``Setup`` refuses.
+    # a bundle named like the trivial line or by anything the expression
+    # grammar cannot read as a name (no expression names the bundle 5 or
+    # "a b"), and declarations ``Setup`` refuses.
     path = tmp_path / "setup.json"
     path.write_bytes(content)
     assert_usage_error(["eval", "c(2,E)", "--setup", str(path)], capsys)

@@ -450,7 +450,7 @@ def test_term_count_decodes_nothing(monkeypatch):
         raise AssertionError("decoded")
 
     monkeypatch.setattr(VarTable, "decode", refuse)
-    assert len(p.terms) == 2 and len(p.monomials()) == 2
+    assert len(p.terms) == 2 and len(p.terms.keys()) == 2
 
 
 def test_tuple_spellings_of_one_monomial_add_up():

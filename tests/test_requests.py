@@ -128,25 +128,18 @@ def test_warm_requests_answer_as_cold_ones(files):
 
 def test_a_warm_eval_builds_no_setup(files, monkeypatch):
     # A request on a kept declaration reads only the shape of its setup
-    # file: it builds neither a ``Setup`` nor a ``BundleDecl``.
+    # file: it builds no ``Setup``.
     argv = ["eval", "td(E)*ch(F) + s(2,L)", "--setup", files["setup"],
             "--json"]
     _empty()
     first = _request(argv)
     built = []
-    post_init = chern_ring.BundleDecl.__post_init__
     init = chern_ring.Setup.__init__
-
-    def counted_post_init(self):
-        built.append(self)
-        post_init(self)
 
     def counted_init(self, *declared):
         built.append(declared)
         init(self, *declared)
 
-    monkeypatch.setattr(chern_ring.BundleDecl, "__post_init__",
-                        counted_post_init)
     monkeypatch.setattr(chern_ring.Setup, "__init__", counted_init)
     assert [_request(argv) for _ in range(3)] == [first] * 3
     assert first[0] == 0 and built == []

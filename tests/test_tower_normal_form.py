@@ -180,7 +180,7 @@ def test_divisor_product_is_the_product_of_linear_forms(data):
         st.lists(st.integers(-3, 3), max_size=len(levels)),
         max_size=one_pass.bound + 2))
     product = one_pass.divisor_product(vectors)
-    assert product.tower is one_pass
+    assert product.ring is one_pass
     assert product.poly == _product_of_linear_forms(stepwise, vectors).poly
     # The same monomials reach the table, so TOWER_TABLE_LIMIT refuses
     # (and a warm kept tower retries) exactly as for the stepwise loop.
