@@ -14,7 +14,12 @@ Every class is evaluated in a ring, a ``Setup`` or a ``Tower``, by
 ``evaluate_class_in_ring(spec, virtual, ring)``: a declared bundle's roots
 are ``ring.roots(name)``, the trivial line's root is the ring's zero
 polynomial, and the result is ``ring.from_poly`` of the evaluated
-polynomial.
+polynomial.  In a setup's Chern-basis ring (``chern_ring.ChernBasis``) a
+sum, dual or integer multiple of declared bundles and the trivial line
+takes no root: each bundle's occurrences fold into one univariate series,
+whose value on the bundle is a sum over partitions (``_in_basis``); any
+other virtual bundle is evaluated in the setup's roots and rewritten once
+by ``symfun.to_chern_basis``.
 
 An additive class phi acts by phi_0 * rank + sum over roots of the
 positive part, summed with each root's multiplicity in one accumulator
@@ -36,17 +41,24 @@ per order and shares it; a series is immutable, so sharing is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 
-from .chern_ring import ChernSeries, chern_class, dual_class
+from .chern_ring import ChernBasis, ChernSeries, chern_class, dual_class
 from .errors import (
     ConstantTermNotOne,
     MalformedVirtualBundle,
     TruncationTooLow,
 )
 from .poly import PowerSeries, _lowest
-from .symfun import exp_series, todd_series, todd_star_series
+from .symfun import (
+    _orbit_sum,
+    _partitions,
+    exp_series,
+    todd_series,
+    todd_star_series,
+)
 # Unused here since negative multiplicities invert per root, but still
 # bound in this module: perfbench/layers.py traces it at this binding.
 from .symfun import series_invert  # noqa: F401
@@ -272,7 +284,10 @@ def _series_to_bound(series, bound):
 
 def evaluate_class_in_ring(spec, virtual, ring):
     """Evaluate a characteristic class on a virtual bundle in ``ring``, a
-    ``Setup`` or a ``Tower``: the result is an element of that ring.
+    ``Setup``, its ``ChernBasis`` or a ``Tower``: the result is an element
+    of that ring.  In a ``ChernBasis`` a sum, dual or multiple of declared
+    bundles is summed over partitions (``_in_basis``), and any other
+    bundle is evaluated in the setup's roots and rewritten once.
 
     Zero roots are skipped: psi(0) = 1, and the positive part of an
     additive class vanishes at 0.  An additive class sums m * phi(root)
@@ -281,6 +296,12 @@ def evaluate_class_in_ring(spec, virtual, ring):
     refuses a foreign variable), and reduces the sum once.  A
     multiplicative class multiplies its factors, starting from the first.
     """
+    if isinstance(ring, ChernBasis):
+        multiples = _multiples(virtual)
+        if multiples is not None:
+            return _in_basis(spec, virtual, multiples, ring)
+        return ring.from_roots(
+            evaluate_class_in_ring(spec, virtual, ring.setup))
     summands = virtual.summands(ring)
     zero = ring.zero().poly
     table, bound = zero.grades, zero.bound
@@ -319,6 +340,79 @@ def evaluate_class_in_ring(spec, virtual, ring):
             total = value if total is None else total * value
     return ring.const(1) if total is None else ring.from_poly(total)
 
+
+def _multiples(virtual):
+    """{(name, dual): nonzero multiplicity} of a sum, dual or integer
+    multiple of declared bundles and the trivial line, or None for a bundle
+    with a tensor product, exterior power, determinant or line class."""
+    out, stack = {}, [(virtual, 1, False)]
+    while stack:
+        v, m, dual = stack.pop()
+        if v.kind == "sum":
+            stack += [(child, m, dual) for child in v.args]
+        elif v.kind == "scale":
+            stack.append((v.args[1], m * v.args[0], dual))
+        elif v.kind == "dual":
+            stack.append((v.args[0], m, not dual))
+        elif v.kind == "bundle":
+            out[v.args[0], dual] = out.get((v.args[0], dual), 0) + m
+        elif v.kind not in ("trivial", "zero"):
+            return None
+    return {key: m for key, m in out.items() if m}
+
+
+def _power(series, m):
+    """series^m for m != 0, by binary powering of series or its inverse."""
+    if m < 0:
+        series, m = series.inverse(), -m
+    result = None
+    while m:
+        if m & 1:
+            result = series if result is None else result * series
+        m >>= 1
+        if m:
+            series = series * series
+    return result
+
+
+def _in_basis(spec, virtual, multiples, basis):
+    """The class of ``virtual`` in the Chern-basis ring, summed over
+    partitions (Macdonald, I.2 and I.6), for a virtual bundle whose
+    ``_multiples`` are given.
+
+    The occurrences of a bundle E fold into one univariate series g:
+    f(-x) for a dual, and m f (additive) or f^m (multiplicative) for a
+    multiple m.  Then sum_i g(x_i) is g_0 r + sum_k g_k m_(k), and
+    prod_i g(x_i) is sum_lambda (prod_j g_lambda_j) m_lambda over the
+    partitions of at most r parts and degree at most the truncation, each
+    m_lambda read in the c_k(E) from its kept row (``_orbit_sum``).  The
+    blocks of distinct bundles add or multiply."""
+    setup, bound = basis.setup, basis.truncation
+    f = _series_to_bound(spec.series, bound)
+    additive = spec.kind == "additive"
+    folded = {}
+    for (name, dual), m in multiples.items():
+        g = f.alternate() if dual else f
+        g = g * m if additive else _power(g, m)
+        if name in folded:
+            g = folded[name] + g if additive else folded[name] * g
+        folded[name] = g
+    total = basis.const(Fraction(f.nums[0] * virtual.rank(setup.rank),
+                                 f.den)) if additive else None
+    for name, g in folded.items():
+        r, a = setup.rank(name), g.nums
+        if additive:
+            orbits = {((k,) + (0,) * (r - 1),): a[k]
+                      for k in range(1, bound + 1) if a[k]}
+        else:  # a[0] = g.den: lambda's coefficient is over g.den^r
+            orbits = {(lam,): c for lam in _partitions(r, bound)
+                      if (c := prod(a[k] for k in lam))}
+        block = ChernSeries(basis, _orbit_sum(
+            orbits, g.den if additive else g.den ** r, [(name, r)],
+            basis.grades, bound))
+        total = (block if total is None
+                 else total + block if additive else total * block)
+    return basis.const(1) if total is None else total
 
 
 def chern_character_spec(order):

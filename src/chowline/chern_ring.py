@@ -21,6 +21,9 @@ The Chern-monomial presentation (polynomials in symbols c_k(E)) is a
 display layer produced by ``to_chern_basis``; the root representation
 remains the canonical form.  A characteristic class's universal
 polynomial is the ``chern_basis`` of its value on a declared bundle.
+``Setup.basis`` is the setup's Chern-basis ring (``ChernBasis``), whose
+elements are ``ChernSeries`` over polynomials in the c_k(E) themselves;
+``eval`` computes there.
 
 ``RingClass`` is the one element type of every truncated graded ring in
 the package: a ring object and a polynomial representative in that ring's
@@ -34,6 +37,7 @@ only through ``ring.from_poly``, which reduces it in a tower.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate
 from math import comb
 
@@ -46,6 +50,8 @@ from .errors import (
 from .poly import Poly, VarTable, sum_of_products
 from .symfun import (
     _inverse_components,
+    chern_table,
+    chern_var,
     elem_sym,
     series_invert,
     to_chern_basis,
@@ -226,6 +232,52 @@ class Setup:
         ``TypeError`` for a foreign variable or a lower bound."""
         return ChernSeries(self, poly.recode(self.grades, self.truncation))
 
+    def chern_basis(self, poly):
+        """A polynomial in the roots rewritten in the c_k(bundle)."""
+        return to_chern_basis(poly, [(name, self.root_vars(name))
+                                     for name in self.bundles])
+
+    @cached_property
+    def basis(self):
+        """The setup's Chern-basis ring, built on first use."""
+        return ChernBasis(self)
+
+
+class ChernBasis:
+    """The Chern-basis ring of a setup: polynomials in the c_k(E), of grade
+    k <= rk E for each declared bundle E, truncated at the setup's
+    truncation, in the table ``to_chern_basis`` writes the setup's classes
+    in.  Its elements are ``ChernSeries`` whose ``chern_basis()`` is their
+    polynomial as it is; a class of the setup's roots enters through
+    ``from_roots``."""
+
+    def __init__(self, setup):
+        self.setup = setup
+        self.truncation = setup.truncation
+        self.grades = chern_table(setup.bundles.items(), setup.truncation)
+
+    def const(self, value):
+        return ChernSeries(self, Poly.const(value, self.grades, self.truncation))
+
+    def from_poly(self, poly):
+        return ChernSeries(self, poly.recode(self.grades, self.truncation))
+
+    def from_roots(self, value):
+        """A ``ChernSeries`` of the setup, rewritten by ``to_chern_basis``."""
+        return self.from_poly(value.chern_basis())
+
+    def chern_basis(self, poly):
+        return poly
+
+    def chern_class(self, name, k):
+        """c_k(name): 1 at k = 0, and 0 above the rank or the truncation."""
+        if k > self.setup.rank(name):
+            return self.const(0)
+        if k == 0:
+            return self.const(1)
+        return ChernSeries(self, Poly.var(chern_var(k, name), self.grades,
+                                          self.truncation))
+
 
 class RingClass:
     """An element of a truncated graded ring, kept in the ring's normal form.
@@ -328,9 +380,7 @@ class ChernSeries(RingClass):
 
     def chern_basis(self):
         """Presentation in the Chern-monomial symbols c_k(bundle)."""
-        blocks = [(name, self.ring.root_vars(name))
-                  for name in self.ring.bundles]
-        return to_chern_basis(self.poly, blocks)
+        return self.ring.chern_basis(self.poly)
 
     def __str__(self):
         """The Chern-basis presentation, or the root polynomial for a class

@@ -18,6 +18,10 @@ for ``ch-mult``; the two values compared for ``hrr``, ``c1-pairing`` and
 ``grr``; the degree and two booleans for ``deligne``; and the verdict
 alone for ``restriction``.
 
+``eval`` computes in the setup's Chern-basis ring (``Setup.basis``): see
+``Evaluator`` for which classes take the partition route of
+``charclass.evaluate_class_in_ring`` and which the Chern roots.
+
 A request is read and written without the generic paths of argparse and
 json where they are not needed.  ``parse_arguments`` reads a well-formed
 argument list with an exact reader built from each subcommand parser's
@@ -38,6 +42,7 @@ from collections import namedtuple
 from contextlib import ExitStack
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from . import charclass, dcoh, picard, pushforward
 from .chern_ring import (
@@ -288,13 +293,20 @@ def _degree(tree):
 class Evaluator:
     """Evaluates parsed expressions over a setup.
 
-    Class context produces a ChernSeries; bundle context produces a
-    VirtualBundle.  ``*`` means ring product in the former and tensor in
-    the latter.
+    Class context produces a ChernSeries of the setup's Chern-basis ring
+    (``Setup.basis``); bundle context produces a VirtualBundle.  ``*``
+    means ring product in the former and tensor in the latter.  ``c(k, E)``
+    is the variable c_k(E); ``ch``, ``td``, ``tdstar`` and ``class`` go
+    through ``evaluate_class_in_ring`` in that ring, which sums a sum, dual
+    or multiple of declared bundles over partitions and evaluates any other
+    bundle in the roots; ``s(k, E)`` is evaluated in the roots.  Either
+    root class is rewritten once by ``to_chern_basis``, and sums, products
+    and powers then run on Chern-basis polynomials.
     """
 
     def __init__(self, setup, fulton=False):
         self.setup = setup
+        self.basis = setup.basis
         self.fulton = fulton
 
     # -- class context ---------------------------------------------------
@@ -302,7 +314,7 @@ class Evaluator:
     def class_value(self, tree):
         kind = tree[0]
         if kind == "num":
-            return self.setup.const(tree[1])
+            return self.basis.const(tree[1])
         if kind == "add":
             return self.class_value(tree[1]) + self.class_value(tree[2])
         if kind == "sub":
@@ -377,7 +389,7 @@ class Evaluator:
         spec_kind = "additive" if which[1] == "phi" else "multiplicative"
         spec = CharClassSpec(spec_kind, PowerSeries(coeffs))
         return evaluate_class_in_ring(spec, self.bundle_value(bundle),
-                                      self.setup)
+                                      self.basis)
 
     # -- bundle context -------------------------------------------------
 
@@ -430,17 +442,18 @@ ARGUMENT_KINDS = {
 # that rebinding a module attribute reaches every call.
 FUNCTIONS = {
     "c": ("class", "c(k, E) takes two arguments", ("degree", "name"),
-          lambda ev, k, name: chern_class(ev.setup, name, k)),
+          lambda ev, k, name: ev.basis.chern_class(name, k)),
     "s": ("class", "s(k, E) takes two arguments", ("degree", "name"),
-          lambda ev, k, name: segre_class(ev.setup, name, k, fulton=ev.fulton)),
+          lambda ev, k, name: ev.basis.from_roots(
+              segre_class(ev.setup, name, k, fulton=ev.fulton))),
     "ch": ("class", "ch(V) takes one argument", ("bundle",),
-           lambda ev, v: charclass.ch(v, ev.setup)),
+           lambda ev, v: charclass.ch(v, ev.basis)),
     "td": ("class", "td(V) takes one argument", ("bundle",),
-           lambda ev, v: charclass.td(v, ev.setup)),
+           lambda ev, v: charclass.td(v, ev.basis)),
     "tdstar": ("class", "tdstar(V) takes one argument", ("bundle",),
-               lambda ev, v: charclass.td_star(v, ev.setup)),
+               lambda ev, v: charclass.td_star(v, ev.basis)),
     "rk": ("class", "rk(V) takes one argument", ("bundle",),
-           lambda ev, v: ev.setup.const(v.rank(ev.setup.rank))),
+           lambda ev, v: ev.basis.const(v.rank(ev.setup.rank))),
     "class": ("class", "class(phi|psi, [coefficients], V) takes three arguments",
               ("tree", "tree", "tree"), Evaluator.characteristic_class),
     "dual": ("bundle", "dual(V) takes one argument", ("bundle",),
@@ -461,17 +474,18 @@ FUNCTIONS = {
 def series_report(series):
     """Chern-basis presentation of a class, with rationals as strings:
     ``text`` as ``str`` writes the polynomial, and ``by_degree`` its terms
-    by degree, both from one pass over its sorted terms."""
+    by degree.  Each term is rendered once, in graded-lexicographic order:
+    its coefficient's text from one gcd, and its monomial's text once."""
     basis = series.chern_basis()
-    terms = basis.sorted_terms()
-    grades = dict(basis.grades.items())
-    by_degree = {}
-    for mono, coeff in terms:
-        degree = str(sum(grades[v] * e for v, e in mono))
-        part = by_degree.get(degree)
-        if part is None:
-            part = by_degree[degree] = {}
-        part[monomial_text(mono) or "1"] = str(coeff)
+    table, den = basis.grades, basis.den
+    by_degree, terms = {}, []
+    for degree, mono, n in sorted((m >> table.dshift, table.decode(m), n)
+                                  for m, n in basis.nums.items()):
+        g = gcd(n, den)
+        coeff = str(n // g) if g == den else f"{n // g}/{den // g}"
+        body = monomial_text(mono)
+        by_degree.setdefault(str(degree), {})[body or "1"] = coeff
+        terms.append((body, coeff))
     return {"text": terms_text(terms), "by_degree": by_degree}
 
 
@@ -546,21 +560,35 @@ def _read_json(path):
     return data
 
 
+# The keys a setup file may hold, at the top level and per bundle.
+SETUP_KEYS = ("bundles", "relative_dimension", "truncation")
+BUNDLE_KEYS = ("name", "rank")
+
+
 def setup_declaration(args):
     """The ``Setup`` arguments the --setup file declares, its truncation
     replaced by --truncation when given.  Only what the command line alone
     knows is checked here: the file's JSON shape, a list of bundle objects,
-    and names an expression can read, ASCII identifiers other than 'O',
-    the trivial line's name.  The ranks, relative dimension and truncation
-    are ``Setup``'s to check (2.7 and ``true`` are refused, not read as 2
-    and 1), when ``cmd_eval`` builds it."""
+    no key outside ``SETUP_KEYS`` and ``BUNDLE_KEYS`` (a misspelt key is
+    refused, not left to its default), and names an expression can read,
+    ASCII identifiers other than 'O', the trivial line's name.  The ranks,
+    relative dimension and truncation are ``Setup``'s to check (2.7 and
+    ``true`` are refused, not read as 2 and 1), when ``cmd_eval`` builds
+    it."""
     data = _read_json(args.setup)
-    if args.truncation is not None:
-        data["truncation"] = args.truncation
 
     def bad(why):
         return ValidationError(f"{args.setup}: bad setup ({why})")
 
+    def known(keys, allowed):
+        for key in keys:
+            if key not in allowed:
+                raise bad(f"unknown key {key!r}; the keys are "
+                          + ", ".join(allowed))
+
+    known(data, SETUP_KEYS)
+    if args.truncation is not None:
+        data["truncation"] = args.truncation
     bundles = data.get("bundles", [])
     if type(bundles) is not list:
         raise bad("bundles must be a list")
@@ -570,6 +598,7 @@ def setup_declaration(args):
         if not (type(name) is str and name.isascii() and name.isidentifier()):
             raise bad(f"a bundle needs an ASCII identifier as its name, got "
                       f"{bundle!r}")
+        known(bundle, BUNDLE_KEYS)
         if name == "O":
             raise ValidationError(f"{args.setup}: 'O' names the trivial line")
         declared.append((name, bundle.get("rank")))

@@ -592,7 +592,8 @@ class Poly:
         return [(mono, _exact(n, self.den)) for _, mono, n in items]
 
     def __str__(self):
-        return terms_text(self.sorted_terms())
+        return terms_text((monomial_text(mono), str(coeff))
+                          for mono, coeff in self.sorted_terms())
 
     def __repr__(self):
         return f"Poly({self})"
@@ -604,26 +605,25 @@ def monomial_text(mono):
 
 
 def terms_text(terms):
-    """The text of a polynomial from its ``sorted_terms``, as
-    ``Poly.__str__`` writes it: ``0`` for none, a coefficient 1 or -1
-    left out before a monomial, and a negative term joined by `` - ``."""
-    if not terms:
-        return "0"
-    pieces = []
-    for mono, coeff in terms:
-        body = monomial_text(mono)
+    """The text of a polynomial from its terms in order, each a pair of
+    texts: the monomial's (``monomial_text``) and the coefficient's.  It
+    is ``0`` for none; a coefficient 1 or -1 is left out before a
+    monomial, and a negative term is joined by `` - ``."""
+    out = ""
+    for body, coeff in terms:
         if not body:
-            pieces.append(str(coeff))
-        elif coeff == 1:
-            pieces.append(body)
-        elif coeff == -1:
-            pieces.append(f"-{body}")
+            piece = coeff
+        elif coeff in ("1", "-1"):
+            piece = coeff[:-1] + body
         else:
-            pieces.append(f"{coeff}*{body}")
-    out = pieces[0]
-    for p in pieces[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+            piece = f"{coeff}*{body}"
+        if not out:
+            out = piece
+        elif piece[0] == "-":
+            out += f" - {piece[1:]}"
+        else:
+            out += f" + {piece}"
+    return out or "0"
 
 
 class _Terms(Mapping):

@@ -12,10 +12,9 @@ it is filled on first use by the lexicographic reduction run in
 partition space on its one orbit, with integer coefficients, from the
 dominant parts of the products of the e_i, which are also built once per
 block size, one factor at a time.  No polynomial product is formed.
-The universal polynomial of a characteristic class in the Chern classes
-is read through it: evaluate the class on a declared bundle
-(``charclass.evaluate_class_in_ring``) and take ``chern_basis()`` of the
-result.
+The same sum over orbits (``_orbit_sum``) serves the Chern-basis ring of
+a setup (``chern_ring.ChernBasis``), where ``charclass`` sums a class of
+a declared bundle over the partitions (``_partitions``) without roots.
 
 Graded units are inverted by one degree-by-degree recurrence,
 ``_inverse_components``, which continues from any prefix of components it
@@ -245,9 +244,10 @@ def to_chern_basis(p, blocks):
     the terms are grouped by orbit in one pass, which also checks the
     symmetry (``_orbits``), and the image is the sum over the orbits of
     the outer products of the blocks' rows of the monomial-to-elementary
-    transition matrix (``_m_row``).  A row depends only on the block size
-    and the partition: it is computed once by the lexicographic
-    reduction and kept across calls (``_m_rows``).
+    transition matrix (``_m_row``, summed by ``_orbit_sum``).  A row
+    depends only on the block size and the partition: it is computed
+    once by the lexicographic reduction and kept across calls
+    (``_m_rows``).
     """
     seen = set()
     for _, variables in blocks:
@@ -262,18 +262,29 @@ def to_chern_basis(p, blocks):
     if stray:
         raise ValueError(f"variables {sorted(stray)} belong to no block")
 
-    out_grades = {}
-    for label, variables in blocks:
-        out_grades.update((chern_var(i, label), i)
-                          for i in range(1, len(variables) + 1))
-    table = var_table(out_grades, p.bound)
+    sizes = [(label, len(variables)) for label, variables in blocks]
+    return _orbit_sum(_orbits(p, blocks), p.den, sizes,
+                      chern_table(sizes, p.bound), p.bound)
+
+
+def chern_table(blocks, bound):
+    """The table of the Chern-basis ring of blocks given as (label, size)
+    pairs: ``c1(label), ..., c<size>(label)`` of grades 1, ..., size."""
+    return var_table({chern_var(i, label): i for label, r in blocks
+                      for i in range(1, r + 1)}, bound)
+
+
+def _orbit_sum(orbits, den, blocks, table, bound):
+    """The polynomial in ``table`` of the sum over ``orbits`` (one
+    partition per block of ``blocks``, (label, size) pairs -> numerator
+    over ``den``) of the numerator times the outer product of the blocks'
+    rows (``_m_row``), each row packed in the table once per call."""
     # Per block: its size, the packed units of its class symbols, and the
-    # rows met so far with their e-monomials packed in the image's table.
-    packed = [(len(variables), [table.unit[chern_var(i, label)]
-                                for i in range(1, len(variables) + 1)], {})
-              for label, variables in blocks]
+    # rows met so far with their e-monomials packed in the table.
+    packed = [(r, [table.unit[chern_var(i, label)] for i in range(1, r + 1)],
+               {}) for label, r in blocks]
     nums = {}
-    for key, n in _orbits(p, blocks).items():
+    for key, n in orbits.items():
         terms = [(0, n)]
         for lam, (r, units, rows) in zip(key, packed):
             if not lam or not lam[0]:
@@ -285,8 +296,19 @@ def to_chern_basis(p, blocks):
             terms = [(m + m2, c * a) for m, c in terms for m2, a in row]
         for m, c in terms:
             nums[m] = nums.get(m, 0) + c
-    return _lowest({m: c for m, c in nums.items() if c}, p.den, table,
-                   p.bound)
+    return _lowest({m: c for m, c in nums.items() if c}, den, table, bound)
+
+
+@lru_cache(maxsize=64)
+def _partitions(r, bound):
+    """The partitions of 0..bound into at most r parts, each a decreasing
+    tuple of r parts, zeros last: the dominant monomials of the symmetric
+    polynomials in r roots truncated at ``bound``."""
+    parts = [((), bound, bound)]  # (parts so far, degree left, last part)
+    for _ in range(r):
+        parts = [(lam + (k,), left - k, k) for lam, left, last in parts
+                 for k in range(min(left, last) + 1)]
+    return tuple(lam for lam, _, _ in parts)
 
 
 def _inverse_components(parts, head, top):

@@ -582,19 +582,37 @@ def test_setup_file_with_negative_rank_is_refused(tmp_path, capsys):
     b'{"bundles": [{"name": "E-1", "rank": 1}, {"name": "E", "rank": 2}]}',
     b'{"bundles": [{"name": "", "rank": 1}, {"name": "E", "rank": 2}]}',
     b'{"bundles": [{"name": "\\u00c9", "rank": 1}, {"name": "E", "rank": 2}]}',
+    b'{"bundles": [{"name": "E", "rank": 2, "rnak": 5}], "trunction": 3}',
+    b'{"bundle": [{"name": "E", "rank": 2}]}',
+    b'{"bundles": [{"name": "E", "rank": 2, "rnak": 5}]}',
 ], ids=["not-utf8", "fractional-rank", "boolean-truncation",
         "fractional-relative-dimension", "bundle-named-O", "list-name",
         "numeric-name", "duplicate-names", "rank-0",
         "truncation-at-relative-dimension", "boolean-rank", "name-with-space",
-        "digit-name", "name-with-minus", "empty-name", "non-ascii-name"])
+        "digit-name", "name-with-minus", "empty-name", "non-ascii-name",
+        "misspelt-keys", "misspelt-bundles", "misspelt-bundle-key"])
 def test_bad_setup_files_are_refused(content, tmp_path, capsys):
     # Not UTF-8, a non-integer read strictly (2.7 was read as 2, true as 1),
     # a bundle named like the trivial line or by anything the expression
     # grammar cannot read as a name (no expression names the bundle 5 or
-    # "a b"), and declarations ``Setup`` refuses.
+    # "a b"), declarations ``Setup`` refuses, and keys outside the
+    # documented set ("trunction" ran at truncation 8, and "bundle"
+    # declared no bundle at all).
     path = tmp_path / "setup.json"
     path.write_bytes(content)
     assert_usage_error(["eval", "c(2,E)", "--setup", str(path)], capsys)
+
+
+@pytest.mark.parametrize("setup, key", [
+    ({"bundles": [{"name": "E", "rank": 2}], "trunction": 3}, "trunction"),
+    ({"bundle": [{"name": "E", "rank": 2}]}, "bundle"),
+    ({"bundles": [{"name": "E", "rank": 2, "rnak": 5}]}, "rnak"),
+])
+def test_an_unknown_setup_key_is_named(setup, key, tmp_path, capsys):
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps(setup))
+    err = assert_usage_error(["eval", "1", "--setup", str(path)], capsys)
+    assert f"unknown key {key!r}" in err
 
 
 def test_setup_that_is_a_directory_is_refused(tmp_path, capsys):
