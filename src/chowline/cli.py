@@ -13,7 +13,8 @@ Exit codes: 0 when every verdict is true, 1 when a verification fails,
 error the library raises on its input, or an integer of more digits than
 the interpreter reads or prints.  The report of a failed verdict shows
 the residual for ``verify borel-serre``; a boolean per degree for
-``whitney``, ``dual``, ``tensor-line`` and ``segre``; a count of failures
+``dual``, ``tensor-line`` and ``segre``, and for ``whitney`` with the
+first failing point and its two values; a count of failures
 for ``ch-mult``; the two values compared for ``hrr``, ``c1-pairing`` and
 ``grr``; the degree and two booleans for ``deligne``; and the verdict
 alone for ``restriction``.
@@ -475,12 +476,17 @@ def series_report(series):
     """Chern-basis presentation of a class, with rationals as strings:
     ``text`` as ``str`` writes the polynomial, and ``by_degree`` its terms
     by degree.  Each term is rendered once, in graded-lexicographic order:
-    its coefficient's text from one gcd, and its monomial's text once."""
+    its coefficient's text from one gcd, and its monomial's text once,
+    decoded from the fields of the variables that occur."""
     basis = series.chern_basis()
     table, den = basis.grades, basis.den
+    mask, dshift = table.mask, table.dshift
+    seen = functools.reduce(int.__or__, basis.nums, 0)
+    fields = [(v, s) for v, s in sorted(table.shift.items()) if seen >> s & mask]
     by_degree, terms = {}, []
-    for degree, mono, n in sorted((m >> table.dshift, table.decode(m), n)
-                                  for m, n in basis.nums.items()):
+    for degree, mono, n in sorted(
+            (m >> dshift, tuple([(v, e) for v, s in fields if (e := m >> s & mask)]), n)
+            for m, n in basis.nums.items()):
         g = gcd(n, den)
         coeff = str(n // g) if g == den else f"{n // g}/{den // g}"
         body = monomial_text(mono)
@@ -680,9 +686,9 @@ def _chern_degrees(args, setup, default, low=0):
     return [args.degree]
 
 
-# --count is bounded: whitney holds the points of a degree at once, and
-# its time and memory grow with them.  In process (2-vCPU Xeon VM),
-# ``--ranks 3,3`` took 0.24 s at 1,000 points and 3.6 s and 28 MB at
+# --count is bounded: whitney holds a request's points and their e_k at
+# once, and its time and memory grow with them.  In process (2-vCPU Xeon
+# VM), ``--ranks 3,3`` took 0.11 s at 1,000 points and 2.7 s and 35 MB at
 # 20,000; ch-mult took 1.1 s at 1,000 pairs of random bundles.
 COUNT_LIMIT = 1_000
 
@@ -708,9 +714,11 @@ def verify_whitney(args):
     """c_k(A + B) = sum_i c_i(A) c_{k-i}(B) by two routes: ``exact``
     compares e_k of the concatenated roots with the Whitney expansion as
     polynomials, and ``samples`` compares the expansion's value at
-    --count random rational points with e_k of the points' coordinates,
-    which ``dcoh.elementary_symmetric_value`` forms without the
-    polynomial kernel."""
+    --count random rational points, drawn once per request, with e_k of
+    their coordinates, which ``dcoh.elementary_symmetric_values`` forms
+    for every degree at once without the polynomial kernel.  A failing
+    degree carries its first failing point and the two values as exact
+    strings (``counterexample``)."""
     ranks = args.ranks or [2, 2]
     if len(ranks) != 2:
         raise ValidationError(f"--ranks takes two ranks, got {len(ranks)}")
@@ -720,18 +728,23 @@ def verify_whitney(args):
     with dcoh.kept(Setup, [("A", r1), ("B", r2)], 0,
                    default_truncation(args)) as setup:
         roots = setup.root_vars("A") + setup.root_vars("B")
-        for k in _chern_degrees(args, setup, range(r1 + r2 + 1)):
+        degrees = _chern_degrees(args, setup, range(r1 + r2 + 1))
+        points = [{v: _SAMPLE_VALUES[rng.randrange(-9, 10), rng.randrange(1, 6)]
+                   for v in roots} for _ in range(count)]
+        values = [dcoh.elementary_symmetric_values(max(degrees), point.values())
+                  for point in points]
+        for k in degrees:
             rhs = whitney_expand(setup, "A", "B", k)
             exact = rhs.poly == elem_sym(k, roots, setup.grades,
                                          setup.truncation)
-            points = [{v: _SAMPLE_VALUES[rng.randrange(-9, 10),
-                                         rng.randrange(1, 6)]
-                       for v in setup.grades} for _ in range(count)]
-            samples = all(rhs.poly.evaluate(point)
-                          == dcoh.elementary_symmetric_value(
-                              k, [point[v] for v in roots])
-                          for point in points)
-            checks.append({"degree": k, "exact": exact, "samples": samples})
+            check = {"degree": k, "exact": exact, "samples": True}
+            for point, e in zip(points, values):
+                if (value := rhs.poly.evaluate(point)) != e[k]:
+                    check.update(samples=False, counterexample={
+                        "point": {v: str(x) for v, x in point.items()},
+                        "expansion": str(value), "elementary": str(e[k])})
+                    break
+            checks.append(check)
     ok = all(check["exact"] and check["samples"] for check in checks)
     return {"identity": "whitney", "ranks": [r1, r2], "checks": checks}, ok
 

@@ -21,9 +21,9 @@ of the limits the constructor reads (``kept``, ``with_kept``): the
 families' towers and the command line's setups alike, under one key
 each, one bound and one lock.  The oracle itself builds no ring.
 
-``elementary_symmetric_value`` is a second oracle, for ``verify
-whitney``: e_k of rational numbers by an integer recurrence, with nothing
-from the polynomial kernel.
+``elementary_symmetric_values`` is a second oracle, for ``verify
+whitney``: e_0..e_k of rational numbers by one integer recurrence, with
+nothing from the polynomial kernel.
 """
 
 from __future__ import annotations
@@ -102,15 +102,15 @@ def chi_projective_space(n, d):
     return prod(range(d + 1, d + n + 1)) // factorial(n)
 
 
-def elementary_symmetric_value(k, values):
-    """e_k of a list of rationals (ints or Fractions): the sum over its
-    k-element sublists of their products, so e_0 = 1 and e_k = 0 for k
-    above the list's length.
+def elementary_symmetric_values(k, values):
+    """[e_0, ..., e_k] of a list of rationals (ints or Fractions): e_j is
+    the sum over its j-element sublists of their products, so e_0 = 1 and
+    e_j = 0 for j above the list's length.
 
     The point route of ``verify whitney``, which builds no polynomial:
     with the values written a_i / q over their common denominator q, the
     integers e_j(a_1..a_i) = e_j(a_1..a_{i-1}) + a_i e_{j-1}(a_1..a_{i-1})
-    are summed for j <= k, and e_k of the values is e_k(a) / q^k.
+    are summed for j <= k, and e_j of the values is e_j(a) / q^j.
     """
     if k < 0:
         raise ValueError("elementary symmetric degree must be >= 0")
@@ -120,7 +120,12 @@ def elementary_symmetric_value(k, values):
         a = x.numerator * (q // x.denominator)
         for j in range(min(i, k), 0, -1):
             e[j] += a * e[j - 1]
-    return Fraction(e[k], q ** k)
+    return [Fraction(n, q ** j) for j, n in enumerate(e)]
+
+
+def elementary_symmetric_value(k, values):
+    """e_k of a list of rationals, read from ``elementary_symmetric_values``."""
+    return elementary_symmetric_values(k, values)[k]
 
 
 def _chi(n, d):

@@ -15,9 +15,10 @@ solved from the supplied symmetry elements as an integer linear system,
 with the order-2 constraint imposed rather than assumed.
 
 Everything reduces to exact integer linear algebra via the Smith normal
-form, which is implemented here with full transformation matrices.  Each
-group is reduced once, when it is built, and keeps its form: invariants,
-membership and the solve for eps all read it.
+form, reached by one elimination routine.  Each group is reduced once,
+when it is built, and keeps its diagonal and row transform U for its
+invariants and membership; a solve, for eps or a group's relation
+coefficients, forms neither transform (``solve_relations``).
 """
 
 from __future__ import annotations
@@ -98,20 +99,17 @@ def _cols(A, i, j, a, b, c, d):
                 row[i], row[j] = a * s + b * t, c * s + d * t
 
 
-def smith_normal_form(matrix):
-    """Smith normal form with transforms: U @ M @ V = D.
+def _eliminate(T, n):
+    """Bring the first n columns of the rows T to Smith form in place, and
+    return (diagonal, moves).  Entries past column n ride the row moves,
+    so they end up multiplied by U; the column moves, the (i, j, a, b, c,
+    d) of ``_cols`` in order, multiply to V."""
+    m, moves = len(T), []
 
-    Returns (diagonal, U, V) where ``diagonal`` lists d_1, ..., d_r with
-    the divisibility chain d_1 | d_2 | ... (zeros trailing), and U, V are
-    unimodular.  The cokernel of M (rows = generators) is
-    Z^{rows - #nonzero} (+) sum_i Z/d_i.
-    """
-    M = [list(map(int, row)) for row in matrix]
-    m = len(M)
-    n = len(M[0]) if M else 0
-    # Moves on rows and columns of T = [[M, I_m], [I_n]] act on M and U or
-    # on M and V at once, so the top-left block stays U @ M @ V.
-    T = [row + e for row, e in zip(M, identity_matrix(m))] + identity_matrix(n)
+    def cols(*move):
+        _cols(T, *move)
+        moves.append(move)
+
     rank_bound = min(m, n)
     for k in range(rank_bound):
         if not T[k][k]:
@@ -119,7 +117,7 @@ def smith_normal_form(matrix):
             if pivot is None:
                 break
             _rows(T, k, pivot[0], 0, 1, 1, 0)
-            _cols(T, k, pivot[1], 0, 1, 1, 0)
+            cols(k, pivot[1], 0, 1, 1, 0)
         # Clear column k below the pivot and row k right of it.
         while True:
             for i in range(k + 1, m):
@@ -129,7 +127,7 @@ def smith_normal_form(matrix):
                 break
             for j in range(k + 1, n):
                 if T[k][j]:
-                    _cols(T, k, j, *_step(T[k][k], T[k][j]))
+                    cols(k, j, *_step(T[k][k], T[k][j]))
     # Divisibility: fix diagonal pairs (a, b) by moves on both sides.
     for i in range(rank_bound):
         for j in range(i + 1, rank_bound):
@@ -139,11 +137,50 @@ def smith_normal_form(matrix):
                 # equals diag(g, a*b/g); both factors are unimodular.
                 x, y, r, s = _step(a, b)
                 _rows(T, i, j, x, y, r, s)
-                _cols(T, i, j, 1, 1, y * r, x * s)
+                cols(i, j, 1, 1, y * r, x * s)
     for i in range(rank_bound):
         if T[i][i] < 0:
             _rows(T, i, i, -1, 0, 0, -1)  # i == j: negate row i
-    return [T[i][i] for i in range(rank_bound)], [row[n:] for row in T[:m]], T[m:]
+    return [T[i][i] for i in range(rank_bound)], moves
+
+
+def smith_normal_form(matrix):
+    """Smith normal form with transforms: U @ M @ V = D.
+
+    Returns (diagonal, U, V) where ``diagonal`` lists d_1, ..., d_r with
+    the divisibility chain d_1 | d_2 | ... (zeros trailing), and U, V are
+    unimodular.  The cokernel of M (rows = generators) is
+    Z^{rows - #nonzero} (+) sum_i Z/d_i.
+    """
+    M = [list(map(int, row)) for row in matrix]
+    n = len(M[0]) if M else 0
+    T = [row + e for row, e in zip(M, identity_matrix(len(M)))]  # I_m -> U
+    diagonal, moves = _eliminate(T, n)
+    V = identity_matrix(n)
+    for move in moves:
+        _cols(V, *move)
+    return diagonal, [row[n:] for row in T], V
+
+
+def solve_relations(columns, vector):
+    """Integers x with sum_j x_j * columns[j] == vector, or None: R x = v
+    through U R V = D, forming neither U nor V.  v rides the reduction of R
+    and becomes U v; D y = U v is solved entry by entry; and x = V y, the
+    very V @ y of ``smith_normal_form``, is the column moves replayed on y,
+    last first."""
+    n = len(columns)
+    T = [[c[i] for c in columns] + [v] for i, v in enumerate(vector)]
+    diagonal, moves = _eliminate(T, n)
+    y = [0] * n
+    for i, row in enumerate(T):
+        c, d = row[n], diagonal[i] if i < len(diagonal) else 0
+        if c % d if d else c:
+            return None
+        if d:
+            y[i] = c // d
+    for i, j, a, b, c, d in reversed(moves):
+        y[i], y[j] = a * y[i] + c * y[j], b * y[i] + d * y[j]
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +195,10 @@ class FGAbelianGroup:
     Isomorphism type is carried by (free rank, invariant factors).
 
     The relation matrix R, one column per relation, is put in Smith form
-    once, U R V = D, and the group keeps ``(diagonal, U, V)``: the
-    invariants are read from the diagonal, membership from U and the
-    diagonal (``element_is_zero``), and solving from all three
-    (``relation_coefficients``).
+    once, U R V = D, and the group keeps ``(diagonal, U)``: the invariants
+    are read from the diagonal and membership from U and the diagonal
+    (``element_is_zero``).  ``relation_coefficients`` solves afresh with
+    ``solve_relations``, which forms neither U nor V.
     """
 
     def __init__(self, generators, relations=()):
@@ -174,10 +211,8 @@ class FGAbelianGroup:
         for r in self.relations:
             if len(r) != self.generators:
                 raise ValueError("relation length must equal generator count")
-        self.diagonal, self.U, self.V = smith_normal_form(
+        self.diagonal, self.U, _ = smith_normal_form(
             [[r[i] for r in self.relations] for i in range(self.generators)])
-        if not self.generators:  # no rows to carry V's size
-            self.V = identity_matrix(len(self.relations))
         nonzero = [d for d in self.diagonal if d]
         self.free_rank = self.generators - len(nonzero)
         self.torsion = [d for d in nonzero if d != 1]
@@ -224,33 +259,22 @@ class FGAbelianGroup:
     def __hash__(self):
         return hash(self.invariants())
 
-    def _diagonal_solution(self, vector):
-        """y with D y = U v, or None when there is none.
-
-        R x = v becomes D y = U v with x = V y: solvable iff each d_i
-        divides (U v)_i, and (U v)_i vanishes past the nonzero d_i.
-        """
-        if len(vector) != self.generators:
-            raise ValueError("element length must equal generator count")
-        y = [0] * len(self.relations)
-        for i, c in enumerate(mat_vec(self.U, vector)):
-            d = self.diagonal[i] if i < len(self.diagonal) else 0
-            if c % d if d else c:
-                return None
-            if d:
-                y[i] = c // d
-        return y
-
     def relation_coefficients(self, vector):
-        """Integers x with sum_j x_j * relations[j] == vector, or None:
-        x = V y for the y of ``_diagonal_solution``."""
-        y = self._diagonal_solution(vector)
-        return None if y is None else mat_vec(self.V, y)
+        """Integers x with sum_j x_j * relations[j] == vector, or None."""
+        if self.element_is_zero(vector):
+            return solve_relations(self.relations, vector)
 
     def element_is_zero(self, vector):
         """Whether the vector lies in the relation lattice, read from U v
-        and the diagonal alone."""
-        return self._diagonal_solution(vector) is not None
+        and the diagonal alone: each d_i divides (U v)_i, and (U v)_i
+        vanishes past the nonzero d_i."""
+        if len(vector) != self.generators:
+            raise ValueError("element length must equal generator count")
+        for i, c in enumerate(mat_vec(self.U, vector)):
+            d = self.diagonal[i] if i < len(self.diagonal) else 0
+            if c % d if d else c:
+                return False
+        return True
 
     def hom(self, other):
         """Hom(self, other) as an abstract f.g. abelian group.
@@ -509,7 +533,7 @@ def _solve_sign_homomorphism(skeleton, pi0, pi1):
             column[c_index * p:(c_index + 1) * p] = rel
             columns.append(column)
     rhs = [x for _, target in constraints for x in target]
-    solution = FGAbelianGroup(equations, columns).relation_coefficients(rhs)
+    solution = solve_relations(columns, rhs)
     if solution is None:
         raise InvalidSymmetryData(
             "no order-2 homomorphism matches the supplied symmetry elements")

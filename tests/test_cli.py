@@ -239,6 +239,37 @@ def test_whitney_samples_catch_a_wrong_class_that_exact_accepts(
     assert code == 1 and report["ok"] is False
 
 
+def test_a_failing_whitney_degree_names_a_point_that_fails(
+        monkeypatch, capsys):
+    """The expansion patched to e_k plus the k-th power of the first root:
+    every degree fails, and names a point at which the patched class and
+    e_k of the coordinates take the two values it prints."""
+    setup = Setup([("A", 2), ("B", 1)], 0, 3)
+    roots = setup.root_vars("A") + setup.root_vars("B")
+
+    def wrong_whitney_expand(setup, first, second, k):
+        first_root = Poly.var(roots[0], setup.grades, setup.truncation)
+        return ChernSeries(setup, elem_sym(k, roots, setup.grades,
+                                           setup.truncation) + first_root ** k)
+
+    monkeypatch.setattr(cli, "whitney_expand", wrong_whitney_expand)
+    code = main(["verify", "whitney", "--ranks", "2,1", "--truncation", "3",
+                 "--seed", "3", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["ok"] is False
+    checks = report["report"]["checks"]
+    assert [check["degree"] for check in checks] == [0, 1, 2, 3]
+    for check in checks:
+        k, found = check["degree"], check["counterexample"]
+        assert check["samples"] is False and list(found["point"]) == roots
+        point = {v: Fraction(x) for v, x in found["point"].items()}
+        wrong = wrong_whitney_expand(setup, "A", "B", k).poly.evaluate(point)
+        right = elem_sym(k, roots, setup.grades, 3).evaluate(point)
+        assert (found["expansion"], found["elementary"]) == (str(wrong),
+                                                            str(right))
+        assert wrong != right
+
+
 # The bytes ``verify whitney`` printed before its samples had a route of
 # their own: one report in full, two by SHA-256.
 WHITNEY_1_2 = """\

@@ -163,6 +163,21 @@ def test_elementary_symmetric_value_is_elem_sym_at_the_point(k, names, point):
     assert type(got) is Fraction and got == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 7), st.lists(st.sampled_from(POINT_NAMES), max_size=6),
+       st.fixed_dictionaries({v: POINT_VALUES for v in POINT_NAMES}))
+@example(3, ["u", "v"], dict.fromkeys(POINT_NAMES, 1))  # k above the length
+def test_one_pass_gives_every_degree_at_the_point(k, names, point):
+    grades = dict.fromkeys(POINT_NAMES, 1)
+    values = [point[v] for v in names]
+    got = dcoh.elementary_symmetric_values(k, values)
+    assert all(type(e) is Fraction for e in got)
+    assert got == [dcoh.elementary_symmetric_value(j, values)
+                   for j in range(k + 1)]
+    assert got == [elem_sym(j, names, grades, 8).evaluate(point)
+                   for j in range(k + 1)]
+
+
 def test_elementary_symmetric_value_refuses_a_negative_degree():
     with pytest.raises(ValueError):
         dcoh.elementary_symmetric_value(-1, [Fraction(1, 2)])

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
@@ -25,6 +25,7 @@ from chowline.picard import (
     picardify,
     rationalize,
     smith_normal_form,
+    solve_relations,
 )
 
 
@@ -249,7 +250,7 @@ def test_membership_agrees_with_solving_without_reading_v(presentation):
     g, relations, vector = presentation
     group = FGAbelianGroup(g, relations)
     solvable = group.relation_coefficients(vector) is not None
-    group.V = None  # membership reads U and the diagonal alone
+    assert not hasattr(group, "V")  # a group keeps (diagonal, U) alone
     assert group.element_is_zero(vector) == solvable
     with pytest.raises(ValueError):
         group.element_is_zero(vector + [0])
@@ -271,6 +272,75 @@ def test_membership_reads_the_kept_smith_form(monkeypatch):
     assert group.relation_coefficients([0, 0, 1]) is None
     assert pi0.element_is_zero([2, -2])
     assert not pi0.element_is_zero([1, -1])
+
+
+@st.composite
+def linear_systems(draw):
+    """R x = v for R of up to 21 rows and 18 columns, the sizes of the
+    sign systems of the benchmark's skeletons: entries in [-6, 6], or,
+    half the time, R = A B of lower rank.  v is R x for some x half the
+    time; otherwise it is drawn freely, and the system is mostly not
+    solvable."""
+    m, n = draw(st.integers(1, 21)), draw(st.integers(1, 18))
+
+    def matrix(rows, cols):
+        flat = draw(st.lists(st.integers(-6, 6), min_size=rows * cols,
+                             max_size=rows * cols))
+        return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+
+    if draw(st.booleans()):
+        R = matrix(m, n)
+    else:
+        k = draw(st.integers(0, min(m, n) - 1))
+        A, B = matrix(m, k), matrix(k, n)
+        R = [[sum(A[i][l] * B[l][j] for l in range(k)) for j in range(n)]
+             for i in range(m)]
+    if draw(st.booleans()):
+        vector = mat_vec(R, draw(st.lists(st.integers(-6, 6), min_size=n,
+                                          max_size=n)))
+    else:
+        vector = draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+    return R, vector
+
+
+def _largest_systems():
+    """A 21 x 18 system of rank 17, solvable and not."""
+    rng = random.Random(32)
+    A = [[rng.randint(-6, 6) for _ in range(17)] for _ in range(21)]
+    B = [[rng.randint(-6, 6) for _ in range(18)] for _ in range(17)]
+    R = [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+    x = [rng.randint(-6, 6) for _ in range(18)]
+    return (R, mat_vec(R, x)), (R, [rng.randint(-6, 6) for _ in range(21)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_systems())
+@example(_largest_systems()[0])
+@example(_largest_systems()[1])
+def test_the_solve_returns_exactly_v_times_y(system):
+    """``solve_relations`` forms neither U nor V, yet returns the very
+    integers V @ y that the transforms of ``smith_normal_form`` give (the
+    raw eps that ``chowline picard`` prints), or None with it."""
+    R, vector = system
+    diagonal, U, V = smith_normal_form(R)
+    y = [0] * len(V)
+    for i, c in enumerate(mat_vec(U, vector)):
+        d = diagonal[i] if i < len(diagonal) else 0
+        if c % d if d else c:
+            y = None
+            break
+        if d:
+            y[i] = c // d
+    expected = None if y is None else mat_vec(V, y)
+    columns = [list(column) for column in zip(*R)]
+    got = solve_relations(columns, vector)
+    assert got == expected
+    if got is not None:
+        assert mat_vec(R, got) == vector
+    group = FGAbelianGroup(len(R), columns)
+    assert group.relation_coefficients(vector) == expected
+    with pytest.raises(ValueError):
+        group.relation_coefficients(vector + [0])
 
 
 def test_a_negative_generator_count_is_refused():
@@ -491,6 +561,34 @@ def test_picardify_inconsistent_samples_rejected():
 
 
 # ------------------------------------------------------------- rationalize
+
+def test_picardify_reduces_no_matrix_larger_than_its_chain_groups(monkeypatch):
+    """The sign system (here 14 equations in 18 unknowns) is solved without
+    a Smith form, so each matrix that one picardify call reduces presents
+    pi0, the sample classes in pi0, or a chain group with a translation's
+    images.  The skeleton is the benchmark's picard#398: pi0 = Z + Z/6,
+    pi1 = Z/2 + Z/2, four samples."""
+    G = FGAbelianGroup(2, [[-38, -16], [24, 10]])
+    skeleton = GroupoidSkeleton(
+        monoid=MonoidPresentation(2, [((0, 0), (12, 18))]),
+        chain_start=[2, 1], chain_step=[1, 1], chain_groups=[G] * 4,
+        translations=[[[1, 0], [0, 1]]] * 3,
+        symmetry=[[43, 18], [38, 16], [81, 34], [152, 64]])
+    shapes = []
+    reduce = picard.smith_normal_form
+
+    def spy(matrix):
+        shapes.append((len(matrix), len(matrix[0]) if matrix else 0))
+        return reduce(matrix)
+
+    monkeypatch.setattr(picard, "smith_normal_form", spy)
+    out = picardify(skeleton)
+    assert (str(out.pi0), str(out.pi1)) == ("Z + Z/6", "Z/2 + Z/2")
+    rows = max(skeleton.monoid.generators, G.generators)
+    columns = max(len(skeleton.symmetry) + len(skeleton.monoid.relations),
+                  G.generators + len(G.relations))
+    assert shapes and all(m <= rows and n <= columns for m, n in shapes), shapes
+
 
 def test_rationalize_kills_torsion_and_eps():
     out = picardify(finite_sets_skeleton())
