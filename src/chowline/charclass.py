@@ -25,8 +25,10 @@ An additive class phi acts by phi_0 * rank + sum over roots of the
 positive part, summed with each root's multiplicity in one accumulator
 of integer numerators over one denominator and reduced once; a
 multiplicative class psi (psi(0) = 1) acts by the product of psi(root),
-started from the first factor; a summand of negative multiplicity takes
-1/psi, inverted once as a univariate series, at each of its roots.
+started from the first factor; a summand of multiplicity m takes psi^m
+at each of its roots, raised once per m as a univariate series by
+``_power``, the one routine that raises a class series to a multiplicity,
+which the partition route shares.
 
 Every series is a ``PowerSeries``, integer numerators over one
 denominator, and every application to a root goes through
@@ -59,7 +61,7 @@ from .symfun import (
     todd_series,
     todd_star_series,
 )
-# Unused here since negative multiplicities invert per root, but still
+# Unused here since multiplicities raise the univariate series, but still
 # bound in this module: perfbench/layers.py traces it at this binding.
 from .symfun import series_invert  # noqa: F401
 
@@ -323,20 +325,18 @@ def evaluate_class_in_ring(spec, virtual, ring):
                 else:
                     del nums[mono]
         return ring.from_poly(_lowest(nums, common, table, bound))
-    inverse = None
+    f = _series_to_bound(spec.series, bound)
+    # psi^m, formed at the first nonzero root of each m: a tower's td has
+    # a -O summand whose only root is 0, and it inverts nothing.
+    powers = {1: f}
     total = None
     for m, roots in summands:
         for root in roots:
             if not root.nums:
                 continue
-            if m > 0:
-                value = spec.series.apply_to(root)
-            else:
-                if inverse is None:
-                    inverse = _series_to_bound(spec.series, bound).inverse()
-                value = inverse.apply_to(root)
-            if abs(m) != 1:
-                value = value ** abs(m)
+            if m not in powers:
+                powers[m] = _power(f, m)
+            value = powers[m].apply_to(root)
             total = value if total is None else total * value
     return ring.const(1) if total is None else ring.from_poly(total)
 

@@ -10,6 +10,9 @@ rank triviality (c_k(E) = 0 for k > rk E) is structural rather than an
 imposed relation.  Segre classes s = 1/c, the Chern classes recovered
 from them, and ``ChernSeries.inverse`` all invert a graded unit, and all
 go through the one degree-by-degree recurrence of ``symfun``.
+``elementary_classes``, e_k of explicit roots by a recursion of its own,
+is the one oracle of duality (negated roots) and twisting (roots shifted
+by c_1(L)), as the splitting principle states them.
 
 A setup is fixed once built, so its Chern classes, its Segre classes and
 the Chern classes recovered from those are ring constants: each is
@@ -442,18 +445,18 @@ def tensor_line(setup, name, line, k):
                                               setup.truncation))
 
 
-def tensor_line_oracle_classes(setup, name, line, top):
-    """[e_0, ..., e_top] of the shifted roots {x_j + l}, in one pass.
-    Kept separate so the closed formula has an independent check: it
-    reads no Chern class of E, only the roots, and shares with
-    ``tensor_line`` only the pair loop of ``sum_of_products``."""
-    ell = chern_class(setup, line, 1).poly
-    shifted = [root + ell for root in setup.roots(name)]
+def elementary_classes(setup, roots, top):
+    """[e_0, ..., e_top] of explicit root polynomials, in one pass: the
+    oracle of ``verify dual`` (the negated roots of E) and ``verify
+    tensor-line`` (the shifted roots x_j + c_1(L)).  Kept separate so the
+    closed formulas have an independent check: it reads no Chern class,
+    only the roots, and shares with what it checks only the pair loop of
+    ``sum_of_products``."""
     one = Poly.const(1, setup.grades, setup.truncation)
     # e_0..e_top of explicit polynomials, by dynamic programming over
     # prod_j (1 + t x_j): layer i is the coefficient of t^i.
     layers = [one] + [setup.zero().poly] * top
-    for j, x in enumerate(shifted):
+    for j, x in enumerate(roots):
         for i in range(min(top, j + 1), 0, -1):
             layers[i] = sum_of_products([(1, layers[i], one),
                                          (1, layers[i - 1], x)],

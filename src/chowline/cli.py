@@ -21,7 +21,11 @@ alone for ``restriction``.
 
 ``eval`` computes in the setup's Chern-basis ring (``Setup.basis``): see
 ``Evaluator`` for which classes take the partition route of
-``charclass.evaluate_class_in_ring`` and which the Chern roots.
+``charclass.evaluate_class_in_ring`` and which the Chern roots.  Its
+report renders the class by ``Poly.rendered_terms``, as ``str`` does.
+``verify dual`` and ``verify tensor-line`` check their closed formulas
+against one root oracle, ``chern_ring.elementary_classes``, on the
+negated and on the shifted roots of E.
 
 A request is read and written without the generic paths of argparse and
 json where they are not needed.  ``parse_arguments`` reads a well-formed
@@ -43,16 +47,15 @@ from collections import namedtuple
 from contextlib import ExitStack
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd
 
 from . import charclass, dcoh, picard, pushforward
 from .chern_ring import (
     Setup,
     chern_class,
     dual_class,
+    elementary_classes,
     segre_class,
     tensor_line,
-    tensor_line_oracle_classes,
     whitney_expand,
 )
 from .charclass import CharClassSpec, VirtualBundle, evaluate_class_in_ring
@@ -61,13 +64,7 @@ from .errors import (
     ExprSyntaxError,
     ValidationError,
 )
-from .poly import (
-    Poly,
-    PowerSeries,
-    monomial_text,
-    sum_of_products,
-    terms_text,
-)
+from .poly import PowerSeries, sum_of_products, terms_text
 from .symfun import elem_sym
 
 # ---------------------------------------------------------------------------
@@ -475,23 +472,11 @@ FUNCTIONS = {
 def series_report(series):
     """Chern-basis presentation of a class, with rationals as strings:
     ``text`` as ``str`` writes the polynomial, and ``by_degree`` its terms
-    by degree.  Each term is rendered once, in graded-lexicographic order:
-    its coefficient's text from one gcd, and its monomial's text once,
-    decoded from the fields of the variables that occur."""
-    basis = series.chern_basis()
-    table, den = basis.grades, basis.den
-    mask, dshift = table.mask, table.dshift
-    seen = functools.reduce(int.__or__, basis.nums, 0)
-    fields = [(v, s) for v, s in sorted(table.shift.items()) if seen >> s & mask]
-    by_degree, terms = {}, []
-    for degree, mono, n in sorted(
-            (m >> dshift, tuple([(v, e) for v, s in fields if (e := m >> s & mask)]), n)
-            for m, n in basis.nums.items()):
-        g = gcd(n, den)
-        coeff = str(n // g) if g == den else f"{n // g}/{den // g}"
-        body = monomial_text(mono)
+    by degree, both from one ``Poly.rendered_terms``."""
+    terms = series.chern_basis().rendered_terms()
+    by_degree = {}
+    for degree, body, coeff in terms:
         by_degree.setdefault(str(degree), {})[body or "1"] = coeff
-        terms.append((body, coeff))
     return {"text": terms_text(terms), "by_degree": by_degree}
 
 
@@ -752,11 +737,12 @@ def verify_whitney(args):
 def verify_dual(args):
     r = args.rank or 3
     with dcoh.kept(Setup, [("E", r)], 0, default_truncation(args)) as setup:
-        sub = {v: -Poly.var(v, setup.grades, setup.truncation)
-               for v in setup.root_vars("E")}
-        checks = [{"degree": k, "exact": dual_class(setup, "E", k).poly
-                   == chern_class(setup, "E", k).poly.substitute(sub)}
-                  for k in _chern_degrees(args, setup, range(r + 1))]
+        degrees = _chern_degrees(args, setup, range(r + 1))
+        oracle = elementary_classes(
+            setup, [-root for root in setup.roots("E")], max(degrees))
+        checks = [{"degree": k,
+                   "exact": dual_class(setup, "E", k) == oracle[k]}
+                  for k in degrees]
     ok = all(check["exact"] for check in checks)
     return {"identity": "dual", "rank": r, "checks": checks}, ok
 
@@ -766,7 +752,9 @@ def verify_tensor_line(args):
     with dcoh.kept(Setup, [("E", r), ("L", 1)], 0,
                    default_truncation(args)) as setup:
         degrees = _chern_degrees(args, setup, range(r + 2))
-        oracle = tensor_line_oracle_classes(setup, "E", "L", max(degrees))
+        ell = chern_class(setup, "L", 1).poly
+        oracle = elementary_classes(
+            setup, [root + ell for root in setup.roots("E")], max(degrees))
         checks = [{"degree": k,
                    "exact": tensor_line(setup, "E", "L", k) == oracle[k]}
                   for k in degrees]

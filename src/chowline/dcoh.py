@@ -123,11 +123,6 @@ def elementary_symmetric_values(k, values):
     return [Fraction(n, q ** j) for j, n in enumerate(e)]
 
 
-def elementary_symmetric_value(k, values):
-    """e_k of a list of rationals, read from ``elementary_symmetric_values``."""
-    return elementary_symmetric_values(k, values)[k]
-
-
 def _chi(n, d):
     """chi(P^n, O(d)) as h^0 + (-1)^n h^n of ``cohomology_dims``, its only
     nonzero entries."""

@@ -222,10 +222,6 @@ class FGAbelianGroup:
         return cls(rank, [])
 
     @classmethod
-    def trivial(cls):
-        return cls(0, [])
-
-    @classmethod
     def cyclic(cls, order):
         """Z for order 0, else Z/order."""
         if order == 0:
@@ -435,12 +431,6 @@ class PicardInvariants:
             if not self.pi1.element_is_zero(column):
                 return False
         return True
-
-    def eps_of(self, element):
-        """Value of eps on a pi0 element (vector over pi0 generators)."""
-        if self.pi1.generators == 0:
-            return []
-        return mat_vec(self.eps, list(element))
 
     def describe(self):
         return {

@@ -12,10 +12,11 @@ integer numerators over one positive common denominator, in lowest terms
 polynomial has denominator 1).  Sums, products and scalings therefore do
 integer arithmetic only, plus one gcd reduction per result, and
 ``evaluate`` divides once; products, ``substitute`` and ``sum_of_products``
-share one pair loop.  Outside this module only ``symfun`` (the orbits of
-``to_chern_basis``, which also check a class's symmetry, and ``elem_sym``,
-which sums packed units), the tower kernel and ``push_level`` of
-``pushforward``, and the additive sum of
+share one pair loop (no subcommand reaches ``substitute`` or ``**``, which
+tests keep as references).  Outside this module only ``symfun`` (the
+orbits of ``to_chern_basis``, which also check a class's symmetry, and
+``elem_sym``, which sums packed units), the tower kernel and
+``push_level`` of ``pushforward``, and the additive sum of
 ``charclass.evaluate_class_in_ring`` read that form, to reduce integer
 numerators over ``den`` and to read, add or shift packed monomials;
 everything else sees ``Poly.terms``, which presents each coefficient as
@@ -41,7 +42,8 @@ kernel, monomials are tuples of (variable, exponent) pairs sorted by
 variable name, as ``terms``, ``coefficient`` and ``sorted_terms`` present
 them.  With the reduced denominator the stored form is canonical: two
 polynomials of one table are equal iff their denominators and numerator
-dictionaries are equal.
+dictionaries are equal.  ``rendered_terms`` is the one rendering of the
+terms as text, which ``str`` and ``cli.series_report`` share.
 """
 
 from __future__ import annotations
@@ -591,9 +593,27 @@ class Poly:
         items = sorted((m >> dshift, decode(m), n) for m, n in self.nums.items())
         return [(mono, _exact(n, self.den)) for _, mono, n in items]
 
+    def rendered_terms(self):
+        """(degree, monomial text, coefficient text) of each term, in the
+        order of ``sorted_terms``: the one rendering of ``__str__`` and
+        ``cli.series_report``.  Only the fields of the variables that
+        occur are decoded, and each coefficient takes one gcd."""
+        table, den = self.grades, self.den
+        mask, dshift = table.mask, table.dshift
+        seen = reduce(int.__or__, self.nums, 0)
+        fields = [(v, s) for v, s in table._fields if seen >> s & mask]
+        out = []
+        for degree, mono, n in sorted(
+                (m >> dshift, tuple([(v, e) for v, s in fields
+                                     if (e := m >> s & mask)]), n)
+                for m, n in self.nums.items()):
+            g = gcd(n, den)
+            out.append((degree, monomial_text(mono),
+                        str(n // g) if g == den else f"{n // g}/{den // g}"))
+        return out
+
     def __str__(self):
-        return terms_text((monomial_text(mono), str(coeff))
-                          for mono, coeff in self.sorted_terms())
+        return terms_text(self.rendered_terms())
 
     def __repr__(self):
         return f"Poly({self})"
@@ -605,12 +625,11 @@ def monomial_text(mono):
 
 
 def terms_text(terms):
-    """The text of a polynomial from its terms in order, each a pair of
-    texts: the monomial's (``monomial_text``) and the coefficient's.  It
-    is ``0`` for none; a coefficient 1 or -1 is left out before a
-    monomial, and a negative term is joined by `` - ``."""
+    """The text of a polynomial from its ``rendered_terms``.  It is ``0``
+    for none; a coefficient 1 or -1 is left out before a monomial, and a
+    negative term is joined by `` - ``."""
     out = ""
-    for body, coeff in terms:
+    for _, body, coeff in terms:
         if not body:
             piece = coeff
         elif coeff in ("1", "-1"):

@@ -165,19 +165,20 @@ def test_ch_tensor_rank_two_by_line():
 
 # ------------------------------------------------------ structural properties
 
-def random_virtual_tree(rng, names, depth):
+def random_virtual_tree(rng, names, depth, scales=(-1, 2)):
     if depth == 0 or rng.random() < 0.3:
         return VirtualBundle.bundle(rng.choice(names))
     op = rng.choice(["sum", "tensor", "dual", "scale"])
     if op == "sum":
-        return (random_virtual_tree(rng, names, depth - 1)
-                + random_virtual_tree(rng, names, depth - 1))
+        return (random_virtual_tree(rng, names, depth - 1, scales)
+                + random_virtual_tree(rng, names, depth - 1, scales))
     if op == "tensor":
-        return (random_virtual_tree(rng, names, depth - 1)
-                * random_virtual_tree(rng, names, depth - 1))
+        return (random_virtual_tree(rng, names, depth - 1, scales)
+                * random_virtual_tree(rng, names, depth - 1, scales))
     if op == "dual":
-        return random_virtual_tree(rng, names, depth - 1).dual()
-    return rng.choice([-1, 2]) * random_virtual_tree(rng, names, depth - 1)
+        return random_virtual_tree(rng, names, depth - 1, scales).dual()
+    return rng.choice(scales) * random_virtual_tree(rng, names, depth - 1,
+                                                     scales)
 
 
 def test_additive_classes_are_additive():
@@ -361,14 +362,17 @@ CLASS_SERIES = [
                          ids=["ch", "additive", "td", "multiplicative"])
 def test_evaluation_matches_the_stepwise_loop(kind, series):
     # Random trees of sums, tensor products (several-term roots), duals
-    # and multiplicities -1 and 2, so terms cancel across summands.
+    # and multiplicities -1 and 2, so terms cancel across summands; then
+    # trees with multiplicities -3, 3 and -100000 as well, each raising
+    # the series once (``_power``) where the loop raises each root's value.
     rng = random.Random(21)
     s = make_setup(truncation=5, A=1, B=2, C=2)
     spec = CharClassSpec(kind, series)
-    for _ in range(20):
-        v = random_virtual_tree(rng, ["A", "B", "C"], 3)
-        assert evaluate_class_in_ring(spec, v, s) == stepwise_evaluation(
-            spec, v, s)
+    for scales in ((-1, 2), (-1, 2, -3, 3, -100000)):
+        for _ in range(20):
+            v = random_virtual_tree(rng, ["A", "B", "C"], 3, scales)
+            assert evaluate_class_in_ring(spec, v, s) == stepwise_evaluation(
+                spec, v, s)
 
 
 def tower_line(t, coeffs):

@@ -13,9 +13,9 @@ from chowline.chern_ring import (
     chern_class,
     chern_from_segre,
     dual_class,
+    elementary_classes,
     segre_class,
     tensor_line,
-    tensor_line_oracle_classes,
     whitney_expand,
 )
 from chowline.errors import (
@@ -36,6 +36,12 @@ def total_chern_class(setup, name):
 
 def make_setup(**ranks):
     return Setup([(n, r) for n, r in ranks.items()], 0, 8)
+
+
+def shifted_roots(setup):
+    """The roots x_j + c_1(L) of E (x) L."""
+    ell = chern_class(setup, "L", 1).poly
+    return [root + ell for root in setup.roots("E")]
 
 
 def random_root_values(setup, rng):
@@ -177,8 +183,8 @@ def test_tensor_line_matches_shifted_root_oracle():
     for r in range(1, 6):
         s = Setup([("E", r), ("L", 1)], 0, 8)
         for k in range(6):
-            assert tensor_line(s, "E", "L", k) == tensor_line_oracle_classes(
-                s, "E", "L", k)[k]
+            assert tensor_line(s, "E", "L", k) == elementary_classes(
+                s, shifted_roots(s), k)[k]
 
 
 def test_tensor_line_printed_variant_fails_at_rank_two():
@@ -192,7 +198,7 @@ def test_tensor_line_printed_variant_fails_at_rank_two():
         if coeff:
             variant = variant + chern_class(s, "E", k - i) * (
                 chern_class(s, "L", 1) ** i) * coeff
-    oracle = tensor_line_oracle_classes(s, "E", "L", k)[k]
+    oracle = elementary_classes(s, shifted_roots(s), k)[k]
     diff = oracle - variant
     ell = chern_class(s, "L", 1)
     assert diff == ell * ell
@@ -293,8 +299,8 @@ def test_identity_root_evaluation_oracle():
         k = rng.randint(0, min(8, r + 1))
         values = sample(s)
         lhs = tensor_line(s, "E", "L", k).poly.evaluate(values)
-        rhs = tensor_line_oracle_classes(
-            s, "E", "L", k)[k].poly.evaluate(values)
+        rhs = elementary_classes(
+            s, shifted_roots(s), k)[k].poly.evaluate(values)
         assert lhs == rhs
 
     for _ in range(100):

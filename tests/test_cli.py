@@ -8,8 +8,8 @@ from math import comb
 
 import pytest
 
-from chowline import cli
-from chowline.chern_ring import ChernSeries, Setup
+from chowline import cli, poly
+from chowline.chern_ring import ChernSeries, Setup, chern_class
 from chowline.cli import (
     POWER_BITS_LIMIT,
     POWER_LIMIT,
@@ -20,6 +20,7 @@ from chowline.cli import (
 from chowline.errors import ExprSyntaxError, ValidationError
 from chowline.poly import Poly
 from chowline.symfun import elem_sym
+from test_requests import _empty
 
 
 @pytest.fixture()
@@ -328,6 +329,108 @@ def test_whitney_report_keeps_its_bytes(monkeypatch, capsys):
 def test_whitney_reports_keep_their_digests(argv, digest, monkeypatch, capsys):
     monkeypatch.delenv("CHOWLINE_TRUNCATION", raising=False)
     assert main(["verify", "whitney", *argv, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ------------------------------------------------------- the root oracle
+
+def _verdicts(argv, capsys):
+    """(exit code, {degree: exact}) of one ``verify`` request."""
+    code = main(["verify", *argv, "--json"])
+    checks = json.loads(capsys.readouterr().out)["report"]["checks"]
+    return code, {check["degree"]: check["exact"] for check in checks}
+
+
+def test_dual_fails_closed_without_the_sign(monkeypatch, capsys):
+    """c_k(E) in place of (-1)^k c_k(E): e_k of the negated roots tells
+    them apart in the odd degrees, and only there."""
+    monkeypatch.delenv("CHOWLINE_TRUNCATION", raising=False)
+    monkeypatch.setattr(cli, "dual_class", chern_class)
+    code, exact = _verdicts(["dual", "--rank", "3"], capsys)
+    assert code == 1
+    assert exact == {0: True, 1: False, 2: True, 3: False}
+
+
+def test_tensor_line_fails_closed_on_the_variant_coefficient(
+        monkeypatch, capsys):
+    """The variant coefficient binom(r-k+1, i) of ``test_chern_ring.py``
+    in place of binom(r-k+i, i): e_k of the shifted roots exceeds it by
+    c_1(L)^2 in degree 2 of a rank-2 bundle, and agrees elsewhere."""
+    def variant(setup, name, line, k):
+        r, ell = setup.rank(name), chern_class(setup, line, 1)
+        out = setup.zero()
+        for i in range(k + 1):
+            if coeff := comb(r - k + 1, i):
+                out = out + chern_class(setup, name, k - i) * ell ** i * coeff
+        return out
+
+    monkeypatch.delenv("CHOWLINE_TRUNCATION", raising=False)
+    monkeypatch.setattr(cli, "tensor_line", variant)
+    code, exact = _verdicts(["tensor-line", "--rank", "2"], capsys)
+    assert code == 1
+    assert exact == {0: True, 1: True, 2: False, 3: True}
+
+
+@pytest.fixture()
+def short_pair_loop(monkeypatch):
+    """``poly._add_products`` stopping one degree short of the bound, with
+    no kept table formed before it or kept after it."""
+    add_products = poly._add_products
+
+    def short(nums, left, groups, scale, dshift, bound):
+        return add_products(nums, left, groups, scale, dshift, bound - 1)
+
+    _empty()
+    monkeypatch.setattr(poly, "_add_products", short)
+    yield
+    monkeypatch.undo()
+    _empty()
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_dual_fails_closed_when_the_pair_loop_stops_short(
+        rank, short_pair_loop, capsys):
+    """At truncation r the top degree is e_r of the negated roots, which
+    the short pair loop never forms."""
+    code, _ = _verdicts(["dual", "--rank", str(rank),
+                         "--truncation", str(rank)], capsys)
+    assert code == 1
+
+
+def _refuse(*args):
+    raise AssertionError("a subcommand reached a retired route")
+
+
+def test_verify_dual_takes_no_substitution(monkeypatch, capsys):
+    monkeypatch.setattr(Poly, "substitute", _refuse)
+    for rank in range(1, 6):
+        code, exact = _verdicts(["dual", "--rank", str(rank),
+                                 "--truncation", "8"], capsys)
+        assert code == 0 and all(exact.values())
+
+
+# Root-route multiplicities, as ``eval --json`` printed them while each
+# root's value was raised by ``Poly.__pow__``, by SHA-256.
+MULTIPLICITY_DIGESTS = [
+    ("td(-100000*E*L)",
+     "e0d70bbf583e7da4244cec352448b1bc0628e9b491ab363d2f047909fd126be5"),
+    ("td(2*E*F - 3*dual(F)*L)",
+     "538cf2f95003a3db76662ed6ce162f3af7478c605945f40710eb966ff3376bb2"),
+]
+
+
+@pytest.mark.parametrize("expr, digest", MULTIPLICITY_DIGESTS)
+def test_root_route_multiplicities_take_no_polynomial_power(
+        expr, digest, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps({
+        "bundles": [{"name": "E", "rank": 3}, {"name": "F", "rank": 2},
+                    {"name": "L", "rank": 1}],
+        "truncation": 6,
+    }))
+    monkeypatch.setattr(Poly, "__pow__", _refuse)
+    assert main(["eval", expr, "--setup", str(path), "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -432,7 +432,7 @@ def finite_sets_skeleton():
 
 def test_picardify_trivial_automorphisms():
     monoid = MonoidPresentation(1)
-    T = FGAbelianGroup.trivial()
+    T = FGAbelianGroup(0)
     skeleton = GroupoidSkeleton(
         monoid=monoid, chain_start=[1], chain_step=[1],
         chain_groups=[T, T], translations=[[]], symmetry=[[], []])
@@ -455,7 +455,7 @@ def test_picardify_finite_sets_model():
     assert out.pi1.invariants() == (0, (2,))
     assert not out.eps_is_zero()
     # eps(1) is the generator of Z/2.
-    value = out.eps_of([1])
+    value = mat_vec(out.eps, [1])
     assert not out.pi1.element_is_zero(value)
     # 2 * eps = 0.
     assert out.pi1.element_is_zero([2 * x for x in value])
