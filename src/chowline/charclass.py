@@ -22,8 +22,8 @@ other virtual bundle is evaluated in the setup's roots and rewritten once
 by ``symfun.to_chern_basis``.
 
 An additive class phi acts by phi_0 * rank + sum over roots of the
-positive part, summed with each root's multiplicity in one accumulator
-of integer numerators over one denominator and reduced once; a
+positive part, each root expanded with its multiplicity straight into
+one sum of integer numerators over one denominator, reduced once; a
 multiplicative class psi (psi(0) = 1) acts by the product of psi(root),
 started from the first factor; a summand of multiplicity m takes psi^m
 at each of its roots, raised once per m as a univariate series by
@@ -31,19 +31,23 @@ at each of its roots, raised once per m as a univariate series by
 which the partition route shares.
 
 Every series is a ``PowerSeries``, integer numerators over one
-denominator, and every application to a root goes through
-``PowerSeries.apply_to``, which takes no polynomial product: a one-term
-root (a declared root, its negation, ``xi_j``) has a closed form, and a
-root of several terms (a tensor root ``x_i + y_j``, a Lambda^p subset
-sum, a line class) is expanded by the multinomial theorem.  The series
-of ``ch``, ``td`` and ``td*`` come from ``symfun``, which builds each once
-per order and shares it; a series is immutable, so sharing is safe.
+denominator, and every expansion of a series at a root goes through one
+kernel, ``poly._expand_into``, which takes no polynomial product: a
+one-term root (a declared root, its negation, ``xi_j``) has a closed
+form, and a root of several terms (a tensor root ``x_i + y_j``, a
+Lambda^p subset sum, a line class) is expanded by the multinomial
+theorem.  The additive sum calls it on its one sum; a factor of a
+product is ``PowerSeries.apply_to``, the kernel on an empty sum.  The
+series of ``ch``, ``td`` and ``td*`` come from ``symfun``, which builds
+each once per order and shares it, as this module does their specs; a
+series is immutable, so sharing is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
 
@@ -53,7 +57,7 @@ from .errors import (
     MalformedVirtualBundle,
     TruncationTooLow,
 )
-from .poly import PowerSeries, _lowest
+from .poly import PowerSeries, _expand_into, _lowest
 from .symfun import (
     _orbit_sum,
     _partitions,
@@ -292,10 +296,11 @@ def evaluate_class_in_ring(spec, virtual, ring):
     bundle is evaluated in the setup's roots and rewritten once.
 
     Zero roots are skipped: psi(0) = 1, and the positive part of an
-    additive class vanishes at 0.  An additive class sums m * phi(root)
-    as integer numerators over the lcm of the parts' denominators, each
-    part first re-keyed in the ring's table (``Poly.recode``, which
-    refuses a foreign variable), and reduces the sum once.  A
+    additive class vanishes at 0.  An additive class re-keys each root in
+    the ring's table (``Poly.recode``, which refuses a foreign variable
+    or a lower bound), expands m * phi(root) into one dict of integer
+    numerators over L^D, L the lcm of the roots' denominators and D the
+    series order (``poly._expand_into``), and reduces the sum once.  A
     multiplicative class multiplies its factors, starting from the first.
     """
     if isinstance(ring, ChernBasis):
@@ -309,22 +314,15 @@ def evaluate_class_in_ring(spec, virtual, ring):
     table, bound = zero.grades, zero.bound
     if spec.kind == "additive":
         a, den = spec.series.nums, spec.series.den
-        positive = PowerSeries._reduced((0,) + a[1:], den)
-        parts = [(m, positive.apply_to(root).recode(table, bound))
+        positive = (0,) + a[1:]
+        parts = [(m, root.recode(table, bound))
                  for m, roots in summands for root in roots if root.nums]
-        common = lcm(den, *(part.den for _, part in parts))
+        common = lcm(*(root.den for _, root in parts)) ** (len(a) - 1)
         rank = sum(m * len(roots) for m, roots in summands)
-        nums = {0: a[0] * rank * (common // den)} if a[0] * rank else {}
-        get = nums.get
-        for m, part in parts:
-            scale = m * (common // part.den)
-            for mono, n in part.nums.items():
-                acc = get(mono, 0) + scale * n
-                if acc:
-                    nums[mono] = acc
-                else:
-                    del nums[mono]
-        return ring.from_poly(_lowest(nums, common, table, bound))
+        nums = {0: a[0] * rank * common} if a[0] * rank else {}
+        for m, root in parts:
+            _expand_into(nums, m, positive, root, common)
+        return ring.from_poly(_lowest(nums, den * common, table, bound))
     f = _series_to_bound(spec.series, bound)
     # psi^m, formed at the first nonzero root of each m: a tower's td has
     # a -O summand whose only root is 0, and it inverts nothing.
@@ -415,14 +413,18 @@ def _in_basis(spec, virtual, multiples, basis):
     return basis.const(1) if total is None else total
 
 
+# One frozen spec per order, shared as ``symfun`` shares each series.
+@lru_cache(maxsize=32)
 def chern_character_spec(order):
     return CharClassSpec("additive", exp_series(order))
 
 
+@lru_cache(maxsize=32)
 def todd_spec(order):
     return CharClassSpec("multiplicative", todd_series(order))
 
 
+@lru_cache(maxsize=32)
 def todd_star_spec(order):
     """Todd class with the degree-k piece scaled by (-1)^k; as a series
     this is td(-T) = T/(e^T - 1), and td_star(V) = td(dual V)."""

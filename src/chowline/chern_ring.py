@@ -116,7 +116,10 @@ class Setup:
     Chern table holds c_0..c_m, m = min(r, truncation), and the other two
     are extended only up to the degree asked, so a bundle holds at most
     3 (truncation + 1) polynomials.  A table is replaced, never edited in
-    place, by a longer list of the same values.
+    place, by a longer list of the same values.  Each bundle's roots, the
+    tuple of its rank ``Poly.var``s, are kept the same way from the first
+    ``roots`` call; ``Poly``s are immutable, so every evaluation shares
+    them.  They hold one term per root and are not counted as table terms.
 
     A setup depends only on its constructor's arguments, and every check
     runs in the constructor, limits included.  So the command line keeps
@@ -160,6 +163,7 @@ class Setup:
         # terms each table holds.
         self._tables = {}
         self._terms = {}
+        self._roots = {}  # name -> the bundle's roots (``roots``)
 
     def table_entries(self):
         """The terms held in the class tables, counted against
@@ -180,8 +184,14 @@ class Setup:
         return [self._root_name(name, i) for i in range(1, rank + 1)]
 
     def roots(self, name):
-        return tuple(Poly.var(v, self.grades, self.truncation)
-                     for v in self.root_vars(name))
+        """The bundle's Chern roots, a tuple of ``Poly.var``s, built on
+        the first call and kept."""
+        roots = self._roots.get(name)
+        if roots is None:
+            roots = self._roots[name] = tuple(
+                Poly.var(v, self.grades, self.truncation)
+                for v in self.root_vars(name))
+        return roots
 
     def zero(self):
         return ChernSeries(self, Poly.zero(self.grades, self.truncation))

@@ -17,15 +17,17 @@ tests keep as references).  Outside this module only ``symfun`` (the
 orbits of ``to_chern_basis``, which also check a class's symmetry, and
 ``elem_sym``, which sums packed units), the tower kernel and
 ``push_level`` of ``pushforward``, and the additive sum of
-``charclass.evaluate_class_in_ring`` read that form, to reduce integer
-numerators over ``den`` and to read, add or shift packed monomials;
+``charclass.evaluate_class_in_ring`` (through ``_expand_into``) read
+that form, to reduce integer numerators over ``den`` and to read, add
+or shift packed monomials;
 everything else sees ``Poly.terms``, which presents each coefficient as
 an ``int`` when it is integral and a ``Fraction`` otherwise.
 ``PowerSeries`` is held the same way, integer numerators over one
-denominator, and is immutable.  Its ``apply_to`` substitutes a polynomial
-into it by the multinomial theorem: every output monomial is formed once
-from the root's terms, with integer arithmetic only and no polynomial
-product.
+denominator, and is immutable.  One kernel, ``_expand_into``, adds a
+series at a root into a caller's numerator dictionary by the
+multinomial theorem: every output monomial is formed once from the
+root's terms, with integer arithmetic only and no polynomial product.
+``apply_to`` is that kernel on an empty dictionary.
 
 Monomials are packed exponent vectors (Monagan and Pearce, *Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors*, CASC
@@ -790,89 +792,72 @@ class PowerSeries:
 
     def apply_to(self, root):
         """Substitute a polynomial for the series variable, in the root's
-        ring.
-
-        Truncation of the ring makes the sum finite: powers of a root of
-        positive degree vanish once their degree exceeds the bound.  The
-        sum is formed fraction-free, over one denominator, and reduced
-        once; no ``Poly`` product is taken.  With the series A_k / den and
-        the root sum_i n_i m_i / d, the result is
-
-            sum_e A_|e| C(e) prod_i n_i^e_i d^(K-|e|) (sum_i e_i m_i)
-
-        over den d^K, for the exponent vectors e of degree at most the
-        bound and |e| <= K, the last nonzero coefficient; C(e) is the
-        multinomial coefficient |e|! / prod_i e_i!.  A one-term root
-        (n/d) m of degree g > 0 (a declared root, its negation, ``xi_j``)
-        takes the closed form of that sum, one term per k = |e| with
-        k g <= bound.  Any other root (several terms, a constant or zero)
-        is walked term by term (``_multinomial``).
-        """
-        table, bound = root.grades, root.bound
-        a = self.nums
-        top = len(a) - 1
-        while top and not a[top]:
-            top -= 1
-        if len(root.nums) == 1:
-            [(m, n)] = root.nums.items()
-            g = m >> table.dshift
-            if g:
-                top = min(top, bound // g)
-                d = root.den
-                nums = {}
-                n_k, d_rest = 1, d ** top  # n^k and d^(top-k)
-                for k in range(top + 1):
-                    if a[k]:
-                        nums[k * m] = a[k] * n_k * d_rest
-                    n_k *= n
-                    d_rest //= d
-                return _lowest(nums, self.den * d ** top, table, bound)
-        return _multinomial(a, top, root, self.den)
+        ring: ``_expand_into`` on an empty sum, over den d^K for the
+        root's denominator d and the series order K, reduced once.  No
+        ``Poly`` product is taken."""
+        common = root.den ** (len(self.nums) - 1)
+        return _lowest(_expand_into({}, 1, self.nums, root, common),
+                       self.den * common, root.grades, root.bound)
 
     def __repr__(self):
         return f"PowerSeries({[str(c) for c in self.coeffs]})"
 
 
-def _multinomial(a, top, root, den):
-    """The series sum_k a[k] T^k / den, a[k] = 0 beyond ``top``, at
-    T = root, a root of any number of terms, by the multinomial theorem.
+def _expand_into(nums, scale, a, root, common):
+    """Add scale * sum_k a[k] root^k into ``nums``, integer numerators
+    over ``common`` keyed in the root's table, dropping those that cancel,
+    and return ``nums``.  ``common`` must be a multiple of d^(len(a) - 1),
+    d the root's denominator.
 
-    The exponent vectors e are walked term by term as partials (packed
-    monomial, degree room left, |e|, numerator), the numerator being
-    C(e) prod_i n_i^e_i over the terms walked so far.  One more copy of
-    the term n m of degree g, the e-th, raises |e| to k and multiplies the
-    numerator by k / e * n, which stays an integer: C(e) grows by
-    C(k, e) / C(k - 1, e - 1) = k / e.  A term stops adding copies when
-    its degree no longer fits the room or |e| reaches ``top``, so a
-    degree-0 term stops at ``top`` alone.  Two vectors may give one
-    monomial (terms x and x^2), so the sum is keyed by monomial and drops
-    the numerators that cancel.
+    Truncation of the ring makes the sum finite: powers of a root of
+    positive degree vanish once their degree exceeds the root's bound.
+    With the root sum_i n_i m_i / d, the numerators are
+
+        sum_e scale a_|e| (common / d^|e|) C(e) prod_i n_i^e_i (sum_i e_i m_i)
+
+    for the exponent vectors e of degree at most the bound and |e| <= K,
+    the last nonzero a[k]; C(e) is the multinomial coefficient
+    |e|! / prod_i e_i!.  A one-term root n m of degree g > 0 (a declared
+    root, its negation, ``xi_j``) has one e per k = |e|, with k g <= bound,
+    in closed form.  Any other root (several terms, a constant or zero)
+    is walked term by term, the exponent vectors kept as partials (packed
+    monomial, degree room left, |e|, C(e) prod_i n_i^e_i over the terms
+    walked so far).  One more copy of the term n m of degree g, the e-th,
+    raises |e| to k and multiplies the numerator by k / e * n, which
+    stays an integer: C(e) grows by C(k, e) / C(k - 1, e - 1) = k / e.  A
+    term stops adding copies when its degree no longer fits the room or
+    |e| reaches K, so a degree-0 term stops at K alone.  Two vectors may
+    give one monomial (terms x and x^2), so the sum is keyed by monomial.
     """
-    table, bound = root.grades, root.bound
-    terms = [(m, n, m >> table.dshift) for m, n in root.nums.items()]
+    dshift, bound, d = root.grades.dshift, root.bound, root.den
+    terms = [(m, n, m >> dshift) for m, n in root.nums.items()]
+    top = len(a) - 1
+    while top and not a[top]:
+        top -= 1
     if terms and all(g for _, _, g in terms):
         top = min(top, bound // min(g for _, _, g in terms))
-    d = root.den
-    weight = [0] * (top + 1)  # a[k] d^(top-k), over the one den d^top
-    d_rest = 1
-    for k in range(top, -1, -1):
-        weight[k] = a[k] * d_rest
-        d_rest *= d
-    partials = [(0, bound, 0, 1)]
-    for m, n, g in terms:
-        grown = partials[:]
-        append = grown.append
-        for mono, room, k, c in partials:
-            e = 0
-            while k < top and g <= room:
-                e += 1
-                k += 1
-                room -= g
-                mono += m
-                c = c * k // e * n
-                append((mono, room, k, c))
-        partials = grown
-    nums = {}
+    weight, c = [], scale * common  # scale a[k] common / d^k
+    for k in range(top + 1):
+        weight.append(a[k] * c)
+        c //= d
+    if len(terms) == 1 and terms[0][2]:  # the closed form: one e per k
+        [(m, n, _)] = terms
+        partials = [(k * m, 0, k, n ** k) for k in range(top + 1)]
+    else:
+        partials = [(0, bound, 0, 1)]
+        for m, n, g in terms:
+            grown = partials[:]
+            append = grown.append
+            for mono, room, k, c in partials:
+                e = 0
+                while k < top and g <= room:
+                    e += 1
+                    k += 1
+                    room -= g
+                    mono += m
+                    c = c * k // e * n
+                    append((mono, room, k, c))
+            partials = grown
     get = nums.get
     for mono, _, k, c in partials:
         w = weight[k]
@@ -882,4 +867,4 @@ def _multinomial(a, top, root, den):
                 nums[mono] = acc
             else:
                 del nums[mono]
-    return _lowest(nums, den * d ** top, table, bound)
+    return nums

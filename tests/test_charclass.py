@@ -4,6 +4,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowline import charclass
 from chowline.charclass import (
@@ -19,11 +21,17 @@ from chowline.charclass import (
     restriction_normal_bundle_check,
     td,
     td_star,
+    todd_spec,
+    todd_star_spec,
 )
 from chowline.chern_ring import Setup, chern_class
-from chowline.errors import MalformedVirtualBundle, TruncationTooLow
+from chowline.errors import (
+    ConstantTermNotOne,
+    MalformedVirtualBundle,
+    TruncationTooLow,
+)
 from chowline.poly import Poly, PowerSeries
-from chowline.pushforward import Tower
+from chowline.pushforward import Tower, relative_tangent, xi_name
 from chowline.symfun import exp_series, series_invert, todd_series
 
 
@@ -420,12 +428,180 @@ def test_cancelling_multiplicities_on_a_tower():
 @pytest.mark.parametrize("kind, series", CLASS_SERIES,
                          ids=["ch", "additive", "td", "multiplicative"])
 def test_a_line_class_outside_the_ring_is_refused(kind, series):
+    # A root over a variable the ring lacks, alone or beside one it has,
+    # and a root truncated below the ring's bound.
     spec = CharClassSpec(kind, series)
     s = make_setup(truncation=5, E=2)
     t = Tower.product_of_projective_spaces([1, 2])
     E = VirtualBundle.bundle("E")
-    for ring, inside in ((s, E), (t, O)):
-        foreign = VirtualBundle.line_class(Poly.var("y", {"y": 1}, 5))
-        for v in (foreign, inside + foreign, -foreign, foreign * inside):
-            with pytest.raises(TypeError):
-                evaluate_class_in_ring(spec, v, ring)
+    y = Poly.var("y", {"y": 1}, 5)
+    for ring, inside, x in ((s, E, "E.1"), (t, O, xi_name(1))):
+        bound = ring.zero().poly.bound
+        own, short = (Poly.var(x, ring.grades, b) for b in (bound, bound - 1))
+        for root in (y, own + y, short, short * Fraction(1, 2) + 1):
+            foreign = VirtualBundle.line_class(root)
+            for v in (foreign, inside + foreign, -foreign, foreign * inside,
+                      3 * foreign + inside):
+                with pytest.raises(TypeError):
+                    evaluate_class_in_ring(spec, v, ring)
+
+
+# ------------------------------------------- the folded additive branch
+
+def test_specs_are_built_once_per_order():
+    assert chern_character_spec(6) is chern_character_spec(6)
+    assert todd_spec(6) is todd_spec(6)
+    assert todd_star_spec(6) is todd_star_spec(6)
+    assert chern_character_spec(6) is not chern_character_spec(5)
+    with pytest.raises(ConstantTermNotOne):
+        CharClassSpec("multiplicative", PowerSeries([2, 1, Fraction(1, 2)]))
+
+
+# Multiples as the command line can write them, and some that make the
+# accumulator's numerators long.
+SCALES = (-1, 2, -3, -100000, 2 ** 20)
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+ADDITIVE_SERIES = [exp_series(5), PowerSeries([3, Fraction(-1, 2), 0,
+                                               Fraction(5, 7)])]
+
+
+@st.composite
+def line_roots(draw, ring, generators):
+    """A polynomial of degree at most 1 in the ring: a combination of
+    ``generators`` with Fraction coefficients and a constant term, each
+    possibly zero, so roots with den > 1 and constant roots both occur."""
+    root = Poly.const(draw(FRACTIONS), ring.grades, ring.zero().poly.bound)
+    for g in generators:
+        root = root + g * draw(FRACTIONS)
+    return root
+
+
+@st.composite
+def virtual_trees(draw, leaves, depth=3):
+    """Sums, tensors, duals, multiples, exterior powers and determinants
+    over the leaf strategy; an exterior power takes a sum of at most two
+    leaves, so its roots stay few."""
+    if depth == 0 or draw(st.integers(0, 9)) < 3:
+        return draw(leaves)
+    op = draw(st.sampled_from(["sum", "tensor", "dual", "scale", "lam",
+                               "det"]))
+    child = draw(virtual_trees(leaves, depth - 1))
+    if op == "sum":
+        return child + draw(virtual_trees(leaves, depth - 1))
+    if op == "tensor":
+        return child * draw(virtual_trees(leaves, depth - 1))
+    if op == "dual":
+        return child.dual()
+    if op == "scale":
+        return draw(st.sampled_from(SCALES)) * child
+    if op == "det":
+        return child.det()
+    base = draw(leaves)
+    if draw(st.booleans()):
+        base = base + draw(leaves)
+    return base.lam(draw(st.integers(0, 3)))
+
+
+def assert_fold_matches_the_reference(spec, virtual, ring):
+    """The folded additive branch against ``stepwise_evaluation``, whose
+    additive loop sums the rank term and m * positive.apply_to(root) with
+    ``Poly.__add__``; a tree past the tensor limit is refused by both."""
+    try:
+        want = stepwise_evaluation(spec, virtual, ring)
+    except MalformedVirtualBundle:
+        with pytest.raises(MalformedVirtualBundle):
+            evaluate_class_in_ring(spec, virtual, ring)
+        return
+    assert evaluate_class_in_ring(spec, virtual, ring) == want
+
+
+FOLD_SETUP = make_setup(truncation=5, A=1, B=2, C=2)
+
+
+def setup_leaves():
+    s = FOLD_SETUP
+    generators = [r for name in ("A", "B", "C") for r in s.roots(name)]
+    return st.one_of(
+        st.sampled_from([VirtualBundle.bundle(n) for n in ("A", "B", "C")]
+                        + [O]),
+        line_roots(s, generators).map(VirtualBundle.line_class))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ADDITIVE_SERIES), virtual_trees(setup_leaves()))
+def test_folded_additive_branch_matches_the_stepwise_sum(series, virtual):
+    assert_fold_matches_the_reference(
+        CharClassSpec("additive", series), virtual, FOLD_SETUP)
+
+
+FOLD_TOWER = Tower([[[], []], [[0], [2]], [[1, -1], [0, 1]]])
+
+
+def tower_leaves():
+    t = FOLD_TOWER
+    generators = [Poly.var(xi_name(j), t.grades, t.bound) for j in (1, 2, 3)]
+    return st.one_of(
+        st.sampled_from([O, relative_tangent(t, 0), relative_tangent(t, 1),
+                         tower_line(t, [1, 2, -1]), tower_line(t, [0, -3, 1])]),
+        line_roots(t, generators).map(VirtualBundle.line_class))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ADDITIVE_SERIES), virtual_trees(tower_leaves()))
+def test_folded_additive_branch_matches_the_stepwise_sum_on_a_tower(
+        series, virtual):
+    assert_fold_matches_the_reference(
+        CharClassSpec("additive", series), virtual, FOLD_TOWER)
+
+
+def test_apply_to_values_with_fraction_roots():
+    # As ``apply_to`` printed them while it had a walk of its own.
+    g = {"x": 1, "y": 1, "z": 2}
+    x, y, z = (Poly.var(v, g, 4) for v in "xyz")
+    psi = PowerSeries([3, Fraction(-1, 2), 0, Fraction(5, 7)])
+    half = Poly.const(Fraction(1, 2), g, 4)
+    assert str(exp_series(4).apply_to(x * Fraction(1, 2))) == (
+        "1 + 1/2*x + 1/8*x^2 + 1/48*x^3 + 1/384*x^4")
+    assert str(todd_series(4).apply_to(-x * Fraction(2, 3))) == (
+        "1 - 1/3*x + 1/27*x^2 - 1/3645*x^4")
+    assert str(psi.apply_to(z * Fraction(3, 4))) == "3 - 3/8*z"
+    assert str(exp_series(4).apply_to(x * Fraction(1, 2) + y * Fraction(1, 3))) == (
+        "1 + 1/2*x + 1/3*y + 1/6*x*y + 1/8*x^2 + 1/18*y^2 + 1/36*x*y^2 "
+        "+ 1/24*x^2*y + 1/48*x^3 + 1/162*y^3 + 1/324*x*y^3 + 1/144*x^2*y^2 "
+        "+ 1/144*x^3*y + 1/384*x^4 + 1/1944*y^4")
+    assert str(todd_series(4).apply_to(
+        x * Fraction(1, 2) - y * Fraction(1, 3) + z * Fraction(1, 4))) == (
+        "1 + 1/4*x - 1/6*y - 1/36*x*y + 1/48*x^2 + 1/108*y^2 + 1/8*z "
+        "+ 1/48*x*z - 1/72*y*z + 1/9720*x*y^3 - 1/4320*x^2*y^2 "
+        "+ 1/4320*x^3*y - 1/11520*x^4 - 1/58320*y^4 + 1/192*z^2")
+    assert str(psi.apply_to(x * Fraction(2, 3) + half)) == (
+        "159/56 + 1/42*x + 10/21*x^2 + 40/189*x^3")
+
+
+def test_zero_roots_and_empty_summands_give_the_rank_term():
+    s = make_setup(truncation=5, E=2)
+    t = Tower.product_of_projective_spaces([1, 2])
+    spec = CharClassSpec("additive", ADDITIVE_SERIES[1])  # phi_0 = 3
+    E = VirtualBundle.bundle("E")
+    for ring in (s, t):
+        for v, rank in ((O, 1), (2 * O - 5 * O, -3), (VirtualBundle.zero(), 0),
+                        (0 * O, 0), (O.lam(0), 1), (O.lam(2), 0),
+                        (O.det(), 1)):
+            assert evaluate_class_in_ring(spec, v, ring) == ring.const(3 * rank)
+    assert evaluate_class_in_ring(spec, E.lam(3), s) == 0
+    assert evaluate_class_in_ring(spec, 0 * E + E.lam(0), s) == 3
+
+
+def test_setup_roots_are_kept_and_unchanged_by_evaluation():
+    s = make_setup(truncation=6, E=3, F=2)
+    E, F = VirtualBundle.bundle("E"), VirtualBundle.bundle("F")
+    kept = s.roots("E")
+    assert s.roots("E") is kept and s.roots("F") is s.roots("F")
+    ch(E * F - 2 * F.dual() + E.lam(2), s)
+    td(E * F - 2 * F.dual(), s)
+    td_star(E, s)
+    fresh = tuple(Poly.var(v, s.grades, s.truncation)
+                  for v in s.root_vars("E"))
+    assert s.roots("E") is kept
+    assert [(r.nums, r.den, r.bound) for r in kept] == [
+        (r.nums, r.den, r.bound) for r in fresh]
