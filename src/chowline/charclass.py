@@ -10,25 +10,35 @@ Chern roots follows the splitting principle:
 * roots of the dual are negated,
 * det contributes the single root c_1 = sum of all roots.
 
-Every class is evaluated in a ring, a ``Setup`` or a ``Tower``, by
-``evaluate_class_in_ring(spec, virtual, ring)``: a declared bundle's roots
-are ``ring.roots(name)``, the trivial line's root is the ring's zero
-polynomial, and the result is ``ring.from_poly`` of the evaluated
-polynomial.  In a setup's Chern-basis ring (``chern_ring.ChernBasis``) a
-sum, dual or integer multiple of declared bundles and the trivial line
-takes no root: each bundle's occurrences fold into one univariate series,
-whose value on the bundle is a sum over partitions (``_in_basis``); any
-other virtual bundle is evaluated in the setup's roots and rewritten once
-by ``symfun.to_chern_basis``.
+Every class is evaluated in a ring, a ``Setup``, its Chern-basis ring
+(``chern_ring.ChernBasis``) or a ``Tower``, by
+``evaluate_class_in_ring(spec, virtual, ring)``.
 
-An additive class phi acts by phi_0 * rank + sum over roots of the
-positive part, each root expanded with its multiplicity straight into
-one sum of integer numerators over one denominator, reduced once; a
-multiplicative class psi (psi(0) = 1) acts by the product of psi(root),
-started from the first factor; a summand of multiplicity m takes psi^m
-at each of its roots, raised once per m as a univariate series by
-``_power``, the one routine that raises a class series to a multiplicity,
-which the partition route shares.
+In a setup's two rings a sum, dual or integer multiple of declared
+bundles and the trivial line goes through one fold (``_folded``): each
+bundle's occurrences fold into one univariate series g (f(-x) for a
+dual, m f or f^m for a multiple m), and the bundle's block,
+sum_i (g(x_i) - g_0) or prod_i g(x_i) over its roots, is read from the
+setup's tables (``Setup.block``), where it is built on first use and
+kept under the ring, the bundle, the kind and g.  In the roots a block
+is the root route on the bundle's roots, in the Chern basis a sum over
+partitions (``_block``).  Blocks add, with f_0 times the virtual rank,
+or multiply; td*(E) and td(E*) fold to one series and read one block.
+
+Tensor products, exterior powers, determinants, line classes and every
+bundle on a ``Tower`` take the root route (``_in_roots``) on every call:
+a declared bundle's roots are ``ring.roots(name)``, the trivial line's
+root is the ring's zero polynomial, and the result is ``ring.from_poly``
+of the evaluated polynomial, rewritten once by
+``symfun.to_chern_basis`` in a ``ChernBasis``.  An additive class phi
+acts by phi_0 * rank + sum over roots of the positive part, each root
+expanded with its multiplicity straight into one sum of integer
+numerators over one denominator, reduced once; a multiplicative class
+psi (psi(0) = 1) acts by the product of psi(root), started from the
+first factor; a summand of multiplicity m takes psi^m at each of its
+roots, raised once per m as a univariate series by ``_power``, the one
+routine that raises a class series to a multiplicity, which the fold
+shares.
 
 Every series is a ``PowerSeries``, integer numerators over one
 denominator, and every expansion of a series at a root goes through one
@@ -51,7 +61,13 @@ from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
 
-from .chern_ring import ChernBasis, ChernSeries, chern_class, dual_class
+from .chern_ring import (
+    ChernBasis,
+    ChernSeries,
+    Setup,
+    chern_class,
+    dual_class,
+)
 from .errors import (
     ConstantTermNotOne,
     MalformedVirtualBundle,
@@ -291,9 +307,29 @@ def _series_to_bound(series, bound):
 def evaluate_class_in_ring(spec, virtual, ring):
     """Evaluate a characteristic class on a virtual bundle in ``ring``, a
     ``Setup``, its ``ChernBasis`` or a ``Tower``: the result is an element
-    of that ring.  In a ``ChernBasis`` a sum, dual or multiple of declared
-    bundles is summed over partitions (``_in_basis``), and any other
-    bundle is evaluated in the setup's roots and rewritten once.
+    of that ring.
+
+    In a setup's two rings a sum, dual or multiple of declared bundles
+    and the trivial line folds per bundle (``_folded``), and reads each
+    bundle's block from the setup's tables, built on first use.  Any
+    other bundle, and every bundle on a ``Tower``, is evaluated in the
+    roots (``_in_roots``); in a ``ChernBasis`` the class of the setup's
+    roots is then rewritten once.
+    """
+    if isinstance(ring, (Setup, ChernBasis)):
+        multiples = _multiples(virtual)
+        if multiples is not None:
+            return _folded(spec, virtual, multiples, ring)
+        if isinstance(ring, ChernBasis):
+            return ring.from_roots(_in_roots(
+                spec.kind, spec.series, virtual.summands(ring.setup),
+                ring.setup))
+    return _in_roots(spec.kind, spec.series, virtual.summands(ring), ring)
+
+
+def _in_roots(kind, series, summands, ring):
+    """The class of ``kind`` and ``series`` on ``summands``,
+    (multiplicity, roots) pairs of ``ring``, as an element of ``ring``.
 
     Zero roots are skipped: psi(0) = 1, and the positive part of an
     additive class vanishes at 0.  An additive class re-keys each root in
@@ -303,17 +339,10 @@ def evaluate_class_in_ring(spec, virtual, ring):
     series order (``poly._expand_into``), and reduces the sum once.  A
     multiplicative class multiplies its factors, starting from the first.
     """
-    if isinstance(ring, ChernBasis):
-        multiples = _multiples(virtual)
-        if multiples is not None:
-            return _in_basis(spec, virtual, multiples, ring)
-        return ring.from_roots(
-            evaluate_class_in_ring(spec, virtual, ring.setup))
-    summands = virtual.summands(ring)
     zero = ring.zero().poly
     table, bound = zero.grades, zero.bound
-    if spec.kind == "additive":
-        a, den = spec.series.nums, spec.series.den
+    if kind == "additive":
+        a, den = series.nums, series.den
         positive = (0,) + a[1:]
         parts = [(m, root.recode(table, bound))
                  for m, roots in summands for root in roots if root.nums]
@@ -323,7 +352,7 @@ def evaluate_class_in_ring(spec, virtual, ring):
         for m, root in parts:
             _expand_into(nums, m, positive, root, common)
         return ring.from_poly(_lowest(nums, den * common, table, bound))
-    f = _series_to_bound(spec.series, bound)
+    f = _series_to_bound(series, bound)
     # psi^m, formed at the first nonzero root of each m: a tower's td has
     # a -O summand whose only root is 0, and it inverts nothing.
     powers = {1: f}
@@ -373,21 +402,23 @@ def _power(series, m):
     return result
 
 
-def _in_basis(spec, virtual, multiples, basis):
-    """The class of ``virtual`` in the Chern-basis ring, summed over
-    partitions (Macdonald, I.2 and I.6), for a virtual bundle whose
-    ``_multiples`` are given.
+def _folded(spec, virtual, multiples, ring):
+    """The class of ``virtual``, whose ``_multiples`` are given, in a
+    setup's roots or its Chern-basis ring, folded per bundle.
 
     The occurrences of a bundle E fold into one univariate series g:
     f(-x) for a dual, and m f (additive) or f^m (multiplicative) for a
-    multiple m.  Then sum_i g(x_i) is g_0 r + sum_k g_k m_(k), and
-    prod_i g(x_i) is sum_lambda (prod_j g_lambda_j) m_lambda over the
-    partitions of at most r parts and degree at most the truncation, each
-    m_lambda read in the c_k(E) from its kept row (``_orbit_sum``).  The
-    blocks of distinct bundles add or multiply."""
-    setup, bound = basis.setup, basis.truncation
-    f = _series_to_bound(spec.series, bound)
+    multiple m, the series of one bundle added or multiplied.  E's block,
+    sum_i (g(x_i) - g_0) or prod_i g(x_i) over its roots, is kept in the
+    setup's tables (``Setup.block``) under the ring, E, the kind and g,
+    so td*(E) and td(E*), whose g is one series, read one block.  The
+    blocks of distinct bundles add, with f_0 times the virtual rank, or
+    multiply."""
+    basis = isinstance(ring, ChernBasis)
+    setup = ring.setup if basis else ring
+    f = _series_to_bound(spec.series, setup.truncation)
     additive = spec.kind == "additive"
+    rank = virtual.rank(setup.rank)  # UnknownBundle for an undeclared one
     folded = {}
     for (name, dual), m in multiples.items():
         g = f.alternate() if dual else f
@@ -395,22 +426,40 @@ def _in_basis(spec, virtual, multiples, basis):
         if name in folded:
             g = folded[name] + g if additive else folded[name] * g
         folded[name] = g
-    total = basis.const(Fraction(f.nums[0] * virtual.rank(setup.rank),
-                                 f.den)) if additive else None
+    total = ring.const(Fraction(f.nums[0] * rank, f.den)) if additive else None
     for name, g in folded.items():
-        r, a = setup.rank(name), g.nums
-        if additive:
-            orbits = {((k,) + (0,) * (r - 1),): a[k]
-                      for k in range(1, bound + 1) if a[k]}
-        else:  # a[0] = g.den: lambda's coefficient is over g.den^r
-            orbits = {(lam,): c for lam in _partitions(r, bound)
-                      if (c := prod(a[k] for k in lam))}
-        block = ChernSeries(basis, _orbit_sum(
-            orbits, g.den if additive else g.den ** r, [(name, r)],
-            basis.grades, bound))
+        block = ChernSeries(ring, setup.block(
+            ("basis" if basis else "roots", name, spec.kind, g.nums, g.den),
+            lambda: _block(spec.kind, g, name, ring)))
         total = (block if total is None
                  else total + block if additive else total * block)
-    return basis.const(1) if total is None else total
+    return ring.const(1) if total is None else total
+
+
+def _block(kind, g, name, ring):
+    """sum_i (g(x_i) - g_0) or prod_i g(x_i) over the r roots x_i of the
+    declared bundle ``name``, as a polynomial of ``ring``.
+
+    In a ``Setup`` it is the root route on those roots (``_in_roots``).
+    In a ``ChernBasis`` it is a sum over partitions (Macdonald, I.2 and
+    I.6): sum_k g_k m_(k), or sum_lambda (prod_j g_lambda_j) m_lambda
+    over the partitions of at most r parts and degree at most the
+    truncation, each m_lambda read in the c_k(name) from its kept row
+    (``_orbit_sum``)."""
+    if isinstance(ring, Setup):
+        if kind == "additive":  # the positive part, whose rank term is 0
+            g = PowerSeries._reduced((0,) + g.nums[1:], g.den)
+        return _in_roots(kind, g, [(1, ring.roots(name))], ring).poly
+    r, bound, a = ring.setup.rank(name), ring.truncation, g.nums
+    if kind == "additive":
+        orbits = {((k,) + (0,) * (r - 1),): a[k]
+                  for k in range(1, bound + 1) if a[k]}
+        den = g.den
+    else:  # a[0] = g.den: lambda's coefficient is over g.den^r
+        orbits = {(lam,): c for lam in _partitions(r, bound)
+                  if (c := prod(a[k] for k in lam))}
+        den = g.den ** r
+    return _orbit_sum(orbits, den, [(name, r)], ring.grades, bound)
 
 
 # One frozen spec per order, shared as ``symfun`` shares each series.

@@ -17,7 +17,9 @@ by c_1(L)), as the splitting principle states them.
 A setup is fixed once built, so its Chern classes, its Segre classes and
 the Chern classes recovered from those are ring constants: each is
 computed once per setup and bundle, on first use, into a table that the
-recurrence extends only as far as the degree asked.  Every call still
+recurrence extends only as far as the degree asked.  So are the blocks
+of characteristic classes that ``charclass`` folds per bundle
+(``Setup.block``).  Every call still
 returns a new ``ChernSeries`` over the shared, immutable polynomial.
 
 The Chern-monomial presentation (polynomials in symbols c_k(E)) is a
@@ -114,9 +116,14 @@ class Setup:
     the Chern classes recovered from those are kept in three tables, empty
     at first and filled on first use.  None goes past the truncation: the
     Chern table holds c_0..c_m, m = min(r, truncation), and the other two
-    are extended only up to the degree asked, so a bundle holds at most
-    3 (truncation + 1) polynomials.  A table is replaced, never edited in
-    place, by a longer list of the same values.  Each bundle's roots, the
+    are extended only up to the degree asked, so they hold at most
+    3 (truncation + 1) polynomials a bundle.  A table is replaced, never
+    edited in place, by a longer list of the same values.  The blocks of
+    ``charclass`` (sum_i (g(x_i) - g_0) or prod_i g(x_i) of a bundle's
+    roots, for a folded class series g) are kept beside them, one
+    polynomial per ring, bundle, kind and series (``block``): a bundle
+    holds one block per distinct folded series used on it, in the roots
+    or in the Chern basis (``basis``).  Each bundle's roots, the
     tuple of its rank ``Poly.var``s, are kept the same way from the first
     ``roots`` call; ``Poly``s are immutable, so every evaluation shares
     them.  They hold one term per root and are not counted as table terms.
@@ -159,8 +166,8 @@ class Setup:
                                truncation)
         # (kind, name) -> the bundle's table of that kind: "chern" holds
         # [c_0, ..., c_m], m = min(r, truncation), "segre" [s_0, ..., s_m]
-        # with s = 1/c, "recovered" [c_0, ..., c_m] from 1/s; and the
-        # terms each table holds.
+        # with s = 1/c, "recovered" [c_0, ..., c_m] from 1/s; a block's
+        # key (``block``) -> its polynomial; and the terms each holds.
         self._tables = {}
         self._terms = {}
         self._roots = {}  # name -> the bundle's roots (``roots``)
@@ -227,6 +234,16 @@ class Setup:
         self._tables[kind, name] = table
         self._terms[kind, name] = sum(len(poly.terms) for poly in table)
         return table
+
+    def block(self, key, build):
+        """The polynomial kept under ``key``, a tuple (ring, bundle, kind,
+        series numerators, series denominator) with ring ``"roots"`` or
+        ``"basis"``: ``build()`` on first use, kept with its terms."""
+        poly = self._tables.get(key)
+        if poly is None:
+            poly = self._tables[key] = build()
+            self._terms[key] = len(poly.nums)
+        return poly
 
     def _segre_classes(self, name, top):
         """[s_0, ..., s_m], m >= top, the Fulton Segre classes s = 1/c."""

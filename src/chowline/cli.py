@@ -974,15 +974,24 @@ def _integers(value, depth):
 
 
 def _load_skeleton(path):
+    """The skeleton of a file, each chain group checked by ``_integers``
+    and built once per distinct presentation: a chain commonly repeats
+    one group at every sample, and each group takes a Smith form."""
     data = _read_json(path)
     try:
         monoid = picard.MonoidPresentation(
             _integers(data["monoid"]["generators"], 0),
             _integers(data["monoid"].get("relations", []), 3))
         chain = data["chain"]
-        groups = [picard.FGAbelianGroup(_integers(g["generators"], 0),
-                                        _integers(g.get("relations", []), 2))
-                  for g in chain["groups"]]
+        built = {}
+        groups = []
+        for g in chain["groups"]:
+            presentation = (_integers(g["generators"], 0),
+                            _integers(g.get("relations", []), 2))
+            key = json.dumps(presentation)
+            if key not in built:
+                built[key] = picard.FGAbelianGroup(*presentation)
+            groups.append(built[key])
         return picard.GroupoidSkeleton(
             monoid=monoid,
             chain_start=_integers(chain["start"], 1),

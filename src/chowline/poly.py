@@ -686,7 +686,8 @@ class PowerSeries:
     like ``Poly``: ``nums`` is the tuple of the D+1 integer numerators
     (index = exponent) and ``den`` their positive common denominator, in
     lowest terms.  Instances are immutable, so one series can be shared by
-    every caller (``symfun`` builds each standard series once per order).
+    every caller (``symfun`` builds each standard series once per order)
+    and hashed by value, as it is compared.
     ``coeffs`` presents the coefficients as a new list of Fractions on
     each access."""
 
@@ -732,6 +733,9 @@ class PowerSeries:
     def __eq__(self, other):
         return (isinstance(other, PowerSeries) and self.den == other.den
                 and self.nums == other.nums)
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
 
     def __add__(self, other):
         n = max(len(self.nums), len(other.nums))

@@ -605,3 +605,153 @@ def test_setup_roots_are_kept_and_unchanged_by_evaluation():
     assert s.roots("E") is kept
     assert [(r.nums, r.den, r.bound) for r in kept] == [
         (r.nums, r.den, r.bound) for r in fresh]
+
+
+# ------------------------------------------------ folded, kept blocks
+
+def test_equal_specs_hash_alike_and_key_a_dict():
+    spec = todd_spec(8)
+    again = CharClassSpec("multiplicative", todd_series(8))
+    assert spec is not again and spec == again
+    assert hash(spec) == hash(again)
+    assert hash(todd_series(8)) == hash(PowerSeries(todd_series(8).coeffs))
+    assert {spec: 1}[again] == 1
+    assert len({spec, again, todd_star_spec(8), chern_character_spec(8)}) == 3
+
+
+def reference_evaluation(spec, virtual, ring):
+    """``stepwise_evaluation`` in the setup's roots, rewritten once in a
+    ``ChernBasis``."""
+    if isinstance(ring, Setup):
+        return stepwise_evaluation(spec, virtual, ring)
+    return ring.from_roots(stepwise_evaluation(spec, virtual, ring.setup))
+
+
+def assert_kept_classes_answer_as_fresh_ones(specs, virtual, declared):
+    """Each class twice on one setup, in its roots and its Chern basis,
+    and once on a new setup of the same declaration, against the
+    reference; a tree past the tensor limit is refused by all."""
+    setup = Setup(*declared)
+    for spec in specs:
+        for ring_of in (lambda s: s, lambda s: s.basis):
+            ring = ring_of(setup)
+            try:
+                want = reference_evaluation(spec, virtual, ring)
+            except MalformedVirtualBundle:
+                with pytest.raises(MalformedVirtualBundle):
+                    evaluate_class_in_ring(spec, virtual, ring)
+                continue
+            first = evaluate_class_in_ring(spec, virtual, ring)
+            second = evaluate_class_in_ring(spec, virtual, ring)
+            fresh = evaluate_class_in_ring(spec, virtual,
+                                           ring_of(Setup(*declared)))
+            assert first == want and second == want
+            assert fresh.poly == want.poly
+
+
+@st.composite
+def class_specs(draw, order):
+    """ch, td, td* or a random additive or multiplicative class, the
+    random series with denominators above 1."""
+    kind = draw(st.sampled_from(["ch", "td", "tdstar", "phi", "psi"]))
+    if kind in ("ch", "td", "tdstar"):
+        return {"ch": chern_character_spec, "td": todd_spec,
+                "tdstar": todd_star_spec}[kind](order)
+    den = draw(st.integers(2, 7))
+    coeffs = [Fraction(draw(st.integers(-6, 6)), den)
+              for _ in range(draw(st.integers(0, order)))]
+    # A numerator 1 mod den keeps the series' denominator above 1.
+    first = Fraction(draw(st.integers(-3, 3)) * den + 1, den)
+    if kind == "phi":
+        return CharClassSpec("additive", PowerSeries(
+            [Fraction(draw(st.integers(-6, 6)), den), first, *coeffs]))
+    return CharClassSpec("multiplicative", PowerSeries([1, first, *coeffs]))
+
+
+# Multiples of the fold: zero, negative, and a power of two.
+FOLD_SCALES = (0, -1, 2, -3, 2 ** 5)
+
+
+@st.composite
+def folded_trees(draw, names, depth=3):
+    """Sums, duals, multiples and tensor products over declared bundles
+    and the trivial line, one bundle often named more than once."""
+    leaves = st.sampled_from([VirtualBundle.bundle(n) for n in names] + [O])
+    if depth == 0 or draw(st.integers(0, 9)) < 3:
+        return draw(leaves)
+    op = draw(st.sampled_from(["sum", "sum", "dual", "scale", "tensor"]))
+    child = draw(folded_trees(names, depth - 1))
+    if op == "dual":
+        return child.dual()
+    if op == "scale":
+        return draw(st.sampled_from(FOLD_SCALES)) * child
+    other = draw(folded_trees(names, depth - 1))
+    return child + other if op == "sum" else child * other
+
+
+@st.composite
+def declarations(draw):
+    names = ["E", "F", "L"][:draw(st.integers(1, 3))]
+    ranks = [draw(st.integers(1, 3)) for _ in names]
+    return list(zip(names, ranks)), 0, draw(st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_folded_kept_classes_match_the_stepwise_reference(data):
+    declared = data.draw(declarations())
+    names = [name for name, _ in declared[0]]
+    specs = data.draw(st.lists(class_specs(declared[2]), min_size=1,
+                               max_size=3))
+    virtual = data.draw(folded_trees(names))
+    assert_kept_classes_answer_as_fresh_ones(specs, virtual, declared)
+
+
+E_, F_ = VirtualBundle.bundle("E"), VirtualBundle.bundle("F")
+
+
+@pytest.mark.parametrize("virtual", [
+    O, E_ - E_, 0 * E_, 0 * E_ + O, -3 * E_, 2 ** 5 * E_, (-3 * E_).dual(),
+    (2 * F_).dual() - E_, E_ + F_ + E_, E_ + E_.dual() - 2 * E_,
+    E_ * F_ - 2 * E_, (E_ + O) * F_.dual(),
+], ids=["O", "E-E", "0E", "0E+O", "-3E", "32E", "dual(-3E)", "dual(2F)-E",
+        "E+F+E", "E+dual(E)-2E", "tensor-minus-2E", "tensor-dual"])
+def test_folded_classes_on_named_inputs(virtual):
+    specs = [chern_character_spec(5), todd_spec(5), todd_star_spec(5),
+             CharClassSpec("additive", PowerSeries(
+                 [Fraction(1, 2), Fraction(-1, 3), 0, Fraction(5, 7)])),
+             CharClassSpec("multiplicative", PowerSeries(
+                 [1, Fraction(1, 2), Fraction(1, 3), Fraction(-1, 5)]))]
+    assert_kept_classes_answer_as_fresh_ones(
+        specs, virtual, ([("E", 2), ("F", 3)], 0, 5))
+
+
+def block_keys(setup):
+    return {key for key in setup._tables if key[0] in ("roots", "basis")}
+
+
+def test_tensor_trees_take_the_root_route_and_keep_no_block():
+    s = make_setup(truncation=5, E=2, F=1)
+    for ring in (s, s.basis):
+        evaluate_class_in_ring(chern_character_spec(5), E_ * F_ - E_, ring)
+        evaluate_class_in_ring(todd_spec(5), E_.lam(2) + E_.det(), ring)
+    assert block_keys(s) == set()
+
+
+def test_td_and_td_star_of_the_dual_read_one_block():
+    s = make_setup(truncation=6, E=3, F=2)
+    entries = s.table_entries()
+    first = td(E_, s)
+    [key] = block_keys(s)
+    assert key[:3] == ("roots", "E", "multiplicative")
+    assert s.table_entries() == entries + len(s._tables[key].nums)
+    assert td_star(E_.dual(), s) == first
+    assert block_keys(s) == {key}
+    assert s.table_entries() == entries + len(s._tables[key].nums)
+    # The same in the Chern basis, whose block is kept beside the first.
+    basis = evaluate_class_in_ring(todd_spec(6), E_, s.basis)
+    assert evaluate_class_in_ring(todd_star_spec(6), E_.dual(),
+                                  s.basis) == basis
+    assert len(block_keys(s)) == 2
+    assert block_keys(Setup([("E", 3), ("F", 2)], 0, 6)) == set()
+    assert Setup([("E", 3), ("F", 2)], 0, 6).table_entries() == 0

@@ -510,6 +510,36 @@ def test_picard_subcommand(tmp_path, capsys):
     assert report["rationalized"]["pi1"] == "0"
 
 
+def test_a_repeated_chain_group_takes_one_smith_form(tmp_path, capsys,
+                                                    monkeypatch):
+    # PICARD_PAYLOAD repeats one group at its four samples; a chain of two
+    # presentations builds two groups.  Each build is one Smith form, and
+    # picardify adds the same calls in both runs.
+    from chowline import picard
+
+    calls = []
+    smith = picard.smith_normal_form
+
+    def counted(matrix):
+        calls.append(matrix)
+        return smith(matrix)
+
+    monkeypatch.setattr(picard, "smith_normal_form", counted)
+    two = json.loads(json.dumps(PICARD_PAYLOAD))
+    two["chain"]["groups"][0] = {"generators": 1, "relations": [[-2]]}
+    counts, reports = [], []
+    for payload in (PICARD_PAYLOAD, two):
+        path = tmp_path / "skeleton.json"
+        path.write_text(json.dumps(payload))
+        del calls[:]
+        cli._load_skeleton(str(path))
+        counts.append(len(calls))
+        assert main(["picard", str(path), "--json"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert counts == [1, 2]
+    assert reports[0] == reports[1]
+
+
 def test_picard_failure_exits_nonzero(tmp_path, capsys):
     # A chain whose samples change invariants is refused: exit code 2, as
     # for every input the library refuses (1 is for a false verdict).

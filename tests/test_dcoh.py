@@ -768,3 +768,20 @@ def test_one_ring_per_key_and_none_for_an_unfrozen_declaration(monkeypatch):
     with dcoh.kept(Setup, [("E", 3)], 0, 4) as setup:
         chern_ring.chern_class(setup, "E", 2)
     assert dcoh._rings == {} == dcoh._counted and dcoh._held == 0
+
+
+def test_class_blocks_count_against_the_kept_setups_limit(monkeypatch):
+    # td(E) keeps one block and nothing else; under a limit below its
+    # terms the kept setup is replaced by a fresh one, then dropped.
+    _forget()
+    declared = ([("E", 3), ("F", 2)], 0, 6)
+    with dcoh.kept(Setup, *declared) as setup:
+        td(VirtualBundle.bundle("E"), setup)
+    [block] = setup._tables.values()
+    assert setup.table_entries() == len(block.nums) == dcoh._held > 0
+    monkeypatch.setattr(pushforward, "TOWER_TABLE_LIMIT", len(block.nums) - 1)
+    with dcoh.kept(Setup, *declared) as again:
+        assert again is not setup and again.table_entries() == 0
+        assert str(td(VirtualBundle.bundle("E"), again)) == str(
+            td(VirtualBundle.bundle("E"), Setup(*declared)))
+    assert dcoh._rings == {} and dcoh._held == 0
